@@ -170,7 +170,7 @@ func run(args []string) error {
 		return fmt.Errorf("one of -workload or -src is required (see -list)")
 	}
 
-	cfg, err := configByName(*config)
+	cfg, err := microsampler.ConfigByName(*config)
 	if err != nil {
 		return err
 	}
@@ -430,13 +430,8 @@ type matrixCacheEntry struct {
 // history recording and baseline diffing still run off the replayed
 // artifact, so the CI gate costs microseconds on an unchanged tree.
 func runMatrix(w microsampler.Workload, opts microsampler.Options, spec, jsonOut, htmlOut string, cellParallel int, disk *microsampler.DiskCache, hd *histDiff) error {
-	var (
-		grid microsampler.GridSpec
-		err  error
-	)
-	if strings.EqualFold(spec, "default") {
-		grid = microsampler.DefaultGrid()
-	} else if grid, err = microsampler.ParseGridSpec(spec); err != nil {
+	grid, err := microsampler.ParseGridSpec(spec)
+	if err != nil {
 		return err
 	}
 	mo := microsampler.MatrixOptions{Options: opts, Grid: grid, CellParallel: cellParallel}
@@ -533,16 +528,6 @@ func writeMatrixArtifacts(jsonOut, htmlOut string, artJSON []byte, artHTML strin
 		}
 	}
 	return nil
-}
-
-func configByName(name string) (microsampler.Config, error) {
-	switch strings.ToLower(name) {
-	case "mega", "megaboom":
-		return microsampler.MegaBoom(), nil
-	case "small", "smallboom":
-		return microsampler.SmallBoom(), nil
-	}
-	return microsampler.Config{}, fmt.Errorf("unknown config %q (mega or small)", name)
 }
 
 func unitByName(name string) (microsampler.Unit, error) {

@@ -12,21 +12,6 @@ import (
 	"microsampler"
 )
 
-func TestConfigByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"mega": "MegaBoom", "MEGA": "MegaBoom", "MegaBoom": "MegaBoom",
-		"small": "SmallBoom", "smallboom": "SmallBoom",
-	} {
-		cfg, err := configByName(name)
-		if err != nil || cfg.Name != want {
-			t.Errorf("configByName(%q) = %v, %v", name, cfg.Name, err)
-		}
-	}
-	if _, err := configByName("huge"); err == nil {
-		t.Error("unknown config should error")
-	}
-}
-
 func TestUnitByName(t *testing.T) {
 	u, err := unitByName("sq-addr")
 	if err != nil || u != microsampler.SQADDR {

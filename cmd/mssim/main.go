@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"microsampler/internal/asm"
 	"microsampler/internal/sim"
@@ -50,14 +49,9 @@ func run(args []string) error {
 		return err
 	}
 
-	var cfg sim.Config
-	switch strings.ToLower(*config) {
-	case "mega", "megaboom":
-		cfg = sim.MegaBoom()
-	case "small", "smallboom":
-		cfg = sim.SmallBoom()
-	default:
-		return fmt.Errorf("unknown config %q", *config)
+	cfg, err := sim.ConfigByName(*config)
+	if err != nil {
+		return err
 	}
 	cfg.FastBypass = *fastBypass
 

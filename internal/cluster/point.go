@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -67,8 +68,16 @@ func ParseCell(name string) (core.Cell, error) {
 	return c, nil
 }
 
+// maxRuns bounds Point.Runs: each run is a full simulation, so the
+// bound keeps one request from pinning a daemon for hours.
+const maxRuns = 1024
+
 // Resolve materialises the point into the workload and options its
-// verification runs with. Execution-strategy options (parallelism,
+// verification runs with, and is the one place a request's defaults
+// and bounds live: runs default to 4 and must lie in [0,1024], and the
+// configuration comes from the cell or sim.ConfigByName. Warmup passes
+// through: core.Options applies its own default and maps any negative
+// value to "keep all". Execution-strategy options (parallelism,
 // retries, telemetry) are the executing daemon's business and are left
 // zero.
 func (p Point) Resolve() (core.Workload, core.Options, error) {
@@ -76,13 +85,16 @@ func (p Point) Resolve() (core.Workload, core.Options, error) {
 	var err error
 	switch {
 	case (p.Workload == "") == (p.Source == ""):
-		return w, core.Options{}, fmt.Errorf("cluster: point needs exactly one of workload or source")
+		return w, core.Options{}, fmt.Errorf("exactly one of workload or source is required")
 	case p.Workload != "":
 		if w, err = workloads.ByName(p.Workload); err != nil {
 			return w, core.Options{}, err
 		}
 	default:
 		w = core.Workload{Name: "submitted-source", Source: p.Source}
+	}
+	if p.Runs < 0 || p.Runs > maxRuns {
+		return w, core.Options{}, fmt.Errorf("runs must be in [0,%d], got %d", maxRuns, p.Runs)
 	}
 
 	var cfg sim.Config
@@ -95,29 +107,15 @@ func (p Point) Resolve() (core.Workload, core.Options, error) {
 			return w, core.Options{}, err
 		}
 	} else {
-		switch strings.ToLower(p.Config) {
-		case "", "mega", "megaboom":
-			cfg = sim.MegaBoom()
-		case "small", "smallboom":
-			cfg = sim.SmallBoom()
-		default:
-			return w, core.Options{}, fmt.Errorf("cluster: unknown config %q (mega or small)", p.Config)
+		if cfg, err = sim.ConfigByName(p.Config); err != nil {
+			return w, core.Options{}, err
 		}
 		cfg.FastBypass = p.FastBypass
 	}
-
-	runs := p.Runs
-	if runs == 0 {
-		runs = 4
-	}
-	warmup := p.Warmup
-	if warmup < 0 {
-		warmup = core.NoWarmup
-	}
 	return w, core.Options{
 		Config:        cfg,
-		Runs:          runs,
-		Warmup:        warmup,
+		Runs:          cmp.Or(p.Runs, 4),
+		Warmup:        p.Warmup,
 		SeedOffset:    p.SeedOffset,
 		MeasureStages: p.MeasureStages,
 	}, nil

@@ -37,11 +37,7 @@ var gridAxes = []struct {
 	apply  func(cfg *sim.Config, value string)
 }{
 	{"base", []string{"mega", "small"}, func(cfg *sim.Config, v string) {
-		if v == "small" {
-			*cfg = sim.SmallBoom()
-		} else {
-			*cfg = sim.MegaBoom()
-		}
+		*cfg, _ = sim.ConfigByName(v) // both values are valid names
 	}},
 	{"fastbypass", []string{"off", "on"}, func(cfg *sim.Config, v string) {
 		cfg.FastBypass = v == "on"
@@ -80,14 +76,18 @@ func DefaultGrid() GridSpec {
 //
 //	axis=value,value;axis=value,...
 //
-// e.g. "base=small,mega;prefetch=none,stride;predictor=gshare,tage".
-// Unknown axes or values, a repeated axis (contradictory toggles), a
-// repeated value (duplicate cells), and empty specs are rejected.
+// e.g. "base=small,mega;prefetch=none,stride;predictor=gshare,tage",
+// or "default" (any case) for DefaultGrid. Unknown axes or values, a
+// repeated axis (contradictory toggles), a repeated value (duplicate
+// cells), and empty specs are rejected.
 func ParseGridSpec(s string) (GridSpec, error) {
 	var g GridSpec
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return g, fmt.Errorf("matrix: empty grid spec")
+	}
+	if strings.EqualFold(s, "default") {
+		return DefaultGrid(), nil
 	}
 	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ";") {

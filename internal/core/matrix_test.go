@@ -30,6 +30,27 @@ func TestParseGridSpec(t *testing.T) {
 	}
 }
 
+// TestParseGridSpecDefault: the "default" alias, in any case, decodes
+// to exactly DefaultGrid's cells.
+func TestParseGridSpecDefault(t *testing.T) {
+	want := DefaultGrid().Cells()
+	for _, spec := range []string{"default", "DEFAULT", " Default "} {
+		g, err := ParseGridSpec(spec)
+		if err != nil {
+			t.Fatalf("ParseGridSpec(%q): %v", spec, err)
+		}
+		got := g.Cells()
+		if len(got) != len(want) {
+			t.Fatalf("ParseGridSpec(%q): %d cells, want %d", spec, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Name != want[i].Name {
+				t.Errorf("ParseGridSpec(%q) cell %d = %q, want %q", spec, i, got[i].Name, want[i].Name)
+			}
+		}
+	}
+}
+
 func TestParseGridSpecCanonicalOrder(t *testing.T) {
 	// Axis order in the spec must not matter: both orderings enumerate
 	// identical cell sequences.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"microsampler/internal/cluster"
@@ -26,9 +25,10 @@ import (
 // beyond it is rejected rather than silently truncated.
 const maxBatchPoints = 1024
 
-// BatchEntry is one line of a batch request: a single verification
-// point, or — with Matrix set — a whole configuration grid that
-// explodes into one point per cell.
+// BatchEntry is one line of a batch request: a wire adapter over
+// cluster.Point naming a single verification point, or — with Matrix
+// set — a whole configuration grid that explodes into one point per
+// cell.
 type BatchEntry struct {
 	// Exactly one of Workload or Source names the program.
 	Workload string `json:"workload,omitempty"`
@@ -81,15 +81,9 @@ func (r BatchRequest) explode(maxCycles int64) ([]cluster.Point, []string, error
 		if e.Cell != "" {
 			return nil, nil, fmt.Errorf("point %d: matrix and cell are mutually exclusive", ei)
 		}
-		var grid core.GridSpec
-		if strings.EqualFold(e.Matrix, "default") {
-			grid = core.DefaultGrid()
-		} else {
-			g, err := core.ParseGridSpec(e.Matrix)
-			if err != nil {
-				return nil, nil, fmt.Errorf("point %d: %v", ei, err)
-			}
-			grid = g
+		grid, err := core.ParseGridSpec(e.Matrix)
+		if err != nil {
+			return nil, nil, fmt.Errorf("point %d: %v", ei, err)
 		}
 		for _, cell := range grid.Cells() {
 			p := base

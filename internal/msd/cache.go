@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"microsampler/internal/cache"
+	"microsampler/internal/cluster"
 	"microsampler/internal/core"
 )
 
@@ -18,48 +19,25 @@ import (
 
 // jobCacheKey returns the content-addressed key of a job request's
 // artifact set, or "" when the request cannot be keyed (an invalid
-// request never reaches the cache — enqueue validates first — so ""
+// request never reaches the cache — submit validates first — so ""
 // only means "do not cache"). maxCycles is the daemon's per-run bound,
-// part of the key because it can truncate simulations.
+// part of the key because it can truncate simulations. A report job's
+// base is its point's core.CacheKey, the key a batch point of the same
+// tuple gets.
 func jobCacheKey(req JobRequest, maxCycles int64) string {
-	w, err := req.workload()
+	w, opts, grid, err := req.resolve()
 	if err != nil {
 		return ""
 	}
-	runs := req.Runs
-	if runs == 0 {
-		runs = 4
-	}
-	warmup := req.Warmup
-	if warmup < 0 {
-		warmup = core.NoWarmup
-	}
-	opts := core.Options{
-		Runs:          runs,
-		Warmup:        warmup,
-		SeedOffset:    req.SeedOffset,
-		MeasureStages: req.MeasureStages,
-		MaxCycles:     maxCycles,
-	}
+	opts.MaxCycles = maxCycles
 	var base string
 	if req.Matrix != "" {
-		// Matrix jobs ignore Config/FastBypass — the grid defines each
-		// cell's configuration — so the key must too, or equivalent
-		// sweeps would needlessly split.
-		grid, err := req.grid()
-		if err != nil {
-			return ""
-		}
 		base, err = core.MatrixCacheKey(w, core.MatrixOptions{Options: opts, Grid: grid})
-		if err != nil {
-			return ""
-		}
 	} else {
-		opts.Config = req.config()
 		base, err = core.CacheKey(w, opts)
-		if err != nil {
-			return ""
-		}
+	}
+	if err != nil {
+		return ""
 	}
 	// The rendered artifacts depend on the heatmap windowing on top of
 	// the verification tuple.
@@ -94,7 +72,7 @@ type wireArtifact struct {
 	Data        []byte `json:"data"`
 }
 
-func encodeCachedJob(cj *cachedJob) ([]byte, error) {
+func (cj *cachedJob) encode() ([]byte, error) {
 	w := cachedJobWire{
 		Leaky:      cj.sum.leaky,
 		LeakyUnits: cj.sum.leakyUnits,
@@ -129,44 +107,62 @@ func decodeCachedJob(data []byte) (*cachedJob, error) {
 	return cj, nil
 }
 
-// cacheGet looks a key up in the memory layer, then the disk layer
-// (promoting a disk hit into memory). A corrupt disk blob is treated as
-// a miss — the job simply re-verifies and overwrites it.
-func (s *Server) cacheGet(key string) (*cachedJob, bool) {
-	if v, ok := s.cache.Get(key); ok {
-		return v.(*cachedJob), true
-	}
-	if s.cacheDisk == nil {
-		return nil, false
-	}
-	data, ok, err := s.cacheDisk.Get(key)
-	if err != nil || !ok {
-		if err != nil {
-			s.log.Warn("cache disk read failed", "key", key[:12], "err", err)
-		}
-		return nil, false
-	}
-	cj, err := decodeCachedJob(data)
-	if err != nil {
-		s.log.Warn("cache disk blob corrupt", "key", key[:12], "err", err)
-		return nil, false
-	}
-	s.cache.Put(key, cj)
-	return cj, true
+// decodePointResult decodes a point verdict's disk encoding.
+func decodePointResult(data []byte) (cluster.PointResult, error) {
+	var res cluster.PointResult
+	err := json.Unmarshal(data, &res)
+	return res.Verdict(), err
 }
 
-// cachePut stores a freshly computed verdict in both layers. Disk
-// failures degrade to memory-only caching.
-func (s *Server) cachePut(key string, cj *cachedJob) {
-	s.cache.Put(key, cj)
+// cacheLoad looks key up in the memory layer, then the disk layer,
+// promoting a disk hit into memory. Job artifact sets and point verdicts
+// share both layers under disjoint key spaces ("msd-job-v1" hashes
+// versus core.CacheKey); the checked assertion keeps an entry from ever
+// masquerading as the other kind. A corrupt disk blob is a miss — the
+// work simply re-verifies and overwrites it.
+func cacheLoad[T any](s *Server, key string, decode func([]byte) (T, error)) (T, bool) {
+	var zero T
+	if s.cache == nil || key == "" {
+		return zero, false
+	}
+	if v, ok := s.cache.Get(key); ok {
+		t, ok := v.(T)
+		return t, ok
+	}
+	if s.cacheDisk == nil {
+		return zero, false
+	}
+	data, ok, err := s.cacheDisk.Get(key)
+	if err != nil {
+		s.log.Warn("cache disk read failed", "key", shortKey(key), "err", err)
+	}
+	if err != nil || !ok {
+		return zero, false
+	}
+	t, err := decode(data)
+	if err != nil {
+		s.log.Warn("cache disk blob corrupt", "key", shortKey(key), "err", err)
+		return zero, false
+	}
+	s.cache.Put(key, t)
+	return t, true
+}
+
+// cacheStore puts v in the memory layer and its encoding in the disk
+// layer. Disk failures degrade to memory-only caching.
+func (s *Server) cacheStore(key string, v any, encode func() ([]byte, error)) {
+	if s.cache == nil || key == "" {
+		return
+	}
+	s.cache.Put(key, v)
 	if s.cacheDisk == nil {
 		return
 	}
-	data, err := encodeCachedJob(cj)
+	data, err := encode()
 	if err == nil {
 		err = s.cacheDisk.Put(key, data)
 	}
 	if err != nil {
-		s.log.Warn("cache disk write failed", "key", key[:12], "err", err)
+		s.log.Warn("cache disk write failed", "key", shortKey(key), "err", err)
 	}
 }

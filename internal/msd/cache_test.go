@@ -13,8 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unicode/utf8"
 
+	"microsampler/internal/cluster"
 	"microsampler/internal/core"
 )
 
@@ -172,31 +172,86 @@ func TestJobCacheKeyCanonicalJSON(t *testing.T) {
 	}
 }
 
-// FuzzCacheKey fuzzes the canonicalization invariants: the key is
-// deterministic, survives a JSON round trip of the request, and moves
-// whenever the seed moves.
+// TestCacheKeyGolden pins the exact job and point keys of a fixed set
+// of requests. Disk caches outlive daemon binaries, so a change to how
+// requests decode or default must not move a key: a moved key orphans
+// every cached verdict under it.
+func TestCacheKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		raw       string
+		maxCycles int64
+		want      string
+	}{
+		{`{"workload":"ME-NAIVE"}`, 0,
+			"2a224f91dc6a6b38d8de8ad478f70d1a047ecfe510972829cc78fd92d948fe9a"},
+		{`{"source":"nop","config":"small","fastBypass":true,"runs":2,"warmup":2}`, 0,
+			"84f396c13e636ddec8a39ee527df76fc3cd8a5cffd62d74e470cb18e67a025b2"},
+		{`{"workload":"ME-NAIVE","warmup":-5,"seedOffset":3}`, 0,
+			"a5b4d361a0d6c0f591b92ee17b3c4c4b406172d486fc53eeb37533ed390cc223"},
+		// Matrix keys ignore config: the grid defines each cell's.
+		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","config":"small","runs":2}`, 0,
+			"45695583571e5aa547b4edd8b0cdd8691ad3090141f640d4dbd20642007ef10c"},
+		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","runs":2}`, 0,
+			"45695583571e5aa547b4edd8b0cdd8691ad3090141f640d4dbd20642007ef10c"},
+		{`{"workload":"TAGE-HIST","matrix":"default","warmup":-1}`, 0,
+			"72548f0e9bd341153e673911342b20c70183eee6450ef34fbdd6ecb058268d66"},
+		{`{"source":"addi a0, a0, 1","runs":3,"measureStages":true,"heatmapWindows":16,"label":"x","parallel":2}`, 5000,
+			"d9d049b0a96178703f6035e5a401184bff80d169147606792c06dffcd984e5f1"},
+	} {
+		var req JobRequest
+		if err := json.Unmarshal([]byte(c.raw), &req); err != nil {
+			t.Fatalf("decode %s: %v", c.raw, err)
+		}
+		if err := req.validate(); err != nil {
+			t.Fatalf("validate %s: %v", c.raw, err)
+		}
+		if got := jobCacheKey(req, c.maxCycles); got != c.want {
+			t.Errorf("jobCacheKey(%s, %d) = %s, want %s", c.raw, c.maxCycles, got, c.want)
+		}
+	}
+	for _, c := range []struct{ raw, want string }{
+		{`{"workload":"ME-NAIVE"}`,
+			"72d1e5d2b2c3c5d8ec699fb6b121c6a09050b220f4a7a604236ab7a7c16d3c44"},
+		// A batch cell of the default grid.
+		{`{"workload":"TAGE-HIST","cell":"base=mega,prefetch=none,predictor=tage","runs":2}`,
+			"bfb2a50d54c6167632d5f9bbf9f197ff71029f866934a1f04662b12934ad0a58"},
+		{`{"source":"nop","config":"small","fastBypass":true,"runs":2,"warmup":2}`,
+			"411703f13aa883425daaded9d27f7a39d8ffcbee2c6a18db885b713bb5e62eb8"},
+		{`{"source":"nop","config":"SmallBoom","warmup":-7,"seedOffset":4,"label":"y"}`,
+			"90a4faafb7f8962b1cbf73af23f95c5b17709c70c1ddcfe8a4cd362c88adaa91"},
+	} {
+		var p cluster.Point
+		if err := json.Unmarshal([]byte(c.raw), &p); err != nil {
+			t.Fatalf("decode %s: %v", c.raw, err)
+		}
+		if got, err := p.Key(0); err != nil || got != c.want {
+			t.Errorf("Point.Key(%s) = %s, %v, want %s", c.raw, got, err, c.want)
+		}
+	}
+}
+
+// FuzzCacheKey feeds raw request bytes through the one decoder the
+// daemon uses and checks the canonicalization invariants: decoding
+// never panics, an accepted request resolves, its key is deterministic
+// and survives a JSON round trip, it moves whenever the seed moves,
+// and a report job keys its verification exactly like the equivalent
+// batch point.
 func FuzzCacheKey(f *testing.F) {
-	f.Add("nop", "mega", 4, 2, 0, false, 0, false)
-	f.Add("mul t0, s2, s2", "small", 1, -1, 7, true, 16, true)
-	f.Add("", "", 0, 0, 0, false, 0, false)
-	f.Fuzz(func(t *testing.T, source, config string, runs, warmup, seedOffset int, measureStages bool, heatmapWindows int, fastBypass bool) {
-		// Requests reach the daemon as JSON, which is always valid
-		// UTF-8; invalid bytes would be rewritten to U+FFFD by
-		// json.Marshal and genuinely name a different program.
-		if !utf8.ValidString(source) || !utf8.ValidString(config) {
-			t.Skip()
+	f.Add([]byte(`{"source":"nop","config":"mega","runs":4,"warmup":2}`))
+	f.Add([]byte(`{"source":"mul t0, s2, s2","config":"small","runs":1,"warmup":-1,"seedOffset":7,"measureStages":true,"heatmapWindows":16,"fastBypass":true}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"workload":"TAGE-HIST","matrix":"default","config":"small","cellParallel":2}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var req JobRequest
+		if json.Unmarshal(raw, &req) != nil || req.validate() != nil {
+			return
 		}
-		req := JobRequest{
-			Source: source, Config: config, FastBypass: fastBypass,
-			Runs: runs, Warmup: warmup, SeedOffset: seedOffset,
-			MeasureStages: measureStages, HeatmapWindows: heatmapWindows,
-		}
-		if req.validate() != nil {
-			t.Skip()
+		if _, _, _, err := req.resolve(); err != nil {
+			t.Fatalf("accepted request does not resolve: %v", err)
 		}
 		key := jobCacheKey(req, 0)
 		if key == "" {
-			t.Skip() // unkeyable (e.g. unparsable option combination)
+			t.Fatalf("accepted request has no key: %s", raw)
 		}
 		if again := jobCacheKey(req, 0); again != key {
 			t.Fatalf("key not deterministic: %s vs %s", key, again)
@@ -216,6 +271,26 @@ func FuzzCacheKey(f *testing.F) {
 		mutated.SeedOffset++
 		if jobCacheKey(mutated, 0) == key {
 			t.Fatal("seed mutation did not change the key")
+		}
+		if req.Matrix != "" {
+			return
+		}
+		jobKey, err := req.point().Key(0)
+		if err != nil {
+			t.Fatalf("accepted request has no point key: %v", err)
+		}
+		batch := BatchRequest{Entries: []BatchEntry{{
+			Workload: req.Workload, Source: req.Source,
+			Config: req.Config, FastBypass: req.FastBypass,
+			Runs: req.Runs, Warmup: req.Warmup, SeedOffset: req.SeedOffset,
+			MeasureStages: req.MeasureStages,
+		}}}
+		_, keys, err := batch.explode(0)
+		if err != nil {
+			t.Fatalf("equivalent batch entry rejected: %v", err)
+		}
+		if keys[0] != jobKey {
+			t.Fatalf("job and batch point keys differ: %s vs %s", jobKey, keys[0])
 		}
 	})
 }

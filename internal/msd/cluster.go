@@ -2,19 +2,17 @@ package msd
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"strings"
 
 	"microsampler/internal/cluster"
 	"microsampler/internal/core"
-	"microsampler/internal/faults"
 	"microsampler/internal/history"
 	"microsampler/internal/report"
-	"microsampler/internal/version"
 )
 
 // Cluster surfaces of the daemon. Every msd can execute a shard on a
@@ -73,27 +71,21 @@ func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	key := req.Key
-	if key == "" {
-		k, err := req.Point.Key(s.cfg.MaxCycles)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		key = k
-	}
-	if _, _, err := req.Point.Resolve(); err != nil {
+	key, err := req.Point.Key(s.cfg.MaxCycles)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.runPoint(req.Point, key))
+	// The dispatching coordinator's key wins: it addresses the shared
+	// store under its own cycle bound.
+	writeJSON(w, http.StatusOK, s.runPoint(req.Point, cmp.Or(req.Key, key)))
 }
 
 // handleCacheGet serves the shared verdict store: a worker's cache
 // miss consults it before simulating.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	res, ok := s.pointCacheGet(key)
+	res, ok := cacheLoad(s, key, decodePointResult)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no cached verdict under %q", shortKey(key))
 		return
@@ -114,8 +106,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "failed verdicts are not cacheable")
 		return
 	}
-	res.Key = key
-	s.pointCachePut(key, res)
+	s.storePoint(key, res)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -128,7 +119,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 // point it already answered: the replayed request hits the disk cache
 // and never reaches the history append.
 func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
-	if res, ok := s.pointCacheGet(key); ok {
+	if res, ok := cacheLoad(s, key, decodePointResult); ok {
 		s.cacheHits.Inc()
 		res.Cached = true
 		return res
@@ -136,7 +127,7 @@ func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
 	s.cacheMisses.Inc()
 	if s.cfg.CoordinatorURL != "" {
 		if res, ok := s.pointFetchRemote(key); ok {
-			s.pointCachePut(key, res)
+			s.storePoint(key, res)
 			res.Cached = true
 			s.log.Info("point filled from coordinator store", "key", shortKey(key))
 			return res
@@ -152,146 +143,63 @@ func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
 		return res
 	}
 	if res.Err == "" {
-		s.pointCachePut(key, res)
+		s.storePoint(key, res)
 		if s.cfg.CoordinatorURL != "" {
 			s.pointUploadRemote(key, res)
 		}
-		s.recordPointHistory(p, res)
+		s.recordHistory(history.Record{
+			Label: p.Label, Workload: p.WorkloadName(), Kind: history.KindReport,
+			Leaky: res.Leaky, LeakyUnits: res.LeakyUnits,
+			Iterations: res.Iterations, SimCycles: res.SimCycles,
+		}, res.Digest, "point-"+shortKey(key))
 	}
 	return res
 }
 
-// computePoint runs one point's verification with panic containment,
-// honouring the test seam.
-func (s *Server) computePoint(p cluster.Point, key string) (res cluster.PointResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			perr := &faults.PanicError{Value: r, Stack: debug.Stack()}
-			s.log.Error("point panicked", "key", shortKey(key), "panic", r)
-			res = cluster.PointResult{Key: key, Err: perr.Error()}
-		}
-	}()
-	if s.cfg.executePoint != nil {
-		res = s.cfg.executePoint(p, key)
-		res.Key = key
-		return res
-	}
-	w, opts, err := p.Resolve()
-	if err != nil {
-		return cluster.PointResult{Key: key, Err: err.Error()}
-	}
-	opts.MaxCycles = s.cfg.MaxCycles
-	opts.Watchdog = s.cfg.Watchdog
-	opts.Metrics = s.reg
-	opts.Logger = s.log
-	opts.RunID = "point-" + shortKey(key)
-	rep, err := core.Verify(w, opts)
-	if err != nil {
-		return cluster.PointResult{Key: key, Err: err.Error()}
-	}
-	res = cluster.PointResult{Key: key}
-	sum := reportSummary(rep)
-	res.Leaky = sum.leaky
-	res.LeakyUnits = sum.leakyUnits
-	res.Iterations = sum.iterations
-	res.SimCycles = sum.simCycles
-	if dg, err := report.BuildDigest(rep); err == nil {
-		if data, err := dg.JSON(); err == nil {
-			res.Digest = data
-		}
-	}
-	return res
+// storePoint caches a successful verdict under its key, stripped to the
+// deterministic verdict fields: who computed it and how is dispatch
+// metadata, not part of the answer.
+func (s *Server) storePoint(key string, res cluster.PointResult) {
+	v := res.Verdict()
+	v.Key = key
+	s.cacheStore(key, v, func() ([]byte, error) { return json.Marshal(v) })
 }
 
-// recordPointHistory files a fresh point verdict in the run-history
-// store — called only on fresh computes, never on cache or fill hits,
-// so a replayed shard cannot double-report.
-func (s *Server) recordPointHistory(p cluster.Point, res cluster.PointResult) {
-	if s.hist == nil || res.Err != "" {
-		return
-	}
-	label := p.Label
-	if label == "" {
-		label = version.DefaultLabel()
-	}
-	rec := history.Record{
-		Label:      label,
-		Workload:   p.WorkloadName(),
-		Kind:       history.KindReport,
-		Leaky:      res.Leaky,
-		LeakyUnits: res.LeakyUnits,
-		Iterations: res.Iterations,
-		SimCycles:  res.SimCycles,
-	}
-	blobs := map[string][]byte{}
-	if len(res.Digest) > 0 {
-		blobs["digest"] = res.Digest
-		var dg report.ReportDigest
-		if json.Unmarshal(res.Digest, &dg) == nil {
-			rec.MaxV = dg.MaxV()
+// computePoint runs one point's verification sequentially under the
+// panic guard, honouring the test seam. Failures ride inside the result.
+func (s *Server) computePoint(p cluster.Point, key string) cluster.PointResult {
+	runID := "point-" + shortKey(key)
+	res := cluster.PointResult{Key: key}
+	err := s.guard(runID, func() error {
+		if s.cfg.executePoint != nil {
+			res = s.cfg.executePoint(p, key)
+			res.Key = key
+			return nil
 		}
-	}
-	if _, err := s.hist.Append(rec, blobs); err != nil {
-		s.log.Warn("point history append failed", "key", shortKey(res.Key), "err", err)
-	}
-}
-
-// pointCacheGet looks a point verdict up in the local store (memory,
-// then disk, promoting). Point entries share the LRU and disk layer
-// with job artifacts but live under their own canonical core.CacheKey
-// address space; a checked type assertion keeps the two from ever
-// masquerading as each other.
-func (s *Server) pointCacheGet(key string) (cluster.PointResult, bool) {
-	if s.cache == nil || key == "" {
-		return cluster.PointResult{}, false
-	}
-	if v, ok := s.cache.Get(key); ok {
-		if res, ok := v.(cluster.PointResult); ok {
-			return res, true
-		}
-		return cluster.PointResult{}, false
-	}
-	if s.cacheDisk == nil {
-		return cluster.PointResult{}, false
-	}
-	data, ok, err := s.cacheDisk.Get(key)
-	if err != nil || !ok {
+		w, opts, err := p.Resolve()
 		if err != nil {
-			s.log.Warn("point cache disk read failed", "key", shortKey(key), "err", err)
+			return err
 		}
-		return cluster.PointResult{}, false
-	}
-	var res cluster.PointResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		s.log.Warn("point cache disk blob corrupt", "key", shortKey(key), "err", err)
-		return cluster.PointResult{}, false
-	}
-	res = res.Verdict()
-	s.cache.Put(key, res)
-	return res, true
-}
-
-// pointCachePut stores a verdict in both local layers, stripped to its
-// deterministic verdict fields (who computed it and how is dispatch
-// metadata, not part of the answer).
-func (s *Server) pointCachePut(key string, res cluster.PointResult) {
-	if s.cache == nil || key == "" || res.Err != "" {
-		return
-	}
-	res = res.Verdict()
-	res.Key = key
-	s.cache.Put(key, res)
-	if s.cacheDisk == nil {
-		return
-	}
-	data, err := json.Marshal(res)
-	if err == nil {
-		err = s.cacheDisk.Put(key, data)
-	}
+		rep, err := core.Verify(w, s.execOptions(opts, runID))
+		if err != nil {
+			return err
+		}
+		sum := reportSummary(rep)
+		res.Leaky = sum.leaky
+		res.LeakyUnits = sum.leakyUnits
+		res.Iterations = sum.iterations
+		res.SimCycles = sum.simCycles
+		if dg, err := report.BuildDigest(rep); err == nil {
+			if data, err := dg.JSON(); err == nil {
+				res.Digest = data
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		s.log.Warn("point cache disk write failed", "key", shortKey(key), "err", err)
+		return cluster.PointResult{Key: key, Err: err.Error()}
 	}
+	return res
 }
 
 // pointFetchRemote consults the coordinator's verdict store for key.

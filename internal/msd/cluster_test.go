@@ -224,6 +224,29 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
+// TestRunsBoundOnEveryEntryPoint: the runs bound lives in
+// Point.Resolve, so every submission path enforces it — report and
+// matrix jobs, batches and direct cluster execution.
+func TestRunsBoundOnEveryEntryPoint(t *testing.T) {
+	_, ts := newPointServer(t, Config{Coordinator: true}, nil)
+	for _, c := range []struct{ path, body string }{
+		{"/api/v1/jobs", `{"workload":"ME-NAIVE","runs":1025}`},
+		{"/api/v1/matrix", `{"workload":"ME-NAIVE","runs":1025}`},
+		{"/api/v1/batch", `{"points":[{"workload":"ME-NAIVE","runs":1025}]}`},
+		{"/api/v1/cluster/execute", `{"point":{"workload":"ME-NAIVE","runs":1025}}`},
+		{"/api/v1/cluster/execute", `{"point":{"workload":"ME-NAIVE","runs":-1},"key":"k"}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: code=%d want 400", c.path, c.body, resp.StatusCode)
+		}
+	}
+}
+
 // TestBatchWorkerDeathReassigns: the worker holding a point is marked
 // dead mid-dispatch; the point must move to the surviving worker and
 // complete without degrading — and the reassignment must be visible in

@@ -1,9 +1,9 @@
 package msd
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"microsampler/internal/history"
 	"microsampler/internal/report"
@@ -18,65 +18,43 @@ import (
 // verdict diff between two labels and feeds every clean↔leaky flip
 // into the msd_verdict_flips_total counter.
 
-// historyLabel resolves the label a job's history record is filed
-// under.
-func historyLabel(job *Job) string {
-	if job.Req.Label != "" {
-		return job.Req.Label
-	}
-	return version.DefaultLabel()
-}
-
-// recordHistory appends a finished job's verdict to the history store.
-// Append failures are logged, not fatal — the daemon prefers serving
-// with a degraded history over failing completed jobs.
-func (s *Server) recordHistory(job *Job, sum jobSummary, arts map[string]artifact, finished time.Time) {
+// recordHistory files one fresh verdict — a job's or a point's — in
+// the history store, with its diffable artifact (a matrix artifact for
+// KindMatrix records, a report digest otherwise) filed
+// content-addressed and the record's MaxV read from it. An empty label
+// defaults to the daemon binary's VCS stamp. A missing artifact (a
+// cache entry written before the digest existed) still records the
+// verdict, just not diffably. Append failures are logged, not fatal —
+// the daemon prefers serving with a degraded history over failing
+// completed work.
+func (s *Server) recordHistory(rec history.Record, art []byte, runID string) {
 	if s.hist == nil {
 		return
 	}
-	rec := history.Record{
-		Label:         historyLabel(job),
-		Workload:      job.workloadName(),
-		Leaky:         sum.leaky,
-		LeakyUnits:    sum.leakyUnits,
-		Iterations:    sum.iterations,
-		SimCycles:     sum.simCycles,
-		ElapsedMillis: finished.Sub(job.Started).Milliseconds(),
-	}
-	// The diffable artifact rides along content-addressed. Cache
-	// entries written before the digest artifact existed may lack it;
-	// the verdict is still recorded, just not diffable.
+	rec.Label = cmp.Or(rec.Label, version.DefaultLabel())
 	blobs := map[string][]byte{}
-	if job.Req.Matrix != "" {
-		rec.Kind = history.KindMatrix
-		rec.Cells = sum.cells
-		rec.LeakyCells = sum.leakyCells
-		if a, ok := arts["matrix"]; ok {
-			blobs["matrix"] = a.data
-			var art report.MatrixArtifact
-			if json.Unmarshal(a.data, &art) == nil {
-				for _, c := range art.Cells {
-					if c.MaxV > rec.MaxV {
-						rec.MaxV = c.MaxV
-					}
+	if len(art) > 0 {
+		if rec.Kind == history.KindMatrix {
+			blobs["matrix"] = art
+			var m report.MatrixArtifact
+			if json.Unmarshal(art, &m) == nil {
+				for _, c := range m.Cells {
+					rec.MaxV = max(rec.MaxV, c.MaxV)
 				}
 			}
-		}
-	} else {
-		rec.Kind = history.KindReport
-		if a, ok := arts["digest"]; ok {
-			blobs["digest"] = a.data
+		} else {
+			blobs["digest"] = art
 			var dg report.ReportDigest
-			if json.Unmarshal(a.data, &dg) == nil {
+			if json.Unmarshal(art, &dg) == nil {
 				rec.MaxV = dg.MaxV()
 			}
 		}
 	}
 	if _, err := s.hist.Append(rec, blobs); err != nil {
-		s.log.Warn("history append failed", "run_id", job.ID, "err", err)
+		s.log.Warn("history append failed", "run_id", runID, "err", err)
 		return
 	}
-	s.log.Info("history recorded", "run_id", job.ID,
+	s.log.Info("history recorded", "run_id", runID,
 		"label", rec.Label, "workload", rec.Workload, "kind", rec.Kind)
 }
 

@@ -2,14 +2,13 @@ package msd
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
+	"microsampler/internal/cluster"
 	"microsampler/internal/core"
 	"microsampler/internal/report"
 	"microsampler/internal/sim"
 	"microsampler/internal/telemetry/export"
-	"microsampler/internal/workloads"
 )
 
 // JobStatus is the lifecycle state of a submitted verification job.
@@ -28,10 +27,11 @@ const (
 	StatusInterrupted JobStatus = "interrupted"
 )
 
-// JobRequest is the submit-endpoint payload. Exactly one of Workload
-// (a built-in case-study name) or Source (raw RV64 assembly in the
-// framework dialect) must be set; everything else defaults like the
-// CLI does.
+// JobRequest is the submit-endpoint payload: a wire adapter over
+// cluster.Point. The fields point() copies mean exactly what the same
+// Point fields mean and are decoded and defaulted only by
+// Point.Resolve; Parallel, HeatmapWindows, Matrix and CellParallel are
+// the job's own.
 type JobRequest struct {
 	Workload string `json:"workload,omitempty"`
 	Source   string `json:"source,omitempty"`
@@ -68,61 +68,38 @@ type JobRequest struct {
 	Label string `json:"label,omitempty"`
 }
 
-// validate normalises the request and reports user errors.
-func (r *JobRequest) validate() error {
-	if (r.Workload == "") == (r.Source == "") {
-		return fmt.Errorf("exactly one of workload or source is required")
+// point is the verification tuple the request names.
+func (r JobRequest) point() cluster.Point {
+	return cluster.Point{
+		Workload: r.Workload, Source: r.Source,
+		Config: r.Config, FastBypass: r.FastBypass,
+		Runs: r.Runs, Warmup: r.Warmup, SeedOffset: r.SeedOffset,
+		MeasureStages: r.MeasureStages, Label: r.Label,
 	}
-	if r.Workload != "" {
-		if _, err := workloads.ByName(r.Workload); err != nil {
-			return err
-		}
+}
+
+// resolve decodes the request through Point.Resolve, plus the grid of a
+// matrix job. A matrix job's options carry no configuration: the grid
+// defines each cell's, so Config and FastBypass must not split its key.
+func (r JobRequest) resolve() (core.Workload, core.Options, core.GridSpec, error) {
+	w, opts, err := r.point().Resolve()
+	if err != nil || r.Matrix == "" {
+		return w, opts, core.GridSpec{}, err
 	}
-	switch strings.ToLower(r.Config) {
-	case "", "mega", "megaboom", "small", "smallboom":
-	default:
-		return fmt.Errorf("unknown config %q (mega or small)", r.Config)
-	}
-	if r.Runs < 0 || r.Runs > 1024 {
-		return fmt.Errorf("runs must be in [0,1024], got %d", r.Runs)
-	}
-	if r.Matrix != "" && !strings.EqualFold(r.Matrix, "default") {
-		if _, err := core.ParseGridSpec(r.Matrix); err != nil {
-			return err
-		}
+	opts.Config = sim.Config{}
+	grid, err := core.ParseGridSpec(r.Matrix)
+	return w, opts, grid, err
+}
+
+// validate reports user errors.
+func (r JobRequest) validate() error {
+	if _, _, _, err := r.resolve(); err != nil {
+		return err
 	}
 	if r.CellParallel < core.ParallelAuto {
 		return fmt.Errorf("cellParallel must be >= %d, got %d", core.ParallelAuto, r.CellParallel)
 	}
 	return nil
-}
-
-// grid resolves the request's grid spec; only meaningful when Matrix is
-// non-empty (validate has already vetted the spec).
-func (r *JobRequest) grid() (core.GridSpec, error) {
-	if strings.EqualFold(r.Matrix, "default") {
-		return core.DefaultGrid(), nil
-	}
-	return core.ParseGridSpec(r.Matrix)
-}
-
-func (r *JobRequest) config() sim.Config {
-	var cfg sim.Config
-	switch strings.ToLower(r.Config) {
-	case "small", "smallboom":
-		cfg = sim.SmallBoom()
-	default:
-		cfg = sim.MegaBoom()
-	}
-	cfg.FastBypass = r.FastBypass
-	return cfg
-}
-
-func (r *JobRequest) workload() (core.Workload, error) {
-	if r.Workload != "" {
-		return workloads.ByName(r.Workload)
-	}
-	return core.Workload{Name: "submitted-source", Source: r.Source}, nil
 }
 
 // Job is one tracked verification: the request, its lifecycle
@@ -275,12 +252,7 @@ func (j *Job) progress() progressView {
 	return v
 }
 
-func (j *Job) workloadName() string {
-	if j.Req.Workload != "" {
-		return j.Req.Workload
-	}
-	return "submitted-source"
-}
+func (j *Job) workloadName() string { return j.Req.point().WorkloadName() }
 
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {

@@ -175,7 +175,7 @@ func TestMatrixFailedSweep(t *testing.T) {
 	// surface the error, exactly like single-verification failures.
 	cfg := Config{Workers: 1}
 	cfg.verifyMatrix = func(*Job) (*core.Matrix, error) {
-		panic("sweep exploded") // safeVerifyMatrix must contain this
+		panic("sweep exploded") // the panic guard must contain this
 	}
 	_, ts := newFakeServer(t, cfg, nil)
 	v, code := submitMatrix(t, ts.URL, JobRequest{Workload: "CT-DIV"})
@@ -279,4 +279,42 @@ func TestMatrixRealPipeline(t *testing.T) {
 		}
 	}
 	t.Errorf("TAGE-PRED missing from leakyUnits %v", done.LeakyUnits)
+}
+
+// TestMatrixIgnoresMeasureStages: a matrix job renders no stage
+// breakdown, so measureStages must not add the untraced timing pass —
+// the sweep simulates exactly the cycles of the same sweep without it.
+func TestMatrixIgnoresMeasureStages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation in -short mode")
+	}
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("msd.New: %v", err)
+	}
+	base := newTestHTTP(t, srv)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	}()
+
+	cycles := func(req JobRequest) float64 {
+		t.Helper()
+		before := scrapeMetric(t, base, "msd_job_cycles_total")
+		v, code := submitMatrix(t, base, req)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d", code)
+		}
+		if done := waitDone(t, base, v.ID); done.Status != string(StatusDone) || done.Cached {
+			t.Fatalf("matrix job not freshly computed: %+v", done)
+		}
+		return scrapeMetric(t, base, "msd_job_cycles_total") - before
+	}
+	req := JobRequest{Workload: "TAGE-HIST", Matrix: "predictor=tage", Runs: 2, Warmup: 2}
+	plain := cycles(req)
+	req.MeasureStages = true
+	if staged := cycles(req); plain == 0 || staged != plain {
+		t.Errorf("measureStages matrix job simulated %v cycles, want %v (one pass per run)", staged, plain)
+	}
 }

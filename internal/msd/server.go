@@ -8,6 +8,7 @@
 package msd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -137,7 +138,7 @@ type Config struct {
 	// deterministic and side-effect free.
 	RequeueInterrupted bool
 
-	// verify, when non-nil, replaces the real verification step; the
+	// verify, when non-nil, replaces a report job's verification; the
 	// in-package tests use it to model slow or failing jobs without
 	// paying for a simulation. verifyMatrix is its grid-sweep
 	// counterpart, used for jobs with JobRequest.Matrix set.
@@ -193,12 +194,6 @@ type Server struct {
 	// ewmaJobSec tracks typical job duration (exponentially weighted)
 	// to compute the Retry-After hint when the queue saturates.
 	ewmaJobSec float64
-
-	// verify runs one job's verification (verifyMatrix one matrix job's
-	// grid sweep); tests swap them out to model slow or failing jobs
-	// without paying for a simulation.
-	verify       func(j *Job) (*core.Report, error)
-	verifyMatrix func(j *Job) (*core.Matrix, error)
 
 	queueDepth  *telemetry.Gauge
 	inflight    *telemetry.Gauge
@@ -308,14 +303,6 @@ func New(cfg Config) (*Server, error) {
 	// The constant build-info gauge ties every scrape to the exact
 	// binary that produced it.
 	version.Gauge(cfg.Metrics, "msd_build_info")
-	s.verify = cfg.verify
-	if s.verify == nil {
-		s.verify = s.runVerification
-	}
-	s.verifyMatrix = cfg.verifyMatrix
-	if s.verifyMatrix == nil {
-		s.verifyMatrix = s.runMatrixVerification
-	}
 	if cfg.CacheEntries > 0 {
 		s.cache = cache.NewLRU(cfg.CacheEntries)
 		if cfg.CacheDir != "" {
@@ -622,41 +609,31 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.enqueue(w, req)
+	s.submit(w, r, "")
 }
 
-// handleSubmitMatrix is the batch-submit endpoint: one program fanned
-// out across every cell of a configuration grid, aggregated into a
-// single job with matrix artifacts. The payload is a JobRequest whose
-// matrix field defaults to the default grid when absent.
+// handleSubmitMatrix is the grid-sweep endpoint: one program fanned out
+// across every cell of a configuration grid, aggregated into a single
+// job with matrix artifacts. The payload is a JobRequest whose matrix
+// field defaults to the default grid when absent.
 func (s *Server) handleSubmitMatrix(w http.ResponseWriter, r *http.Request) {
+	s.submit(w, r, "default")
+}
+
+// submit decodes and validates a job request — an absent matrix field
+// takes defaultMatrix — admits it into the job queue and answers the
+// submission request.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix string) {
 	var req JobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	if req.Matrix == "" {
-		req.Matrix = "default"
-	}
+	req.Matrix = cmp.Or(req.Matrix, defaultMatrix)
 	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.enqueue(w, req)
-}
-
-// enqueue admits a validated request into the job queue and answers the
-// submission request.
-func (s *Server) enqueue(w http.ResponseWriter, req JobRequest) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -916,7 +893,7 @@ func (s *Server) runJob(job *Job) {
 		key = jobCacheKey(job.Req, s.cfg.MaxCycles)
 	}
 	if key != "" {
-		if cj, ok := s.cacheGet(key); ok {
+		if cj, ok := cacheLoad(s, key, decodeCachedJob); ok {
 			arts, sum, cached = cj.arts, cj.sum, true
 			s.cacheHits.Inc()
 			s.log.Info("job served from cache", "run_id", job.ID, "cache_key", key[:12])
@@ -947,7 +924,7 @@ func (s *Server) runJob(job *Job) {
 				s.log.Info("job deduplicated onto identical in-flight job",
 					"run_id", job.ID, "cache_key", key[:12])
 			} else {
-				s.cachePut(key, cj)
+				s.cacheStore(key, cj, cj.encode)
 			}
 		}
 	default:
@@ -986,7 +963,18 @@ func (s *Server) runJob(job *Job) {
 			Cells: sum.cells, LeakyCells: sum.leakyCells,
 			Cached: cached,
 		})
-		s.recordHistory(job, sum, arts, finished)
+		rec := history.Record{
+			Label: job.Req.Label, Workload: job.workloadName(), Kind: history.KindReport,
+			Leaky: sum.leaky, LeakyUnits: sum.leakyUnits,
+			Iterations: sum.iterations, SimCycles: sum.simCycles,
+			ElapsedMillis: finished.Sub(job.Started).Milliseconds(),
+		}
+		art := arts["digest"]
+		if job.Req.Matrix != "" {
+			rec.Kind, rec.Cells, rec.LeakyCells = history.KindMatrix, sum.cells, sum.leakyCells
+			art = arts["matrix"]
+		}
+		s.recordHistory(rec, art.data, job.ID)
 	}
 
 	s.mu.Lock()
@@ -1078,130 +1066,80 @@ func matrixSummary(m *core.Matrix) jobSummary {
 	return sum
 }
 
-// computeJob runs the job's verification (single or grid sweep) and
-// renders its artifact set — the cacheable unit of work.
+// computeJob runs the job's verification (single or grid sweep) under
+// the panic guard and renders its artifact set — the cacheable unit of
+// work. Both kinds parallelise their runs (Parallel 0 means one
+// simulation per CPU).
 func (s *Server) computeJob(job *Job) (map[string]artifact, jobSummary, error) {
+	w, opts, grid, err := job.Req.resolve()
+	if err != nil {
+		return nil, jobSummary{}, err
+	}
+	opts = s.execOptions(opts, job.ID)
+	opts.Parallel = cmp.Or(job.Req.Parallel, core.ParallelAuto)
+	opts.Probe = job.probe
 	if job.Req.Matrix != "" {
-		m, err := s.safeVerifyMatrix(job)
-		if err != nil {
+		mo := core.MatrixOptions{Options: opts, Grid: grid, CellParallel: job.Req.CellParallel}
+		// Matrix artifacts render no stage breakdown, so the untraced
+		// timing pass would only double every cell's simulation.
+		mo.MeasureStages = false
+		// The live probe is per-verification state; share it only when the
+		// cells run sequentially, where it reports the current cell's runs.
+		if mo.CellParallel > 1 {
+			mo.Probe = nil
+		}
+		var m *core.Matrix
+		if err := s.guard(job.ID, func() (err error) {
+			if s.cfg.verifyMatrix != nil {
+				m, err = s.cfg.verifyMatrix(job)
+			} else {
+				m, err = core.VerifyMatrix(w, mo)
+			}
+			return err
+		}); err != nil {
 			return nil, jobSummary{}, err
 		}
 		arts, err := renderMatrixArtifacts(m)
-		if err != nil {
-			return nil, jobSummary{}, err
-		}
-		return arts, matrixSummary(m), nil
+		return arts, matrixSummary(m), err
 	}
-	rep, err := s.safeVerify(job)
-	if err != nil {
+	opts.FlightRecorderFrames = s.cfg.FlightFrames
+	var rep *core.Report
+	if err := s.guard(job.ID, func() (err error) {
+		if s.cfg.verify != nil {
+			rep, err = s.cfg.verify(job)
+		} else {
+			rep, err = core.Verify(w, opts)
+		}
+		return err
+	}); err != nil {
 		return nil, jobSummary{}, err
 	}
 	arts, err := renderArtifacts(rep, job.Req.HeatmapWindows)
-	if err != nil {
-		return nil, jobSummary{}, err
-	}
-	return arts, reportSummary(rep), nil
+	return arts, reportSummary(rep), err
 }
 
-// safeVerify runs the verification step with panic containment: a
-// panicking job becomes a failed job carrying a faults.PanicError with
-// the stack, instead of killing the worker — and with it the daemon.
-func (s *Server) safeVerify(job *Job) (rep *core.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			err = &faults.PanicError{Value: r, Stack: debug.Stack()}
-			s.log.Error("job panicked", "run_id", job.ID, "panic", r)
-		}
-	}()
-	return s.verify(job)
-}
-
-// runVerification executes the real pipeline for one job.
-func (s *Server) runVerification(job *Job) (*core.Report, error) {
-	w, err := job.Req.workload()
-	if err != nil {
-		return nil, err
-	}
-	runs := job.Req.Runs
-	if runs == 0 {
-		runs = 4
-	}
-	parallel := job.Req.Parallel
-	if parallel == 0 {
-		parallel = core.ParallelAuto
-	}
-	warmup := job.Req.Warmup
-	if warmup < 0 {
-		warmup = core.NoWarmup
-	}
-	return core.Verify(w, core.Options{
-		Config:               job.Req.config(),
-		Runs:                 runs,
-		Warmup:               warmup,
-		Parallel:             parallel,
-		SeedOffset:           job.Req.SeedOffset,
-		MeasureStages:        job.Req.MeasureStages,
-		MaxCycles:            s.cfg.MaxCycles,
-		Watchdog:             s.cfg.Watchdog,
-		FlightRecorderFrames: s.cfg.FlightFrames,
-		Probe:                job.probe,
-		Metrics:              s.reg,
-		Logger:               s.log,
-		RunID:                job.ID,
-	})
-}
-
-// safeVerifyMatrix is safeVerify's grid-sweep counterpart.
-func (s *Server) safeVerifyMatrix(job *Job) (m *core.Matrix, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			err = &faults.PanicError{Value: r, Stack: debug.Stack()}
-			s.log.Error("job panicked", "run_id", job.ID, "panic", r)
-		}
-	}()
-	return s.verifyMatrix(job)
-}
-
-// runMatrixVerification fans one job's program across every cell of its
-// grid. Cell-level failures stay per-cell inside the matrix; only
-// grid-level errors fail the job.
-func (s *Server) runMatrixVerification(job *Job) (*core.Matrix, error) {
-	w, err := job.Req.workload()
-	if err != nil {
-		return nil, err
-	}
-	grid, err := job.Req.grid()
-	if err != nil {
-		return nil, err
-	}
-	runs := job.Req.Runs
-	if runs == 0 {
-		runs = 4
-	}
-	parallel := job.Req.Parallel
-	if parallel == 0 {
-		parallel = core.ParallelAuto
-	}
-	warmup := job.Req.Warmup
-	if warmup < 0 {
-		warmup = core.NoWarmup
-	}
-	opts := core.MatrixOptions{Grid: grid, CellParallel: job.Req.CellParallel}
-	opts.Runs = runs
-	opts.Warmup = warmup
-	opts.Parallel = parallel
-	opts.SeedOffset = job.Req.SeedOffset
+// execOptions stamps the daemon's execution options onto a resolved
+// verification: the per-run bounds, the telemetry sinks and the run ID
+// every log record and span carries.
+func (s *Server) execOptions(opts core.Options, runID string) core.Options {
 	opts.MaxCycles = s.cfg.MaxCycles
 	opts.Watchdog = s.cfg.Watchdog
 	opts.Metrics = s.reg
 	opts.Logger = s.log
-	opts.RunID = job.ID
-	// The live probe is per-verification state; share it only when the
-	// cells run sequentially, where it reports the current cell's runs.
-	if job.Req.CellParallel <= 1 {
-		opts.Probe = job.probe
-	}
-	return core.VerifyMatrix(w, opts)
+	opts.RunID = runID
+	return opts
+}
+
+// guard runs a verification with panic containment: a panic becomes an
+// error carrying a faults.PanicError with the stack, instead of killing
+// the worker — and with it the daemon.
+func (s *Server) guard(runID string, verify func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Inc()
+			err = &faults.PanicError{Value: r, Stack: debug.Stack()}
+			s.log.Error("verification panicked", "run_id", runID, "panic", r)
+		}
+	}()
+	return verify()
 }

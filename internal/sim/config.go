@@ -13,6 +13,11 @@
 // system.
 package sim
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Config parameterises the core, following Table III of the paper.
 type Config struct {
 	Name string
@@ -140,6 +145,19 @@ func SmallBoom() Config {
 	c.NumALU = 1
 	c.NumAGU = 1
 	return c
+}
+
+// ConfigByName decodes a configuration name, case-insensitively: "",
+// "mega" and "megaboom" select MegaBoom, "small" and "smallboom"
+// SmallBoom.
+func ConfigByName(name string) (Config, error) {
+	switch strings.ToLower(name) {
+	case "", "mega", "megaboom":
+		return MegaBoom(), nil
+	case "small", "smallboom":
+		return SmallBoom(), nil
+	}
+	return Config{}, fmt.Errorf("unknown config %q (mega or small)", name)
 }
 
 // StateBits estimates the number of microarchitectural state bits of the

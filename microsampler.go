@@ -74,6 +74,10 @@ func MegaBoom() Config { return sim.MegaBoom() }
 // SmallBoom returns the small configuration of Table III.
 func SmallBoom() Config { return sim.SmallBoom() }
 
+// ConfigByName decodes a configuration name ("mega" or "small", see
+// sim.ConfigByName).
+func ConfigByName(name string) (Config, error) { return sim.ConfigByName(name) }
+
 // Unit identifies a tracked microarchitectural feature (Table IV).
 type Unit = trace.Unit
 

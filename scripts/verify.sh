@@ -22,6 +22,9 @@ go vet ./...
 echo "== go test =="
 go test ./...
 
+echo "== perfbench (its own module: go test ./... above never compiles it) =="
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
 echo "== go test -race (telemetry, export, core, msd, cache, faults, sim, report, history, cluster) =="
 go test -race ./internal/telemetry ./internal/telemetry/export \
     ./internal/core ./internal/msd ./internal/cache ./internal/faults \
