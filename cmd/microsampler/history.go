@@ -81,17 +81,8 @@ func (hd *histDiff) finishReport(rep *microsampler.Report, digest *microsampler.
 	}
 	if hd.store != nil {
 		rec := microsampler.HistoryRecord{
-			Label:         hd.label,
-			Workload:      rep.Workload,
-			Kind:          microsampler.HistoryKindReport,
-			Leaky:         rep.AnyLeak(),
-			MaxV:          digest.MaxV(),
-			Iterations:    len(rep.Iterations),
-			SimCycles:     int64(rep.SimCycles),
-			ElapsedMillis: elapsed.Milliseconds(),
-		}
-		for _, u := range rep.LeakyUnits() {
-			rec.LeakyUnits = append(rec.LeakyUnits, u.Unit.String())
+			Label: hd.label, Workload: rep.Workload, Kind: microsampler.HistoryKindReport,
+			Summary: rep.Summary(), ElapsedMillis: elapsed.Milliseconds(),
 		}
 		if _, err := hd.store.Append(rec, map[string][]byte{"digest": digestJSON}); err != nil {
 			return err
@@ -135,22 +126,8 @@ func (hd *histDiff) finishMatrix(art *microsampler.MatrixArtifact, artJSON []byt
 	}
 	if hd.store != nil {
 		rec := microsampler.HistoryRecord{
-			Label:         hd.label,
-			Workload:      art.Workload,
-			Kind:          microsampler.HistoryKindMatrix,
-			Cells:         len(art.Cells),
-			ElapsedMillis: elapsed.Milliseconds(),
-		}
-		for _, c := range art.Cells {
-			if c.Leaky {
-				rec.Leaky = true
-				rec.LeakyCells = append(rec.LeakyCells, c.Name)
-			}
-			if c.MaxV > rec.MaxV {
-				rec.MaxV = c.MaxV
-			}
-			rec.Iterations += c.Iterations
-			rec.SimCycles += int64(c.SimCycles)
+			Label: hd.label, Workload: art.Workload, Kind: microsampler.HistoryKindMatrix,
+			Summary: art.Summary(), ElapsedMillis: elapsed.Milliseconds(),
 		}
 		if _, err := hd.store.Append(rec, map[string][]byte{"matrix": artJSON}); err != nil {
 			return err

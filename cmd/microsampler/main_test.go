@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -624,5 +625,36 @@ func TestRunMatrixDiffGate(t *testing.T) {
 	rec, ok := store.Latest("", "TAGE-HIST", microsampler.HistoryKindMatrix)
 	if !ok || rec.Cells != 2 || len(rec.LeakyCells) != 1 {
 		t.Fatalf("matrix record: %+v ok=%v", rec, ok)
+	}
+}
+
+// TestRunMatrixHistoryRecordsLeakyUnits: a sweep's history record
+// carries the union of the cells' flagged units — on a fresh sweep and
+// on one replayed from the cache — exactly as the daemon files it.
+func TestRunMatrixHistoryRecordsLeakyUnits(t *testing.T) {
+	dir := t.TempDir()
+	hist := filepath.Join(dir, "history")
+	args := []string{"-workload", "TAGE-HIST", "-runs", "4", "-warmup", "4",
+		"-matrix", "predictor=gshare,tage", "-cache-dir", filepath.Join(dir, "cache"),
+		"-history-dir", hist}
+	for range 2 {
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := microsampler.OpenHistory(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	recs := store.Records()
+	if len(recs) != 2 {
+		t.Fatalf("history has %d records, want 2", len(recs))
+	}
+	for i, rec := range recs {
+		if !slices.Equal(rec.LeakyUnits, []string{"TAGE-PRED"}) || rec.MaxV <= 0 {
+			t.Errorf("record %d: leakyUnits %v, maxCramersV %v; want [TAGE-PRED] and a positive V",
+				i, rec.LeakyUnits, rec.MaxV)
+		}
 	}
 }

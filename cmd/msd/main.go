@@ -141,7 +141,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		addr          = fs.String("addr", ":8844", "HTTP listen address")
 		workers       = fs.Int("workers", 1, "concurrent verification jobs")
 		queue         = fs.Int("queue", 16, "queued-job capacity (submissions beyond it get 503)")
-		maxJobs       = fs.Int("max-jobs", 64, "finished jobs retained in memory")
+		maxJobs       = fs.Int("max-jobs", 64, "finished jobs and finished batches retained in memory (each)")
 		drainTimeout  = fs.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on shutdown")
 		journalDir    = fs.String("journal-dir", "", "directory for the crash-safe job journal and artifacts (default: disabled, jobs are in-memory only)")
 		recoverFlag   = fs.Bool("recover", false, "re-enqueue jobs interrupted by a crash instead of leaving them terminal (requires -journal-dir; queued jobs are always recovered)")

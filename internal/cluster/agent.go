@@ -26,12 +26,11 @@ type HeartbeatRequest struct {
 	ID string `json:"id"`
 }
 
-// ExecuteRequest is the POST /api/v1/cluster/execute payload: the point
-// plus the coordinator-computed canonical cache key, so every node of
-// the cluster files the verdict under the same address.
+// ExecuteRequest is the POST /api/v1/cluster/execute payload. The
+// worker derives the point's cache key itself (Point.Key), the same
+// address the coordinator files the verdict under.
 type ExecuteRequest struct {
-	Point Point  `json:"point"`
-	Key   string `json:"key,omitempty"`
+	Point Point `json:"point"`
 }
 
 // Agent is the worker side of the cluster protocol: it registers the
@@ -130,8 +129,8 @@ type HTTPExecutor struct {
 // response carries a terminal PointResult — possibly with a
 // verdict-level Err — while transport failures and non-200 statuses
 // come back as errors for the dispatcher's retry/reassignment logic.
-func (e *HTTPExecutor) Execute(ctx context.Context, workerURL string, p Point, key string) (PointResult, error) {
-	body, err := json.Marshal(ExecuteRequest{Point: p, Key: key})
+func (e *HTTPExecutor) Execute(ctx context.Context, workerURL string, p Point, _ string) (PointResult, error) {
+	body, err := json.Marshal(ExecuteRequest{Point: p})
 	if err != nil {
 		return PointResult{}, err
 	}

@@ -30,11 +30,13 @@ func chaosVerdict(key string) PointResult {
 		sum += int(b)
 	}
 	res := PointResult{
-		Key:        key,
-		Leaky:      sum%2 == 1,
-		Iterations: 64 + sum%17,
-		SimCycles:  int64(1000 + sum),
-		Digest:     []byte(`{"workload":"chaos","key":"` + key + `"}`),
+		Key: key,
+		Summary: core.Summary{
+			Leaky:      sum%2 == 1,
+			Iterations: 64 + sum%17,
+			SimCycles:  int64(1000 + sum),
+		},
+		Digest: []byte(`{"workload":"chaos","key":"` + key + `"}`),
 	}
 	if res.Leaky {
 		res.LeakyUnits = []string{"TAGE-PRED"}

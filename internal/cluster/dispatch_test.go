@@ -31,7 +31,7 @@ func testMembers(ids ...string) *Membership {
 }
 
 func okResult(key string) PointResult {
-	return PointResult{Key: key, Leaky: true, LeakyUnits: []string{"TAGE-PRED"}}
+	return PointResult{Key: key, Summary: core.Summary{Leaky: true, LeakyUnits: []string{"TAGE-PRED"}}}
 }
 
 // localFail is a Local fallback for tests that must never degrade.

@@ -124,14 +124,12 @@ func (p Point) Resolve() (core.Workload, core.Options, error) {
 // Key returns the point's canonical content-addressed cache key — the
 // same core.CacheKey a single-node verification of the identical tuple
 // would use, which is exactly what makes cross-node cache fill and
-// reassignment dedup sound. maxCycles is the executing daemon's per-run
-// bound (part of the verification tuple).
-func (p Point) Key(maxCycles int64) (string, error) {
+// reassignment dedup sound.
+func (p Point) Key() (string, error) {
 	w, opts, err := p.Resolve()
 	if err != nil {
 		return "", err
 	}
-	opts.MaxCycles = maxCycles
 	return core.CacheKey(w, opts)
 }
 
@@ -144,17 +142,14 @@ func (p Point) WorkloadName() string {
 }
 
 // PointResult is one point's terminal outcome. The verdict fields
-// (Leaky through Digest, plus Err) are a pure function of the point —
+// (Summary, Digest and Err) are a pure function of the point —
 // deterministic simulation — while the execution-metadata fields
 // (Cached, Worker, Degraded) describe how this particular dispatch got
 // the answer and never enter the cache.
 type PointResult struct {
 	Key string `json:"key"`
 
-	Leaky      bool     `json:"leaky"`
-	LeakyUnits []string `json:"leakyUnits,omitempty"`
-	Iterations int      `json:"iterations,omitempty"`
-	SimCycles  int64    `json:"simCycles,omitempty"`
+	core.Summary
 	// Digest is the diffable report digest (report.ReportDigest JSON),
 	// carried verbatim so verdict identity is byte-checkable.
 	Digest []byte `json:"digest,omitempty"`

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"microsampler/internal/cache"
+	"microsampler/internal/core"
 )
 
 // Record kinds: what the primary artifact of a record is.
@@ -48,16 +49,9 @@ type Record struct {
 	// Time is the RFC3339 UTC append time (informational).
 	Time string `json:"time,omitempty"`
 
-	Leaky      bool     `json:"leaky"`
-	LeakyUnits []string `json:"leakyUnits,omitempty"`
-	// MaxV is the strongest per-unit Cramér's V of the run (report
-	// kind) or the strongest cell MaxV (matrix kind).
-	MaxV float64 `json:"maxCramersV,omitempty"`
-	// Cells/LeakyCells summarise a matrix record.
-	Cells      int      `json:"cells,omitempty"`
-	LeakyCells []string `json:"leakyCells,omitempty"`
-	Iterations int      `json:"iterations,omitempty"`
-	SimCycles  int64    `json:"simCycles,omitempty"`
+	// Summary is the run's verdict (core.Report.Summary or
+	// core.Matrix.Summary).
+	core.Summary
 	// ElapsedMillis is the run's wall-clock cost (informational).
 	ElapsedMillis int64 `json:"elapsedMillis,omitempty"`
 

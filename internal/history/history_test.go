@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"microsampler/internal/core"
 )
 
 func openT(t *testing.T, dir string) *Store {
@@ -21,7 +23,7 @@ func openT(t *testing.T, dir string) *Store {
 }
 
 func rec(label, kind string) Record {
-	return Record{Label: label, Workload: "TAGE-HIST", Kind: kind, Leaky: kind == KindMatrix}
+	return Record{Label: label, Workload: "TAGE-HIST", Kind: kind, Summary: core.Summary{Leaky: kind == KindMatrix}}
 }
 
 func TestAppendReopenRoundTrip(t *testing.T) {
@@ -236,5 +238,38 @@ func TestLatestFilters(t *testing.T) {
 	}
 	if r, ok := s.Latest("", "", KindMatrix); !ok || r.Label != "b" {
 		t.Errorf("Latest(kind=matrix): %+v ok=%v", r, ok)
+	}
+}
+
+// TestRecordIndexBytes pins the index line of one fully populated
+// record, captured before core.Summary replaced the record's own
+// verdict fields: embedding the summary must not move a byte of an
+// existing index.
+func TestRecordIndexBytes(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	rec := Record{
+		Label: "abc1234", Workload: "TAGE-HIST", Kind: KindMatrix,
+		Time: "2026-01-02T03:04:05Z",
+		Summary: core.Summary{
+			Leaky: true, LeakyUnits: []string{"LQ-ADDR", "TAGE-PRED"},
+			MaxV: 0.8125, Cells: 4, LeakyCells: []string{"predictor=tage"},
+			Iterations: 240, SimCycles: 16316,
+		},
+		ElapsedMillis: 42,
+	}
+	if _, err := s.Append(rec, map[string][]byte{"matrix": []byte(`{"workload":"TAGE-HIST"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "index.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"label":"abc1234","workload":"TAGE-HIST","kind":"matrix","time":"2026-01-02T03:04:05Z",` +
+		`"leaky":true,"leakyUnits":["LQ-ADDR","TAGE-PRED"],"maxCramersV":0.8125,"cells":4,` +
+		`"leakyCells":["predictor=tage"],"iterations":240,"simCycles":16316,"elapsedMillis":42,` +
+		`"artifacts":{"matrix":"a0c69cf0cb40d03a6b7b8d490462fcdd68187c1e3821aebbe9b46f56ba49edeb"}}` + "\n"
+	if string(got) != want {
+		t.Errorf("index line moved:\n got %s\nwant %s", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"microsampler/internal/cluster"
@@ -62,7 +63,7 @@ type BatchRequest struct {
 // cache keys, deterministically: the same request always yields the
 // same points in the same order, which is what lets recovery rebuild a
 // journaled batch from its "batch-submit" record alone.
-func (r BatchRequest) explode(maxCycles int64) ([]cluster.Point, []string, error) {
+func (r BatchRequest) explode() ([]cluster.Point, []string, error) {
 	if len(r.Entries) == 0 {
 		return nil, nil, fmt.Errorf("batch has no points")
 	}
@@ -97,7 +98,7 @@ func (r BatchRequest) explode(maxCycles int64) ([]cluster.Point, []string, error
 	}
 	keys := make([]string, len(points))
 	for i, p := range points {
-		key, err := p.Key(maxCycles)
+		key, err := p.Key()
 		if err != nil {
 			return nil, nil, fmt.Errorf("point %d: %v", i, err)
 		}
@@ -200,7 +201,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	points, keys, err := req.explode(s.cfg.MaxCycles)
+	points, keys, err := req.explode()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -307,8 +308,14 @@ func (s *Server) runBatch(b *Batch) {
 		Done: b.Done, FailedPts: b.Failed, DegradedPts: b.DegradedPts,
 		Reassigned: b.Reassigned, Hedged: b.Hedged,
 	}
+	// Finished batches fall under the job retention bound; the one that
+	// just finished is spared, as a finished job is.
+	var evicted []string
+	s.batchOrder, evicted = evictOldest(s.batchOrder, s.batches, s.cfg.MaxJobs, b.ID,
+		func(b *Batch) bool { return b.Status == BatchDone })
 	s.mu.Unlock()
 	s.journal(rec)
+	s.dropEvicted(evicted)
 	s.log.Info("batch done", "batch", b.ID,
 		"done", rec.Done, "failed", rec.FailedPts, "degraded", rec.DegradedPts,
 		"reassigned", rec.Reassigned, "hedged", rec.Hedged)
@@ -349,7 +356,7 @@ func (s *Server) recoverBatches(recs []journalRecord) {
 			if r.BatchReq == nil {
 				continue
 			}
-			points, keys, err := r.BatchReq.explode(s.cfg.MaxCycles)
+			points, keys, err := r.BatchReq.explode()
 			if err != nil {
 				s.log.Warn("journaled batch no longer explodes", "batch", r.ID, "err", err)
 				continue
@@ -363,7 +370,7 @@ func (s *Server) recoverBatches(recs []journalRecord) {
 				Status:    BatchRunning,
 				Submitted: r.Time,
 			}
-			if n := batchIDNum(r.ID); n > s.nextBatchID {
+			if n := idNum(r.ID); n > s.nextBatchID {
 				s.nextBatchID = n
 			}
 		case "batch-point":
@@ -379,6 +386,9 @@ func (s *Server) recoverBatches(recs []journalRecord) {
 				b.Reassigned = r.Reassigned
 				b.Hedged = r.Hedged
 			}
+		case "evict":
+			delete(s.batches, r.ID)
+			s.batchOrder = slices.DeleteFunc(s.batchOrder, func(id string) bool { return id == r.ID })
 		}
 	}
 }

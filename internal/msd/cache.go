@@ -20,16 +20,13 @@ import (
 // jobCacheKey returns the content-addressed key of a job request's
 // artifact set, or "" when the request cannot be keyed (an invalid
 // request never reaches the cache — submit validates first — so ""
-// only means "do not cache"). maxCycles is the daemon's per-run bound,
-// part of the key because it can truncate simulations. A report job's
-// base is its point's core.CacheKey, the key a batch point of the same
-// tuple gets.
-func jobCacheKey(req JobRequest, maxCycles int64) string {
+// only means "do not cache"). A report job's base is its point's
+// core.CacheKey, the key a batch point of the same tuple gets.
+func jobCacheKey(req JobRequest) string {
 	w, opts, grid, err := req.resolve()
 	if err != nil {
 		return ""
 	}
-	opts.MaxCycles = maxCycles
 	var base string
 	if req.Matrix != "" {
 		base, err = core.MatrixCacheKey(w, core.MatrixOptions{Options: opts, Grid: grid})
@@ -52,19 +49,14 @@ func jobCacheKey(req JobRequest, maxCycles int64) string {
 // summary, everything a hit needs to finish a job without simulating.
 type cachedJob struct {
 	arts map[string]artifact
-	sum  jobSummary
+	sum  core.Summary
 }
 
 // cachedJobWire is cachedJob's disk encoding. Artifact data rides as
 // base64 via encoding/json's []byte handling.
 type cachedJobWire struct {
-	Leaky      bool                    `json:"leaky"`
-	LeakyUnits []string                `json:"leakyUnits,omitempty"`
-	Iterations int                     `json:"iterations,omitempty"`
-	SimCycles  int64                   `json:"simCycles,omitempty"`
-	Cells      int                     `json:"cells,omitempty"`
-	LeakyCells []string                `json:"leakyCells,omitempty"`
-	Artifacts  map[string]wireArtifact `json:"artifacts"`
+	core.Summary
+	Artifacts map[string]wireArtifact `json:"artifacts"`
 }
 
 type wireArtifact struct {
@@ -73,15 +65,7 @@ type wireArtifact struct {
 }
 
 func (cj *cachedJob) encode() ([]byte, error) {
-	w := cachedJobWire{
-		Leaky:      cj.sum.leaky,
-		LeakyUnits: cj.sum.leakyUnits,
-		Iterations: cj.sum.iterations,
-		SimCycles:  cj.sum.simCycles,
-		Cells:      cj.sum.cells,
-		LeakyCells: cj.sum.leakyCells,
-		Artifacts:  make(map[string]wireArtifact, len(cj.arts)),
-	}
+	w := cachedJobWire{Summary: cj.sum, Artifacts: make(map[string]wireArtifact, len(cj.arts))}
 	for name, art := range cj.arts {
 		w.Artifacts[name] = wireArtifact{ContentType: art.contentType, Data: art.data}
 	}
@@ -93,14 +77,7 @@ func decodeCachedJob(data []byte) (*cachedJob, error) {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("msd: decode cached job: %w", err)
 	}
-	cj := &cachedJob{
-		arts: make(map[string]artifact, len(w.Artifacts)),
-		sum: jobSummary{
-			leaky: w.Leaky, leakyUnits: w.LeakyUnits,
-			iterations: w.Iterations, simCycles: w.SimCycles,
-			cells: w.Cells, leakyCells: w.LeakyCells,
-		},
-	}
+	cj := &cachedJob{arts: make(map[string]artifact, len(w.Artifacts)), sum: w.Summary}
 	for name, art := range w.Artifacts {
 		cj.arts[name] = artifact{contentType: art.ContentType, data: art.Data}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -93,7 +94,7 @@ func TestCacheHitServesJob(t *testing.T) {
 	if !secondDone.Cached {
 		t.Error("repeat submission not marked cached")
 	}
-	if secondDone.Leaky == nil || *secondDone.Leaky != *firstDone.Leaky {
+	if secondDone.Summary == nil || secondDone.Leaky != firstDone.Leaky {
 		t.Error("cached verdict differs from original")
 	}
 	if got := calls.Load(); got != 1 {
@@ -134,7 +135,7 @@ func TestJobCacheKeyCanonicalJSON(t *testing.T) {
 		if err := req.validate(); err != nil {
 			t.Fatalf("validate %s: %v", raw, err)
 		}
-		k := jobCacheKey(req, 0)
+		k := jobCacheKey(req)
 		if k == "" {
 			t.Fatalf("no key for %s", raw)
 		}
@@ -164,12 +165,6 @@ func TestJobCacheKeyCanonicalJSON(t *testing.T) {
 			t.Errorf("changing %s did not change the key", name)
 		}
 	}
-	// The daemon's cycle bound is part of the key too.
-	var req JobRequest
-	_ = json.Unmarshal([]byte(`{"source":"nop","runs":4}`), &req)
-	if jobCacheKey(req, 5000) == base {
-		t.Error("maxCycles did not change the key")
-	}
 }
 
 // TestCacheKeyGolden pins the exact job and point keys of a fixed set
@@ -177,26 +172,22 @@ func TestJobCacheKeyCanonicalJSON(t *testing.T) {
 // requests decode or default must not move a key: a moved key orphans
 // every cached verdict under it.
 func TestCacheKeyGolden(t *testing.T) {
-	for _, c := range []struct {
-		raw       string
-		maxCycles int64
-		want      string
-	}{
-		{`{"workload":"ME-NAIVE"}`, 0,
+	for _, c := range []struct{ raw, want string }{
+		{`{"workload":"ME-NAIVE"}`,
 			"2a224f91dc6a6b38d8de8ad478f70d1a047ecfe510972829cc78fd92d948fe9a"},
-		{`{"source":"nop","config":"small","fastBypass":true,"runs":2,"warmup":2}`, 0,
+		{`{"source":"nop","config":"small","fastBypass":true,"runs":2,"warmup":2}`,
 			"84f396c13e636ddec8a39ee527df76fc3cd8a5cffd62d74e470cb18e67a025b2"},
-		{`{"workload":"ME-NAIVE","warmup":-5,"seedOffset":3}`, 0,
+		{`{"workload":"ME-NAIVE","warmup":-5,"seedOffset":3}`,
 			"a5b4d361a0d6c0f591b92ee17b3c4c4b406172d486fc53eeb37533ed390cc223"},
 		// Matrix keys ignore config: the grid defines each cell's.
-		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","config":"small","runs":2}`, 0,
+		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","config":"small","runs":2}`,
 			"45695583571e5aa547b4edd8b0cdd8691ad3090141f640d4dbd20642007ef10c"},
-		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","runs":2}`, 0,
+		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","runs":2}`,
 			"45695583571e5aa547b4edd8b0cdd8691ad3090141f640d4dbd20642007ef10c"},
-		{`{"workload":"TAGE-HIST","matrix":"default","warmup":-1}`, 0,
+		{`{"workload":"TAGE-HIST","matrix":"default","warmup":-1}`,
 			"72548f0e9bd341153e673911342b20c70183eee6450ef34fbdd6ecb058268d66"},
-		{`{"source":"addi a0, a0, 1","runs":3,"measureStages":true,"heatmapWindows":16,"label":"x","parallel":2}`, 5000,
-			"d9d049b0a96178703f6035e5a401184bff80d169147606792c06dffcd984e5f1"},
+		{`{"source":"addi a0, a0, 1","runs":3,"measureStages":true,"heatmapWindows":16,"label":"x","parallel":2}`,
+			"424693d83634e601031002fc2ffd304c3810fb6d307a97fa816e3894c40e0b03"},
 	} {
 		var req JobRequest
 		if err := json.Unmarshal([]byte(c.raw), &req); err != nil {
@@ -205,8 +196,8 @@ func TestCacheKeyGolden(t *testing.T) {
 		if err := req.validate(); err != nil {
 			t.Fatalf("validate %s: %v", c.raw, err)
 		}
-		if got := jobCacheKey(req, c.maxCycles); got != c.want {
-			t.Errorf("jobCacheKey(%s, %d) = %s, want %s", c.raw, c.maxCycles, got, c.want)
+		if got := jobCacheKey(req); got != c.want {
+			t.Errorf("jobCacheKey(%s) = %s, want %s", c.raw, got, c.want)
 		}
 	}
 	for _, c := range []struct{ raw, want string }{
@@ -224,7 +215,7 @@ func TestCacheKeyGolden(t *testing.T) {
 		if err := json.Unmarshal([]byte(c.raw), &p); err != nil {
 			t.Fatalf("decode %s: %v", c.raw, err)
 		}
-		if got, err := p.Key(0); err != nil || got != c.want {
+		if got, err := p.Key(); err != nil || got != c.want {
 			t.Errorf("Point.Key(%s) = %s, %v, want %s", c.raw, got, err, c.want)
 		}
 	}
@@ -249,11 +240,11 @@ func FuzzCacheKey(f *testing.F) {
 		if _, _, _, err := req.resolve(); err != nil {
 			t.Fatalf("accepted request does not resolve: %v", err)
 		}
-		key := jobCacheKey(req, 0)
+		key := jobCacheKey(req)
 		if key == "" {
 			t.Fatalf("accepted request has no key: %s", raw)
 		}
-		if again := jobCacheKey(req, 0); again != key {
+		if again := jobCacheKey(req); again != key {
 			t.Fatalf("key not deterministic: %s vs %s", key, again)
 		}
 		data, err := json.Marshal(req)
@@ -264,18 +255,18 @@ func FuzzCacheKey(f *testing.F) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
-		if k := jobCacheKey(back, 0); k != key {
+		if k := jobCacheKey(back); k != key {
 			t.Fatalf("JSON round trip changed the key: %s vs %s", key, k)
 		}
 		mutated := req
 		mutated.SeedOffset++
-		if jobCacheKey(mutated, 0) == key {
+		if jobCacheKey(mutated) == key {
 			t.Fatal("seed mutation did not change the key")
 		}
 		if req.Matrix != "" {
 			return
 		}
-		jobKey, err := req.point().Key(0)
+		jobKey, err := req.point().Key()
 		if err != nil {
 			t.Fatalf("accepted request has no point key: %v", err)
 		}
@@ -285,7 +276,7 @@ func FuzzCacheKey(f *testing.F) {
 			Runs: req.Runs, Warmup: req.Warmup, SeedOffset: req.SeedOffset,
 			MeasureStages: req.MeasureStages,
 		}}}
-		_, keys, err := batch.explode(0)
+		_, keys, err := batch.explode()
 		if err != nil {
 			t.Fatalf("equivalent batch entry rejected: %v", err)
 		}
@@ -344,6 +335,27 @@ func TestSingleflightDedupesInFlightJobs(t *testing.T) {
 	}
 }
 
+// TestParentCacheBlobDecodes: a matrix job's cache blob in the layout
+// written before the blob embedded core.Summary decodes to the same
+// verdict, with MaxV 0 (that layout never stored it).
+func TestParentCacheBlobDecodes(t *testing.T) {
+	blob := `{"leaky":true,"leakyUnits":["TAGE-PRED"],"iterations":16,"simCycles":220,` +
+		`"cells":2,"leakyCells":["predictor=tage"],` +
+		`"artifacts":{"matrix":{"contentType":"application/json","data":"e30="}}}`
+	cj, err := decodeCachedJob([]byte(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Summary{Leaky: true, LeakyUnits: []string{"TAGE-PRED"}, Cells: 2,
+		LeakyCells: []string{"predictor=tage"}, Iterations: 16, SimCycles: 220}
+	if !reflect.DeepEqual(cj.sum, want) {
+		t.Errorf("summary = %+v, want %+v", cj.sum, want)
+	}
+	if art := cj.arts["matrix"]; string(art.data) != "{}" || art.contentType != "application/json" {
+		t.Errorf("artifact = %+v", art)
+	}
+}
+
 // TestCacheDiskLayerSurvivesRestart: with CacheDir set, a verdict
 // computed before a restart is served from cache after it.
 func TestCacheDiskLayerSurvivesRestart(t *testing.T) {
@@ -387,7 +399,7 @@ func TestCacheDiskLayerSurvivesRestart(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("verification ran %d times across restart, want 1", got)
 	}
-	if secondDone.Leaky == nil || *secondDone.Leaky != *firstDone.Leaky {
+	if secondDone.Summary == nil || secondDone.Leaky != firstDone.Leaky {
 		t.Error("disk-cached verdict differs")
 	}
 	if !bytes.Equal(firstReport, fetchArtifact(t, tsB, second.ID, "report")) {

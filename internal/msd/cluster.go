@@ -2,7 +2,6 @@ package msd
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"io"
@@ -71,14 +70,12 @@ func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	key, err := req.Point.Key(s.cfg.MaxCycles)
+	key, err := req.Point.Key()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The dispatching coordinator's key wins: it addresses the shared
-	// store under its own cycle bound.
-	writeJSON(w, http.StatusOK, s.runPoint(req.Point, cmp.Or(req.Key, key)))
+	writeJSON(w, http.StatusOK, s.runPoint(req.Point, key))
 }
 
 // handleCacheGet serves the shared verdict store: a worker's cache
@@ -148,9 +145,7 @@ func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
 			s.pointUploadRemote(key, res)
 		}
 		s.recordHistory(history.Record{
-			Label: p.Label, Workload: p.WorkloadName(), Kind: history.KindReport,
-			Leaky: res.Leaky, LeakyUnits: res.LeakyUnits,
-			Iterations: res.Iterations, SimCycles: res.SimCycles,
+			Label: p.Label, Workload: p.WorkloadName(), Kind: history.KindReport, Summary: res.Summary,
 		}, res.Digest, "point-"+shortKey(key))
 	}
 	return res
@@ -184,11 +179,7 @@ func (s *Server) computePoint(p cluster.Point, key string) cluster.PointResult {
 		if err != nil {
 			return err
 		}
-		sum := reportSummary(rep)
-		res.Leaky = sum.leaky
-		res.LeakyUnits = sum.leakyUnits
-		res.Iterations = sum.iterations
-		res.SimCycles = sum.simCycles
+		res.Summary = rep.Summary()
 		if dg, err := report.BuildDigest(rep); err == nil {
 			if data, err := dg.JSON(); err == nil {
 				res.Digest = data
@@ -267,7 +258,6 @@ func (s *Server) dispatcher(b *Batch) *cluster.Dispatcher {
 		Members:      s.members,
 		Exec:         &cluster.HTTPExecutor{Client: s.clusterHTTP},
 		Local:        func(_ context.Context, p cluster.Point, key string) cluster.PointResult { return s.runPoint(p, key) },
-		Retry:        s.cfg.ClusterRetry,
 		ShardTimeout: s.cfg.ShardTimeout,
 		HedgeAfter:   s.cfg.HedgeAfter,
 		EWMA:         s.dispatchLat,

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -24,11 +25,8 @@ import (
 // which incarnation) computed it.
 func fakePointResult(iter int) cluster.PointResult {
 	return cluster.PointResult{
-		Leaky:      true,
-		LeakyUnits: []string{"TAGE-PRED"},
-		Iterations: iter,
-		SimCycles:  1234,
-		Digest:     []byte(`{"workload":"fake"}`),
+		Summary: core.Summary{Leaky: true, LeakyUnits: []string{"TAGE-PRED"}, Iterations: iter, SimCycles: 1234},
+		Digest:  []byte(`{"workload":"fake"}`),
 	}
 }
 
@@ -440,6 +438,51 @@ func TestBatchJournalRecoveryResumes(t *testing.T) {
 	waitBatch(t, tsB.URL, v2.ID)
 }
 
+// TestFinishedBatchesRetained: finished batches fall under MaxJobs as
+// finished jobs do — the oldest are evicted — and the bound holds again
+// after a restart over the journal, whose evict records recovery
+// honours.
+func TestFinishedBatchesRetained(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Coordinator: true, MaxJobs: 2, JournalDir: dir}
+	listBatches := func(base string) []string {
+		t.Helper()
+		resp, err := http.Get(base + "/api/v1/batch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Batches []batchView }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, b := range out.Batches {
+			ids = append(ids, b.ID)
+		}
+		return ids
+	}
+	want := []string{"batch-4", "batch-5"}
+
+	sA, tsA := newPointServer(t, cfg, nil)
+	for i := range 5 {
+		v, code := submitBatch(t, tsA.URL, BatchRequest{Entries: []BatchEntry{{Workload: "ME-NAIVE", SeedOffset: i}}})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d", i, code)
+		}
+		waitBatch(t, tsA.URL, v.ID)
+	}
+	if got := listBatches(tsA.URL); !slices.Equal(got, want) {
+		t.Errorf("batches = %v, want %v", got, want)
+	}
+	drainNow(t, sA)
+
+	_, tsB := newPointServer(t, cfg, nil)
+	if got := listBatches(tsB.URL); !slices.Equal(got, want) {
+		t.Errorf("batches after restart = %v, want %v", got, want)
+	}
+}
+
 // TestBatchRecordsInAuditChain: batch-point and batch-done records are
 // audit leaves — covered by the Merkle chain and tamper-evident.
 func TestBatchRecordsInAuditChain(t *testing.T) {
@@ -619,7 +662,7 @@ func TestWorkerRestartNoDoubleHistory(t *testing.T) {
 func TestWorkerFillsFromCoordinatorStore(t *testing.T) {
 	coord, tsCoord := newPointServer(t, Config{Coordinator: true}, nil)
 	point := cluster.Point{Workload: "ME-NAIVE", Runs: 2, Warmup: 2}
-	key, err := point.Key(0)
+	key, err := point.Key()
 	if err != nil {
 		t.Fatal(err)
 	}

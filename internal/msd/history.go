@@ -21,34 +21,23 @@ import (
 // recordHistory files one fresh verdict — a job's or a point's — in
 // the history store, with its diffable artifact (a matrix artifact for
 // KindMatrix records, a report digest otherwise) filed
-// content-addressed and the record's MaxV read from it. An empty label
-// defaults to the daemon binary's VCS stamp. A missing artifact (a
-// cache entry written before the digest existed) still records the
-// verdict, just not diffably. Append failures are logged, not fatal —
-// the daemon prefers serving with a degraded history over failing
-// completed work.
+// content-addressed. An empty label defaults to the daemon binary's VCS
+// stamp. A missing artifact (a cache entry written before the digest
+// existed) still records the verdict, just not diffably. Append
+// failures are logged, not fatal — the daemon prefers serving with a
+// degraded history over failing completed work.
 func (s *Server) recordHistory(rec history.Record, art []byte, runID string) {
 	if s.hist == nil {
 		return
 	}
 	rec.Label = cmp.Or(rec.Label, version.DefaultLabel())
-	blobs := map[string][]byte{}
+	var blobs map[string][]byte
 	if len(art) > 0 {
+		name := "digest"
 		if rec.Kind == history.KindMatrix {
-			blobs["matrix"] = art
-			var m report.MatrixArtifact
-			if json.Unmarshal(art, &m) == nil {
-				for _, c := range m.Cells {
-					rec.MaxV = max(rec.MaxV, c.MaxV)
-				}
-			}
-		} else {
-			blobs["digest"] = art
-			var dg report.ReportDigest
-			if json.Unmarshal(art, &dg) == nil {
-				rec.MaxV = dg.MaxV()
-			}
+			name = "matrix"
 		}
+		blobs = map[string][]byte{name: art}
 	}
 	if _, err := s.hist.Append(rec, blobs); err != nil {
 		s.log.Warn("history append failed", "run_id", runID, "err", err)

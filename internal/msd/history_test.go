@@ -238,7 +238,7 @@ func TestLabelDoesNotSplitCache(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"source":"nop","runs":4,"label":"abc123"}`), &req2); err != nil {
 		t.Fatal(err)
 	}
-	k1, k2 := jobCacheKey(req1, 0), jobCacheKey(req2, 0)
+	k1, k2 := jobCacheKey(req1), jobCacheKey(req2)
 	if k1 == "" || k1 != k2 {
 		t.Errorf("label changed the cache key: %q vs %q", k1, k2)
 	}

@@ -2,6 +2,8 @@ package msd
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"microsampler/internal/cluster"
@@ -115,14 +117,9 @@ type Job struct {
 	Started   time.Time
 	Finished  time.Time
 
-	Leaky      bool
-	LeakyUnits []string
-	Iterations int
-	SimCycles  int64
-	// Cells and LeakyCells summarise a matrix job (Req.Matrix set):
-	// grid size and the names of the cells with a leaky verdict.
-	Cells      int
-	LeakyCells []string
+	// Summary is a done job's verdict — of the whole sweep for a
+	// matrix job (Req.Matrix set).
+	core.Summary
 	// Cached marks a done job whose verdict came from the
 	// content-addressed cache (or was deduplicated onto an identical
 	// in-flight job) instead of a fresh simulation.
@@ -145,23 +142,20 @@ type artifact struct {
 
 // jobView is the wire form of a job's status.
 type jobView struct {
-	ID         string   `json:"id"`
-	Workload   string   `json:"workload"`
-	Label      string   `json:"label,omitempty"`
-	Status     string   `json:"status"`
-	Error      string   `json:"error,omitempty"`
-	Submitted  string   `json:"submitted"`
-	Started    string   `json:"started,omitempty"`
-	Finished   string   `json:"finished,omitempty"`
-	DurationMS int64    `json:"durationMillis,omitempty"`
-	Leaky      *bool    `json:"leaky,omitempty"`
-	LeakyUnits []string `json:"leakyUnits,omitempty"`
-	Iterations int      `json:"iterations,omitempty"`
-	SimCycles  int64    `json:"simCycles,omitempty"`
-	Cells      int      `json:"cells,omitempty"`
-	LeakyCells []string `json:"leakyCells,omitempty"`
-	Cached     bool     `json:"cached,omitempty"`
-	Artifacts  []string `json:"artifacts,omitempty"`
+	ID         string `json:"id"`
+	Workload   string `json:"workload"`
+	Label      string `json:"label,omitempty"`
+	Status     string `json:"status"`
+	Error      string `json:"error,omitempty"`
+	Submitted  string `json:"submitted"`
+	Started    string `json:"started,omitempty"`
+	Finished   string `json:"finished,omitempty"`
+	DurationMS int64  `json:"durationMillis,omitempty"`
+	// Summary is set only on done jobs: a queued, running or failed
+	// job's view carries no verdict, not even "leaky": false.
+	*core.Summary
+	Cached    bool     `json:"cached,omitempty"`
+	Artifacts []string `json:"artifacts,omitempty"`
 }
 
 func (j *Job) view() jobView {
@@ -181,22 +175,14 @@ func (j *Job) view() jobView {
 		v.DurationMS = j.Finished.Sub(j.Started).Milliseconds()
 	}
 	if j.Status == StatusDone {
-		leaky := j.Leaky
-		v.Leaky = &leaky
-		v.LeakyUnits = j.LeakyUnits
-		v.Iterations = j.Iterations
-		v.SimCycles = j.SimCycles
-		v.Cells = j.Cells
-		v.LeakyCells = j.LeakyCells
+		sum := j.Summary
+		v.Summary = &sum
 		v.Cached = j.Cached
 	}
 	// Failed jobs can carry artifacts too (the flight-recorder
 	// post-mortem), so list them for every terminal status.
 	if j.Status == StatusDone || j.Status == StatusFailed {
-		for name := range j.artifacts {
-			v.Artifacts = append(v.Artifacts, name)
-		}
-		sortStrings(v.Artifacts)
+		v.Artifacts = slices.Sorted(maps.Keys(j.artifacts))
 	}
 	return v
 }
@@ -253,14 +239,6 @@ func (j *Job) progress() progressView {
 }
 
 func (j *Job) workloadName() string { return j.Req.point().WorkloadName() }
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
-		}
-	}
-}
 
 // renderArtifacts produces every downloadable document of a finished
 // verification: the stable JSON report, the Perfetto trace of the span

@@ -1,8 +1,6 @@
 package msd
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"microsampler/internal/cluster"
+	"microsampler/internal/core"
 )
 
 // journalRecord is one line of the write-ahead job journal: an event in
@@ -20,7 +19,8 @@ import (
 // in-memory state change becomes externally visible. Replaying the
 // journal in order reconstructs the job table of a crashed daemon.
 type journalRecord struct {
-	// Event is one of submit, start, done, failed, interrupted, evict.
+	// Event is one of submit, start, done, failed, interrupted, evict
+	// (jobs and batches), batch-submit, batch-point, batch-done, audit.
 	Event string    `json:"event"`
 	Time  time.Time `json:"time"`
 	ID    string    `json:"id"`
@@ -30,15 +30,10 @@ type journalRecord struct {
 	// Err is recorded on failed.
 	Err string `json:"err,omitempty"`
 
-	// Verdict summary, recorded on done. Artifacts live next to the
-	// journal under jobs/<id>/ and are not duplicated here.
-	Leaky      bool     `json:"leaky,omitempty"`
-	LeakyUnits []string `json:"leakyUnits,omitempty"`
-	Iterations int      `json:"iterations,omitempty"`
-	SimCycles  int64    `json:"simCycles,omitempty"`
-	// Cells and LeakyCells summarise a matrix job's grid sweep.
-	Cells      int      `json:"cells,omitempty"`
-	LeakyCells []string `json:"leakyCells,omitempty"`
+	// Summary is the verdict, recorded on done (nil on every other
+	// event). Artifacts live next to the journal under jobs/<id>/ and
+	// are not duplicated here.
+	*core.Summary
 	// Cached marks a done job whose verdict was served from the
 	// content-addressed cache instead of a fresh simulation.
 	Cached bool `json:"cached,omitempty"`
@@ -100,24 +95,16 @@ func openJournal(dir string) (*journal, []journalRecord, []byte, error) {
 	return &journal{dir: dir, f: f}, recs, raw, nil
 }
 
-// parseJournal decodes journal lines tolerantly: a line torn by the
-// crash (or otherwise unparsable) is skipped rather than poisoning
-// recovery of every job recorded before it.
+// parseJournal decodes the job and batch records of a journal — every
+// line forEachJournalLine accepts that carries an ID, so audit records
+// are left to the auditor.
 func parseJournal(raw []byte) []journalRecord {
 	var recs []journalRecord
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	forEachJournalLine(raw, func(_ []byte, rec journalRecord) {
+		if rec.ID != "" {
+			recs = append(recs, rec)
 		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" {
-			continue
-		}
-		recs = append(recs, rec)
-	}
+	})
 	return recs
 }
 
@@ -248,20 +235,12 @@ func writeFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// idNum extracts the numeric suffix of a "job-N" identifier (0 if the
-// ID has another shape), so a recovered daemon resumes its ID sequence
-// past every journaled job.
+// idNum extracts the numeric suffix of a "job-N" or "batch-N"
+// identifier (0 if the ID has another shape), so a recovered daemon
+// resumes its ID sequences past every journaled job and batch.
 func idNum(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// batchIDNum is idNum for "batch-N" identifiers.
-func batchIDNum(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "batch-"))
+	_, num, _ := strings.Cut(id, "-")
+	n, err := strconv.Atoi(num)
 	if err != nil || n < 0 {
 		return 0
 	}

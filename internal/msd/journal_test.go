@@ -1,13 +1,16 @@
 package msd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,7 +32,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	want := []journalRecord{
 		{Event: "submit", Time: now, ID: "job-1", Req: &JobRequest{Source: "x"}},
 		{Event: "start", Time: now, ID: "job-1"},
-		{Event: "done", Time: now, ID: "job-1", Leaky: true, LeakyUnits: []string{"SQ_ADDR"}, Iterations: 8, SimCycles: 99},
+		{Event: "done", Time: now, ID: "job-1", Summary: &core.Summary{Leaky: true, LeakyUnits: []string{"SQ_ADDR"}, Iterations: 8, SimCycles: 99}},
 	}
 	for _, rec := range want {
 		if _, err := j.append(rec); err != nil {
@@ -65,7 +68,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Errorf("record %d: %+v want %+v", i, rec, want[i])
 		}
 	}
-	if !recs[2].Leaky || recs[2].SimCycles != 99 || recs[2].LeakyUnits[0] != "SQ_ADDR" {
+	if recs[2].Summary == nil || !recs[2].Leaky || recs[2].SimCycles != 99 || recs[2].LeakyUnits[0] != "SQ_ADDR" {
 		t.Errorf("done summary lost: %+v", recs[2])
 	}
 }
@@ -250,7 +253,7 @@ func TestDaemonRecoveryReloadsArtifacts(t *testing.T) {
 	if code != http.StatusOK || got.Status != string(StatusDone) {
 		t.Fatalf("recovered done job: code=%d %+v", code, got)
 	}
-	if got.Leaky == nil || !*got.Leaky || got.SimCycles != 1234 {
+	if got.Summary == nil || !got.Leaky || got.SimCycles != 1234 {
 		t.Errorf("verdict lost in recovery: %+v", got)
 	}
 	resp, err := http.Get(tsB.URL + "/api/v1/jobs/" + v.ID + "/report")
@@ -374,4 +377,107 @@ func TestDaemonWorkerPanicContained(t *testing.T) {
 	if after := waitDone(t, ts.URL, v2.ID); after.Status != string(StatusDone) {
 		t.Errorf("daemon wedged after panic: %+v", after)
 	}
+}
+
+// TestParentJournalRecovers replays a journal written before the
+// records embedded core.Summary — a leaky and a clean report job, a
+// matrix job, a failed job, a batch with a failed point, and sealed
+// audit roots. It must still verify, and recovery must serve the same
+// job and batch views that daemon served after its own restart.
+func TestParentJournalRecovers(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/parent-journal")); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := VerifyAuditLog(dir)
+	if err != nil {
+		t.Fatalf("parent journal no longer verifies: %v", err)
+	}
+	if sum.Batches != 4 || sum.Terminal != 7 || sum.Pending != 0 {
+		t.Errorf("audit summary = %+v, want 4 roots over 7 terminal records", sum)
+	}
+
+	data, err := os.ReadFile("testdata/parent-journal-views.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]json.RawMessage
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newJournaledServer(t, dir, Config{Coordinator: true}, nil)
+	defer drainNow(t, s)
+	for path, raw := range want {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, exp any
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if err := json.Unmarshal(raw, &exp); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, exp) {
+			t.Errorf("%s recovered differently:\n got %s\nwant %s", path, body, raw)
+		}
+	}
+}
+
+// FuzzJournalReplay feeds raw journal bytes through every reader of
+// the journal — recovery's parseJournal, the auditor's replay and
+// VerifyAuditLog. None may panic, and every record recovery accepts
+// must survive a marshal/decode round trip unchanged. The seeds are
+// verbatim lines of a journal written before the records embedded
+// core.Summary, plus a torn line.
+func FuzzJournalReplay(f *testing.F) {
+	for _, line := range []string{
+		`{"event":"done","time":"2026-10-17T01:56:57.5623449Z","id":"job-1","leaky":true,"leakyUnits":["SQ-ADDR"],"iterations":8,"simCycles":1234}`,
+		`{"event":"done","time":"2026-10-17T01:56:57.567505661Z","id":"job-2","iterations":8,"simCycles":1234}`,
+		`{"event":"done","time":"2026-10-17T01:56:57.573097316Z","id":"job-3","leaky":true,"leakyUnits":["TAGE-PRED"],"iterations":16,"simCycles":220,"cells":2,"leakyCells":["predictor=tage"]}`,
+		`{"event":"failed","time":"2026-10-17T01:56:57.578154385Z","id":"job-4","err":"injected verification failure"}`,
+		`{"event":"batch-submit","time":"2026-10-17T01:56:57.583982125Z","id":"batch-1","batchReq":{"label":"base","points":[{"workload":"ME-NAIVE","config":"small","runs":2},{"workload":"ME-NAIVE","config":"small","runs":2,"seedOffset":7}]}}`,
+		`{"event":"batch-point","time":"2026-10-17T01:56:57.584337732Z","id":"batch-1","pointIdx":1,"pointRes":{"key":"9e052b08682b61e8e095073e6c6046d3d9e2fdd7736e58b7d58ff6cb2ef73e74","leaky":false,"error":"injected point failure","degraded":true}}`,
+		`{"event":"batch-point","time":"2026-10-17T01:56:57.584506439Z","id":"batch-1","pointRes":{"key":"ac3b458bbc1703b0e1c7942c322e4f1dd9e91aab7d2b5510316df1b01ed9f6c3","leaky":true,"leakyUnits":["TAGE-PRED"],"iterations":8,"simCycles":1234,"digest":"eyJ3b3JrbG9hZCI6ImZha2UifQ==","degraded":true}}`,
+		`{"event":"batch-done","time":"2026-10-17T01:56:57.584687418Z","id":"batch-1","done":1,"failedPoints":1,"degradedPoints":2}`,
+		`{"event":"audit","time":"0001-01-01T00:00:00Z","id":"","root":"769e722f5fc89a278ce14a3ac7c8138848120093305fd3a00c932a002b7710d5","prev":"0000000000000000000000000000000000000000000000000000000000000000","first":1,"count":2}`,
+		`{"event":"done","id":"job-1","lea`,
+	} {
+		f.Add([]byte(line))
+	}
+	if whole, err := os.ReadFile("testdata/parent-journal/journal.jsonl"); err == nil {
+		f.Add(whole)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, rec := range parseJournal(raw) {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatalf("accepted record does not marshal: %v", err)
+			}
+			var back journalRecord
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatalf("re-decode %s: %v", data, err)
+			}
+			again, err := json.Marshal(back)
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("round trip moved the record:\n%s\n%s (%v)", data, again, err)
+			}
+			var back2 journalRecord
+			if err := json.Unmarshal(again, &back2); err != nil || !reflect.DeepEqual(back, back2) {
+				t.Fatalf("round trip changed the record: %+v vs %+v (%v)", back, back2, err)
+			}
+		}
+		newAuditor(2).replay(raw)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _ = VerifyAuditLog(dir)
+	})
 }

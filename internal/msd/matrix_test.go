@@ -85,7 +85,7 @@ func TestMatrixJobEndToEnd(t *testing.T) {
 	if len(done.LeakyCells) != 1 || done.LeakyCells[0] != "predictor=tage" {
 		t.Errorf("leakyCells = %v", done.LeakyCells)
 	}
-	if done.Leaky == nil || !*done.Leaky {
+	if done.Summary == nil || !done.Leaky {
 		t.Errorf("matrix job with a leaky cell must be leaky: %+v", done)
 	}
 	if len(done.LeakyUnits) != 1 || done.LeakyUnits[0] != "TAGE-PRED" {

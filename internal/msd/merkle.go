@@ -247,7 +247,9 @@ func (a *auditor) replay(raw []byte) {
 
 // forEachJournalLine walks raw journal bytes line by line, invoking fn
 // with the exact line bytes and the decoded record. Unparsable lines
-// (a torn tail) are skipped, matching parseJournal.
+// (a torn tail) are skipped. It is the journal's one line decoder:
+// recovery (parseJournal), the auditor and VerifyAuditLog all read
+// through it.
 func forEachJournalLine(raw []byte, fn func(line []byte, rec journalRecord)) {
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)

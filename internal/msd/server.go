@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -40,8 +41,9 @@ type Config struct {
 	// QueueSize bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 503 (default 16).
 	QueueSize int
-	// MaxJobs bounds the number of finished jobs retained in memory;
-	// the oldest finished jobs are evicted first (default 64).
+	// MaxJobs bounds the number of finished jobs and, separately, of
+	// finished batches retained in memory; the oldest are evicted first
+	// (default 64).
 	MaxJobs int
 	// Logger receives the daemon's structured logs; every job's
 	// pipeline events carry its job ID as run_id. Nil discards.
@@ -50,8 +52,6 @@ type Config struct {
 	// pipeline's own counters land in the same registry so one scrape
 	// sees daemon and pipeline state. Nil creates a fresh registry.
 	Metrics *telemetry.Registry
-	// MaxCycles bounds each simulation run (0: core default).
-	MaxCycles int64
 	// Watchdog aborts a simulation run that stops retiring instructions
 	// for this wall-clock duration (0: disabled); aborted runs carry a
 	// flight-recorder post-mortem when FlightFrames is positive.
@@ -106,10 +106,6 @@ type Config struct {
 	// ShardTimeout bounds one dispatch attempt to one worker
 	// (default 2m).
 	ShardTimeout time.Duration
-	// ClusterRetry bounds remote attempts per point beyond the first,
-	// with full-jitter backoff between them (zero value: 3 retries,
-	// 100ms base, 2s cap — the core.RetryPolicy shape).
-	ClusterRetry core.RetryPolicy
 	// CoordinatorURL, when non-empty, makes this daemon a cluster
 	// worker: a point cache miss consults the coordinator's store
 	// before simulating, and fresh verdicts are uploaded back —
@@ -369,12 +365,9 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 			if j := s.jobs[r.ID]; j != nil {
 				j.Status = StatusDone
 				j.Finished = r.Time
-				j.Leaky = r.Leaky
-				j.LeakyUnits = r.LeakyUnits
-				j.Iterations = r.Iterations
-				j.SimCycles = r.SimCycles
-				j.Cells = r.Cells
-				j.LeakyCells = r.LeakyCells
+				if r.Summary != nil {
+					j.Summary = *r.Summary
+				}
 				j.Cached = r.Cached
 			}
 		case "failed":
@@ -390,15 +383,8 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 				j.Err = "interrupted by daemon restart"
 			}
 		case "evict":
-			if _, ok := s.jobs[r.ID]; ok {
-				delete(s.jobs, r.ID)
-				for i, id := range s.order {
-					if id == r.ID {
-						s.order = append(s.order[:i], s.order[i+1:]...)
-						break
-					}
-				}
-			}
+			delete(s.jobs, r.ID)
+			s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == r.ID })
 		}
 	}
 
@@ -687,29 +673,37 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 // is also spared: a fresh verdict must stay fetchable at least until
 // the next submission or completion, not vanish the instant it lands.
 func (s *Server) evictLocked(keepID string) []string {
-	excess := len(s.order) - s.cfg.MaxJobs
-	if excess <= 0 {
-		return nil
-	}
 	var evicted []string
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && id != keepID &&
-			(j.Status == StatusDone || j.Status == StatusFailed || j.Status == StatusInterrupted) {
-			delete(s.jobs, id)
+	s.order, evicted = evictOldest(s.order, s.jobs, s.cfg.MaxJobs, keepID, func(j *Job) bool {
+		return j.Status == StatusDone || j.Status == StatusFailed || j.Status == StatusInterrupted
+	})
+	return evicted
+}
+
+// evictOldest drops the oldest finished entries of a job or batch table
+// beyond the retention bound, sparing keepID, and returns the surviving
+// order and the evicted IDs.
+func evictOldest[T any](order []string, table map[string]T, bound int, keepID string, finished func(T) bool) (kept, evicted []string) {
+	excess := len(order) - bound
+	if excess <= 0 {
+		return order, nil
+	}
+	kept = order[:0]
+	for _, id := range order {
+		if excess > 0 && id != keepID && finished(table[id]) {
+			delete(table, id)
 			evicted = append(evicted, id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
-	s.order = kept
-	return evicted
+	return kept, evicted
 }
 
-// dropEvicted journals evictions and removes the jobs' artifact
-// directories; called without the server lock held.
+// dropEvicted journals evictions of jobs and batches and removes the
+// evicted jobs' artifact directories (batches have none); called
+// without the server lock held.
 func (s *Server) dropEvicted(ids []string) {
 	for _, id := range ids {
 		s.journal(journalRecord{Event: "evict", Time: time.Now(), ID: id})
@@ -885,12 +879,12 @@ func (s *Server) runJob(job *Job) {
 	var (
 		arts   map[string]artifact
 		err    error
-		sum    jobSummary
+		sum    core.Summary
 		cached bool
 	)
 	var key string
 	if s.cache != nil {
-		key = jobCacheKey(job.Req, s.cfg.MaxCycles)
+		key = jobCacheKey(job.Req)
 	}
 	if key != "" {
 		if cj, ok := cacheLoad(s, key, decodeCachedJob); ok {
@@ -956,42 +950,26 @@ func (s *Server) runJob(job *Job) {
 	if err != nil {
 		s.journal(journalRecord{Event: "failed", Time: finished, ID: job.ID, Err: err.Error()})
 	} else {
-		s.journal(journalRecord{
-			Event: "done", Time: finished, ID: job.ID,
-			Leaky: sum.leaky, LeakyUnits: sum.leakyUnits,
-			Iterations: sum.iterations, SimCycles: sum.simCycles,
-			Cells: sum.cells, LeakyCells: sum.leakyCells,
-			Cached: cached,
-		})
-		rec := history.Record{
-			Label: job.Req.Label, Workload: job.workloadName(), Kind: history.KindReport,
-			Leaky: sum.leaky, LeakyUnits: sum.leakyUnits,
-			Iterations: sum.iterations, SimCycles: sum.simCycles,
-			ElapsedMillis: finished.Sub(job.Started).Milliseconds(),
-		}
-		art := arts["digest"]
+		s.journal(journalRecord{Event: "done", Time: finished, ID: job.ID, Summary: &sum, Cached: cached})
+		kind, art := history.KindReport, arts["digest"]
 		if job.Req.Matrix != "" {
-			rec.Kind, rec.Cells, rec.LeakyCells = history.KindMatrix, sum.cells, sum.leakyCells
-			art = arts["matrix"]
+			kind, art = history.KindMatrix, arts["matrix"]
 		}
-		s.recordHistory(rec, art.data, job.ID)
+		s.recordHistory(history.Record{
+			Label: job.Req.Label, Workload: job.workloadName(), Kind: kind, Summary: sum,
+			ElapsedMillis: finished.Sub(job.Started).Milliseconds(),
+		}, art.data, job.ID)
 	}
 
 	s.mu.Lock()
 	job.Finished = finished
+	job.artifacts = arts
 	if err != nil {
 		job.Status = StatusFailed
 		job.Err = err.Error()
-		job.artifacts = arts
 	} else {
 		job.Status = StatusDone
-		job.artifacts = arts
-		job.Leaky = sum.leaky
-		job.LeakyUnits = sum.leakyUnits
-		job.Iterations = sum.iterations
-		job.SimCycles = sum.simCycles
-		job.Cells = sum.cells
-		job.LeakyCells = sum.leakyCells
+		job.Summary = sum
 		job.Cached = cached
 	}
 	dur := job.Finished.Sub(job.Started)
@@ -1022,58 +1000,14 @@ func (s *Server) runJob(job *Job) {
 		"leaky_units", job.LeakyUnits, "dur", dur)
 }
 
-// jobSummary is the verdict digest of a finished job, common to single
-// verifications and matrix sweeps.
-type jobSummary struct {
-	leaky      bool
-	leakyUnits []string
-	iterations int
-	simCycles  int64
-	cells      int
-	leakyCells []string
-}
-
-// reportSummary digests a single verification's report.
-func reportSummary(rep *core.Report) jobSummary {
-	var sum jobSummary
-	sum.leaky = rep.AnyLeak()
-	for _, u := range rep.LeakyUnits() {
-		sum.leakyUnits = append(sum.leakyUnits, u.Unit.String())
-	}
-	sum.iterations = len(rep.Iterations)
-	sum.simCycles = rep.SimCycles
-	return sum
-}
-
-// matrixSummary digests a grid sweep: the job is leaky when any cell
-// is, leaky units are the deduplicated union across cells, and the
-// iteration/cycle totals aggregate the whole grid.
-func matrixSummary(m *core.Matrix) jobSummary {
-	sum := jobSummary{cells: len(m.Cells), leakyCells: m.LeakyCells()}
-	sum.leaky = len(sum.leakyCells) > 0
-	seen := map[string]bool{}
-	for _, c := range m.Cells {
-		sum.iterations += c.Iterations
-		sum.simCycles += c.SimCycles
-		for _, f := range c.Flagged {
-			if !seen[f.Unit] {
-				seen[f.Unit] = true
-				sum.leakyUnits = append(sum.leakyUnits, f.Unit)
-			}
-		}
-	}
-	sortStrings(sum.leakyUnits)
-	return sum
-}
-
 // computeJob runs the job's verification (single or grid sweep) under
 // the panic guard and renders its artifact set — the cacheable unit of
 // work. Both kinds parallelise their runs (Parallel 0 means one
 // simulation per CPU).
-func (s *Server) computeJob(job *Job) (map[string]artifact, jobSummary, error) {
+func (s *Server) computeJob(job *Job) (map[string]artifact, core.Summary, error) {
 	w, opts, grid, err := job.Req.resolve()
 	if err != nil {
-		return nil, jobSummary{}, err
+		return nil, core.Summary{}, err
 	}
 	opts = s.execOptions(opts, job.ID)
 	opts.Parallel = cmp.Or(job.Req.Parallel, core.ParallelAuto)
@@ -1097,10 +1031,10 @@ func (s *Server) computeJob(job *Job) (map[string]artifact, jobSummary, error) {
 			}
 			return err
 		}); err != nil {
-			return nil, jobSummary{}, err
+			return nil, core.Summary{}, err
 		}
 		arts, err := renderMatrixArtifacts(m)
-		return arts, matrixSummary(m), err
+		return arts, m.Summary(), err
 	}
 	opts.FlightRecorderFrames = s.cfg.FlightFrames
 	var rep *core.Report
@@ -1112,17 +1046,16 @@ func (s *Server) computeJob(job *Job) (map[string]artifact, jobSummary, error) {
 		}
 		return err
 	}); err != nil {
-		return nil, jobSummary{}, err
+		return nil, core.Summary{}, err
 	}
 	arts, err := renderArtifacts(rep, job.Req.HeatmapWindows)
-	return arts, reportSummary(rep), err
+	return arts, rep.Summary(), err
 }
 
 // execOptions stamps the daemon's execution options onto a resolved
-// verification: the per-run bounds, the telemetry sinks and the run ID
+// verification: the stall watchdog, the telemetry sinks and the run ID
 // every log record and span carries.
 func (s *Server) execOptions(opts core.Options, runID string) core.Options {
-	opts.MaxCycles = s.cfg.MaxCycles
 	opts.Watchdog = s.cfg.Watchdog
 	opts.Metrics = s.reg
 	opts.Logger = s.log

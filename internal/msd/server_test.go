@@ -122,8 +122,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if done.Status != string(StatusDone) {
 		t.Fatalf("job failed: %+v", done)
 	}
-	if done.Leaky == nil || !*done.Leaky {
-		t.Errorf("fake report is leaky, view says %+v", done.Leaky)
+	if done.Summary == nil || !done.Leaky {
+		t.Errorf("fake report is leaky, view says %+v", done.Summary)
 	}
 	if done.SimCycles != 1234 || done.Iterations != 8 {
 		t.Errorf("view stats: %+v", done)
@@ -473,7 +473,7 @@ func TestDaemonRealPipeline(t *testing.T) {
 	if done.Status != string(StatusDone) {
 		t.Fatalf("real job: %+v", done)
 	}
-	if done.Leaky == nil || !*done.Leaky {
+	if done.Summary == nil || !done.Leaky {
 		t.Errorf("secret-dependent loop should be flagged leaky: %+v", done)
 	}
 	// The pipeline's own stage histograms land in the shared registry.

@@ -79,6 +79,17 @@ func BuildMatrix(m *core.Matrix, topN int) *MatrixArtifact {
 	return a
 }
 
+// Summary is the sweep's verdict summary, derived by core.Matrix.Summary
+// from the artifact's cell results — what a replayed artifact offers in
+// place of the sweep that rendered it.
+func (a *MatrixArtifact) Summary() core.Summary {
+	m := core.Matrix{Workload: a.Workload, Grid: a.Grid, Cells: make([]core.CellResult, len(a.Cells))}
+	for i, c := range a.Cells {
+		m.Cells[i] = c.CellResult
+	}
+	return m.Summary()
+}
+
 // JSON renders the artifact as indented, deterministic JSON.
 func (a *MatrixArtifact) JSON() ([]byte, error) {
 	return json.MarshalIndent(a, "", "  ")

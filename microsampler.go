@@ -537,10 +537,9 @@ type ClusterPointResult = cluster.PointResult
 // ClusterPointKey returns the point's canonical content-addressed
 // cache key — the same core CacheKey a single-node verification of
 // the identical tuple would use, which is what makes cross-node cache
-// fill and reassignment dedup sound. maxCycles is the executing
-// daemon's per-run bound.
-func ClusterPointKey(p ClusterPoint, maxCycles int64) (string, error) {
-	return p.Key(maxCycles)
+// fill and reassignment dedup sound.
+func ClusterPointKey(p ClusterPoint) (string, error) {
+	return p.Key()
 }
 
 // Constant-time compiler (compiler-vulnerability substrate).

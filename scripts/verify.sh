@@ -105,11 +105,15 @@ go test -count=2 ./internal/oracle
 
 echo "== fuzz smoke (5s per target) =="
 go test -run='^$' -fuzz='^FuzzAssemble$' -fuzztime=5s ./internal/asm
+go test -run='^$' -fuzz='^FuzzEval$' -fuzztime=5s ./internal/asm
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/isa
 go test -run='^$' -fuzz='^FuzzSipHashChunks$' -fuzztime=5s ./internal/siphash
 go test -run='^$' -fuzz='^FuzzHashMatrix$' -fuzztime=5s ./internal/snapshot
+go test -run='^$' -fuzz='^FuzzStoreObserve$' -fuzztime=5s ./internal/snapshot
 go test -run='^$' -fuzz='^FuzzPipeline$' -fuzztime=5s ./internal/oracle
 go test -run='^$' -fuzz='^FuzzMatrixConfig$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzCacheKey$' -fuzztime=5s ./internal/msd
+go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/msd
 
 echo "== bench smoke (hot-path collector) =="
 go test -run '^$' -bench 'OnCycle' -benchtime 100x -benchmem ./internal/trace
