@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -217,7 +218,9 @@ func (p RetryPolicy) backoffAt(n int, u float64) time.Duration {
 // withDefaults validates the options and fills in defaults. Negative
 // Runs or MaxCycles, or a Parallel below the ParallelAuto sentinel, are
 // programming errors that used to surface as panics (e.g. in
-// make([]runOut, opts.Runs)) deep inside Verify; they are rejected here
+// make([]runOut, opts.Runs)) deep inside Verify. A repeated unit would
+// be sampled and merged twice, inflating its contingency table, and an
+// unknown one would report a phantom "UNIT?" row. All are rejected here
 // with a descriptive error instead.
 func (o Options) withDefaults() (Options, error) {
 	if o.Runs < 0 {
@@ -242,6 +245,14 @@ func (o Options) withDefaults() (Options, error) {
 	if o.FlightRecorderFrames < 0 {
 		return o, fmt.Errorf("core: Options.FlightRecorderFrames must be non-negative, got %d",
 			o.FlightRecorderFrames)
+	}
+	for i, u := range o.Units {
+		if !u.Valid() {
+			return o, fmt.Errorf("core: Options.Units[%d] is not a tracked unit: %d", i, int(u))
+		}
+		if slices.Contains(o.Units[:i], u) {
+			return o, fmt.Errorf("core: Options.Units repeats unit %s", u)
+		}
 	}
 	if o.Retry.Max > 0 {
 		if o.Retry.BaseDelay == 0 {

@@ -232,6 +232,60 @@ func TestVerifyNegativeOptions(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectBadUnits pins that a repeated or unknown unit is an
+// option error, not a corrupted verdict: a repeated unit would be
+// sampled and merged twice, and an unknown one would report a phantom
+// "UNIT?" row whose name every other unknown unit shares in the cache
+// key.
+func TestOptionsRejectBadUnits(t *testing.T) {
+	w := Workload{Name: "units", Source: smokeWorkload}
+	cases := []struct {
+		name  string
+		units []trace.Unit
+		want  string
+	}{
+		{"repeated", []trace.Unit{trace.SQADDR, trace.LQADDR, trace.SQADDR}, "repeats unit SQ-ADDR"},
+		{"zero", []trace.Unit{trace.SQADDR, 0}, "Units[1] is not a tracked unit: 0"},
+		{"out of range", []trace.Unit{99}, "Units[0] is not a tracked unit: 99"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Runs: 1, Warmup: 1, Config: sim.SmallBoom(), Units: tc.units}
+			check := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: want error containing %q, got %v", what, tc.want, err)
+				}
+			}
+			_, err := Verify(w, opts)
+			check("Verify", err)
+			_, err = CacheKey(w, opts)
+			check("CacheKey", err)
+			mopts := MatrixOptions{Options: opts, Grid: GridSpec{Axes: []Axis{{Name: "predictor", Values: []string{"gshare"}}}}}
+			_, err = MatrixCacheKey(w, mopts)
+			check("MatrixCacheKey", err)
+			m, err := VerifyMatrix(w, mopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range m.Cells {
+				if !strings.Contains(c.Err, tc.want) {
+					t.Errorf("cell %s: error %q, want it to contain %q", c.Name, c.Err, tc.want)
+				}
+			}
+		})
+	}
+	for _, units := range [][]trace.Unit{nil, trace.AllUnits()} {
+		rep, err := Verify(w, Options{Runs: 1, Warmup: 1, Config: sim.SmallBoom(), Units: units})
+		if err != nil {
+			t.Fatalf("units %v: %v", units, err)
+		}
+		if len(rep.Units) != len(trace.AllUnits()) {
+			t.Errorf("units %v: %d unit results, want %d", units, len(rep.Units), len(trace.AllUnits()))
+		}
+	}
+}
+
 func TestParallelFailureCancelsSiblings(t *testing.T) {
 	// Run 0 fails during setup; the remaining runs would each simulate a
 	// long loop. With failure propagation, the pool must stop claiming

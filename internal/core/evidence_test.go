@@ -1,0 +1,134 @@
+package core_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"sort"
+	"testing"
+
+	"microsampler/internal/core"
+	"microsampler/internal/sim"
+	"microsampler/internal/trace"
+	"microsampler/internal/workloads"
+)
+
+// TestUnitEvidenceGolden pins the per-unit evidence the collector
+// produces, one layer below the verdicts: per unit the sample count and
+// per-iteration snapshot hashes, every provenance stream, and the
+// store-writer/load-reader attribution maps. The digests were captured
+// before the unit definitions were consolidated into one table, so any
+// drift in a unit's row, PC attribution, value keying or run encoding
+// fails here even when the verdicts happen to survive it.
+func TestUnitEvidenceGolden(t *testing.T) {
+	cellConfig := func(spec string) sim.Config {
+		g, err := core.ParseGridSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := g.Cells()[0].Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	cases := []struct {
+		workload, where string
+		cfg             sim.Config
+		digest          string
+	}{
+		{"ME-V1-MV", "MegaBoom", sim.MegaBoom(),
+			"8b91dc594c9b40afc641a8c35f5973852f0747f45224e1d3bb790dd4adee12d1"},
+		{"CT-DIV", "MegaBoom", sim.MegaBoom(),
+			"ff5315d7f86f1bd5b84fde7fc704e5393bd50bc6c96987b0f31aecca347f09d2"},
+		{"TAGE-HIST", "predictor=tage", cellConfig("predictor=tage"),
+			"faea26b52096c5dab1eac835683d24eff4f468c65a0e341848818addc57b75d4"},
+		{"SPF-STREAM", "prefetch=stride", cellConfig("prefetch=stride"),
+			"584b10adbf6eaa5986de948df1e734142edb6a5243485a3c5139742aa567cd53"},
+	}
+	streams := map[trace.Unit]int{}
+	for _, tc := range cases {
+		w, err := workloads.ByName(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.Verify(w, core.Options{Runs: 2, Config: tc.cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.workload, err)
+		}
+		if got := evidenceDigest(rep); got != tc.digest {
+			t.Errorf("%s on %s: evidence digest %s, want %s", tc.workload, tc.where, got, tc.digest)
+		}
+		for _, up := range rep.Provenance {
+			streams[up.Unit] += len(up.Streams)
+		}
+	}
+	// Every unit whose events carry a key must be exercised by some case,
+	// so that no row of the unit table goes unchecked.
+	for _, u := range trace.AllUnits() {
+		if u == trace.ROBOCPNCY || u == trace.LFBDATA {
+			continue
+		}
+		if streams[u] == 0 {
+			t.Errorf("%s: no provenance stream in any case", u)
+		}
+	}
+}
+
+// evidenceDigest hashes a report's per-unit evidence in a fixed order.
+func evidenceDigest(rep *core.Report) string {
+	h := sha256.New()
+	for _, ur := range rep.Units {
+		u := ur.Unit
+		writeStr(h, u.String())
+		writeU64(h, rep.Samples[u])
+		writeU64s(h, rep.IterHashes[u])
+	}
+	for _, up := range rep.Provenance {
+		writeStr(h, up.Unit.String())
+		for _, s := range up.Streams {
+			writeU64(h, s.Key)
+			writeU64(h, s.Events)
+			writeU64(h, uint64(len(s.Iters)))
+			for _, it := range s.Iters {
+				writeU64(h, uint64(it))
+			}
+			writeU64s(h, s.Hashes)
+		}
+	}
+	writeAttribution(h, "writers", rep.StoreWriters)
+	writeAttribution(h, "readers", rep.LoadReaders)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func writeAttribution(h hash.Hash, label string, m map[uint64][]uint64) {
+	writeStr(h, label)
+	addrs := make([]uint64, 0, len(m))
+	for a := range m {
+		addrs = append(addrs, a)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for _, a := range addrs {
+		writeU64(h, a)
+		writeU64s(h, m[a])
+	}
+}
+
+func writeStr(h hash.Hash, s string) {
+	writeU64(h, uint64(len(s)))
+	h.Write([]byte(s))
+}
+
+func writeU64(h hash.Hash, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
+func writeU64s(h hash.Hash, vs []uint64) {
+	writeU64(h, uint64(len(vs)))
+	for _, v := range vs {
+		writeU64(h, v)
+	}
+}

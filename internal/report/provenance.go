@@ -66,15 +66,6 @@ type ProvValue struct {
 	Events uint64  `json:"events"`
 }
 
-// Address granularities of the value-keyed units. Both Table III
-// configurations use 64-byte cache lines and 4 KiB pages; the sampled
-// values are line addresses (LFB/NLP/MSHR), byte addresses (Cache) and
-// page numbers (TLB).
-const (
-	provLineBytes = 64
-	provPageBytes = 4096
-)
-
 // maxProvValues bounds the example-value sample kept per entry.
 const maxProvValues = 4
 
@@ -221,23 +212,14 @@ type resolvedPC struct {
 // resolveValue maps an observed value of a value-keyed unit back to the
 // instructions that produced the address, through the report's
 // store-writer and load-reader attribution maps. The match granularity
-// follows the unit: byte addresses for the cache request stream, line
-// addresses for the fill-buffer/prefetcher/MSHR streams, page numbers
-// for the TLB.
+// follows the unit (trace.Unit.ValueOf).
 func resolveValue(rep *core.Report, u trace.Unit, v uint64) []resolvedPC {
-	match := func(addr uint64) bool { return addr == v }
-	switch u {
-	case trace.LFBADDR, trace.NLPADDR, trace.MSHRADDR:
-		match = func(addr uint64) bool { return addr&^uint64(provLineBytes-1) == v }
-	case trace.TLBADDR:
-		match = func(addr uint64) bool { return addr/provPageBytes == v }
-	}
 	var out []resolvedPC
 	seen := map[uint64]bool{}
 	collect := func(m map[uint64][]uint64, via string) {
 		addrs := make([]uint64, 0, len(m))
 		for addr := range m {
-			if match(addr) {
+			if u.ValueOf(addr) == v {
 				addrs = append(addrs, addr)
 			}
 		}

@@ -75,6 +75,7 @@ func BenchmarkSimTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := &countingTracer{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := New(MegaBoom())
@@ -84,25 +85,28 @@ func BenchmarkSimTraced(b *testing.B) {
 		if err := m.LoadProgram(prog); err != nil {
 			b.Fatal(err)
 		}
-		m.SetTracer(countingTracer{})
+		m.SetTracer(tr)
 		if _, err := m.Run(50_000_000); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-type countingTracer struct{}
+// countingTracer samples a spread of probe rows every cycle into one
+// reused scratch buffer, so the tracer itself stays allocation-free.
+type countingTracer struct{ buf []uint64 }
 
-func (countingTracer) OnCycle(p *Probe) {
+func (t *countingTracer) OnCycle(p *Probe) {
 	_ = p.StoreQueue()
 	_ = p.LoadQueue()
-	_ = p.ROB()
-	_ = p.ALUBusy()
-	_ = p.CacheRequests()
-	_ = p.TLBPages()
-	_ = p.MSHRAddrs()
-	_ = p.LFB()
-	_ = p.PrefetchAddrs()
+	t.buf = p.AppendROBPCs(t.buf[:0])
+	t.buf = p.AppendALUBusy(t.buf[:0])
+	t.buf = p.AppendCacheRequests(t.buf[:0])
+	t.buf = p.AppendTLBPages(t.buf[:0])
+	t.buf = p.AppendMSHRAddrs(t.buf[:0])
+	t.buf = p.AppendLFBAddrs(t.buf[:0])
+	t.buf = p.AppendLFBData(t.buf[:0])
+	t.buf = p.AppendPrefetchAddrs(t.buf[:0])
 }
 
-func (countingTracer) OnMark(int64, isa.MarkKind, uint64) {}
+func (*countingTracer) OnMark(int64, isa.MarkKind, uint64) {}

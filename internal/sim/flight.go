@@ -46,13 +46,7 @@ func (f *FlightRecorder) record(c *Core) {
 	fr.Cycle = c.cycle
 	fr.FetchPC = c.fetchPC
 	fr.Retired = c.retired
-	rob := 0
-	for _, u := range c.rob {
-		if !u.folded {
-			rob++
-		}
-	}
-	fr.ROB = rob
+	fr.ROB = c.robOccupancy()
 	fr.SQ = len(c.stq)
 	fr.LQ = len(c.ldq)
 	mshr := 0

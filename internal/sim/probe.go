@@ -4,25 +4,19 @@ package sim
 // tracks (Table IV of the paper). A Probe is only valid during the
 // Tracer.OnCycle call that delivered it.
 //
-// The slice-returning views (StoreQueue, ROB, LFB, ...) are zero-copy:
-// they are backed by scratch buffers owned by the probe and reused every
-// call, so a returned slice is only valid until the next call of the
-// same method. Tracers that need to retain entries must copy them. The
-// Append* variants write straight into a caller-provided buffer and are
-// the allocation-free path the trace collector samples through.
+// Each Append* method appends one unit's state row for the current cycle
+// to a caller-provided buffer, so a tracer that reuses its buffers
+// samples without allocating. StoreQueue and LoadQueue additionally
+// expose the queue slots with their address-valid bit, which the rows
+// encode as a 0 address; their slices are backed by probe-owned scratch
+// and valid only until the next call of the same method.
 type Probe struct {
 	c *Core
 
-	// Scratch buffers backing the zero-copy views.
+	// Scratch buffers backing the queue views.
 	stq []LSQEntry
 	ldq []LSQEntry
-	rob []ROBEntry
-	lfb []LFBEntryView
-	pcs []uint64
 }
-
-// Cycle returns the current simulation cycle.
-func (p *Probe) Cycle() int64 { return p.c.cycle }
 
 // LSQEntry is one load- or store-queue slot view.
 type LSQEntry struct {
@@ -98,23 +92,6 @@ func (p *Probe) AppendLoadPCs(dst []uint64) []uint64 {
 	return dst
 }
 
-// ROBEntry is one reorder-buffer slot view.
-type ROBEntry struct {
-	PC     uint64
-	Folded bool // fast-bypassed op sharing its neighbour's slot
-}
-
-// ROB returns the reorder-buffer contents in age order. The slice is
-// valid until the next ROB call.
-func (p *Probe) ROB() []ROBEntry {
-	out := p.rob[:0]
-	for _, u := range p.c.rob {
-		out = append(out, ROBEntry{PC: u.pc, Folded: u.folded})
-	}
-	p.rob = out
-	return out
-}
-
 // AppendROBPCs appends the ROB-PC feature row: the program counters of
 // the occupied (non-folded) reorder-buffer slots in age order.
 func (p *Probe) AppendROBPCs(dst []uint64) []uint64 {
@@ -127,42 +104,17 @@ func (p *Probe) AppendROBPCs(dst []uint64) []uint64 {
 }
 
 // ROBOccupancy returns the number of occupied (non-folded) ROB slots.
-func (p *Probe) ROBOccupancy() int {
+func (p *Probe) ROBOccupancy() int { return p.c.robOccupancy() }
+
+// robOccupancy counts the occupied (non-folded) reorder-buffer slots.
+func (c *Core) robOccupancy() int {
 	n := 0
-	for _, u := range p.c.rob {
+	for _, u := range c.rob {
 		if !u.folded {
 			n++
 		}
 	}
 	return n
-}
-
-// LFBEntryView is one load-fill-buffer slot view.
-type LFBEntryView struct {
-	Addr   uint64 // line base address
-	Data   uint64 // first doubleword of the line (valid once filled)
-	Filled bool
-}
-
-// LFB returns the valid load-fill-buffer entries. The slice is valid
-// until the next LFB call.
-func (p *Probe) LFB() []LFBEntryView {
-	out := p.lfb[:0]
-	for _, e := range p.c.dc.lfb {
-		if !e.valid {
-			continue
-		}
-		v := LFBEntryView{
-			Addr:   e.lineAddr << p.c.dc.cache.lineShift,
-			Filled: e.fillAt <= p.c.cycle,
-		}
-		if v.Filled {
-			v.Data = e.data
-		}
-		out = append(out, v)
-	}
-	p.lfb = out
-	return out
 }
 
 // AppendLFBData appends the LFB-Data feature row: per valid fill-buffer
@@ -193,6 +145,9 @@ func (p *Probe) AppendLFBAddrs(dst []uint64) []uint64 {
 	return dst
 }
 
+// appendBusyPCs appends an EUU-* feature row: per instance of a
+// functional-unit pool, the PC of the op executing this cycle (0 when
+// idle).
 func appendBusyPCs(dst []uint64, pool []fuSlot, now int64) []uint64 {
 	for _, s := range pool {
 		if s.busyUntil > now {
@@ -203,26 +158,6 @@ func appendBusyPCs(dst []uint64, pool []fuSlot, now int64) []uint64 {
 	}
 	return dst
 }
-
-func (p *Probe) busyPCs(pool []fuSlot) []uint64 {
-	out := appendBusyPCs(p.pcs[:0], pool, p.c.cycle)
-	p.pcs = out
-	return out
-}
-
-// ALUBusy returns, per ALU instance, the PC of the op executing this
-// cycle (0 when idle). EUU-ALU feature. The slice is valid until the
-// next *Busy call.
-func (p *Probe) ALUBusy() []uint64 { return p.busyPCs(p.c.alus) }
-
-// MulBusy returns the multiplier occupancy. EUU-MUL feature.
-func (p *Probe) MulBusy() []uint64 { return p.busyPCs(p.c.muls) }
-
-// DivBusy returns the divider occupancy. EUU-DIV feature.
-func (p *Probe) DivBusy() []uint64 { return p.busyPCs(p.c.divs) }
-
-// AGUBusy returns the address-generation unit occupancy. EUU-ADDRGEN.
-func (p *Probe) AGUBusy() []uint64 { return p.busyPCs(p.c.agus) }
 
 // AppendALUBusy appends the EUU-ALU feature row to dst.
 func (p *Probe) AppendALUBusy(dst []uint64) []uint64 {
@@ -255,15 +190,6 @@ func (p *Probe) AppendPrefetchAddrs(dst []uint64) []uint64 {
 	return dst
 }
 
-// PrefetchAddrs returns the line addresses of outstanding next-line
-// prefetches. NLP-ADDR feature. The slice is valid until the next
-// PrefetchAddrs/ALUBusy-family call (shared scratch).
-func (p *Probe) PrefetchAddrs() []uint64 {
-	out := p.AppendPrefetchAddrs(p.pcs[:0])
-	p.pcs = out
-	return out
-}
-
 // AppendCacheRequests appends the Cache-ADDR feature row: the demand
 // addresses presented to the D-cache this cycle.
 func (p *Probe) AppendCacheRequests(dst []uint64) []uint64 {
@@ -271,15 +197,6 @@ func (p *Probe) AppendCacheRequests(dst []uint64) []uint64 {
 		dst = append(dst, r.addr)
 	}
 	return dst
-}
-
-// CacheRequests returns the demand addresses presented to the D-cache
-// this cycle. Cache-ADDR feature. The slice is valid until the next
-// PrefetchAddrs/ALUBusy-family call (shared scratch).
-func (p *Probe) CacheRequests() []uint64 {
-	out := p.AppendCacheRequests(p.pcs[:0])
-	p.pcs = out
-	return out
 }
 
 // AppendTLBPages appends the TLB-ADDR feature row: the valid data-TLB
@@ -292,15 +209,6 @@ func (p *Probe) AppendTLBPages(dst []uint64) []uint64 {
 	return dst
 }
 
-// TLBPages returns the valid data-TLB page numbers, most recently used
-// first. TLB-ADDR feature. The slice is valid until the next
-// PrefetchAddrs/ALUBusy-family call (shared scratch).
-func (p *Probe) TLBPages() []uint64 {
-	out := p.AppendTLBPages(p.pcs[:0])
-	p.pcs = out
-	return out
-}
-
 // AppendSPFAddrs appends the SPF-ADDR feature row: the line addresses of
 // outstanding stride prefetches. Empty when the stride prefetcher is
 // disabled (the trackers never become valid).
@@ -311,15 +219,6 @@ func (p *Probe) AppendSPFAddrs(dst []uint64) []uint64 {
 		}
 	}
 	return dst
-}
-
-// SPFAddrs returns the line addresses of outstanding stride prefetches.
-// SPF-ADDR feature. The slice is valid until the next
-// PrefetchAddrs/ALUBusy-family call (shared scratch).
-func (p *Probe) SPFAddrs() []uint64 {
-	out := p.AppendSPFAddrs(p.pcs[:0])
-	p.pcs = out
-	return out
 }
 
 // AppendSPFPCs appends the slot-aligned training-load PCs of the
@@ -389,13 +288,4 @@ func (p *Probe) AppendMSHRAddrs(dst []uint64) []uint64 {
 		}
 	}
 	return dst
-}
-
-// MSHRAddrs returns the line addresses of outstanding misses. MSHR-ADDR
-// feature. The slice is valid until the next PrefetchAddrs/ALUBusy-family
-// call (shared scratch).
-func (p *Probe) MSHRAddrs() []uint64 {
-	out := p.AppendMSHRAddrs(p.pcs[:0])
-	p.pcs = out
-	return out
 }

@@ -558,18 +558,21 @@ func TestProbeViews(t *testing.T) {
 	seenStore := false
 	seenALU := false
 	seenROB := false
+	var row []uint64
 	tr := &testTracer{onCycle: func(p *Probe) {
 		for _, e := range p.StoreQueue() {
 			if e.Valid {
 				seenStore = true
 			}
 		}
-		for _, pc := range p.ALUBusy() {
+		row = p.AppendALUBusy(row[:0])
+		for _, pc := range row {
 			if pc != 0 {
 				seenALU = true
 			}
 		}
-		if p.ROBOccupancy() > 0 && len(p.ROB()) >= p.ROBOccupancy() {
+		row = p.AppendROBPCs(row[:0])
+		if p.ROBOccupancy() > 0 && len(row) == p.ROBOccupancy() {
 			seenROB = true
 		}
 	}}

@@ -40,16 +40,31 @@ func benchProbe(tb testing.TB) *sim.Probe {
 	return g.p
 }
 
+// onCycleUnits is the pinned unit set of BenchmarkOnCycle: every unit
+// tracked when the set was pinned, spelled out so that adding a unit to
+// the table does not silently change what the benchmark measures.
+var onCycleUnits = []Unit{
+	SQADDR, SQPC, LQADDR, LQPC, ROBOCPNCY, ROBPC, LFBDATA, LFBADDR,
+	EUUALU, EUUADDRGEN, EUUDIV, EUUMUL, NLPADDR, CACHEADDR, TLBADDR,
+	MSHRADDR, TAGEPRED, SPFADDR,
+}
+
 // BenchmarkOnCycle measures the steady-state per-cycle sampling cost of
 // the collector across whole labeled iterations (the IterBegin/IterEnd
 // bracket is part of the steady state: it resets the per-iteration
 // recorders and folds the finished snapshot into the dedup store). The
 // ns/cycle metric is the per-sampled-cycle cost the pipeline pays on
 // every simulated cycle inside the region of interest.
-func BenchmarkOnCycle(b *testing.B) {
+func BenchmarkOnCycle(b *testing.B) { benchOnCycle(b, onCycleUnits...) }
+
+// BenchmarkOnCycleSingleUnit isolates the cost of one tracked unit, so
+// per-unit regressions are visible without the 18-unit aggregate.
+func BenchmarkOnCycleSingleUnit(b *testing.B) { benchOnCycle(b, SQADDR) }
+
+func benchOnCycle(b *testing.B, units ...Unit) {
 	const cyclesPerIter = 64
 	p := benchProbe(b)
-	col := NewCollector()
+	col := NewCollector(WithUnits(units...))
 	col.OnMark(0, isa.MarkROIBegin, 0)
 	iter := func(class uint64) {
 		col.OnMark(0, isa.MarkIterBegin, class)
@@ -59,33 +74,6 @@ func BenchmarkOnCycle(b *testing.B) {
 		col.OnMark(cyclesPerIter, isa.MarkIterEnd, 0)
 	}
 	for i := 0; i < 64; i++ { // reach steady state: both classes seen
-		iter(uint64(i & 1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iter(uint64(i & 1))
-	}
-	b.StopTimer()
-	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*cyclesPerIter)
-	b.ReportMetric(ns, "ns/cycle")
-}
-
-// BenchmarkOnCycleSingleUnit isolates the cost of one tracked unit, so
-// per-unit regressions are visible without the 16-unit aggregate.
-func BenchmarkOnCycleSingleUnit(b *testing.B) {
-	const cyclesPerIter = 64
-	p := benchProbe(b)
-	col := NewCollector(WithUnits(SQADDR))
-	col.OnMark(0, isa.MarkROIBegin, 0)
-	iter := func(class uint64) {
-		col.OnMark(0, isa.MarkIterBegin, class)
-		for c := 0; c < cyclesPerIter; c++ {
-			col.OnCycle(p)
-		}
-		col.OnMark(cyclesPerIter, isa.MarkIterEnd, 0)
-	}
-	for i := 0; i < 64; i++ {
 		iter(uint64(i & 1))
 	}
 	b.ReportAllocs()

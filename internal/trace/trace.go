@@ -50,36 +50,98 @@ const (
 	numUnits = iota
 )
 
-var unitNames = map[Unit]string{
-	SQADDR: "SQ-ADDR", SQPC: "SQ-PC", LQADDR: "LQ-ADDR", LQPC: "LQ-PC",
-	ROBOCPNCY: "ROB-OCPNCY", ROBPC: "ROB-PC",
-	LFBDATA: "LFB-Data", LFBADDR: "LFB-ADDR",
-	EUUALU: "EUU-ALU", EUUADDRGEN: "EUU-ADDRGEN",
-	EUUDIV: "EUU-DIV", EUUMUL: "EUU-MUL",
-	NLPADDR: "NLP-ADDR", CACHEADDR: "Cache-ADDR",
-	TLBADDR: "TLB-ADDR", MSHRADDR: "MSHR-ADDR",
-	TAGEPRED: "TAGE-PRED", SPFADDR: "SPF-ADDR",
+// unitSpec declares one tracked unit: everything the collector and the
+// provenance resolution need to know about it lives in its table row.
+type unitSpec struct {
+	name string // the paper's identifier; hashed into cache keys
+	// row appends the unit's state row for the current cycle.
+	row func(*sim.Probe, []uint64) []uint64
+	// pcs, when set, appends a PC row slot-aligned with row, attributing
+	// each value to the instruction that produced it.
+	pcs  func(*sim.Probe, []uint64) []uint64
+	kind provKind
+	// timedRuns makes the unit's streams also encode how long each value
+	// occupies its slot. The execution units leak through residency, not
+	// arrival: an early-out divider holds the same PC for an
+	// operand-dependent number of cycles while producing exactly one
+	// arrival event per divide, so without run lengths both key classes
+	// hash to identical streams and the leak cannot be localized.
+	timedRuns bool
+	// value maps a memory address to the value the unit samples for it
+	// (nil: the address itself); see Unit.ValueOf.
+	value func(addr uint64) uint64
+}
+
+// Address granularities of the value-keyed units. Both Table III
+// configurations use 64-byte cache lines and 4 KiB pages.
+const (
+	lineBytes = 64
+	pageBytes = 4096
+)
+
+func lineBase(addr uint64) uint64   { return addr &^ (lineBytes - 1) }
+func pageNumber(addr uint64) uint64 { return addr / pageBytes }
+
+// robOccupancy is the ROB-OCPNCY row: the occupancy count as one value.
+func robOccupancy(p *sim.Probe, dst []uint64) []uint64 {
+	return append(dst, uint64(p.ROBOccupancy()))
+}
+
+// unitSpecs is the unit table, indexed by Unit (index 0 unused). Adding
+// a unit takes one probe row method and one row here.
+var unitSpecs = [numUnits + 1]unitSpec{
+	SQADDR:     {name: "SQ-ADDR", row: (*sim.Probe).AppendStoreAddrs, pcs: (*sim.Probe).AppendStorePCs, kind: provDirect},
+	SQPC:       {name: "SQ-PC", row: (*sim.Probe).AppendStorePCs, kind: provDirect},
+	LQADDR:     {name: "LQ-ADDR", row: (*sim.Probe).AppendLoadAddrs, pcs: (*sim.Probe).AppendLoadPCs, kind: provDirect},
+	LQPC:       {name: "LQ-PC", row: (*sim.Probe).AppendLoadPCs, kind: provDirect},
+	ROBOCPNCY:  {name: "ROB-OCPNCY", row: robOccupancy, kind: provNone},
+	ROBPC:      {name: "ROB-PC", row: (*sim.Probe).AppendROBPCs, kind: provDirect},
+	LFBDATA:    {name: "LFB-Data", row: (*sim.Probe).AppendLFBData, kind: provNone},
+	LFBADDR:    {name: "LFB-ADDR", row: (*sim.Probe).AppendLFBAddrs, kind: provValue, value: lineBase},
+	EUUALU:     {name: "EUU-ALU", row: (*sim.Probe).AppendALUBusy, kind: provDirect, timedRuns: true},
+	EUUADDRGEN: {name: "EUU-ADDRGEN", row: (*sim.Probe).AppendAGUBusy, kind: provDirect, timedRuns: true},
+	EUUDIV:     {name: "EUU-DIV", row: (*sim.Probe).AppendDivBusy, kind: provDirect, timedRuns: true},
+	EUUMUL:     {name: "EUU-MUL", row: (*sim.Probe).AppendMulBusy, kind: provDirect, timedRuns: true},
+	NLPADDR:    {name: "NLP-ADDR", row: (*sim.Probe).AppendPrefetchAddrs, kind: provValue, value: lineBase},
+	CACHEADDR:  {name: "Cache-ADDR", row: (*sim.Probe).AppendCacheRequests, kind: provValue},
+	TLBADDR:    {name: "TLB-ADDR", row: (*sim.Probe).AppendTLBPages, kind: provValue, value: pageNumber},
+	MSHRADDR:   {name: "MSHR-ADDR", row: (*sim.Probe).AppendMSHRAddrs, kind: provValue, value: lineBase},
+	TAGEPRED:   {name: "TAGE-PRED", row: (*sim.Probe).AppendBPredMeta, pcs: (*sim.Probe).AppendBPredPCs, kind: provDirect},
+	SPFADDR:    {name: "SPF-ADDR", row: (*sim.Probe).AppendSPFAddrs, pcs: (*sim.Probe).AppendSPFPCs, kind: provDirect},
 }
 
 // String returns the paper's feature identifier.
 func (u Unit) String() string {
-	if n, ok := unitNames[u]; ok {
-		return n
+	if !u.Valid() {
+		return "UNIT?"
 	}
-	return "UNIT?"
+	return unitSpecs[u].name
 }
 
-// valid reports whether u indexes a Table IV unit.
-func (u Unit) valid() bool { return u >= 1 && u <= numUnits }
+// Valid reports whether u indexes a tracked unit.
+func (u Unit) Valid() bool { return u >= 1 && u <= numUnits }
 
-// AllUnits returns every tracked unit: Table IV order, followed by the
-// extended hardware-space units (TAGE predictor, stride prefetcher).
-func AllUnits() []Unit {
-	return []Unit{
-		SQADDR, SQPC, LQADDR, LQPC, ROBOCPNCY, ROBPC, LFBDATA, LFBADDR,
-		EUUALU, EUUADDRGEN, EUUDIV, EUUMUL, NLPADDR, CACHEADDR, TLBADDR,
-		MSHRADDR, TAGEPRED, SPFADDR,
+// ValueOf maps a memory address to the value a value-keyed unit samples
+// for it: the line base for the fill-buffer, prefetcher and MSHR units,
+// the page number for the TLB, and the address itself otherwise. It is
+// how provenance resolves an observed value back to the addresses, and
+// so the instructions, that produced it.
+func (u Unit) ValueOf(addr uint64) uint64 {
+	if u.Valid() && unitSpecs[u].value != nil {
+		return unitSpecs[u].value(addr)
 	}
+	return addr
+}
+
+// AllUnits returns every tracked unit in table order: Table IV order,
+// followed by the extended hardware-space units (TAGE predictor, stride
+// prefetcher).
+func AllUnits() []Unit {
+	out := make([]Unit, 0, numUnits)
+	for u := Unit(1); u <= numUnits; u++ {
+		out = append(out, u)
+	}
+	return out
 }
 
 // IterSample summarises one labeled iteration.
@@ -123,31 +185,6 @@ const (
 	provValue
 )
 
-// provKindOf returns the attribution mode of a unit.
-func provKindOf(u Unit) provKind {
-	switch u {
-	case ROBOCPNCY, LFBDATA:
-		return provNone
-	case SQADDR, LQADDR, SQPC, LQPC, ROBPC, EUUALU, EUUADDRGEN, EUUDIV, EUUMUL, TAGEPRED, SPFADDR:
-		return provDirect
-	}
-	return provValue
-}
-
-// provTimedRuns reports whether a unit's streams must also encode how
-// long each value occupies its slot. The execution units leak through
-// residency, not arrival: an early-out divider holds the same PC for an
-// operand-dependent number of cycles while producing exactly one
-// arrival event per divide, so without run lengths both key classes
-// hash to identical streams and the leak cannot be localized.
-func provTimedRuns(u Unit) bool {
-	switch u {
-	case EUUALU, EUUADDRGEN, EUUDIV, EUUMUL:
-		return true
-	}
-	return false
-}
-
 // provStream accumulates the event evidence for one key (a PC for
 // direct units, an observed value otherwise) of one unit. The event
 // values of the current iteration stream into a running siphash; kept
@@ -173,28 +210,27 @@ type provRec struct {
 type unitState struct {
 	rec        snapshot.Recorder // full (timed) snapshot of the iteration
 	evRec      snapshot.Recorder // timing-free event stream
-	row        []uint64          // per-unit row scratch, reused every cycle
-	pcRow      []uint64          // slot-aligned PC row scratch (SQADDR/LQADDR)
-	prev       u64set            // non-zero values of the previous cycle's row
-	samples    uint64            // state rows sampled (telemetry)
+	spec       *unitSpec
+	row        []uint64 // per-unit row scratch, reused every cycle
+	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
+	prev       u64set   // non-zero values of the previous cycle's row
+	samples    uint64   // state rows sampled (telemetry)
 	full       *snapshot.Store
 	noT        *snapshot.Store
 	iterHashes []uint64 // full-snapshot hash per kept iteration
 
-	kind        provKind
 	prov        map[uint64]*provStream // per-key event accumulators
 	provTouched []uint64               // keys touched this iteration
 	provLog     []provRec              // kept-iteration observations
 
-	timedRuns bool     // streams also encode per-slot occupancy runs
-	prevRow   []uint64 // previous cycle's row (timed units only)
-	runLen    []uint32 // consecutive cycles each slot held its value
+	prevRow []uint64 // previous cycle's row (timed units only)
+	runLen  []uint32 // consecutive cycles each slot held its value
 }
 
-// provEvent folds one event value into the stream of its key. Streams
-// are allocated on a key's first-ever sighting; afterwards the per-event
-// cost is one map lookup and one hash round.
-func (st *unitState) provEvent(key, v uint64) {
+// stream returns key's accumulator, allocating it on the key's
+// first-ever sighting and queueing it in provTouched on its first use
+// this iteration.
+func (st *unitState) stream(key uint64) *provStream {
 	ps := st.prov[key]
 	if ps == nil {
 		ps = &provStream{}
@@ -205,6 +241,13 @@ func (st *unitState) provEvent(key, v uint64) {
 		ps.touched = true
 		st.provTouched = append(st.provTouched, key)
 	}
+	return ps
+}
+
+// provEvent folds one event value into the stream of its key: after the
+// key's first sighting, one map lookup and one hash round.
+func (st *unitState) provEvent(key, v uint64) {
+	ps := st.stream(key)
 	ps.h.WriteUint64(v)
 	ps.iterEvents++
 }
@@ -213,17 +256,7 @@ func (st *unitState) provEvent(key, v uint64) {
 // high tag bit keeps run lengths from colliding with sampled values;
 // runs do not count as events (the arrival already did).
 func (st *unitState) provRun(key uint64, n uint32) {
-	ps := st.prov[key]
-	if ps == nil {
-		ps = &provStream{}
-		ps.h.Reset(siphash.DefaultKey)
-		st.prov[key] = ps
-	}
-	if !ps.touched {
-		ps.touched = true
-		st.provTouched = append(st.provTouched, key)
-	}
-	ps.h.WriteUint64(1<<63 | uint64(n))
+	st.stream(key).h.WriteUint64(1<<63 | uint64(n))
 }
 
 // updateRuns advances per-slot occupancy runs for a timed unit: a slot
@@ -357,7 +390,7 @@ func NewCollector(opts ...Option) *Collector {
 	// between collectors running in parallel, so it must stay read-only.
 	kept := make([]Unit, 0, len(c.units))
 	for _, u := range c.units {
-		if u.valid() {
+		if u.Valid() {
 			kept = append(kept, u)
 		}
 	}
@@ -369,12 +402,11 @@ func NewCollector(opts ...Option) *Collector {
 		st.row = make([]uint64, 0, 128)
 		st.full = snapshot.NewStore()
 		st.noT = snapshot.NewStore()
-		st.kind = provKindOf(u)
-		if st.kind != provNone {
+		st.spec = &unitSpecs[u]
+		if st.spec.kind != provNone {
 			st.prov = make(map[uint64]*provStream)
 		}
-		st.timedRuns = provTimedRuns(u)
-		if u == SQADDR || u == LQADDR || u == TAGEPRED || u == SPFADDR {
+		if st.spec.pcs != nil {
 			st.pcRow = make([]uint64, 0, 128)
 		}
 	}
@@ -443,35 +475,24 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 	}
 	for _, u := range c.units {
 		st := &c.states[u]
-		row := sampleInto(u, p, st.row[:0])
+		spec := st.spec
+		row := spec.row(p, st.row[:0])
 		st.row = row
-		// For the address-valued queue units, the TAGE prediction metadata
-		// and the stride prefetch trackers the probe exposes a slot-aligned
-		// PC row attributing each value to the instruction that produced
-		// it. For the PC-valued units the
-		// row is its own attribution; for the rest events are keyed by the
+		// Units with a slot-aligned PC row attribute each value to the
+		// instruction that produced it; for the PC-valued units the row is
+		// its own attribution; for the rest events are keyed by the
 		// observed value and resolved through Attribution() afterwards.
 		var pcRow []uint64
-		switch {
-		case u == SQADDR:
-			pcRow = p.AppendStorePCs(st.pcRow[:0])
+		if spec.pcs != nil {
+			pcRow = spec.pcs(p, st.pcRow[:0])
 			st.pcRow = pcRow
-		case u == LQADDR:
-			pcRow = p.AppendLoadPCs(st.pcRow[:0])
-			st.pcRow = pcRow
-		case u == TAGEPRED:
-			pcRow = p.AppendBPredPCs(st.pcRow[:0])
-			st.pcRow = pcRow
-		case u == SPFADDR:
-			pcRow = p.AppendSPFPCs(st.pcRow[:0])
-			st.pcRow = pcRow
-		case st.kind == provDirect:
+		} else if spec.kind == provDirect {
 			pcRow = row
 		}
 		for i, v := range row {
 			if v != 0 && !st.prev.contains(v) {
 				st.evRec.AddValue(v)
-				if st.kind != provNone {
+				if spec.kind != provNone {
 					key := v
 					if pcRow != nil {
 						key = pcRow[i]
@@ -482,7 +503,7 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 				}
 			}
 		}
-		if st.timedRuns {
+		if spec.timedRuns {
 			st.updateRuns(row)
 		}
 		st.rec.AddRow(row)
@@ -513,50 +534,6 @@ func attribute(m map[uint64]map[uint64]struct{}, addr, pc uint64) {
 		m[addr] = set
 	}
 	set[pc] = struct{}{}
-}
-
-// sampleInto appends the state row of one unit for the current cycle to
-// dst, using the probe's allocation-free append views.
-func sampleInto(u Unit, p *sim.Probe, dst []uint64) []uint64 {
-	switch u {
-	case SQADDR:
-		return p.AppendStoreAddrs(dst)
-	case SQPC:
-		return p.AppendStorePCs(dst)
-	case LQADDR:
-		return p.AppendLoadAddrs(dst)
-	case LQPC:
-		return p.AppendLoadPCs(dst)
-	case ROBOCPNCY:
-		return append(dst, uint64(p.ROBOccupancy()))
-	case ROBPC:
-		return p.AppendROBPCs(dst)
-	case LFBDATA:
-		return p.AppendLFBData(dst)
-	case LFBADDR:
-		return p.AppendLFBAddrs(dst)
-	case EUUALU:
-		return p.AppendALUBusy(dst)
-	case EUUADDRGEN:
-		return p.AppendAGUBusy(dst)
-	case EUUDIV:
-		return p.AppendDivBusy(dst)
-	case EUUMUL:
-		return p.AppendMulBusy(dst)
-	case NLPADDR:
-		return p.AppendPrefetchAddrs(dst)
-	case CACHEADDR:
-		return p.AppendCacheRequests(dst)
-	case TLBADDR:
-		return p.AppendTLBPages(dst)
-	case MSHRADDR:
-		return p.AppendMSHRAddrs(dst)
-	case TAGEPRED:
-		return p.AppendBPredMeta(dst)
-	case SPFADDR:
-		return p.AppendSPFAddrs(dst)
-	}
-	return dst
 }
 
 // Results returns the per-unit snapshot evidence in tracked order.
@@ -629,7 +606,7 @@ func (c *Collector) Provenance() []UnitProvenance {
 	out := make([]UnitProvenance, 0, len(c.units))
 	for _, u := range c.units {
 		st := &c.states[u]
-		if st.kind == provNone {
+		if st.spec.kind == provNone {
 			continue
 		}
 		byKey := make(map[uint64]*ProvStream, len(st.prov))
@@ -645,7 +622,7 @@ func (c *Collector) Provenance() []UnitProvenance {
 			s.Hashes = append(s.Hashes, rec.hash)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		up := UnitProvenance{Unit: u, Direct: st.kind == provDirect}
+		up := UnitProvenance{Unit: u, Direct: st.spec.kind == provDirect}
 		up.Streams = make([]ProvStream, 0, len(keys))
 		for _, k := range keys {
 			up.Streams = append(up.Streams, *byKey[k])

@@ -118,7 +118,8 @@ go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/msd
 echo "== bench smoke (hot-path collector) =="
 go test -run '^$' -bench 'OnCycle' -benchtime 100x -benchmem ./internal/trace
 
-echo "== detection-quality gate (mstest) =="
-go run ./cmd/mstest run -seeds 5 -quiet -out "${TMPDIR:-/tmp}/microsampler-quality.json"
+echo "== detection-quality gate (mstest, against the committed calibration baseline) =="
+go run ./cmd/mstest run -seeds 5 -quiet -out "${TMPDIR:-/tmp}/microsampler-quality.json" \
+    -baseline .github/baselines/quality.json
 
 echo "verify: OK"
