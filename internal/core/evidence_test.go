@@ -22,17 +22,6 @@ import (
 // drift in a unit's row, PC attribution, value keying or run encoding
 // fails here even when the verdicts happen to survive it.
 func TestUnitEvidenceGolden(t *testing.T) {
-	cellConfig := func(spec string) sim.Config {
-		g, err := core.ParseGridSpec(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := g.Cells()[0].Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cfg
-	}
 	cases := []struct {
 		workload, where string
 		cfg             sim.Config
@@ -42,9 +31,9 @@ func TestUnitEvidenceGolden(t *testing.T) {
 			"8b91dc594c9b40afc641a8c35f5973852f0747f45224e1d3bb790dd4adee12d1"},
 		{"CT-DIV", "MegaBoom", sim.MegaBoom(),
 			"ff5315d7f86f1bd5b84fde7fc704e5393bd50bc6c96987b0f31aecca347f09d2"},
-		{"TAGE-HIST", "predictor=tage", cellConfig("predictor=tage"),
+		{"TAGE-HIST", "predictor=tage", gridCellConfig(t, "predictor=tage"),
 			"faea26b52096c5dab1eac835683d24eff4f468c65a0e341848818addc57b75d4"},
-		{"SPF-STREAM", "prefetch=stride", cellConfig("prefetch=stride"),
+		{"SPF-STREAM", "prefetch=stride", gridCellConfig(t, "prefetch=stride"),
 			"584b10adbf6eaa5986de948df1e734142edb6a5243485a3c5139742aa567cd53"},
 	}
 	streams := map[trace.Unit]int{}
@@ -74,6 +63,76 @@ func TestUnitEvidenceGolden(t *testing.T) {
 			t.Errorf("%s: no provenance stream in any case", u)
 		}
 	}
+}
+
+// TestEventViewGolden pins the timing-free event view that
+// TestUnitEvidenceGolden leaves out: per unit, the NoTiming store's
+// entries in first-seen order with their hash and per-class counts. The
+// event view is derived from the per-cycle row diff, so a sampling
+// shortcut that drops or duplicates an event changes these digests even
+// when the timed snapshots and provenance streams survive it. The
+// digests were captured before the sampling hot path was optimised.
+func TestEventViewGolden(t *testing.T) {
+	cases := []struct {
+		workload, where string
+		cfg             sim.Config
+		digest          string
+	}{
+		{"ME-V1-MV", "MegaBoom", sim.MegaBoom(),
+			"f136ed7d7a52ae635a130071e2334cc02f7a8b8e7cff1cf4b700e738e18ac06b"},
+		{"CT-DIV", "MegaBoom", sim.MegaBoom(),
+			"ad54f214b00becbb5f65ba418c04ab0830818c219b5f3340fda76fada17c60cc"},
+		{"TAGE-HIST", "predictor=tage", gridCellConfig(t, "predictor=tage"),
+			"f40c8554fa92877bec8fda3f2320b4e4a6e03da6b5844cef93d5fd4b765beb14"},
+		{"SPF-STREAM", "prefetch=stride", gridCellConfig(t, "prefetch=stride"),
+			"9408585a19994907b45ceb91e72040b8e2506c434ab959e4ac4ce6994cc338c2"},
+	}
+	for _, tc := range cases {
+		w, err := workloads.ByName(tc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.Verify(w, core.Options{Runs: 2, Config: tc.cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.workload, err)
+		}
+		h := sha256.New()
+		for _, ur := range rep.Units {
+			writeStr(h, ur.Unit.String())
+			entries := ur.StoreNoTiming.Entries()
+			writeU64(h, uint64(len(entries)))
+			for _, e := range entries {
+				writeU64(h, e.Hash)
+				classes := make([]uint64, 0, len(e.CountByClass))
+				for c := range e.CountByClass {
+					classes = append(classes, c)
+				}
+				sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+				for _, c := range classes {
+					writeU64(h, c)
+					writeU64(h, uint64(e.CountByClass[c]))
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			t.Errorf("%s on %s: event-view digest %s, want %s", tc.workload, tc.where, got, tc.digest)
+		}
+	}
+}
+
+// gridCellConfig returns the simulator configuration of a one-cell grid
+// spec such as "predictor=tage".
+func gridCellConfig(t *testing.T, spec string) sim.Config {
+	t.Helper()
+	g, err := core.ParseGridSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := g.Cells()[0].Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // evidenceDigest hashes a report's per-unit evidence in a fixed order.

@@ -2,6 +2,32 @@ package isa
 
 import "fmt"
 
+// Decode tables: the encoding maps inverted once, indexed by funct3, or
+// by (funct3, funct7) for the register-register formats. OpInvalid marks
+// an unsupported encoding.
+var (
+	branchOps  = byFunct3(branchEnc)
+	loadOps    = byFunct3(loadEnc)
+	storeOps   = byFunct3(storeEnc)
+	iArithOps  = byFunct3(iArithEnc)
+	rTypeOps   = byFunct(rTypeEnc)
+	r32TypeOps = byFunct(r32TypeEnc)
+)
+
+func byFunct3(enc map[Op]uint32) (t [8]Op) {
+	for op, f3 := range enc {
+		t[f3] = op
+	}
+	return t
+}
+
+func byFunct(enc map[Op]rEnc) (t [8][128]Op) {
+	for op, e := range enc {
+		t[e.funct3][e.funct7] = op
+	}
+	return t
+}
+
 func signExtend(v uint32, bits uint) int64 {
 	shift := 64 - bits
 	return int64(uint64(v)<<shift) >> shift
@@ -36,25 +62,19 @@ func Decode(word uint32) (Inst, error) {
 	case opcBRANCH:
 		u := word
 		imm := (u>>31&1)<<12 | (u>>25&0x3F)<<5 | (u>>8&0xF)<<1 | (u>>7&1)<<11
-		for op, enc := range branchEnc {
-			if enc == f3 {
-				return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: signExtend(imm, 13)}, nil
-			}
+		if op := branchOps[f3]; op != OpInvalid {
+			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: signExtend(imm, 13)}, nil
 		}
 
 	case opcLOAD:
-		for op, enc := range loadEnc {
-			if enc == f3 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
-			}
+		if op := loadOps[f3]; op != OpInvalid {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
 		}
 
 	case opcSTORE:
 		imm := (word>>25&0x7F)<<5 | word>>7&0x1F
-		for op, enc := range storeEnc {
-			if enc == f3 {
-				return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: signExtend(imm, 12)}, nil
-			}
+		if op := storeOps[f3]; op != OpInvalid {
+			return Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: signExtend(imm, 12)}, nil
 		}
 
 	case opcOPIMM:
@@ -68,10 +88,8 @@ func Decode(word uint32) (Inst, error) {
 			}
 			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int64(word >> 20 & 0x3F)}, nil
 		}
-		for op, enc := range iArithEnc {
-			if enc == f3 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
-			}
+		if op := iArithOps[f3]; op != OpInvalid {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Imm: immI}, nil
 		}
 
 	case opcOPIMM32:
@@ -89,17 +107,13 @@ func Decode(word uint32) (Inst, error) {
 		}
 
 	case opcOP:
-		for op, enc := range rTypeEnc {
-			if enc.funct3 == f3 && enc.funct7 == f7 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
-			}
+		if op := rTypeOps[f3][f7]; op != OpInvalid {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
 		}
 
 	case opcOP32:
-		for op, enc := range r32TypeEnc {
-			if enc.funct3 == f3 && enc.funct7 == f7 {
-				return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
-			}
+		if op := r32TypeOps[f3][f7]; op != OpInvalid {
+			return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}, nil
 		}
 
 	case opcSYSTEM:

@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzSipHashChunks asserts that the digest is independent of how the
-// input is sliced across Write calls, and that the WriteUint64 fast
-// path agrees with the byte path — the property the snapshot layer's
-// incremental hashing depends on.
+// input is sliced across Write calls, that the WriteUint64 fast path
+// agrees with the byte path, and that the WriteRow kernel agrees with
+// the word path — the properties the snapshot layer's incremental
+// hashing depends on.
 func FuzzSipHashChunks(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte("hello, siphash"), uint8(3))
@@ -52,6 +53,38 @@ func FuzzSipHashChunks(f *testing.F) {
 		if gw, gb := hw.Sum64(), hb.Sum64(); gw != gb {
 			t.Errorf("WriteUint64 path %#x != Write path %#x (lead %d, %d words)",
 				gw, gb, lead, len(words)/8)
+		}
+
+		// WriteRow must equal the tagged length word followed by one
+		// WriteUint64 per value, both on an empty hasher and on one
+		// holding buffered bytes (lead != 0 takes the word fallback).
+		row := make([]uint64, len(words)/8)
+		for i := range row {
+			row[i] = binary.LittleEndian.Uint64(words[8*i:])
+		}
+		for _, pre := range [][]byte{nil, data[:lead]} {
+			hr := New(DefaultKey)
+			hu := New(DefaultKey)
+			hr.Write(pre) //nolint:errcheck // cannot fail
+			hu.Write(pre) //nolint:errcheck // cannot fail
+			hr.WriteRow(row)
+			hu.WriteUint64(uint64(len(row)) | 1<<63)
+			for _, v := range row {
+				hu.WriteUint64(v)
+			}
+			if gr, gu := hr.Sum64(), hu.Sum64(); gr != gu {
+				t.Errorf("WriteRow %#x != word path %#x (lead %d, %d values)",
+					gr, gu, len(pre), len(row))
+			}
+			// Rows must also chain: a second row continues the state.
+			hr.WriteRow(row[:len(row)/2])
+			hu.WriteUint64(uint64(len(row)/2) | 1<<63)
+			for _, v := range row[:len(row)/2] {
+				hu.WriteUint64(v)
+			}
+			if gr, gu := hr.Sum64(), hu.Sum64(); gr != gu {
+				t.Errorf("second WriteRow %#x != word path %#x (lead %d)", gr, gu, len(pre))
+			}
 		}
 	})
 }

@@ -52,28 +52,37 @@ func (h *Hasher) Reset(k Key) {
 	h.length = 0
 }
 
-func (h *Hasher) round() {
-	h.v0 += h.v1
-	h.v1 = bits.RotateLeft64(h.v1, 13)
-	h.v1 ^= h.v0
-	h.v0 = bits.RotateLeft64(h.v0, 32)
-	h.v2 += h.v3
-	h.v3 = bits.RotateLeft64(h.v3, 16)
-	h.v3 ^= h.v2
-	h.v0 += h.v3
-	h.v3 = bits.RotateLeft64(h.v3, 21)
-	h.v3 ^= h.v0
-	h.v2 += h.v1
-	h.v1 = bits.RotateLeft64(h.v1, 17)
-	h.v1 ^= h.v2
-	h.v2 = bits.RotateLeft64(h.v2, 32)
+// sipRound is one SipRound over the four state words. It takes and
+// returns values rather than a *Hasher so that it inlines and the state
+// stays in registers across a whole row.
+func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
+	v0 += v1
+	v1 = bits.RotateLeft64(v1, 13)
+	v1 ^= v0
+	v0 = bits.RotateLeft64(v0, 32)
+	v2 += v3
+	v3 = bits.RotateLeft64(v3, 16)
+	v3 ^= v2
+	v0 += v3
+	v3 = bits.RotateLeft64(v3, 21)
+	v3 ^= v0
+	v2 += v1
+	v1 = bits.RotateLeft64(v1, 17)
+	v1 ^= v2
+	v2 = bits.RotateLeft64(v2, 32)
+	return v0, v1, v2, v3
+}
+
+// sipBlock absorbs one 64-bit message word: SipHash-2-4's two
+// compression rounds.
+func sipBlock(v0, v1, v2, v3, m uint64) (uint64, uint64, uint64, uint64) {
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3^m)
+	v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	return v0 ^ m, v1, v2, v3
 }
 
 func (h *Hasher) block(m uint64) {
-	h.v3 ^= m
-	h.round()
-	h.round()
-	h.v0 ^= m
+	h.v0, h.v1, h.v2, h.v3 = sipBlock(h.v0, h.v1, h.v2, h.v3, m)
 }
 
 // Write absorbs data into the hash state. It never fails.
@@ -117,6 +126,27 @@ func (h *Hasher) WriteUint64(v uint64) {
 	h.Write(b[:]) //nolint:errcheck // cannot fail
 }
 
+// WriteRow absorbs one snapshot row: its length tagged with the high
+// bit, then each value. It is equivalent to WriteUint64(uint64(len(row))
+// | 1<<63) followed by one WriteUint64 per value, but keeps the state in
+// local variables across the row instead of reading and writing it
+// through the Hasher on every word.
+func (h *Hasher) WriteRow(row []uint64) {
+	if h.bufLen != 0 {
+		h.WriteUint64(uint64(len(row)) | 1<<63)
+		for _, v := range row {
+			h.WriteUint64(v)
+		}
+		return
+	}
+	v0, v1, v2, v3 := sipBlock(h.v0, h.v1, h.v2, h.v3, uint64(len(row))|1<<63)
+	for _, m := range row {
+		v0, v1, v2, v3 = sipBlock(v0, v1, v2, v3, m)
+	}
+	h.v0, h.v1, h.v2, h.v3 = v0, v1, v2, v3
+	h.length += 8 * uint64(len(row)+1)
+}
+
 // Sum64 returns the digest of the data absorbed so far. Finalisation
 // runs on a copy of the state, so Sum64 is idempotent and the Hasher
 // remains usable for further writes.
@@ -128,12 +158,11 @@ func (h *Hasher) Sum64() uint64 {
 	}
 	last |= (f.length & 0xFF) << 56
 	f.block(last)
-	f.v2 ^= 0xFF
-	f.round()
-	f.round()
-	f.round()
-	f.round()
-	return f.v0 ^ f.v1 ^ f.v2 ^ f.v3
+	v0, v1, v2, v3 := f.v0, f.v1, f.v2^0xFF, f.v3
+	for i := 0; i < 4; i++ {
+		v0, v1, v2, v3 = sipRound(v0, v1, v2, v3)
+	}
+	return v0 ^ v1 ^ v2 ^ v3
 }
 
 func le64(b []byte) uint64 {

@@ -11,7 +11,9 @@ import (
 
 // HashMatrix hashes a snapshot matrix. Row boundaries are included so
 // that matrices with the same flattened contents but different shapes
-// hash differently.
+// hash differently. It absorbs one word at a time rather than through
+// the Recorder's row kernel, so it stays an independent reference for
+// the recorder's digests.
 func HashMatrix(rows [][]uint64) uint64 {
 	h := siphash.New(siphash.DefaultKey)
 	for _, row := range rows {
@@ -93,11 +95,14 @@ func (r *Recorder) Reset() {
 }
 
 // AddRow appends one cycle's state row. The row is copied into the
-// arena; the caller may reuse its slice.
-func (r *Recorder) AddRow(row []uint64) {
+// arena; the caller may reuse its slice. It reports whether the row
+// differs from the previous one (always true for the first row after a
+// Reset), so a caller deriving events from consecutive rows can skip an
+// unchanged row without keeping a copy of its own.
+func (r *Recorder) AddRow(row []uint64) (changed bool) {
 	start := len(r.vals)
 	r.vals = append(r.vals, row...)
-	r.commitRow(start)
+	return r.commitRow(start)
 }
 
 // AddValue appends a single-value row. It is equivalent to
@@ -112,23 +117,21 @@ func (r *Recorder) AddValue(v uint64) {
 
 // commitRow seals vals[start:] as one row: records its end offset and
 // streams it into the full hash, and into the timing-free hash when it
-// differs from the previous distinct row.
-func (r *Recorder) commitRow(start int) {
+// differs from the previous distinct row, which it reports. The last
+// distinct row always has the contents of the previous row, since every
+// row after it was equal to it.
+func (r *Recorder) commitRow(start int) bool {
 	end := len(r.vals)
 	r.ends = append(r.ends, end)
 	row := r.vals[start:end]
-	r.full.WriteUint64(uint64(len(row)) | 1<<63)
-	for _, v := range row {
-		r.full.WriteUint64(v)
+	r.full.WriteRow(row)
+	if r.hasLast && rowsEqual(row, r.vals[r.lastStart:r.lastEnd]) {
+		return false
 	}
-	if !r.hasLast || !rowsEqual(row, r.vals[r.lastStart:r.lastEnd]) {
-		r.noTiming.WriteUint64(uint64(len(row)) | 1<<63)
-		for _, v := range row {
-			r.noTiming.WriteUint64(v)
-		}
-		r.lastStart, r.lastEnd = start, end
-		r.hasLast = true
-	}
+	r.noTiming.WriteRow(row)
+	r.lastStart, r.lastEnd = start, end
+	r.hasLast = true
+	return true
 }
 
 // Cycles returns the number of rows recorded so far.

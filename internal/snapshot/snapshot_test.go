@@ -310,3 +310,31 @@ func TestObserveFrom(t *testing.T) {
 		t.Errorf("representative aliases recorder arena: %v", e.Rep)
 	}
 }
+
+func TestRecorderAddRowReportsChange(t *testing.T) {
+	r := NewRecorder()
+	steps := []struct {
+		row  []uint64
+		want bool
+	}{
+		{[]uint64{1, 2}, true}, // first row of an iteration
+		{[]uint64{1, 2}, false},
+		{[]uint64{1, 2}, false},
+		{[]uint64{1, 3}, true},
+		{[]uint64{1, 2}, true}, // equals an older row, not the previous one
+		{[]uint64{1, 2, 0}, true},
+		{nil, true},
+		{[]uint64{}, false},
+	}
+	for i, s := range steps {
+		if got := r.AddRow(s.row); got != s.want {
+			t.Errorf("step %d AddRow(%v) = %v want %v", i, s.row, got, s.want)
+		}
+	}
+	// Reset starts a new iteration: a row equal to the last one before
+	// the reset is still the iteration's first, so it is a change.
+	r.Reset()
+	if !r.AddRow(nil) {
+		t.Error("first row after Reset reported unchanged")
+	}
+}

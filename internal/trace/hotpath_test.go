@@ -38,8 +38,12 @@ func TestU64Set(t *testing.T) {
 	}
 	// Insert enough values to force several growths.
 	for v := uint64(1); v <= 1000; v++ {
-		s.insert(v)
-		s.insert(v) // duplicate must be a no-op
+		if _, added := s.insert(v, 0, int32(v)); !added {
+			t.Fatalf("insert(%d) reported present", v)
+		}
+		if got, added := s.insert(v, 0, -1); added || got != int32(v) {
+			t.Fatalf("duplicate insert(%d) = %d, %v want %d, false", v, got, added, v)
+		}
 	}
 	if s.n != 1000 {
 		t.Errorf("n = %d want 1000", s.n)
@@ -52,6 +56,17 @@ func TestU64Set(t *testing.T) {
 	if s.contains(1001) {
 		t.Error("contains(1001) on values 1..1000")
 	}
+	// Values survive the growths.
+	sum := 0
+	s.each(func(a, b uint64, v int32) {
+		if b != 0 || uint64(v) != a {
+			t.Fatalf("entry (%d, %d) = %d", a, b, v)
+		}
+		sum++
+	})
+	if sum != 1000 {
+		t.Errorf("each visited %d entries want 1000", sum)
+	}
 	s.clear()
 	if s.n != 0 {
 		t.Errorf("n = %d after clear", s.n)
@@ -61,22 +76,42 @@ func TestU64Set(t *testing.T) {
 			t.Fatalf("contains(%d) after clear", v)
 		}
 	}
+	s.each(func(a, b uint64, _ int32) { t.Fatalf("each visited (%d, %d) after clear", a, b) })
 	// Reuse after clear.
-	s.insert(7)
+	s.insert(7, 0, 0)
 	if !s.contains(7) || s.contains(8) {
 		t.Error("set broken after clear+insert")
 	}
 }
 
+func TestU64SetPairs(t *testing.T) {
+	var s u64set
+	s.insert(1, 2, 0)
+	for _, k := range [][2]uint64{{2, 1}, {1, 0}, {1, 3}, {0, 2}} {
+		if _, added := s.insert(k[0], k[1], 0); !added {
+			t.Errorf("(%d, %d) collides with (1, 2)", k[0], k[1])
+		}
+	}
+	if _, added := s.insert(1, 2, 0); added {
+		t.Error("(1, 2) inserted twice")
+	}
+	if !s.contains(1) || s.contains(2) {
+		t.Error("contains(v) must see exactly the (v, 0) keys")
+	}
+	if s.n != 5 {
+		t.Errorf("n = %d want 5", s.n)
+	}
+}
+
 func TestU64SetGenerationWrap(t *testing.T) {
 	var s u64set
-	s.insert(5)
+	s.insert(5, 0, 0)
 	s.cur = ^uint32(0) // force the next clear to wrap the generation
 	s.clear()
 	if s.contains(5) {
 		t.Error("stale entry visible after generation wrap")
 	}
-	s.insert(9)
+	s.insert(9, 0, 0)
 	if !s.contains(9) {
 		t.Error("insert after generation wrap lost")
 	}

@@ -1,19 +1,27 @@
 package trace
 
-// u64set is a small open-addressing hash set of non-zero uint64 values
-// with O(1) generation-based clearing. It backs the event-row
-// derivation: membership of the previous cycle's state row used to be a
-// linear scan per value, making the event diff O(|row|·|prev|); the set
-// makes it O(|row|) with no per-cycle allocation (the table is reused
-// across cycles and cleared by bumping a generation stamp).
+// u64set is a small open-addressing hash table keyed by a pair of
+// uint64 words, carrying an int32 value per key, with O(1)
+// generation-based clearing. One type serves the collector's three
+// per-cycle lookups, none of which allocates once the table has grown
+// to its working size:
 //
-// Zero values are never stored: event detection only queries non-zero
-// values, so the caller filters zeros on both insert and lookup.
+//   - the event set: the non-zero values of the previous cycle's row,
+//     keyed (v, 0), cleared every cycle the row changes;
+//   - a unit's provenance index: key (v, 0) → index into its dense
+//     stream slice;
+//   - the attribution pair set: each (address, PC) of a store or load
+//     seen in the region of interest.
 type u64set struct {
-	keys []uint64 // power-of-two sized slot array
-	gen  []uint32 // slot is live iff gen[i] == cur
-	cur  uint32   // current generation
-	n    int      // live entries
+	slots []setSlot // power-of-two sized
+	cur   uint32    // current generation: a slot is live iff gen == cur
+	n     int       // live entries
+}
+
+type setSlot struct {
+	a, b uint64
+	val  int32
+	gen  uint32
 }
 
 // mix is a splitmix64-style finaliser spreading entropy across all bits
@@ -28,13 +36,19 @@ func mix(v uint64) uint64 {
 	return v
 }
 
+// home is the first probe slot of key (a, b). A second word of 0 hashes
+// like the first word alone.
+func (s *u64set) home(a, b uint64) uint64 {
+	return mix(a^b*0x9e3779b97f4a7c15) & uint64(len(s.slots)-1)
+}
+
 // clear empties the set in O(1) by advancing the generation.
 func (s *u64set) clear() {
 	s.n = 0
 	s.cur++
 	if s.cur == 0 { // generation wrapped: stamps are ambiguous, scrub them
-		for i := range s.gen {
-			s.gen[i] = 0
+		for i := range s.slots {
+			s.slots[i].gen = 0
 		}
 		s.cur = 1
 	}
@@ -42,58 +56,67 @@ func (s *u64set) clear() {
 
 // grow doubles the table (or creates it) and rehashes live entries.
 func (s *u64set) grow() {
-	oldKeys, oldGen, oldCur := s.keys, s.gen, s.cur
+	old, oldCur := s.slots, s.cur
 	size := 64
-	if len(oldKeys) > 0 {
-		size = len(oldKeys) * 2
+	if len(old) > 0 {
+		size = len(old) * 2
 	}
-	s.keys = make([]uint64, size)
-	s.gen = make([]uint32, size)
+	s.slots = make([]setSlot, size)
 	s.cur = 1
 	s.n = 0
-	for i, g := range oldGen {
-		if g == oldCur {
-			s.insert(oldKeys[i])
+	for _, e := range old {
+		if e.gen == oldCur {
+			s.insert(e.a, e.b, e.val)
 		}
 	}
 }
 
-// insert adds a non-zero value; duplicates are a no-op.
-func (s *u64set) insert(v uint64) {
+// insert adds key (a, b) with value v unless the key is already present.
+// It returns the key's value and whether this call added it.
+func (s *u64set) insert(a, b uint64, v int32) (int32, bool) {
 	// Keep load factor under 1/2 so probe chains stay short.
-	if len(s.keys) == 0 || 2*(s.n+1) > len(s.keys) {
+	if len(s.slots) == 0 || 2*(s.n+1) > len(s.slots) {
 		s.grow()
 	}
-	mask := uint64(len(s.keys) - 1)
-	i := mix(v) & mask
-	for {
-		if s.gen[i] != s.cur {
-			s.keys[i] = v
-			s.gen[i] = s.cur
+	mask := uint64(len(s.slots) - 1)
+	for i := s.home(a, b); ; i = (i + 1) & mask {
+		e := &s.slots[i]
+		if e.gen != s.cur {
+			*e = setSlot{a: a, b: b, val: v, gen: s.cur}
 			s.n++
-			return
+			return v, true
 		}
-		if s.keys[i] == v {
-			return
+		if e.a == a && e.b == b {
+			return e.val, false
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// contains reports whether a non-zero value is in the set.
+// contains reports whether key (v, 0) is present.
 func (s *u64set) contains(v uint64) bool {
 	if s.n == 0 {
 		return false
 	}
-	mask := uint64(len(s.keys) - 1)
-	i := mix(v) & mask
-	for {
-		if s.gen[i] != s.cur {
+	mask := uint64(len(s.slots) - 1)
+	for i := s.home(v, 0); ; i = (i + 1) & mask {
+		e := &s.slots[i]
+		if e.gen != s.cur {
 			return false
 		}
-		if s.keys[i] == v {
+		if e.a == v && e.b == 0 {
 			return true
 		}
-		i = (i + 1) & mask
+	}
+}
+
+// each calls fn for every live entry, in slot order.
+func (s *u64set) each(fn func(a, b uint64, v int32)) {
+	if s.n == 0 {
+		return
+	}
+	for _, e := range s.slots {
+		if e.gen == s.cur {
+			fn(e.a, e.b, e.val)
+		}
 	}
 }

@@ -9,9 +9,10 @@
 //
 // The per-cycle path is allocation-free in steady state: unit state is
 // indexed by dense arrays rather than maps, every unit owns preallocated
-// row scratch, event detection uses a generation-cleared hash set over
-// the previous cycle's row, and event values stream into the snapshot
-// recorders value by value.
+// row scratch, a row equal to the previous cycle's skips event
+// detection, event detection otherwise uses a generation-cleared hash
+// set over the previous cycle's row, and event values stream into the
+// snapshot recorders value by value.
 package trace
 
 import (
@@ -191,6 +192,7 @@ const (
 // iterations flush the digest into the unit's provenance log.
 type provStream struct {
 	h          siphash.Hasher
+	key        uint64
 	iterEvents uint64 // events seen this iteration
 	events     uint64 // events across kept iterations
 	touched    bool   // appeared this iteration (queued in provTouched)
@@ -200,9 +202,9 @@ type provStream struct {
 // a unit share a single append-only log so the per-iteration flush has
 // the same amortised allocation profile as iterHashes.
 type provRec struct {
-	key  uint64
-	hash uint64
-	iter int32 // index into Collector.iters
+	stream int32 // index into unitState.prov
+	iter   int32 // index into Collector.iters
+	hash   uint64
 }
 
 // unitState is the per-unit sampling state, held in a dense array
@@ -213,39 +215,41 @@ type unitState struct {
 	spec       *unitSpec
 	row        []uint64 // per-unit row scratch, reused every cycle
 	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
-	prev       u64set   // non-zero values of the previous cycle's row
+	prev       u64set   // non-zero values of the previous cycle's row, keyed (v, 0)
 	samples    uint64   // state rows sampled (telemetry)
 	full       *snapshot.Store
 	noT        *snapshot.Store
 	iterHashes []uint64 // full-snapshot hash per kept iteration
 
-	prov        map[uint64]*provStream // per-key event accumulators
-	provTouched []uint64               // keys touched this iteration
-	provLog     []provRec              // kept-iteration observations
+	prov        []provStream // per-key event accumulators, first-seen order
+	provIndex   u64set       // key (k, 0) → index into prov
+	provTouched []int32      // indices into prov touched this iteration
+	provLog     []provRec    // kept-iteration observations
 
 	prevRow []uint64 // previous cycle's row (timed units only)
 	runLen  []uint32 // consecutive cycles each slot held its value
 }
 
-// stream returns key's accumulator, allocating it on the key's
-// first-ever sighting and queueing it in provTouched on its first use
-// this iteration.
+// stream returns key's accumulator, appending it to prov on the key's
+// first-ever sighting and queueing its index in provTouched on its
+// first use this iteration. The returned pointer is valid until the
+// next new key grows prov.
 func (st *unitState) stream(key uint64) *provStream {
-	ps := st.prov[key]
-	if ps == nil {
-		ps = &provStream{}
-		ps.h.Reset(siphash.DefaultKey)
-		st.prov[key] = ps
+	i, added := st.provIndex.insert(key, 0, int32(len(st.prov)))
+	if added {
+		st.prov = append(st.prov, provStream{key: key})
+		st.prov[i].h.Reset(siphash.DefaultKey)
 	}
+	ps := &st.prov[i]
 	if !ps.touched {
 		ps.touched = true
-		st.provTouched = append(st.provTouched, key)
+		st.provTouched = append(st.provTouched, i)
 	}
 	return ps
 }
 
 // provEvent folds one event value into the stream of its key: after the
-// key's first sighting, one map lookup and one hash round.
+// key's first sighting, one table probe and one hash block.
 func (st *unitState) provEvent(key, v uint64) {
 	ps := st.stream(key)
 	ps.h.WriteUint64(v)
@@ -309,8 +313,8 @@ func (st *unitState) foldRuns() {
 
 // resetProv discards the current iteration's stream state.
 func (st *unitState) resetProv() {
-	for _, key := range st.provTouched {
-		ps := st.prov[key]
+	for _, i := range st.provTouched {
+		ps := &st.prov[i]
 		ps.touched = false
 		ps.iterEvents = 0
 		ps.h.Reset(siphash.DefaultKey)
@@ -324,9 +328,9 @@ func (st *unitState) resetProv() {
 // flushProv commits the current iteration's streams to the provenance
 // log under kept-iteration index iter, then resets them.
 func (st *unitState) flushProv(iter int32) {
-	for _, key := range st.provTouched {
-		ps := st.prov[key]
-		st.provLog = append(st.provLog, provRec{key: key, hash: ps.h.Sum64(), iter: iter})
+	for _, i := range st.provTouched {
+		ps := &st.prov[i]
+		st.provLog = append(st.provLog, provRec{stream: i, iter: iter, hash: ps.h.Sum64()})
 		ps.events += ps.iterEvents
 		ps.touched = false
 		ps.iterEvents = 0
@@ -351,11 +355,11 @@ type Collector struct {
 	iters []IterSample
 
 	// Memory-access attribution inside the region of interest: which
-	// store/load PCs produced each address. This is the paper's
-	// root-cause step of resolving leaked addresses back to the
-	// instructions (and thus functions) that issued them.
-	writers map[uint64]map[uint64]struct{}
-	readers map[uint64]map[uint64]struct{}
+	// store/load PCs produced each address, as sets of (address, PC)
+	// pairs. This is the paper's root-cause step of resolving leaked
+	// addresses back to the instructions (and thus functions) that
+	// issued them.
+	writers, readers u64set
 }
 
 var _ sim.Tracer = (*Collector)(nil)
@@ -378,11 +382,7 @@ func WithWarmupIterations(n int) Option {
 
 // NewCollector returns a Collector tracking all Table IV units.
 func NewCollector(opts ...Option) *Collector {
-	c := &Collector{
-		units:   AllUnits(),
-		writers: make(map[uint64]map[uint64]struct{}),
-		readers: make(map[uint64]map[uint64]struct{}),
-	}
+	c := &Collector{units: AllUnits()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -403,9 +403,6 @@ func NewCollector(opts ...Option) *Collector {
 		st.full = snapshot.NewStore()
 		st.noT = snapshot.NewStore()
 		st.spec = &unitSpecs[u]
-		if st.spec.kind != provNone {
-			st.prov = make(map[uint64]*provStream)
-		}
 		if st.spec.pcs != nil {
 			st.pcRow = make([]uint64, 0, 128)
 		}
@@ -475,65 +472,68 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 	}
 	for _, u := range c.units {
 		st := &c.states[u]
-		spec := st.spec
-		row := spec.row(p, st.row[:0])
+		row := st.spec.row(p, st.row[:0])
 		st.row = row
-		// Units with a slot-aligned PC row attribute each value to the
-		// instruction that produced it; for the PC-valued units the row is
-		// its own attribution; for the rest events are keyed by the
-		// observed value and resolved through Attribution() afterwards.
-		var pcRow []uint64
-		if spec.pcs != nil {
-			pcRow = spec.pcs(p, st.pcRow[:0])
-			st.pcRow = pcRow
-		} else if spec.kind == provDirect {
-			pcRow = row
+		// A row equal to the previous cycle's has no new values, and
+		// its previous-row set would be rebuilt with the same contents.
+		// The recorder already compares consecutive rows, and its Reset
+		// at IterBegin makes each iteration's first row a change.
+		if st.rec.AddRow(row) {
+			st.events(p, row)
 		}
-		for i, v := range row {
-			if v != 0 && !st.prev.contains(v) {
-				st.evRec.AddValue(v)
-				if spec.kind != provNone {
-					key := v
-					if pcRow != nil {
-						key = pcRow[i]
-					}
-					if key != 0 {
-						st.provEvent(key, v)
-					}
-				}
-			}
-		}
-		if spec.timedRuns {
+		if st.spec.timedRuns {
 			st.updateRuns(row)
 		}
-		st.rec.AddRow(row)
 		st.samples++
-		st.prev.clear()
-		for _, v := range row {
-			if v != 0 {
-				st.prev.insert(v)
-			}
-		}
 	}
 	for _, e := range p.StoreQueue() {
 		if e.Valid {
-			attribute(c.writers, e.Addr, e.PC)
+			c.writers.insert(e.Addr, e.PC, 0)
 		}
 	}
 	for _, e := range p.LoadQueue() {
 		if e.Valid {
-			attribute(c.readers, e.Addr, e.PC)
+			c.readers.insert(e.Addr, e.PC, 0)
 		}
 	}
 }
 
-func attribute(m map[uint64]map[uint64]struct{}, addr, pc uint64) {
-	set := m[addr]
-	if set == nil {
-		set = make(map[uint64]struct{}, 1)
-		m[addr] = set
+// events streams the row's values that were absent from the previous
+// cycle's row into the event recorder and their keys' provenance
+// streams, then makes the row the previous row.
+func (st *unitState) events(p *sim.Probe, row []uint64) {
+	spec := st.spec
+	// Units with a slot-aligned PC row attribute each value to the
+	// instruction that produced it; for the PC-valued units the row is
+	// its own attribution; for the rest events are keyed by the
+	// observed value and resolved through Attribution() afterwards.
+	var pcRow []uint64
+	if spec.pcs != nil {
+		pcRow = spec.pcs(p, st.pcRow[:0])
+		st.pcRow = pcRow
+	} else if spec.kind == provDirect {
+		pcRow = row
 	}
-	set[pc] = struct{}{}
+	for i, v := range row {
+		if v != 0 && !st.prev.contains(v) {
+			st.evRec.AddValue(v)
+			if spec.kind != provNone {
+				key := v
+				if pcRow != nil {
+					key = pcRow[i]
+				}
+				if key != 0 {
+					st.provEvent(key, v)
+				}
+			}
+		}
+	}
+	st.prev.clear()
+	for _, v := range row {
+		if v != 0 {
+			st.prev.insert(v, 0, 0)
+		}
+	}
 }
 
 // Results returns the per-unit snapshot evidence in tracked order.
@@ -609,24 +609,26 @@ func (c *Collector) Provenance() []UnitProvenance {
 		if st.spec.kind == provNone {
 			continue
 		}
-		byKey := make(map[uint64]*ProvStream, len(st.prov))
-		keys := make([]uint64, 0, len(st.prov))
+		// Group the log by stream; at[i] is stream i's position in
+		// streams, or -1 while it has no kept iteration (keys seen only
+		// in discarded iterations are left out).
+		at := make([]int, len(st.prov))
+		for i := range at {
+			at[i] = -1
+		}
+		streams := make([]ProvStream, 0, len(st.prov))
 		for _, rec := range st.provLog {
-			s := byKey[rec.key]
-			if s == nil {
-				s = &ProvStream{Key: rec.key, Events: st.prov[rec.key].events}
-				byKey[rec.key] = s
-				keys = append(keys, rec.key)
+			if at[rec.stream] < 0 {
+				at[rec.stream] = len(streams)
+				ps := &st.prov[rec.stream]
+				streams = append(streams, ProvStream{Key: ps.key, Events: ps.events})
 			}
+			s := &streams[at[rec.stream]]
 			s.Iters = append(s.Iters, rec.iter)
 			s.Hashes = append(s.Hashes, rec.hash)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		up := UnitProvenance{Unit: u, Direct: st.spec.kind == provDirect}
-		up.Streams = make([]ProvStream, 0, len(keys))
-		for _, k := range keys {
-			up.Streams = append(up.Streams, *byKey[k])
-		}
+		sort.Slice(streams, func(i, j int) bool { return streams[i].Key < streams[j].Key })
+		up := UnitProvenance{Unit: u, Direct: st.spec.kind == provDirect, Streams: streams}
 		out = append(out, up)
 	}
 	return out
@@ -636,18 +638,14 @@ func (c *Collector) Provenance() []UnitProvenance {
 // region of interest: per address, the sorted PCs of the stores
 // (writers) and loads (readers) that produced it.
 func (c *Collector) Attribution() (writers, readers map[uint64][]uint64) {
-	return flattenAttribution(c.writers), flattenAttribution(c.readers)
+	return flattenAttribution(&c.writers), flattenAttribution(&c.readers)
 }
 
-func flattenAttribution(m map[uint64]map[uint64]struct{}) map[uint64][]uint64 {
-	out := make(map[uint64][]uint64, len(m))
-	for addr, pcs := range m {
-		list := make([]uint64, 0, len(pcs))
-		for pc := range pcs {
-			list = append(list, pc)
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		out[addr] = list
+func flattenAttribution(pairs *u64set) map[uint64][]uint64 {
+	out := make(map[uint64][]uint64)
+	pairs.each(func(addr, pc uint64, _ int32) { out[addr] = append(out[addr], pc) })
+	for _, pcs := range out {
+		sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	}
 	return out
 }

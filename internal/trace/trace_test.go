@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"microsampler/internal/asm"
+	"microsampler/internal/isa"
 	"microsampler/internal/sim"
 )
 
@@ -239,6 +241,62 @@ func TestCollectorIterHashes(t *testing.T) {
 			if storeCounts[h] != n {
 				t.Errorf("%v: hash %#x seen %d times in sequence, %d in store",
 					ut.Unit, h, n, storeCounts[h])
+			}
+		}
+	}
+}
+
+// TestEventsSurviveIterationBoundary replays one frozen probe, so every
+// unit's row is identical on both sides of an IterEnd/IterBegin
+// boundary. The new iteration must still emit that row's values as
+// events: the unchanged-row shortcut compares with the previous row of
+// the same iteration only. Each iteration's event stream is therefore
+// the row's non-zero values, once, and both iterations hash alike.
+func TestEventsSurviveIterationBoundary(t *testing.T) {
+	p := benchProbe(t)
+	col := NewCollector()
+	col.OnMark(0, isa.MarkROIBegin, 0)
+	for class := uint64(0); class < 2; class++ {
+		col.OnMark(0, isa.MarkIterBegin, class)
+		for c := 0; c < 3; c++ {
+			col.OnCycle(p)
+		}
+		col.OnMark(3, isa.MarkIterEnd, 0)
+	}
+	active := 0
+	for _, ut := range col.Results() {
+		var want [][]uint64
+		for _, v := range unitSpecs[ut.Unit].row(p, nil) {
+			if v != 0 {
+				want = append(want, []uint64{v})
+			}
+		}
+		if len(want) > 0 {
+			active++
+		}
+		entries := ut.NoTiming.Entries()
+		if len(entries) != 1 {
+			t.Errorf("%v: %d event-view snapshots over two identical iterations, want 1",
+				ut.Unit, len(entries))
+			continue
+		}
+		e := entries[0]
+		if e.CountByClass[0] != 1 || e.CountByClass[1] != 1 {
+			t.Errorf("%v: event-view counts %v, want one per class", ut.Unit, e.CountByClass)
+		}
+		if len(e.Rep) != len(want) || (len(want) > 0 && !reflect.DeepEqual(e.Rep, want)) {
+			t.Errorf("%v: events %v, want %v", ut.Unit, e.Rep, want)
+		}
+	}
+	if active < 2 {
+		t.Fatalf("only %d units have a non-zero row in the frozen probe", active)
+	}
+	// Every key that saw an event saw one in both iterations.
+	for _, up := range col.Provenance() {
+		for _, s := range up.Streams {
+			if len(s.Iters) != 2 || s.Hashes[0] != s.Hashes[1] {
+				t.Errorf("%v key %#x: iters %v hashes %x, want both iterations alike",
+					up.Unit, s.Key, s.Iters, s.Hashes)
 			}
 		}
 	}
