@@ -450,8 +450,8 @@ func BenchmarkVerifyWithTelemetry(b *testing.B) {
 // BenchmarkSamplingThroughput measures the end-to-end ingest rate of
 // the per-cycle sampler: total state rows fed into the snapshot
 // pipeline per second of wall-clock verification time. This is the
-// number the allocation-free hot path moves; compare across commits
-// with scripts/bench.sh.
+// number the allocation-free hot path moves. It is a profiling aid;
+// cross-commit performance records come from perfbench/run.sh.
 func BenchmarkSamplingThroughput(b *testing.B) {
 	w, err := microsampler.WorkloadByName("ME-V1-MV")
 	if err != nil {

@@ -65,7 +65,7 @@ func run(args []string) error {
 		stages      = fs.Bool("stages", false, "measure and print the stage-time breakdown (Table VI)")
 		parallel    = fs.Int("parallel", -1, "concurrent simulation runs (-1: one per CPU, 1: sequential)")
 		runTimeout  = fs.Duration("run-timeout", 0, "per-run wall-clock deadline (0: no deadline)")
-		retries     = fs.Int("retries", 0, "retries per failed run for transient errors, with exponential backoff (0: fail fast)")
+		retries     = fs.Int("retries", 0, "retries per run that stalled or timed out, with exponential backoff (0: fail fast)")
 		jsonOut     = fs.Bool("json", false, "emit the machine-readable JSON report instead of charts")
 		metrics     = fs.Bool("metrics", false, "print the telemetry metrics dump after the run")
 		traceOut    = fs.String("trace-out", "", "write pipeline spans as JSON lines to FILE")

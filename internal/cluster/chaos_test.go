@@ -11,11 +11,10 @@ import (
 	"time"
 
 	"microsampler/internal/core"
-	"microsampler/internal/faults"
 )
 
 // The chaos test (the robustness acceptance check for the cluster
-// layer): a seeded faults.Injector kills, hangs, slows and flakes
+// layer): a seeded fault schedule kills, hangs, slows and flakes
 // workers mid-batch, and the final verdicts must still be
 // byte-identical to a fault-free single-node run. The verdict is a pure
 // function of the point, so whatever path a point takes — reassignment
@@ -42,6 +41,51 @@ func chaosVerdict(key string) PointResult {
 		res.LeakyUnits = []string{"TAGE-PRED"}
 	}
 	return res
+}
+
+// chaosFault is the failure mode one dispatch attempt is given.
+type chaosFault uint8
+
+const (
+	faultNone      chaosFault = iota
+	faultTransient            // transport flake: retried with backoff
+	faultKill                 // worker crash: killed mid-batch, later revived
+	faultHang                 // stuck worker: shard timeout, then retry
+	faultSlow                 // straggler: exercises hedged duplicates
+)
+
+// chaosMix is the per-attempt fault mix, drawn in this order against
+// one uniform variate; the remaining 50% of attempts are fault-free.
+var chaosMix = []struct {
+	p     float64
+	fault chaosFault
+}{
+	{0.15, faultTransient},
+	{0.10, faultKill},
+	{0.10, faultHang},
+	{0.15, faultSlow},
+}
+
+// splitmix64 is the avalanche mixer behind the fault schedule.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// chaosPlan draws the fault for one (point, attempt) as a pure function
+// of the seed, so a failing seed replays identically.
+func chaosPlan(seed uint64, point, attempt int) chaosFault {
+	h := splitmix64(seed ^ splitmix64(uint64(point)<<32|uint64(uint32(attempt))))
+	u := float64(h>>11) / (1 << 53) // uniform in [0,1)
+	for _, c := range chaosMix {
+		if u < c.p {
+			return c.fault
+		}
+		u -= c.p
+	}
+	return faultNone
 }
 
 func TestChaosClusterMatchesSingleNode(t *testing.T) {
@@ -75,7 +119,7 @@ func runChaosSeed(t *testing.T, seed uint64) {
 	}
 
 	// Three workers; faults are drawn per (point, attempt) from the
-	// seeded injector, so a failing seed replays identically.
+	// seeded schedule, so a failing seed replays identically.
 	workers := map[string]string{
 		"http://w1": "w1",
 		"http://w2": "w2",
@@ -85,22 +129,15 @@ func runChaosSeed(t *testing.T, seed uint64) {
 	for url, id := range workers {
 		m.Register(id, url)
 	}
-	inj := faults.New(seed, faults.Config{
-		PTransient: 0.15, // transport flake: retried with backoff
-		PPermanent: 0.10, // worker crash: killed mid-batch, later revived
-		PHang:      0.10, // stuck worker: shard timeout, then retry
-		PSlow:      0.15, // straggler: exercises hedged duplicates
-	})
-
 	var attempts [npoints]atomic.Int64
 	var mu sync.Mutex // guards MarkDead/Register pairing against the revive timers
 	exec := execFunc(func(ctx context.Context, url string, _ Point, key string) (PointResult, error) {
 		idx := keyIdx[key]
 		attempt := int(attempts[idx].Add(1)) - 1
-		switch plan := inj.Plan(idx, attempt); plan.Kind {
-		case faults.KindTransient:
+		switch chaosPlan(seed, idx, attempt) {
+		case faultTransient:
 			return PointResult{}, fmt.Errorf("chaos: injected transient (point %d attempt %d)", idx, attempt)
-		case faults.KindPermanent:
+		case faultKill:
 			// Model a worker SIGKILL mid-batch: the worker drops off the
 			// membership (its in-flight attempts turn into ErrWorkerLost and
 			// reassign) and rejoins shortly after, as a restarted worker's
@@ -115,10 +152,10 @@ func runChaosSeed(t *testing.T, seed uint64) {
 				mu.Unlock()
 			})
 			return PointResult{}, fmt.Errorf("chaos: worker %s killed (point %d attempt %d)", id, idx, attempt)
-		case faults.KindHang:
+		case faultHang:
 			<-ctx.Done()
 			return PointResult{}, ctx.Err()
-		case faults.KindSlow:
+		case faultSlow:
 			select {
 			case <-time.After(8 * time.Millisecond):
 			case <-ctx.Done():

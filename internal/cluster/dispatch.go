@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,21 +199,14 @@ func (d *Dispatcher) retry() core.RetryPolicy {
 	return p
 }
 
-// backoff sleeps the full-jitter delay before retry n (0-based),
-// honouring ctx: uniform from [0, min(MaxDelay, BaseDelay·2ⁿ)] — the
-// core.RetryPolicy shape.
+// backoff sleeps the core.RetryPolicy full-jitter delay before retry n
+// (0-based), honouring ctx.
 func backoff(ctx context.Context, p core.RetryPolicy, n int) {
-	window := p.BaseDelay
-	for i := 0; i < n && window < p.MaxDelay; i++ {
-		window *= 2
-	}
-	if window > p.MaxDelay {
-		window = p.MaxDelay
-	}
-	if window <= 0 {
+	d := p.Backoff(n)
+	if d <= 0 {
 		return
 	}
-	t := time.NewTimer(time.Duration(rand.Int64N(int64(window))))
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

@@ -16,7 +16,7 @@ import (
 // or telemetry wiring of either.
 //
 // Detection-relevant fields are hashed; execution-strategy fields
-// (Parallel, Retry, RunTimeout, Watchdog, FaultHook, probes, sinks,
+// (Parallel, Retry, RunTimeout, Watchdog, probes, sinks,
 // loggers) are deliberately not — they change how the answer is
 // computed, never what it is. MeasureStages is hashed because it
 // changes the report's stage breakdown contents.

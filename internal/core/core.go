@@ -30,7 +30,6 @@ import (
 
 	"microsampler/internal/asm"
 	"microsampler/internal/cache"
-	"microsampler/internal/faults"
 	"microsampler/internal/features"
 	"microsampler/internal/sim"
 	"microsampler/internal/snapshot"
@@ -114,27 +113,22 @@ type Options struct {
 
 	// RunTimeout bounds the wall time of each run attempt (0 means no
 	// bound). An expired attempt fails with context.DeadlineExceeded,
-	// which the retry policy treats as transient.
+	// which the retry policy retries.
 	RunTimeout time.Duration
 	// Watchdog, when positive, arms a wall-clock stall detector per run
 	// attempt: if the simulator makes no cycle progress for this long
-	// (a blocked tracer or fault hook), the attempt is aborted with a
-	// sim.ErrStalled-wrapped error, which the retry policy treats as
-	// transient.
+	// (a blocked tracer or cycle observer), the attempt is aborted with
+	// a sim.ErrStalled-wrapped error, which the retry policy retries.
 	Watchdog time.Duration
-	// Retry re-executes run attempts that fail transiently — injected
-	// transient faults, recovered panics, deadline expiries, watchdog
-	// stalls — with exponential backoff and full jitter. The zero value
-	// disables retrying.
+	// Retry re-executes run attempts that failed for a host reason — a
+	// watchdog stall or a RunTimeout expiry — with exponential backoff
+	// and full jitter. Every other failure, a recovered panic included,
+	// is deterministic in the simulated execution and fails the run on
+	// its first attempt. The zero value disables retrying.
 	Retry RetryPolicy
-	// FaultHook, when non-nil, supplies the per-cycle fault hook
-	// installed on each run attempt's machine (nil hooks are fine and
-	// cost nothing). It exists for fault-injection campaigns:
-	// faults.Injector.Hook is the intended source.
-	FaultHook func(run, attempt int) sim.FaultHook
 	// FlightRecorderFrames, when positive, attaches a cycle-level flight
 	// recorder of that many frames to every run attempt's machine. A
-	// failing attempt — fault, stall, timeout, panic, nonzero exit —
+	// failing attempt — error, stall, timeout, panic, nonzero exit —
 	// then surfaces as a *RunFailure carrying the post-mortem ring of
 	// the last N cycles (extract with FlightDumpFromError; render with
 	// telemetry/export.FlightPerfetto). Zero disables the recorder.
@@ -180,26 +174,27 @@ type Options struct {
 	RunID string
 }
 
-// RetryPolicy configures per-run retry of transiently failing attempts.
+// RetryPolicy configures per-run retry of stalled or timed-out attempts.
 type RetryPolicy struct {
 	// Max is the number of retries allowed per run beyond the first
 	// attempt; 0 disables retrying.
 	Max int
 	// BaseDelay seeds the exponential backoff (default 50ms when
 	// Max > 0): before retry n (0-based) the worker sleeps a full-jitter
-	// duration drawn uniformly from [0, min(MaxDelay, BaseDelay·2ⁿ)].
+	// duration drawn uniformly from [0, min(MaxDelay, BaseDelay·2ⁿ)).
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff window (default 2s; never below
 	// BaseDelay).
 	MaxDelay time.Duration
 }
 
-// backoff returns the jittered delay before retry n (0-based).
-func (p RetryPolicy) backoff(n int) time.Duration {
+// Backoff returns the full-jitter delay before retry n (0-based),
+// drawn uniformly from [0, min(MaxDelay, BaseDelay·2ⁿ)).
+func (p RetryPolicy) Backoff(n int) time.Duration {
 	return p.backoffAt(n, rand.Float64())
 }
 
-// backoffAt is backoff with the uniform jitter draw u injected; split
+// backoffAt is Backoff with the uniform jitter draw u injected; split
 // out so tests can pin the draw.
 func (p RetryPolicy) backoffAt(n int, u float64) time.Duration {
 	window := p.BaseDelay
@@ -392,8 +387,8 @@ type Report struct {
 	Runs       int
 	Stages     StageTimes
 	SimCycles  int64 // total simulated cycles across runs
-	// Retries counts run attempts that failed transiently and were
-	// re-executed under Options.Retry; 0 on the fault-free path.
+	// Retries counts run attempts that stalled or timed out and were
+	// re-executed under Options.Retry; 0 when no attempt was retried.
 	Retries int
 
 	// Sim aggregates the simulator's event counters across runs.
@@ -637,7 +632,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 			if opts.Metrics != nil {
 				opts.Metrics.Counter("verify_retries_total").Inc()
 			}
-			delay := opts.Retry.backoff(attempt)
+			delay := opts.Retry.Backoff(attempt)
 			lg.Warn("run attempt failed; retrying", "run", run, "attempt", attempt,
 				"class", errClass(out.err), "backoff", delay, "err", out.err)
 			retrySpan := tr.StartDetail("run.retry", runSpan.ID(), run,
@@ -887,18 +882,18 @@ func recordMetrics(m *telemetry.Registry, rep *Report, runWall []time.Duration) 
 
 // execRun performs one simulation run attempt from reset state. When tr
 // is non-nil, machine construction and execution are recorded as child
-// spans of parent. A panic anywhere in the attempt — setup, probes, an
-// injected fault — is recovered into a transient faults.PanicError with
-// the stack captured, so one crashing attempt never takes down the
-// worker pool. When a flight recorder is armed, any failure (including
-// a recovered panic) is wrapped in a *RunFailure carrying the
-// post-mortem dump of the machine's final cycles.
+// spans of parent. A panic anywhere in the attempt — setup, the
+// simulator, a tracer or cycle observer — is recovered into a
+// *PanicError with the stack captured, so one crashing attempt never
+// takes down the worker pool. When a flight recorder is armed, any
+// failure (including a recovered panic) is wrapped in a *RunFailure
+// carrying the post-mortem dump of the machine's final cycles.
 func execRun(ctx context.Context, w Workload, opts Options, prog *asm.Program, probe *RunProbe,
 	run, attempt int, col *trace.Collector, tr *telemetry.SpanTracer, parent uint64) (res sim.Result, err error) {
 	var m *sim.Machine
 	defer func() {
 		if r := recover(); r != nil {
-			err = faults.Transient(&faults.PanicError{Value: r, Stack: debug.Stack()})
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 		if err != nil && opts.FlightRecorderFrames > 0 && m != nil {
 			err = &RunFailure{Run: run, Attempt: attempt, Dump: m.FlightDump(), Err: err}
@@ -924,9 +919,6 @@ func execRun(ctx context.Context, w Workload, opts Options, prog *asm.Program, p
 	if col != nil {
 		m.SetTracer(col)
 	}
-	if opts.FaultHook != nil {
-		m.SetFaultHook(opts.FaultHook(run, attempt))
-	}
 	if opts.FlightRecorderFrames > 0 {
 		m.SetFlightRecorder(sim.NewFlightRecorder(opts.FlightRecorderFrames))
 	}
@@ -950,24 +942,33 @@ func execRun(ctx context.Context, w Workload, opts Options, prog *asm.Program, p
 	return res, nil
 }
 
-// retryable reports whether a failed attempt may be re-executed:
-// watchdog stalls, run-deadline expiries and errors the faults package
-// marks transient (injected transients, recovered panics) are; plain
-// cancellation — a sibling failed, or the caller gave up — never is,
-// even though its chain may carry transient markers.
-func retryable(err error) bool {
-	switch {
-	case errors.Is(err, sim.ErrStalled), errors.Is(err, context.DeadlineExceeded):
-		return true
-	case errors.Is(err, context.Canceled):
-		return false
-	}
-	return faults.IsTransient(err)
+// PanicError is a recovered panic converted into an error, with the
+// goroutine stack captured at the recovery site.
+type PanicError struct {
+	// Value is the value the goroutine panicked with.
+	Value any
+	// Stack is the stack trace captured by debug.Stack at recovery.
+	Stack []byte
 }
 
-// errClass names the failure mode of a run attempt for logs and spans.
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("recovered panic: %v", p.Value)
+}
+
+// retryable reports whether a failed attempt may be re-executed. Only
+// host failures are: a watchdog stall or a run-deadline expiry. A
+// verdict is a deterministic function of the simulated execution, so
+// any other error — a panic included — would recur on every retry.
+// Plain cancellation (a sibling failed, or the caller gave up) is not
+// a stall or a deadline, so it is never retried.
+func retryable(err error) bool {
+	return errors.Is(err, sim.ErrStalled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// errClass names the failure mode of a run attempt for logs, spans and
+// the verify_run_{panics,stalls,timeouts,errors}_total counters.
 func errClass(err error) string {
-	var pe *faults.PanicError
+	var pe *PanicError
 	switch {
 	case errors.As(err, &pe):
 		return "panic"
@@ -975,28 +976,15 @@ func errClass(err error) string {
 		return "stall"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
-	case faults.IsTransient(err):
-		return "transient"
 	}
 	return "error"
 }
 
-// countFailure attributes one failed run attempt to the matching live
-// telemetry counter.
+// countFailure attributes one failed run attempt to the live telemetry
+// counter of its class.
 func countFailure(m *telemetry.Registry, err error) {
-	if m == nil {
-		return
-	}
-	var pe *faults.PanicError
-	switch {
-	case errors.As(err, &pe):
-		m.Counter("verify_run_panics_total").Inc()
-	case errors.Is(err, sim.ErrStalled):
-		m.Counter("verify_run_stalls_total").Inc()
-	case errors.Is(err, context.DeadlineExceeded):
-		m.Counter("verify_run_timeouts_total").Inc()
-	default:
-		m.Counter("verify_run_errors_total").Inc()
+	if m != nil {
+		m.Counter("verify_run_" + errClass(err) + "s_total").Inc()
 	}
 }
 

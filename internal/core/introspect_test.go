@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -104,23 +103,14 @@ spin:
 }
 
 func TestRunFailureWrapsStallWithDump(t *testing.T) {
-	// A fault hook that blocks until cancellation models a wedged run;
+	// A cycle sink that blocks past the watchdog models a wedged run;
 	// the watchdog aborts it and the flight recorder keeps the final
 	// approach.
-	block := func(run, attempt int) sim.FaultHook {
-		return func(ctx context.Context, cycle int64) error {
-			if cycle < 50 {
-				return nil
-			}
-			<-ctx.Done()
-			return ctx.Err()
-		}
-	}
-	_, err := Verify(Workload{Name: "stall", Source: smokeWorkload}, Options{
+	_, err := Verify(Workload{Name: "stall", Source: longWorkload}, Options{
+		Config:               sim.SmallBoom(),
 		FlightRecorderFrames: 64,
 		Watchdog:             30 * time.Millisecond,
-		FaultHook:            block,
-		MaxCycles:            1 << 30,
+		Probe:                sinkProbe(wedgeFirst(1, 300*time.Millisecond)),
 	})
 	if !errors.Is(err, sim.ErrStalled) {
 		t.Fatalf("want ErrStalled, got %v", err)
@@ -142,23 +132,19 @@ func TestRunFailureWrapsStallWithDump(t *testing.T) {
 }
 
 func TestRunFailureWrapsPanicWithDump(t *testing.T) {
-	boom := func(run, attempt int) sim.FaultHook {
-		return func(ctx context.Context, cycle int64) error {
-			if cycle > 50 {
-				panic("injected crash")
-			}
-			return nil
-		}
-	}
-	_, err := Verify(Workload{Name: "crash", Source: smokeWorkload}, Options{
+	_, err := Verify(Workload{Name: "crash", Source: longWorkload}, Options{
+		Config:               sim.SmallBoom(),
 		FlightRecorderFrames: 32,
-		FaultHook:            boom,
+		Probe:                sinkProbe(func(int64) { panic("observer crash") }),
 	})
 	if err == nil {
-		t.Fatal("want error from panicking hook")
+		t.Fatal("want error from panicking cycle sink")
 	}
 	if errClass(err) != "panic" {
 		t.Fatalf("errClass = %q want panic (err: %v)", errClass(err), err)
+	}
+	if retryable(err) {
+		t.Error("recovered panic classified retryable")
 	}
 	if _, ok := FlightDumpFromError(err); !ok {
 		t.Errorf("panicking run carried no flight dump: %v", err)

@@ -705,8 +705,8 @@ func TestWorkerFillsFromCoordinatorStore(t *testing.T) {
 }
 
 // BenchmarkClusterThroughput measures coordinator batch throughput over
-// two in-process workers, in points per second (the bench.sh cluster
-// row). Seed offsets keep every point's cache key distinct.
+// two in-process workers, in points per second. Seed offsets keep
+// every point's cache key distinct.
 func BenchmarkClusterThroughput(b *testing.B) {
 	seam := func(cluster.Point, string) cluster.PointResult { return fakePointResult(8) }
 	newWorker := func() *httptest.Server {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -60,6 +61,34 @@ func TestAuditLogVerifiesClean(t *testing.T) {
 	}
 	if sum.Chain == "" || sum.Chain == strings.Repeat("0", 64) {
 		t.Errorf("chain head not advanced: %q", sum.Chain)
+	}
+}
+
+// TestAuditLogConcurrentTerminalRecords journals terminal records from
+// many goroutines at once, as a coordinator's batch dispatchers do: the
+// audit roots must cover the terminal lines in the order the journal
+// holds them.
+func TestAuditLogConcurrentTerminalRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newJournaledServer(t, dir, Config{Workers: 1, AuditBatch: 2}, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.journal(journalRecord{Event: "batch-point", ID: fmt.Sprintf("batch-%d", g), Time: time.Now()})
+			}
+		}()
+	}
+	wg.Wait()
+	drainNow(t, s)
+	sum, err := VerifyAuditLog(dir)
+	if err != nil {
+		t.Fatalf("concurrently journaled records failed verification: %v", err)
+	}
+	if sum.Terminal != 400 || sum.Pending != 0 {
+		t.Errorf("terminal = %d, pending = %d, want 400 and 0", sum.Terminal, sum.Pending)
 	}
 }
 

@@ -202,8 +202,8 @@ func serveDaemon(t *testing.T, s *Server) string {
 	return ts.URL
 }
 
-// TestStalledJobLeavesPostmortem wedges a real verification (a fault
-// hook that blocks until cancellation) under a short watchdog: the job
+// TestStalledJobLeavesPostmortem wedges a real verification (a cycle
+// sink that blocks past the stall window) under a short watchdog: the job
 // must fail as stalled and leave a readable Perfetto post-mortem
 // artifact, which survives a daemon restart when journaled.
 func TestStalledJobLeavesPostmortem(t *testing.T) {
@@ -216,10 +216,16 @@ func TestStalledJobLeavesPostmortem(t *testing.T) {
 	}
 	var wedged atomic.Bool
 	cfg.verify = func(j *Job) (*core.Report, error) {
-		// Run the real pipeline, wedged by a fault hook after warm-up.
+		// Run the real pipeline, wedged by the job probe's cycle sink:
+		// it runs on the simulation goroutine at cycle 1024 of this
+		// ~1600-cycle kernel and holds it past the watchdog.
+		j.probe.SetCycleSink(func(int64) {
+			wedged.Store(true)
+			time.Sleep(10 * cfg.Watchdog)
+		})
 		return core.Verify(core.Workload{Name: "wedge", Source: `
 _start:
-	li   s2, 8
+	li   s2, 200
 	roi.begin
 loop:
 	andi s3, s2, 1
@@ -238,16 +244,6 @@ loop:
 			FlightRecorderFrames: cfg.FlightFrames,
 			MaxCycles:            1 << 30,
 			Probe:                j.probe,
-			FaultHook: func(run, attempt int) sim.FaultHook {
-				return func(ctx context.Context, cycle int64) error {
-					if cycle < 100 {
-						return nil
-					}
-					wedged.Store(true)
-					<-ctx.Done()
-					return ctx.Err()
-				}
-			},
 		})
 	}
 	s, err := New(cfg)
@@ -265,7 +261,7 @@ loop:
 		t.Fatalf("wedged job: %+v", done)
 	}
 	if !wedged.Load() {
-		t.Fatal("fault hook never wedged the run")
+		t.Fatal("cycle sink never wedged the run")
 	}
 	if !strings.Contains(done.Error, "watchdog") {
 		t.Errorf("failure does not mention the watchdog: %q", done.Error)

@@ -25,7 +25,6 @@ import (
 	"microsampler/internal/cache"
 	"microsampler/internal/cluster"
 	"microsampler/internal/core"
-	"microsampler/internal/faults"
 	"microsampler/internal/history"
 	"microsampler/internal/telemetry"
 	"microsampler/internal/telemetry/export"
@@ -157,6 +156,9 @@ type Server struct {
 
 	jrn *journal // nil when persistence is disabled
 	aud *auditor // nil when persistence is disabled
+	// audMu orders terminal journal lines, and the audit records they
+	// seal, the same in the journal as in the auditor.
+	audMu sync.Mutex
 
 	// cache is the content-addressed verdict store (nil when disabled);
 	// cacheDisk its optional persistent layer; flight deduplicates
@@ -448,12 +450,17 @@ func (s *Server) journal(rec journalRecord) {
 	if s.jrn == nil {
 		return
 	}
+	audited := s.aud != nil && terminalEvent(rec.Event)
+	if audited {
+		s.audMu.Lock()
+		defer s.audMu.Unlock()
+	}
 	line, err := s.jrn.append(rec)
 	if err != nil {
 		s.log.Error("journal append failed", "event", rec.Event, "run_id", rec.ID, "err", err)
 		return
 	}
-	if s.aud == nil || !terminalEvent(rec.Event) {
+	if !audited {
 		return
 	}
 	if audRec, sealed := s.aud.observe(rec.ID, line); sealed {
@@ -1064,13 +1071,13 @@ func (s *Server) execOptions(opts core.Options, runID string) core.Options {
 }
 
 // guard runs a verification with panic containment: a panic becomes an
-// error carrying a faults.PanicError with the stack, instead of killing
+// error carrying a core.PanicError with the stack, instead of killing
 // the worker — and with it the daemon.
 func (s *Server) guard(runID string, verify func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Inc()
-			err = &faults.PanicError{Value: r, Stack: debug.Stack()}
+			err = &core.PanicError{Value: r, Stack: debug.Stack()}
 			s.log.Error("verification panicked", "run_id", runID, "panic", r)
 		}
 	}()

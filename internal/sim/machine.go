@@ -11,22 +11,12 @@ import (
 	"microsampler/internal/isa"
 )
 
-// FaultHook is a per-cycle hook consulted from the run loop before each
-// step; see Machine.SetFaultHook. Returning an error aborts the run
-// with that error. Hooks may panic or block to model crashes and hangs;
-// a blocking hook must honour ctx, which the run loop cancels when its
-// deadline expires or the stall watchdog fires. The alias (rather than
-// a defined type) lets any compatible function — e.g. one produced by
-// faults.Injector.Hook — be installed without conversion.
-type FaultHook = func(ctx context.Context, cycle int64) error
-
 // Machine couples a core with memory and a loaded program; it is the
 // top-level entry point of the simulator.
 type Machine struct {
 	cfg    Config
 	mem    *Memory
 	core   *Core
-	fault  FaultHook
 	flight *FlightRecorder
 	obs    func(delta int64)
 }
@@ -36,7 +26,7 @@ var ErrMaxCycles = errors.New("sim: exceeded maximum cycle budget")
 
 // ErrStalled is returned by RunContext when the wall-clock watchdog
 // observes no cycle progress for the configured stall window — the run
-// loop is alive but stuck (a blocking tracer or fault hook), as opposed
+// loop is alive but stuck (a blocking tracer or cycle observer), as opposed
 // to a program spinning without committing, which the in-core
 // no-progress detector catches in simulated cycles.
 var ErrStalled = errors.New("sim: watchdog: no cycle progress")
@@ -59,11 +49,6 @@ func (m *Machine) Memory() *Memory { return m.mem }
 
 // SetTracer attaches a per-cycle tracer (may be nil).
 func (m *Machine) SetTracer(t Tracer) { m.core.tracer = t }
-
-// SetFaultHook installs a per-cycle fault hook consulted from the run
-// loop (may be nil). The zero-fault path pays only a nil check per
-// cycle.
-func (m *Machine) SetFaultHook(h FaultHook) { m.fault = h }
 
 // SetCycleObserver installs a callback receiving batches of simulated
 // cycle progress (may be nil). RunContext flushes the delta since the
@@ -144,16 +129,15 @@ func (m *Machine) Run(maxCycles int64) (Result, error) {
 // progressInterval is how often (in simulated cycles) the run loop
 // publishes progress and polls for cancellation: frequent enough that a
 // deadline lands within milliseconds of wall time, rare enough that the
-// zero-fault hot path pays nothing measurable per cycle.
+// hot path pays nothing measurable per cycle.
 const progressInterval = 1024
 
 // RunContext executes until the program exits, maxCycles elapse, ctx is
-// cancelled (checked between cycles, so a deadline bounds the run in
-// wall time), an installed fault hook reports an error, or — when
-// stall > 0 — a wall-clock watchdog observes no cycle progress for
-// stall. A watchdog abort cancels the context handed to the fault hook,
-// so ctx-honouring hangs unblock, and surfaces as an ErrStalled-wrapped
-// error.
+// cancelled (checked every progressInterval cycles, so a deadline
+// bounds the run in wall time), or — when stall > 0 — a wall-clock
+// watchdog observes no cycle progress for stall. A watchdog abort
+// surfaces as an ErrStalled-wrapped error once the blocked tracer or
+// cycle observer returns control to the run loop.
 func (m *Machine) RunContext(ctx context.Context, maxCycles int64, stall time.Duration) (Result, error) {
 	c := m.core
 
@@ -192,14 +176,6 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles int64, stall time.Du
 				return m.result(), m.abortErr(runCtx, &stalled, stall)
 			}
 		}
-		if m.fault != nil {
-			if err := m.fault(runCtx, c.cycle); err != nil {
-				if stalled.Load() {
-					err = fmt.Errorf("%w for %v at cycle %d: %v", ErrStalled, stall, c.cycle, err)
-				}
-				return m.result(), err
-			}
-		}
 		c.step()
 		if m.flight != nil {
 			m.flight.record(c)
@@ -220,8 +196,8 @@ func (m *Machine) abortErr(runCtx context.Context, stalled *atomic.Bool, stall t
 
 // watchProgress is the wall-clock stall watchdog: it samples the cycle
 // counter the run loop publishes and, when it stops advancing for the
-// stall window, flags the stall and cancels the run context so blocked
-// hooks unblock and the loop aborts.
+// stall window, flags the stall and cancels the run context so the loop
+// aborts at its next progress check.
 func watchProgress(ctx context.Context, cancel context.CancelFunc, done <-chan struct{},
 	progress *atomic.Int64, stalled *atomic.Bool, stall time.Duration) {
 	interval := stall / 4

@@ -112,9 +112,9 @@ type Workload = core.Workload
 // Options configures a verification run.
 type Options = core.Options
 
-// RetryPolicy bounds the per-run retry loop (Options.Retry): failed
-// runs whose error is classified transient are retried up to Max times
-// with exponential backoff and full jitter.
+// RetryPolicy bounds the per-run retry loop (Options.Retry): runs that
+// stalled or timed out are retried up to Max times with exponential
+// backoff and full jitter.
 type RetryPolicy = core.RetryPolicy
 
 // NoWarmup requests explicitly zero warmup iterations; a plain zero

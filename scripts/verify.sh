@@ -25,9 +25,9 @@ go test ./...
 echo "== perfbench (its own module: go test ./... above never compiles it) =="
 (cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 
-echo "== go test -race (telemetry, export, core, msd, cache, faults, sim, report, history, cluster) =="
+echo "== go test -race (telemetry, export, core, msd, cache, sim, report, history, cluster) =="
 go test -race ./internal/telemetry ./internal/telemetry/export \
-    ./internal/core ./internal/msd ./internal/cache ./internal/faults \
+    ./internal/core ./internal/msd ./internal/cache \
     ./internal/sim ./internal/report ./internal/history ./internal/cluster
 
 echo "== matrix sweep smoke (2x2 grid through the CLI) =="
