@@ -474,40 +474,6 @@ func BenchmarkSamplingThroughput(b *testing.B) {
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkRetryOverhead measures the fault-tolerance machinery on the
-// zero-fault path: the same workload as BenchmarkSamplingThroughput but
-// with retries, a per-run deadline and the stall watchdog all armed.
-// No fault ever fires, so the delta against BenchmarkSamplingThroughput
-// is the pure bookkeeping cost (context plumbing, watchdog goroutine,
-// panic guard) — it must stay within a few percent.
-func BenchmarkRetryOverhead(b *testing.B) {
-	w, err := microsampler.WorkloadByName("ME-V1-MV")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rows uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := microsampler.Verify(w, microsampler.Options{
-			Config: microsampler.SmallBoom(), Runs: 2, Warmup: 2,
-			Retry:      microsampler.RetryPolicy{Max: 3},
-			RunTimeout: time.Minute,
-			Watchdog:   10 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Retries != 0 {
-			b.Fatalf("zero-fault run retried %d times", rep.Retries)
-		}
-		for _, n := range rep.Samples {
-			rows += n
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
-}
-
 // BenchmarkCacheHit measures the content-addressed verdict cache
 // against the simulation it replaces: one cold Verify primes the
 // cache, then every iteration is a pure hit. The speedup-x metric is

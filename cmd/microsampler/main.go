@@ -14,7 +14,7 @@
 //	microsampler -workload ME-V1-MV -runs 4 -parallel 4 -metrics -trace-out spans.jsonl
 //	microsampler -workload ME-V1-MV -progress -pprof localhost:6060
 //	microsampler -workload ME-NAIVE -perfetto-out trace.json -heatmap-out heatmap.json -heatmap-html heatmap.html
-//	microsampler -workload ME-V1-MV -run-timeout 30s -retries 2
+//	microsampler -workload ME-V1-MV -run-timeout 30s
 //	microsampler -workload AES-TTABLE -provenance-out prov.json -provenance-html prov.html
 //	microsampler -workload ME-V1-MV -flight-recorder 1024 -flight-recorder-out postmortem.json
 //	microsampler -workload TAGE-HIST -matrix "prefetch=none,stride;predictor=gshare,tage" -matrix-out matrix.json -matrix-html matrix.html
@@ -65,7 +65,6 @@ func run(args []string) error {
 		stages      = fs.Bool("stages", false, "measure and print the stage-time breakdown (Table VI)")
 		parallel    = fs.Int("parallel", -1, "concurrent simulation runs (-1: one per CPU, 1: sequential)")
 		runTimeout  = fs.Duration("run-timeout", 0, "per-run wall-clock deadline (0: no deadline)")
-		retries     = fs.Int("retries", 0, "retries per run that stalled or timed out, with exponential backoff (0: fail fast)")
 		jsonOut     = fs.Bool("json", false, "emit the machine-readable JSON report instead of charts")
 		metrics     = fs.Bool("metrics", false, "print the telemetry metrics dump after the run")
 		traceOut    = fs.String("trace-out", "", "write pipeline spans as JSON lines to FILE")
@@ -183,7 +182,6 @@ func run(args []string) error {
 		MeasureStages: *stages,
 		Parallel:      *parallel,
 		RunTimeout:    *runTimeout,
-		Retry:         microsampler.RetryPolicy{Max: *retries},
 	}
 	if *warmup == 0 {
 		opts.Warmup = microsampler.NoWarmup

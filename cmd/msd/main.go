@@ -12,7 +12,7 @@
 //	POST /api/v1/jobs                    submit a job ({"workload":"ME-NAIVE"} or {"source":"..."})
 //	GET  /api/v1/jobs                    list tracked jobs
 //	GET  /api/v1/jobs/{id}               job status and verdict
-//	GET  /api/v1/jobs/{id}/progress      live progress (stage, simulated cycles, runs, retries)
+//	GET  /api/v1/jobs/{id}/progress      live progress (stage, simulated cycles, runs)
 //	GET  /api/v1/jobs/{id}/report        JSON report artifact
 //	GET  /api/v1/jobs/{id}/trace         Perfetto trace (open in ui.perfetto.dev)
 //	GET  /api/v1/jobs/{id}/heatmap       leakage heatmap JSON
@@ -48,8 +48,8 @@
 // rendezvous-hashing their canonical cache keys; a worker that misses
 // -heartbeat beats for -worker-ttl is marked dead and its in-flight
 // shards are reassigned (a point the dying worker already uploaded is a
-// cache hit, not a re-simulation); stragglers past -hedge-after (or 3×
-// the observed latency EWMA) get a hedged duplicate, first result wins;
+// cache hit, not a re-simulation); stragglers past -hedge-after get a
+// hedged duplicate, first result wins;
 // with zero healthy workers the coordinator degrades to local execution
 // and flags the batch rather than failing it.
 //
@@ -145,7 +145,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		drainTimeout  = fs.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on shutdown")
 		journalDir    = fs.String("journal-dir", "", "directory for the crash-safe job journal and artifacts (default: disabled, jobs are in-memory only)")
 		recoverFlag   = fs.Bool("recover", false, "re-enqueue jobs interrupted by a crash instead of leaving them terminal (requires -journal-dir; queued jobs are always recovered)")
-		watchdog      = fs.Duration("watchdog", 0, "abort a simulation run that stops retiring for this wall-clock duration (0: disabled)")
 		flightFrames  = fs.Int("flight-recorder", 1024, "cycles of per-unit occupancy kept per run; failed jobs expose the dump as a postmortem artifact (0: off)")
 		cacheEntries  = fs.Int("cache", 256, "verdicts retained in the content-addressed cache; identical resubmissions are served without simulating (0: off)")
 		cacheDir      = fs.String("cache-dir", "", "disk layer for the verdict cache, surviving restarts (default: <journal-dir>/cache when journaled, else memory-only)")
@@ -155,7 +154,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		workerOf      = fs.String("worker-of", "", "coordinator base URL this daemon registers with as a worker (e.g. http://host:8844)")
 		heartbeat     = fs.Duration("heartbeat", time.Second, "worker heartbeat period (with -worker-of)")
 		workerTTL     = fs.Duration("worker-ttl", 5*time.Second, "heartbeat staleness after which the coordinator marks a worker dead and reassigns its shards")
-		hedgeAfter    = fs.Duration("hedge-after", 30*time.Second, "straggler threshold floor: a dispatch outliving max(this, 3x latency EWMA) gets a hedged duplicate (negative: off)")
+		hedgeAfter    = fs.Duration("hedge-after", 30*time.Second, "straggler threshold: a dispatch outliving it gets a hedged duplicate on the next-ranked worker (negative: off)")
 		shardTimeout  = fs.Duration("shard-timeout", 2*time.Minute, "bound on one dispatch attempt to one worker")
 		maxRetryAfter = fs.Duration("max-retry-after", 5*time.Minute, "cap on the 503 Retry-After hint (negative: uncapped)")
 		advertise     = fs.String("advertise", "", "URL workers/coordinators reach this daemon at (default: http://<bound addr>)")
@@ -200,7 +199,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Logger:             logger,
 		JournalDir:         *journalDir,
 		RequeueInterrupted: *recoverFlag,
-		Watchdog:           *watchdog,
 		FlightFrames:       *flightFrames,
 		CacheEntries:       *cacheEntries,
 		CacheDir:           *cacheDir,

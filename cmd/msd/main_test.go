@@ -30,7 +30,6 @@ func TestSmoke(t *testing.T) {
 			"-log-format", "json",
 			"-log-level", "error",
 			"-drain-timeout", "60s",
-			"-watchdog", "30s",
 			"-flight-recorder", "256",
 			"-history-dir", t.TempDir(),
 		}, ready)
@@ -240,8 +239,13 @@ func TestBadFlags(t *testing.T) {
 	if err := run(ctx, []string{"-addr", "256.0.0.1:99999"}, nil); err == nil {
 		t.Error("bad listen address must error")
 	}
-	if err := run(ctx, []string{"-watchdog", "fast"}, nil); err == nil {
-		t.Error("malformed -watchdog must error")
+	if err := run(ctx, []string{"-worker-ttl", "fast"}, nil); err == nil {
+		t.Error("malformed -worker-ttl must error")
+	}
+	// The bad address makes the run fail fast should the flag parse.
+	if err := run(ctx, []string{"-addr", "256.0.0.1:99999", "-watchdog", "30s"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-watchdog must be an unknown flag, got %v", err)
 	}
 	if err := run(ctx, []string{"-flight-recorder", "many"}, nil); err == nil {
 		t.Error("malformed -flight-recorder must error")

@@ -169,10 +169,9 @@ func runChaosSeed(t *testing.T, seed uint64) {
 		Members:      m,
 		Exec:         exec,
 		Local:        func(_ context.Context, _ Point, key string) PointResult { return chaosVerdict(key) },
-		Retry:        core.RetryPolicy{Max: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-		ShardTimeout: 30 * time.Millisecond, // converts hangs into retryable timeouts fast
+		Retry:        RetryPolicy{Max: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
+		ShardTimeout: 30 * time.Millisecond, // converts hangs into retried timeouts fast
 		HedgeAfter:   10 * time.Millisecond,
-		EWMA:         &LatencyEWMA{},
 		DeathPoll:    2 * time.Millisecond,
 	}
 

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"microsampler/internal/core"
 )
 
 // ErrWorkerLost classifies a dispatch attempt aborted because the
@@ -26,37 +25,40 @@ type Executor interface {
 	Execute(ctx context.Context, workerURL string, p Point, key string) (PointResult, error)
 }
 
-// LatencyEWMA tracks typical successful dispatch latency; the hedging
-// threshold is a multiple of it. One instance is shared across batches
-// so the estimate survives batch boundaries.
-type LatencyEWMA struct {
-	mu  sync.Mutex
-	sec float64
+// RetryPolicy bounds the remote dispatch attempts of one point.
+type RetryPolicy struct {
+	// Max is the number of retries allowed per point beyond the first
+	// attempt.
+	Max int
+	// BaseDelay seeds the exponential backoff: before retry n (0-based)
+	// the dispatcher sleeps a full-jitter duration drawn uniformly from
+	// [0, min(MaxDelay, BaseDelay·2ⁿ)).
+	BaseDelay time.Duration
+	// MaxDelay caps the backoff window (never below BaseDelay).
+	MaxDelay time.Duration
 }
 
-// Observe folds one successful dispatch duration into the average.
-func (e *LatencyEWMA) Observe(d time.Duration) {
-	const alpha = 0.3 // favour recent dispatches without whiplash
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sec == 0 {
-		e.sec = d.Seconds()
-		return
+// Backoff returns the full-jitter delay before retry n (0-based),
+// drawn uniformly from [0, min(MaxDelay, BaseDelay·2ⁿ)).
+func (p RetryPolicy) Backoff(n int) time.Duration {
+	return p.backoffAt(n, rand.Float64())
+}
+
+// backoffAt is Backoff with the uniform jitter draw u injected; split
+// out so tests can pin the draw.
+func (p RetryPolicy) backoffAt(n int, u float64) time.Duration {
+	window := p.BaseDelay
+	for i := 0; i < n && window < p.MaxDelay; i++ {
+		window *= 2
 	}
-	e.sec = alpha*d.Seconds() + (1-alpha)*e.sec
+	if window > p.MaxDelay {
+		window = p.MaxDelay
+	}
+	if window <= 0 {
+		return 0
+	}
+	return time.Duration(u * float64(window))
 }
-
-// Value returns the current average.
-func (e *LatencyEWMA) Value() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Duration(e.sec * float64(time.Second))
-}
-
-// hedgeEWMAFactor scales the latency EWMA into the straggler
-// threshold: a dispatch outliving 3× the typical latency earns a
-// hedged duplicate.
-const hedgeEWMAFactor = 3
 
 // Stats summarises one Dispatcher.Run.
 type Stats struct {
@@ -84,19 +86,15 @@ type Dispatcher struct {
 	Local func(ctx context.Context, p Point, key string) PointResult
 
 	// Retry bounds remote attempts per point beyond the first, with
-	// full-jitter exponential backoff between them (the core.RetryPolicy
-	// shape; zero value defaults to 3 retries, 100ms base, 2s cap).
-	Retry core.RetryPolicy
+	// full-jitter exponential backoff between them (zero value defaults
+	// to 3 retries, 100ms base, 2s cap).
+	Retry RetryPolicy
 	// ShardTimeout bounds one dispatch attempt (default 2m).
 	ShardTimeout time.Duration
-	// HedgeAfter is the floor of the straggler threshold: an attempt
-	// outliving max(HedgeAfter, 3×latency-EWMA) gets a duplicate
-	// dispatch on the next-ranked worker, first result wins. Zero
-	// disables hedging.
+	// HedgeAfter is the straggler threshold: an attempt outliving it
+	// gets a duplicate dispatch on the next-ranked worker, first result
+	// wins. Zero or negative disables hedging.
 	HedgeAfter time.Duration
-	// EWMA is the shared latency estimate feeding the hedge threshold
-	// (nil: hedging uses HedgeAfter alone).
-	EWMA *LatencyEWMA
 	// DeathPoll is how often an in-flight attempt checks its worker's
 	// liveness (default 25ms).
 	DeathPoll time.Duration
@@ -109,7 +107,6 @@ type Dispatcher struct {
 	// hooks are skipped. msd wires them to telemetry counters.
 	OnReassign func(key, from, to string)
 	OnHedge    func(key, primary, hedge string)
-	OnDegrade  func(key string)
 
 	reassigned, hedged, degraded atomic.Int64
 }
@@ -182,7 +179,7 @@ func (d *Dispatcher) Run(ctx context.Context, points []Point, keys []string, onR
 
 // retry returns the retry policy with the dispatcher's defaults
 // applied.
-func (d *Dispatcher) retry() core.RetryPolicy {
+func (d *Dispatcher) retry() RetryPolicy {
 	p := d.Retry
 	if p.Max <= 0 {
 		p.Max = 3
@@ -199,9 +196,9 @@ func (d *Dispatcher) retry() core.RetryPolicy {
 	return p
 }
 
-// backoff sleeps the core.RetryPolicy full-jitter delay before retry n
-// (0-based), honouring ctx.
-func backoff(ctx context.Context, p core.RetryPolicy, n int) {
+// backoff sleeps the full-jitter delay before retry n (0-based),
+// honouring ctx.
+func backoff(ctx context.Context, p RetryPolicy, n int) {
 	d := p.Backoff(n)
 	if d <= 0 {
 		return
@@ -311,21 +308,6 @@ func (d *Dispatcher) pickHedge(key, primary string) (WorkerInfo, bool) {
 	return WorkerInfo{}, false
 }
 
-// hedgeDelay is the straggler threshold for this attempt: the EWMA
-// multiple, floored by HedgeAfter. Zero disables hedging.
-func (d *Dispatcher) hedgeDelay() time.Duration {
-	if d.HedgeAfter <= 0 {
-		return 0
-	}
-	delay := d.HedgeAfter
-	if d.EWMA != nil {
-		if byEWMA := hedgeEWMAFactor * d.EWMA.Value(); byEWMA > delay {
-			delay = byEWMA
-		}
-	}
-	return delay
-}
-
 // attempt runs one hedgeable dispatch of a point: the primary worker
 // immediately, a duplicate on the next-ranked worker once the straggler
 // threshold passes, first successful result wins. Each leg is bounded
@@ -346,7 +328,6 @@ func (d *Dispatcher) attempt(ctx context.Context, key string, p Point, primary W
 		lost bool
 	}
 	ch := make(chan outcome, 2) // buffered: a losing leg must never block
-	started := time.Now()
 	launch := func(w WorkerInfo) {
 		go func() {
 			wctx, wcancel := context.WithCancel(actx)
@@ -370,8 +351,8 @@ func (d *Dispatcher) attempt(ctx context.Context, key string, p Point, primary W
 	launch(primary)
 	inflight := 1
 	var hedgeC <-chan time.Time
-	if delay := d.hedgeDelay(); delay > 0 {
-		t := time.NewTimer(delay)
+	if d.HedgeAfter > 0 {
+		t := time.NewTimer(d.HedgeAfter)
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -382,9 +363,6 @@ func (d *Dispatcher) attempt(ctx context.Context, key string, p Point, primary W
 		case o := <-ch:
 			inflight--
 			if o.err == nil {
-				if d.EWMA != nil {
-					d.EWMA.Observe(time.Since(started))
-				}
 				o.res.Worker = o.id
 				return o.res, nil
 			}
@@ -440,9 +418,6 @@ func (d *Dispatcher) watchWorker(ctx context.Context, id string, cancel context.
 // and flags the result.
 func (d *Dispatcher) degrade(ctx context.Context, key string, p Point, why string) PointResult {
 	d.degraded.Add(1)
-	if d.OnDegrade != nil {
-		d.OnDegrade(key)
-	}
 	d.logf("point degraded to local execution", "key", short(key), "why", why)
 	res := d.Local(ctx, p, key)
 	res.Degraded = true

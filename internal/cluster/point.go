@@ -77,9 +77,9 @@ const maxRuns = 1024
 // and bounds live: runs default to 4 and must lie in [0,1024], and the
 // configuration comes from the cell or sim.ConfigByName. Warmup passes
 // through: core.Options applies its own default and maps any negative
-// value to "keep all". Execution-strategy options (parallelism,
-// retries, telemetry) are the executing daemon's business and are left
-// zero.
+// value to "keep all". Execution-strategy options (parallelism, run
+// deadline, telemetry) are the executing daemon's business and are
+// left zero.
 func (p Point) Resolve() (core.Workload, core.Options, error) {
 	var w core.Workload
 	var err error

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"microsampler/internal/cache"
 	"microsampler/internal/sim"
@@ -36,9 +37,9 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 			implicit, explicit)
 	}
 	// Execution-strategy fields must not perturb the key.
-	strategic := mustKey(t, w, Options{Parallel: 4, Retry: RetryPolicy{Max: 3}})
+	strategic := mustKey(t, w, Options{Parallel: 4, RunTimeout: time.Minute})
 	if strategic != implicit {
-		t.Error("Parallel/Retry changed the cache key")
+		t.Error("Parallel/RunTimeout changed the cache key")
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 // detection-relevant options) — the calibration gate proves
 // byte-identical output across runs — so a canonical SHA-256 of that
 // tuple names the result: two submissions with the same key would
-// simulate to the same report, whatever the parallelism, retry policy
+// simulate to the same report, whatever the parallelism, run deadline
 // or telemetry wiring of either.
 //
 // Detection-relevant fields are hashed; execution-strategy fields
-// (Parallel, Retry, RunTimeout, Watchdog, probes, sinks,
-// loggers) are deliberately not — they change how the answer is
+// (Parallel, RunTimeout, FlightRecorderFrames, probes, sinks, loggers)
+// are deliberately not — they change how the answer is
 // computed, never what it is. MeasureStages is hashed because it
 // changes the report's stage breakdown contents.
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -111,31 +110,20 @@ type Options struct {
 	// its siblings are cancelled instead of simulating to completion.
 	Parallel int
 
-	// RunTimeout bounds the wall time of each run attempt (0 means no
-	// bound). An expired attempt fails with context.DeadlineExceeded,
-	// which the retry policy retries.
+	// RunTimeout bounds the wall time of each run (0 means no bound).
+	// An expired run fails with a context.DeadlineExceeded-wrapped error,
+	// and so does the verification: every run gets exactly one attempt.
 	RunTimeout time.Duration
-	// Watchdog, when positive, arms a wall-clock stall detector per run
-	// attempt: if the simulator makes no cycle progress for this long
-	// (a blocked tracer or cycle observer), the attempt is aborted with
-	// a sim.ErrStalled-wrapped error, which the retry policy retries.
-	Watchdog time.Duration
-	// Retry re-executes run attempts that failed for a host reason — a
-	// watchdog stall or a RunTimeout expiry — with exponential backoff
-	// and full jitter. Every other failure, a recovered panic included,
-	// is deterministic in the simulated execution and fails the run on
-	// its first attempt. The zero value disables retrying.
-	Retry RetryPolicy
 	// FlightRecorderFrames, when positive, attaches a cycle-level flight
-	// recorder of that many frames to every run attempt's machine. A
-	// failing attempt — error, stall, timeout, panic, nonzero exit —
-	// then surfaces as a *RunFailure carrying the post-mortem ring of
-	// the last N cycles (extract with FlightDumpFromError; render with
+	// recorder of that many frames to every run's machine. A failing
+	// run — error, timeout, panic, nonzero exit — then surfaces as a
+	// *RunFailure carrying the post-mortem ring of the last N cycles
+	// (extract with FlightDumpFromError; render with
 	// telemetry/export.FlightPerfetto). Zero disables the recorder.
 	FlightRecorderFrames int
 	// Probe, when non-nil, receives the live progress of this
-	// verification: simulated cycles, current stage, completed runs and
-	// retries, all readable concurrently while Verify runs.
+	// verification: simulated cycles, current stage and completed runs,
+	// all readable concurrently while Verify runs.
 	Probe *RunProbe
 
 	// Cache, when non-nil, serves repeat verifications from a
@@ -174,42 +162,6 @@ type Options struct {
 	RunID string
 }
 
-// RetryPolicy configures per-run retry of stalled or timed-out attempts.
-type RetryPolicy struct {
-	// Max is the number of retries allowed per run beyond the first
-	// attempt; 0 disables retrying.
-	Max int
-	// BaseDelay seeds the exponential backoff (default 50ms when
-	// Max > 0): before retry n (0-based) the worker sleeps a full-jitter
-	// duration drawn uniformly from [0, min(MaxDelay, BaseDelay·2ⁿ)).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff window (default 2s; never below
-	// BaseDelay).
-	MaxDelay time.Duration
-}
-
-// Backoff returns the full-jitter delay before retry n (0-based),
-// drawn uniformly from [0, min(MaxDelay, BaseDelay·2ⁿ)).
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	return p.backoffAt(n, rand.Float64())
-}
-
-// backoffAt is Backoff with the uniform jitter draw u injected; split
-// out so tests can pin the draw.
-func (p RetryPolicy) backoffAt(n int, u float64) time.Duration {
-	window := p.BaseDelay
-	for i := 0; i < n && window < p.MaxDelay; i++ {
-		window *= 2
-	}
-	if window > p.MaxDelay {
-		window = p.MaxDelay
-	}
-	if window <= 0 {
-		return 0
-	}
-	return time.Duration(u * float64(window))
-}
-
 // withDefaults validates the options and fills in defaults. Negative
 // Runs or MaxCycles, or a Parallel below the ParallelAuto sentinel, are
 // programming errors that used to surface as panics (e.g. in
@@ -231,12 +183,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.RunTimeout < 0 {
 		return o, fmt.Errorf("core: Options.RunTimeout must be non-negative, got %v", o.RunTimeout)
 	}
-	if o.Watchdog < 0 {
-		return o, fmt.Errorf("core: Options.Watchdog must be non-negative, got %v", o.Watchdog)
-	}
-	if o.Retry.Max < 0 || o.Retry.BaseDelay < 0 || o.Retry.MaxDelay < 0 {
-		return o, fmt.Errorf("core: Options.Retry fields must be non-negative, got %+v", o.Retry)
-	}
 	if o.FlightRecorderFrames < 0 {
 		return o, fmt.Errorf("core: Options.FlightRecorderFrames must be non-negative, got %d",
 			o.FlightRecorderFrames)
@@ -247,17 +193,6 @@ func (o Options) withDefaults() (Options, error) {
 		}
 		if slices.Contains(o.Units[:i], u) {
 			return o, fmt.Errorf("core: Options.Units repeats unit %s", u)
-		}
-	}
-	if o.Retry.Max > 0 {
-		if o.Retry.BaseDelay == 0 {
-			o.Retry.BaseDelay = 50 * time.Millisecond
-		}
-		if o.Retry.MaxDelay == 0 {
-			o.Retry.MaxDelay = 2 * time.Second
-		}
-		if o.Retry.MaxDelay < o.Retry.BaseDelay {
-			o.Retry.MaxDelay = o.Retry.BaseDelay
 		}
 	}
 	if o.Config.Name == "" {
@@ -387,9 +322,6 @@ type Report struct {
 	Runs       int
 	Stages     StageTimes
 	SimCycles  int64 // total simulated cycles across runs
-	// Retries counts run attempts that stalled or timed out and were
-	// re-executed under Options.Retry; 0 when no attempt was retried.
-	Retries int
 
 	// Sim aggregates the simulator's event counters across runs.
 	Sim SimStats
@@ -570,44 +502,8 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	}
 	var progressMu sync.Mutex
 	runsDone := 0
-	var retriesTotal atomic.Int64
-	// attemptOne executes one attempt of one run: the untraced pass
-	// (MeasureStages), the traced pass with a fresh collector, and the
-	// synthesised parse span. Attempt state never leaks across attempts,
-	// so a retried run is indistinguishable from a first try.
-	attemptOne := func(run, attempt int, parent uint64) (out runOut) {
-		if opts.MeasureStages {
-			s := tr.Start("simulate.untraced", parent, run)
-			_, err := execRun(runCtx, w, opts, prog, probe, run, attempt, nil, nil, 0)
-			out.plain = s.End()
-			if err != nil {
-				out.err = fmt.Errorf("%s run %d (untraced): %w", w.Name, run, err)
-				return out
-			}
-		}
-		col := trace.NewCollector(
-			trace.WithUnits(opts.Units...),
-			trace.WithWarmupIterations(opts.Warmup),
-		)
-		tracedStart := time.Now()
-		res, err := execRun(runCtx, w, opts, prog, probe, run, attempt, col, tr, parent)
-		out.traced = time.Since(tracedStart)
-		if err != nil {
-			out.err = fmt.Errorf("%s run %d: %w", w.Name, run, err)
-			return out
-		}
-		out.col, out.res = col, res
-		if opts.MeasureStages {
-			// Attribute the traced-minus-untraced overhead of this run
-			// to trace parsing, as a synthesised span.
-			parse := out.traced - out.plain
-			if parse < 0 {
-				parse = 0
-			}
-			tr.Record("parse", parent, run, tracedStart, parse)
-		}
-		return out
-	}
+	// runOne executes one run: the untraced pass (MeasureStages), the
+	// traced pass with a fresh collector, and the synthesised parse span.
 	runOne := func(run int) (out runOut) {
 		// Re-check cancellation here, after the run has been claimed:
 		// a worker may have been waiting while a sibling failed.
@@ -617,35 +513,39 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		}
 		runSpan := tr.Start("run", simSpan.ID(), run)
 		defer runSpan.End()
-		for attempt := 0; ; attempt++ {
-			out = attemptOne(run, attempt, runSpan.ID())
-			if out.err == nil {
-				break
+		failed := func(err error) runOut {
+			out.err = err
+			countFailure(opts.Metrics, err)
+			lg.Error("run failed", "run", run, "class", errClass(err), "err", err)
+			return out
+		}
+		if opts.MeasureStages {
+			s := tr.Start("simulate.untraced", runSpan.ID(), run)
+			_, err := execRun(runCtx, w, opts, prog, probe, run, nil, nil, 0)
+			out.plain = s.End()
+			if err != nil {
+				return failed(fmt.Errorf("%s run %d (untraced): %w", w.Name, run, err))
 			}
-			countFailure(opts.Metrics, out.err)
-			if runCtx.Err() != nil || attempt >= opts.Retry.Max || !retryable(out.err) {
-				lg.Error("run failed", "run", run, "attempt", attempt, "err", out.err)
-				return out
+		}
+		col := trace.NewCollector(
+			trace.WithUnits(opts.Units...),
+			trace.WithWarmupIterations(opts.Warmup),
+		)
+		tracedStart := time.Now()
+		res, err := execRun(runCtx, w, opts, prog, probe, run, col, tr, runSpan.ID())
+		out.traced = time.Since(tracedStart)
+		if err != nil {
+			return failed(fmt.Errorf("%s run %d: %w", w.Name, run, err))
+		}
+		out.col, out.res = col, res
+		if opts.MeasureStages {
+			// Attribute the traced-minus-untraced overhead of this run
+			// to trace parsing, as a synthesised span.
+			parse := out.traced - out.plain
+			if parse < 0 {
+				parse = 0
 			}
-			retriesTotal.Add(1)
-			probe.retryObserved()
-			if opts.Metrics != nil {
-				opts.Metrics.Counter("verify_retries_total").Inc()
-			}
-			delay := opts.Retry.Backoff(attempt)
-			lg.Warn("run attempt failed; retrying", "run", run, "attempt", attempt,
-				"class", errClass(out.err), "backoff", delay, "err", out.err)
-			retrySpan := tr.StartDetail("run.retry", runSpan.ID(), run,
-				fmt.Sprintf("attempt %d after %s", attempt+1, errClass(out.err)))
-			wait := time.NewTimer(delay)
-			select {
-			case <-runCtx.Done():
-				wait.Stop()
-				retrySpan.End()
-				return out
-			case <-wait.C:
-			}
-			retrySpan.End()
+			tr.Record("parse", runSpan.ID(), run, tracedStart, parse)
 		}
 		lg.Debug("run complete", "run", run, "cycles", out.res.Cycles,
 			"iterations", len(out.col.Iterations()), "dur", out.traced)
@@ -713,7 +613,6 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		wg.Wait()
 	}
 	simWall := simSpan.End()
-	rep.Retries = int(retriesTotal.Load())
 
 	// Merge in run order so results are identical to a sequential run.
 	probe.setStage(StageMerge)
@@ -834,7 +733,6 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	lg.Info("verify complete",
 		"leaky", rep.AnyLeak(), "leaky_units", leakyNames,
 		"iterations", len(rep.Iterations), "sim_cycles", rep.SimCycles,
-		"retries", rep.Retries,
 		"elapsed", time.Since(verifyStart),
 		"stage_simulate", rep.Stages.Simulate, "stage_stats", rep.Stages.Stats,
 		"stage_extract", rep.Stages.Extract)
@@ -880,23 +778,22 @@ func recordMetrics(m *telemetry.Registry, rep *Report, runWall []time.Duration) 
 	m.Histogram("verify_stage_seconds.extract", lb).Observe(rep.Stages.Extract.Seconds())
 }
 
-// execRun performs one simulation run attempt from reset state. When tr
-// is non-nil, machine construction and execution are recorded as child
-// spans of parent. A panic anywhere in the attempt — setup, the
-// simulator, a tracer or cycle observer — is recovered into a
-// *PanicError with the stack captured, so one crashing attempt never
-// takes down the worker pool. When a flight recorder is armed, any
+// execRun performs one simulation run from reset state. When tr is
+// non-nil, machine construction and execution are recorded as child
+// spans of parent. A panic anywhere in the run — setup, the simulator,
+// a tracer or cycle observer — is recovered into a *PanicError with the
+// stack captured, so one crashing run never takes down the worker pool. When a flight recorder is armed, any
 // failure (including a recovered panic) is wrapped in a *RunFailure
 // carrying the post-mortem dump of the machine's final cycles.
 func execRun(ctx context.Context, w Workload, opts Options, prog *asm.Program, probe *RunProbe,
-	run, attempt int, col *trace.Collector, tr *telemetry.SpanTracer, parent uint64) (res sim.Result, err error) {
+	run int, col *trace.Collector, tr *telemetry.SpanTracer, parent uint64) (res sim.Result, err error) {
 	var m *sim.Machine
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 		if err != nil && opts.FlightRecorderFrames > 0 && m != nil {
-			err = &RunFailure{Run: run, Attempt: attempt, Dump: m.FlightDump(), Err: err}
+			err = &RunFailure{Run: run, Dump: m.FlightDump(), Err: err}
 		}
 	}()
 	setupSpan := tr.Start("machine-setup", parent, run)
@@ -931,7 +828,7 @@ func execRun(ctx context.Context, w Workload, opts Options, prog *asm.Program, p
 		defer cancel()
 	}
 	execSpan := tr.Start("execute", parent, run)
-	res, err = m.RunContext(ctx, opts.MaxCycles, opts.Watchdog)
+	res, err = m.RunContext(ctx, opts.MaxCycles)
 	execSpan.End()
 	if err != nil {
 		return res, err
@@ -955,32 +852,20 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("recovered panic: %v", p.Value)
 }
 
-// retryable reports whether a failed attempt may be re-executed. Only
-// host failures are: a watchdog stall or a run-deadline expiry. A
-// verdict is a deterministic function of the simulated execution, so
-// any other error — a panic included — would recur on every retry.
-// Plain cancellation (a sibling failed, or the caller gave up) is not
-// a stall or a deadline, so it is never retried.
-func retryable(err error) bool {
-	return errors.Is(err, sim.ErrStalled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// errClass names the failure mode of a run attempt for logs, spans and
-// the verify_run_{panics,stalls,timeouts,errors}_total counters.
+// errClass names the failure mode of a failed run for logs and the
+// verify_run_{panics,timeouts,errors}_total counters.
 func errClass(err error) string {
 	var pe *PanicError
 	switch {
 	case errors.As(err, &pe):
 		return "panic"
-	case errors.Is(err, sim.ErrStalled):
-		return "stall"
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
 	}
 	return "error"
 }
 
-// countFailure attributes one failed run attempt to the live telemetry
+// countFailure attributes one failed run to the live telemetry
 // counter of its class.
 func countFailure(m *telemetry.Registry, err error) {
 	if m != nil {

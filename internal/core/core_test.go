@@ -286,16 +286,29 @@ func TestOptionsRejectBadUnits(t *testing.T) {
 	}
 }
 
+// spinWorkload never exits: a run of it ends only when cancelled or
+// when it exhausts its cycle budget.
+const spinWorkload = `
+	.text
+_start:
+spin:
+	j    spin
+`
+
 func TestParallelFailureCancelsSiblings(t *testing.T) {
-	// Run 0 fails during setup; the remaining runs would each simulate a
-	// long loop. With failure propagation, the pool must stop claiming
-	// queued runs: only the runs already in flight when the failure hits
-	// can still execute, so far fewer than Runs setups are observed.
+	// Run 0 fails during setup; every other run spins until cancelled.
+	// With failure propagation, the in-flight sibling is cancelled and
+	// the pool stops claiming queued runs, so a pool of 2 starts run 0
+	// and at most the one sibling claimed before the failure landed.
+	// The cycle budget bounds a cancellation regression: a sibling then
+	// spins to maxCycles, which fails the cycle check (and, once queued
+	// siblings start too, the elapsed check) instead of hanging.
 	const runs = 16
+	const maxCycles = 30_000_000
 	var started atomic.Int64
 	w := Workload{
 		Name:   "failfast",
-		Source: leakWorkload,
+		Source: spinWorkload,
 		Setup: func(run int, m *sim.Machine, prog *asm.Program) error {
 			started.Add(1)
 			if run == 0 {
@@ -304,15 +317,18 @@ func TestParallelFailureCancelsSiblings(t *testing.T) {
 			return nil
 		},
 	}
+	probe := NewRunProbe()
 	start := time.Now()
-	_, err := Verify(w, Options{Runs: runs, Warmup: 1, Config: sim.SmallBoom(), Parallel: 2})
+	_, err := Verify(w, Options{Runs: runs, Warmup: 1, Config: sim.SmallBoom(),
+		Parallel: 2, MaxCycles: maxCycles, Probe: probe})
 	if err == nil || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("want the injected failure surfaced, got %v", err)
 	}
-	// Worker pool of 2: run 0 fails immediately; at most a handful of
-	// sibling runs can have started before cancellation lands.
-	if n := started.Load(); n > 4 {
-		t.Errorf("%d of %d runs started after failure, cancellation did not propagate", n, runs)
+	if n := started.Load(); n < 1 || n > 2 {
+		t.Errorf("%d of %d runs started, want 1 or 2: cancellation did not propagate", n, runs)
+	}
+	if c := probe.Snapshot().Cycles; c >= maxCycles {
+		t.Errorf("siblings simulated %d cycles, want fewer than the %d budget", c, maxCycles)
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("failure took %v to surface; siblings were not cancelled", elapsed)

@@ -45,7 +45,7 @@ func (s Stage) String() string {
 // RunProbe is a live progress view of one verification: pass one in
 // Options.Probe and read it from any goroutine while Verify runs. All
 // fields advance atomically; the cycle counter aggregates simulated
-// cycles across runs, attempts and (under MeasureStages) both passes,
+// cycles across runs and (under MeasureStages) both passes,
 // so it is monotonically increasing for the lifetime of the
 // verification.
 type RunProbe struct {
@@ -53,7 +53,6 @@ type RunProbe struct {
 	stage     atomic.Int32
 	runsDone  atomic.Int32
 	totalRuns atomic.Int32
-	retries   atomic.Int32
 
 	sink func(delta int64)
 }
@@ -83,7 +82,6 @@ type ProbeSnapshot struct {
 	Stage     Stage
 	RunsDone  int
 	TotalRuns int
-	Retries   int
 }
 
 // Snapshot reads the probe's current state.
@@ -93,27 +91,24 @@ func (p *RunProbe) Snapshot() ProbeSnapshot {
 		Stage:     Stage(p.stage.Load()),
 		RunsDone:  int(p.runsDone.Load()),
 		TotalRuns: int(p.totalRuns.Load()),
-		Retries:   int(p.retries.Load()),
 	}
 }
 
 func (p *RunProbe) setStage(s Stage) { p.stage.Store(int32(s)) }
 func (p *RunProbe) setTotal(n int)   { p.totalRuns.Store(int32(n)) }
 func (p *RunProbe) runComplete()     { p.runsDone.Add(1) }
-func (p *RunProbe) retryObserved()   { p.retries.Add(1) }
 
-// RunFailure wraps the error of a failed run attempt with the
+// RunFailure wraps the error of a failed run with the
 // flight-recorder post-mortem captured at the moment of failure
 // (Options.FlightRecorderFrames must be positive). Extract it from a
 // Verify error with errors.As; render the dump with
 // telemetry/export.FlightPerfetto. Unwrap exposes the underlying
-// error, so retry classification and errors.Is/As chains are
+// error, so failure classification and errors.Is/As chains are
 // unaffected by the wrapping.
 type RunFailure struct {
-	Run     int
-	Attempt int
-	Dump    *sim.FlightDump
-	Err     error
+	Run  int
+	Dump *sim.FlightDump
+	Err  error
 }
 
 // Error reports the underlying failure.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"microsampler/internal/sim"
 )
@@ -34,9 +33,6 @@ func TestRunProbeLifecycle(t *testing.T) {
 	}
 	if got := sunk.Load(); got != s.Cycles {
 		t.Errorf("cycle sink saw %d, probe holds %d", got, s.Cycles)
-	}
-	if s.Retries != 0 {
-		t.Errorf("retries = %d want 0", s.Retries)
 	}
 }
 
@@ -102,35 +98,6 @@ spin:
 	}
 }
 
-func TestRunFailureWrapsStallWithDump(t *testing.T) {
-	// A cycle sink that blocks past the watchdog models a wedged run;
-	// the watchdog aborts it and the flight recorder keeps the final
-	// approach.
-	_, err := Verify(Workload{Name: "stall", Source: longWorkload}, Options{
-		Config:               sim.SmallBoom(),
-		FlightRecorderFrames: 64,
-		Watchdog:             30 * time.Millisecond,
-		Probe:                sinkProbe(wedgeFirst(1, 300*time.Millisecond)),
-	})
-	if !errors.Is(err, sim.ErrStalled) {
-		t.Fatalf("want ErrStalled, got %v", err)
-	}
-	dump, ok := FlightDumpFromError(err)
-	if !ok {
-		t.Fatalf("stalled run carried no flight dump: %v", err)
-	}
-	if len(dump.Frames) == 0 {
-		t.Error("empty flight dump for stalled run")
-	}
-	// The wrapping must stay transparent to retry classification.
-	if !retryable(err) {
-		t.Error("stall wrapped in RunFailure no longer classified retryable")
-	}
-	if errClass(err) != "stall" {
-		t.Errorf("errClass = %q want stall", errClass(err))
-	}
-}
-
 func TestRunFailureWrapsPanicWithDump(t *testing.T) {
 	_, err := Verify(Workload{Name: "crash", Source: longWorkload}, Options{
 		Config:               sim.SmallBoom(),
@@ -142,9 +109,6 @@ func TestRunFailureWrapsPanicWithDump(t *testing.T) {
 	}
 	if errClass(err) != "panic" {
 		t.Fatalf("errClass = %q want panic (err: %v)", errClass(err), err)
-	}
-	if retryable(err) {
-		t.Error("recovered panic classified retryable")
 	}
 	if _, ok := FlightDumpFromError(err); !ok {
 		t.Errorf("panicking run carried no flight dump: %v", err)

@@ -370,7 +370,7 @@ func VerifyMatrix(w Workload, opts MatrixOptions) (*Matrix, error) {
 }
 
 // VerifyMatrixContext runs the full verification pipeline once per grid
-// cell, reusing the per-cell worker pool, retry layer and telemetry of
+// cell, reusing the per-cell worker pool, run deadline and telemetry of
 // VerifyContext. Cells are verified by a fixed pool of CellParallel
 // workers claiming cell indices from a shared counter — the same
 // scheme VerifyContext uses for runs — and merged in cell order, so the

@@ -260,7 +260,6 @@ func (s *Server) dispatcher(b *Batch) *cluster.Dispatcher {
 		Local:        func(_ context.Context, p cluster.Point, key string) cluster.PointResult { return s.runPoint(p, key) },
 		ShardTimeout: s.cfg.ShardTimeout,
 		HedgeAfter:   s.cfg.HedgeAfter,
-		EWMA:         s.dispatchLat,
 		Logger:       s.log,
 		OnReassign: func(key, from, to string) {
 			s.shardReassign.Inc()

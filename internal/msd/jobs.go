@@ -197,7 +197,6 @@ type progressView struct {
 	Cycles    int64  `json:"cycles"`
 	RunsDone  int    `json:"runsDone"`
 	TotalRuns int    `json:"totalRuns"`
-	Retries   int    `json:"retries"`
 	ElapsedMS int64  `json:"elapsedMillis"`
 }
 
@@ -221,7 +220,6 @@ func (j *Job) progress() progressView {
 		v.Cycles = s.Cycles
 		v.RunsDone = s.RunsDone
 		v.TotalRuns = s.TotalRuns
-		v.Retries = s.Retries
 	}
 	// Terminal statuses pin the stage and cycle count to the recorded
 	// outcome, which also covers journal-recovered jobs with no live

@@ -51,10 +51,6 @@ type Config struct {
 	// pipeline's own counters land in the same registry so one scrape
 	// sees daemon and pipeline state. Nil creates a fresh registry.
 	Metrics *telemetry.Registry
-	// Watchdog aborts a simulation run that stops retiring instructions
-	// for this wall-clock duration (0: disabled); aborted runs carry a
-	// flight-recorder post-mortem when FlightFrames is positive.
-	Watchdog time.Duration
 	// FlightFrames arms a per-run flight recorder of the last N cycles;
 	// failed jobs then expose a "postmortem" Perfetto artifact showing
 	// the final approach. Zero disables the recorder.
@@ -97,10 +93,9 @@ type Config struct {
 	// coordinator marks it dead and reassigns its in-flight shards
 	// (default 5s).
 	WorkerTTL time.Duration
-	// HedgeAfter floors the straggler threshold: a dispatch outliving
-	// max(HedgeAfter, 3×latency-EWMA) gets a hedged duplicate on the
-	// next-ranked worker, first result wins (default 30s; negative
-	// disables hedging).
+	// HedgeAfter is the straggler threshold: a dispatch outliving it
+	// gets a hedged duplicate on the next-ranked worker, first result
+	// wins (default 30s; negative disables hedging).
 	HedgeAfter time.Duration
 	// ShardTimeout bounds one dispatch attempt to one worker
 	// (default 2m).
@@ -171,13 +166,11 @@ type Server struct {
 	// /api/v1/diff (nil when disabled). It carries its own lock.
 	hist *history.Store
 
-	// Cluster state: the worker failure detector, the shared dispatch
-	// latency estimate feeding the hedge threshold, the HTTP client
+	// Cluster state: the worker failure detector, the HTTP client
 	// batches dispatch (and workers upload) through, and the tracked
 	// batches. batchWG counts running batch dispatchers so Drain can
 	// wait them out.
 	members     *cluster.Membership
-	dispatchLat *cluster.LatencyEWMA
 	clusterHTTP *http.Client
 	batchWG     sync.WaitGroup
 
@@ -269,7 +262,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:        make(map[string]*Job),
 		batches:     make(map[string]*Batch),
 		members:     cluster.NewMembership(cfg.WorkerTTL),
-		dispatchLat: &cluster.LatencyEWMA{},
 		clusterHTTP: &http.Client{},
 
 		queueDepth:   cfg.Metrics.Gauge("msd_queue_depth"),
@@ -1060,10 +1052,9 @@ func (s *Server) computeJob(job *Job) (map[string]artifact, core.Summary, error)
 }
 
 // execOptions stamps the daemon's execution options onto a resolved
-// verification: the stall watchdog, the telemetry sinks and the run ID
-// every log record and span carries.
+// verification: the telemetry sinks and the run ID every log record
+// and span carries.
 func (s *Server) execOptions(opts core.Options, runID string) core.Options {
-	opts.Watchdog = s.cfg.Watchdog
 	opts.Metrics = s.reg
 	opts.Logger = s.log
 	opts.RunID = runID

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"microsampler/internal/asm"
 	"microsampler/internal/isa"
@@ -23,13 +21,6 @@ type Machine struct {
 
 // ErrMaxCycles is returned when a run exceeds its cycle budget.
 var ErrMaxCycles = errors.New("sim: exceeded maximum cycle budget")
-
-// ErrStalled is returned by RunContext when the wall-clock watchdog
-// observes no cycle progress for the configured stall window — the run
-// loop is alive but stuck (a blocking tracer or cycle observer), as opposed
-// to a program spinning without committing, which the in-core
-// no-progress detector catches in simulated cycles.
-var ErrStalled = errors.New("sim: watchdog: no cycle progress")
 
 // New creates a machine with the given configuration.
 func New(cfg Config) (*Machine, error) {
@@ -123,22 +114,20 @@ func (r Result) IPC() float64 {
 
 // Run executes until the program exits or maxCycles elapse.
 func (m *Machine) Run(maxCycles int64) (Result, error) {
-	return m.RunContext(context.Background(), maxCycles, 0)
+	return m.RunContext(context.Background(), maxCycles)
 }
 
 // progressInterval is how often (in simulated cycles) the run loop
-// publishes progress and polls for cancellation: frequent enough that a
-// deadline lands within milliseconds of wall time, rare enough that the
-// hot path pays nothing measurable per cycle.
+// flushes the cycle observer and polls for cancellation: frequent
+// enough that a deadline lands within milliseconds of wall time, rare
+// enough that the hot path pays nothing measurable per cycle.
 const progressInterval = 1024
 
-// RunContext executes until the program exits, maxCycles elapse, ctx is
-// cancelled (checked every progressInterval cycles, so a deadline
-// bounds the run in wall time), or — when stall > 0 — a wall-clock
-// watchdog observes no cycle progress for stall. A watchdog abort
-// surfaces as an ErrStalled-wrapped error once the blocked tracer or
-// cycle observer returns control to the run loop.
-func (m *Machine) RunContext(ctx context.Context, maxCycles int64, stall time.Duration) (Result, error) {
+// RunContext executes until the program exits, maxCycles elapse, or ctx
+// is cancelled (checked every progressInterval cycles, so a deadline
+// bounds the run in wall time). A cancelled run fails with an error
+// wrapping the context's cause.
+func (m *Machine) RunContext(ctx context.Context, maxCycles int64) (Result, error) {
 	c := m.core
 
 	observed := c.cycle
@@ -153,27 +142,14 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles int64, stall time.Du
 	}
 	defer flushObs()
 
-	runCtx := ctx
-	var stalled atomic.Bool
-	var progress atomic.Int64
-	if stall > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go watchProgress(runCtx, cancel, watchDone, &progress, &stalled, stall)
-	}
-
 	for !c.halted {
 		if c.cycle >= maxCycles {
 			return m.result(), fmt.Errorf("%w (%d cycles)", ErrMaxCycles, maxCycles)
 		}
 		if c.cycle&(progressInterval-1) == 0 {
-			progress.Store(c.cycle)
 			flushObs()
-			if runCtx.Err() != nil {
-				return m.result(), m.abortErr(runCtx, &stalled, stall)
+			if ctx.Err() != nil {
+				return m.result(), fmt.Errorf("sim: run aborted at cycle %d: %w", c.cycle, context.Cause(ctx))
 			}
 		}
 		c.step()
@@ -182,51 +158,6 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles int64, stall time.Du
 		}
 	}
 	return m.result(), c.runErr
-}
-
-// abortErr shapes the error of a context-observed abort: a watchdog
-// stall, an expired deadline, or plain cancellation.
-func (m *Machine) abortErr(runCtx context.Context, stalled *atomic.Bool, stall time.Duration) error {
-	c := m.core
-	if stalled.Load() {
-		return fmt.Errorf("%w for %v (cycle %d, pc≈%#x)", ErrStalled, stall, c.cycle, c.fetchPC)
-	}
-	return fmt.Errorf("sim: run aborted at cycle %d: %w", c.cycle, context.Cause(runCtx))
-}
-
-// watchProgress is the wall-clock stall watchdog: it samples the cycle
-// counter the run loop publishes and, when it stops advancing for the
-// stall window, flags the stall and cancels the run context so the loop
-// aborts at its next progress check.
-func watchProgress(ctx context.Context, cancel context.CancelFunc, done <-chan struct{},
-	progress *atomic.Int64, stalled *atomic.Bool, stall time.Duration) {
-	interval := stall / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	last := int64(-1)
-	lastChange := time.Now()
-	for {
-		select {
-		case <-done:
-			return
-		case <-ctx.Done():
-			return
-		case now := <-tick.C:
-			cur := progress.Load()
-			if cur != last {
-				last, lastChange = cur, now
-				continue
-			}
-			if now.Sub(lastChange) >= stall {
-				stalled.Store(true)
-				cancel()
-				return
-			}
-		}
-	}
 }
 
 // Step advances the machine a single cycle; used by fine-grained tests.

@@ -45,7 +45,7 @@ func TestRunContextCancelledBeforeStart(t *testing.T) {
 	m := newLoaded(t, SmallBoom(), longLoop)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := m.RunContext(ctx, 5_000_000, 0)
+	_, err := m.RunContext(ctx, 5_000_000)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -56,7 +56,7 @@ func TestRunContextDeadlineAbortsMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := m.RunContext(ctx, 1<<60, 0)
+	res, err := m.RunContext(ctx, 1<<60)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -70,7 +70,7 @@ func TestRunContextDeadlineAbortsMidRun(t *testing.T) {
 
 func TestRunContextCompletesNormally(t *testing.T) {
 	m := newLoaded(t, SmallBoom(), quickExit)
-	res, err := m.RunContext(context.Background(), 5_000_000, 50*time.Millisecond)
+	res, err := m.RunContext(context.Background(), 5_000_000)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -79,51 +79,9 @@ func TestRunContextCompletesNormally(t *testing.T) {
 	}
 }
 
-func TestWatchdogAbortsBlockedHook(t *testing.T) {
-	m := newLoaded(t, SmallBoom(), longLoop)
-	var seen int64
-	m.SetCycleObserver(func(delta int64) {
-		seen += delta
-		if seen >= 2048 {
-			// Model an observer wedged on stuck I/O: it holds the run
-			// loop well past the stall window.
-			time.Sleep(500 * time.Millisecond)
-		}
-	})
-	start := time.Now()
-	res, err := m.RunContext(context.Background(), 5_000_000, 50*time.Millisecond)
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("want ErrStalled, got %v", err)
-	}
-	if res.Cycles != 2048 {
-		t.Errorf("stalled run stopped at cycle %d, want 2048 (the blocked flush)", res.Cycles)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Errorf("watchdog took %v", d)
-	}
-}
-
-func TestWatchdogQuietOnHealthyRun(t *testing.T) {
-	m := newLoaded(t, SmallBoom(), `
-_start:
-	li   t0, 200000
-loop:
-	addi t0, t0, -1
-	bnez t0, loop
-	li a0, 3
-`+exitStub)
-	res, err := m.RunContext(context.Background(), 5_000_000, 250*time.Millisecond)
-	if err != nil {
-		t.Fatalf("healthy run tripped the watchdog: %v", err)
-	}
-	if res.ExitCode != 3 {
-		t.Errorf("exit = %d want 3", res.ExitCode)
-	}
-}
-
 func TestRunContextMaxCyclesStillEnforced(t *testing.T) {
 	m := newLoaded(t, SmallBoom(), longLoop)
-	_, err := m.RunContext(context.Background(), 10_000, 0)
+	_, err := m.RunContext(context.Background(), 10_000)
 	if !errors.Is(err, ErrMaxCycles) {
 		t.Fatalf("want ErrMaxCycles, got %v", err)
 	}
@@ -135,7 +93,7 @@ func TestRunMatchesRunContext(t *testing.T) {
 	a := newLoaded(t, SmallBoom(), quickExit)
 	resA, errA := a.Run(5_000_000)
 	b := newLoaded(t, SmallBoom(), quickExit)
-	resB, errB := b.RunContext(context.Background(), 5_000_000, 0)
+	resB, errB := b.RunContext(context.Background(), 5_000_000)
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v %v", errA, errB)
 	}

@@ -216,20 +216,9 @@ func (s *Store) Observe(class, hash uint64, rows [][]uint64) {
 	e.CountByClass[class]++
 }
 
-// ObserveLazy records one snapshot occurrence like Observe, but only
-// materialises the rows (via the callback) when the hash is new. It
-// avoids building transformed matrices for already-seen snapshots.
-func (s *Store) ObserveLazy(class, hash uint64, rows func() [][]uint64) {
-	if e := s.byHash[hash]; e != nil {
-		e.CountByClass[class]++
-		return
-	}
-	s.Observe(class, hash, rows())
-}
-
 // ObserveFrom folds one snapshot occurrence straight from a recorder,
-// materialising its rows only when the hash is new. Unlike ObserveLazy
-// it needs no closure, so the seen-hash fast path is allocation-free.
+// materialising its rows only when the hash is new, so the seen-hash
+// fast path is allocation-free.
 func (s *Store) ObserveFrom(class, hash uint64, r *Recorder) {
 	if e := s.byHash[hash]; e != nil {
 		e.CountByClass[class]++

@@ -197,23 +197,6 @@ func TestStoreMerge(t *testing.T) {
 	}
 }
 
-func TestObserveLazy(t *testing.T) {
-	s := NewStore()
-	m := [][]uint64{{9}}
-	h := HashMatrix(m)
-	calls := 0
-	gen := func() [][]uint64 { calls++; return m }
-	s.ObserveLazy(0, h, gen)
-	s.ObserveLazy(0, h, gen)
-	s.ObserveLazy(1, h, gen)
-	if calls != 1 {
-		t.Errorf("rows materialised %d times, want 1", calls)
-	}
-	if s.Entries()[0].Total() != 3 {
-		t.Errorf("counts = %d want 3", s.Entries()[0].Total())
-	}
-}
-
 func TestAddValueMatchesSingleValueRow(t *testing.T) {
 	// The streaming event API must be hash-identical to building the
 	// equivalent single-value rows: the collector switched from

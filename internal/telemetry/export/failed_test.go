@@ -12,10 +12,11 @@ import (
 	"microsampler/internal/telemetry"
 )
 
-// fixedFailedSpans models the span tree of a verification that died
-// mid-flight: run 0 retried once after a stall and then the run was
-// aborted, so the tree is truncated — no stats or extract stages — and
-// the enclosing spans were force-ended at abort time.
+// fixedFailedSpans is a synthetic span tree of a verification that died
+// mid-flight: two run spans for run 0, the second carrying a detail
+// string, and then the run was aborted, so the tree is truncated — no
+// stats or extract stages — and the enclosing spans were force-ended at
+// abort time.
 func fixedFailedSpans() []telemetry.Span {
 	base := time.Unix(100, 0).UTC()
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }

@@ -4,15 +4,13 @@
 // path) plus structured span tracing for the Verify pipeline stages.
 //
 // The registry renders as aligned text for terminals and as JSON for
-// machine consumers, and can publish itself through the standard
-// library's expvar endpoint. Every future performance PR reports against
+// machine consumers. Every future performance PR reports against
 // these surfaces (the paper's Table VI stage breakdown generalised to
 // per-run distributions and simulator event counters).
 package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -218,16 +216,6 @@ func LatencyBuckets() []float64 {
 	return b
 }
 
-// SizeBuckets is an exponential bucket layout for sizes and event
-// counts, from 1 to ~1M.
-func SizeBuckets() []float64 {
-	b := make([]float64, 0, 21)
-	for v := 1.0; v <= 1<<20; v *= 4 {
-		b = append(b, v)
-	}
-	return b
-}
-
 // Registry is a named collection of metrics. The zero value is not
 // usable; construct with NewRegistry. Lookup methods are get-or-create
 // and safe for concurrent use; the returned metric handles should be
@@ -400,20 +388,6 @@ func (r *Registry) RenderSummary() string {
 func (r *Registry) RenderJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Snapshot(), "", "  ")
 }
-
-// PublishExpvar exposes the registry under the given name on the
-// standard expvar endpoint (/debug/vars). Publishing the same name
-// twice is a no-op, so it is safe to call per run.
-func (r *Registry) PublishExpvar(name string) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-}
-
-var publishMu sync.Mutex
 
 func sortedKeys[M ~map[string]V, V any](m M) []string {
 	keys := make([]string, 0, len(m))

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -156,19 +155,5 @@ func TestReset(t *testing.T) {
 	r.Reset()
 	if r.Counter("x").Value() != 0 {
 		t.Error("reset did not clear counters")
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("published_total").Add(3)
-	r.PublishExpvar("microsampler-test")
-	r.PublishExpvar("microsampler-test") // second publish must not panic
-	v := expvar.Get("microsampler-test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	if !strings.Contains(v.String(), "published_total") {
-		t.Errorf("expvar output missing metric: %s", v.String())
 	}
 }

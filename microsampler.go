@@ -112,11 +112,6 @@ type Workload = core.Workload
 // Options configures a verification run.
 type Options = core.Options
 
-// RetryPolicy bounds the per-run retry loop (Options.Retry): runs that
-// stalled or timed out are retried up to Max times with exponential
-// backoff and full jitter.
-type RetryPolicy = core.RetryPolicy
-
 // NoWarmup requests explicitly zero warmup iterations; a plain zero
 // Warmup keeps the package default.
 const NoWarmup = core.NoWarmup
@@ -207,8 +202,8 @@ func OpenDiskCache(dir string) (*DiskCache, error) { return cache.NewDisk(dir) }
 // verification: the SHA-256 of the assembled program, the machine
 // configuration and every detection-relevant option, with defaults
 // applied first so spelled-out defaults and omitted ones key
-// identically. Execution strategy (parallelism, retries, probes,
-// sinks) is excluded — it cannot change the verdict.
+// identically. Execution strategy (parallelism, run deadline,
+// probes, sinks) is excluded — it cannot change the verdict.
 func CacheKey(w Workload, opts Options) (string, error) {
 	return core.CacheKey(w, opts)
 }

@@ -100,6 +100,16 @@ go run ./cmd/microsampler -workload ME-NAIVE -runs 2 -warmup 2 \
     -config small -json -cache-dir "$cachedir/store" > "$cachedir/second.json"
 cmp "$cachedir/first.json" "$cachedir/second.json"
 
+echo "== CLI deadline smoke (an expired -run-timeout fails the run on its only attempt) =="
+deadlinedir="${TMPDIR:-/tmp}/microsampler-deadline-smoke"
+mkdir -p "$deadlinedir"
+if go run ./cmd/microsampler -workload ME-NAIVE -run-timeout 1ns -json \
+    > "$deadlinedir/out.json" 2> "$deadlinedir/err.txt"; then
+    echo "an expired -run-timeout did not fail the run" >&2
+    exit 1
+fi
+grep -q 'deadline exceeded' "$deadlinedir/err.txt"
+
 echo "== oracle determinism (go test -count=2) =="
 go test -count=2 ./internal/oracle
 
