@@ -14,7 +14,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"microsampler"
 )
@@ -472,51 +471,6 @@ func BenchmarkSamplingThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkCacheHit measures the content-addressed verdict cache
-// against the simulation it replaces: one cold Verify primes the
-// cache, then every iteration is a pure hit. The speedup-x metric is
-// cold-time over per-hit time; the caching contract requires at least
-// two orders of magnitude.
-func BenchmarkCacheHit(b *testing.B) {
-	w, err := microsampler.WorkloadByName("ME-V1-MV")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache := microsampler.NewVerifyCache(16)
-	// The daemon's default job shape (MegaBoom, 4 runs) — the simulation
-	// a cache hit actually replaces in production.
-	opts := microsampler.Options{
-		Config: microsampler.MegaBoom(), Runs: 4, Warmup: 4,
-		Cache: cache,
-	}
-	start := time.Now()
-	cold, err := microsampler.Verify(w, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coldDur := time.Since(start)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := microsampler.Verify(w, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep != cold {
-			b.Fatal("cache hit returned a different report")
-		}
-	}
-	b.StopTimer()
-	if st := cache.Stats(); st.Hits != uint64(b.N) {
-		b.Fatalf("cache hits = %d, want %d", st.Hits, b.N)
-	}
-	perHit := b.Elapsed().Seconds() / float64(b.N)
-	speedup := coldDur.Seconds() / perHit
-	b.ReportMetric(speedup, "speedup-x")
-	if speedup < 100 {
-		b.Fatalf("cache hit only %.0fx faster than simulation, want >=100x", speedup)
-	}
 }
 
 // BenchmarkMatrixSweep measures configuration-grid sweep throughput:

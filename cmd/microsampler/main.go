@@ -207,13 +207,7 @@ func run(args []string) error {
 		opts.TraceSink = traceFile
 	}
 	if *progress {
-		opts.OnProgress = func(p microsampler.Progress) {
-			fmt.Fprintf(os.Stderr, "\rrun %d/%d done (%d cycles, %d iterations, %v elapsed)",
-				p.Done, p.Total, p.Cycles, p.Iterations, p.Elapsed.Round(time.Millisecond))
-			if p.Done == p.Total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
+		opts.Probe = microsampler.NewRunProbe()
 	}
 
 	var diskCache *microsampler.DiskCache
@@ -273,7 +267,9 @@ func run(args []string) error {
 	}
 
 	verifyStart := time.Now()
+	stopProgress := showProgress(opts.Probe, 1)
 	rep, err := microsampler.Verify(w, opts)
+	stopProgress()
 	verifyElapsed := time.Since(verifyStart)
 	if err != nil {
 		// A failed run can still leave evidence: write the flight
@@ -422,6 +418,46 @@ type matrixCacheEntry struct {
 	HTML string `json:"html"`
 }
 
+// showProgress rewrites a "run D/T done" line on stderr whenever the
+// probe's snapshot changes, polling it every 100ms. A sequential sweep
+// of cells verifications shares the probe, so its run total is the
+// per-cell total times cells. The returned stop ends the poller and
+// prints the final line; with a nil probe both are no-ops.
+func showProgress(probe *microsampler.RunProbe, cells int) (stop func()) {
+	if probe == nil {
+		return func() {}
+	}
+	start := time.Now()
+	show := func(s microsampler.ProbeSnapshot) {
+		fmt.Fprintf(os.Stderr, "\rrun %d/%d done (%d cycles, %v elapsed)",
+			s.RunsDone, s.TotalRuns*cells, s.Cycles, time.Since(start).Round(time.Millisecond))
+	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		var last microsampler.ProbeSnapshot
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				if s := probe.Snapshot(); s != last {
+					last = s
+					show(s)
+				}
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+		show(probe.Snapshot())
+		fmt.Fprintln(os.Stderr)
+	}
+}
+
 // runMatrix sweeps the workload over a configuration grid, prints the
 // per-cell verdicts and writes the requested artifacts. With a disk
 // cache, an identical earlier sweep is replayed without simulating —
@@ -433,6 +469,11 @@ func runMatrix(w microsampler.Workload, opts microsampler.Options, spec, jsonOut
 		return err
 	}
 	mo := microsampler.MatrixOptions{Options: opts, Grid: grid, CellParallel: cellParallel}
+	// A probe is per-verification state: concurrent cells would
+	// interleave their runs in it, so only a sequential sweep shares one.
+	if cellParallel != 0 && cellParallel != 1 {
+		mo.Probe = nil
+	}
 
 	var cacheKey string
 	if disk != nil {
@@ -463,7 +504,9 @@ func runMatrix(w microsampler.Workload, opts microsampler.Options, spec, jsonOut
 	}
 
 	sweepStart := time.Now()
+	stopProgress := showProgress(mo.Probe, len(grid.Cells()))
 	m, err := microsampler.VerifyMatrix(w, mo)
+	stopProgress()
 	sweepElapsed := time.Since(sweepStart)
 	if err != nil {
 		return err

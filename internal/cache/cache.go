@@ -3,16 +3,15 @@
 // bytes, machine configuration, seed range, detection-relevant options)
 // — the calibration gate proves byte-identical output across runs — so
 // hashing that tuple into a canonical SHA-256 key lets repeat
-// submissions (CI re-runs, popular crypto kernels, the config-identical
-// cells of a matrix re-sweep) be served in microseconds instead of a
-// full simulation.
+// submissions (CI re-runs, popular crypto kernels, matrix re-sweeps) be
+// served in microseconds instead of a full simulation.
 //
 // The package deliberately knows nothing about reports or jobs: it
 // provides the canonical key builder (Hasher), a bounded in-memory LRU
 // of arbitrary values, an fsync'd content-addressed disk blob store,
 // and a singleflight group for deduplicating identical in-flight work.
-// The core and msd packages compose these into their own caching
-// layers.
+// core builds its keys with the Hasher; the CLI and the msd daemon
+// compose the stores into their own caching layers.
 package cache
 
 import (
@@ -101,25 +100,16 @@ func (k *Hasher) Sum() string {
 	return hex.EncodeToString(k.h.Sum(nil))
 }
 
-// Stats is a point-in-time reading of a cache's effectiveness.
-type Stats struct {
-	Hits, Misses uint64
-	Entries      int
-}
-
 // LRU is a bounded, goroutine-safe in-memory cache mapping canonical
 // keys to arbitrary values, evicting least-recently-used entries beyond
 // the capacity. Values are shared, not copied: callers must treat
 // cached values as immutable (verification reports are read-only once
 // built).
 type LRU struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List
-	items   map[string]*list.Element
-	hits    uint64
-	misses  uint64
-	evicted uint64
+	mu    sync.Mutex
+	max   int
+	ll    *list.List
+	items map[string]*list.Element
 }
 
 type lruEntry struct {
@@ -143,10 +133,8 @@ func (c *LRU) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruEntry).value, true
 }
@@ -167,7 +155,6 @@ func (c *LRU) Put(key string, value any) {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
-		c.evicted++
 	}
 }
 
@@ -176,11 +163,4 @@ func (c *LRU) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns the cache's hit/miss counters and current size.
-func (c *LRU) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len()}
 }

@@ -108,12 +108,11 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	st := c.Stats()
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", st.Entries)
+	if _, ok := c.Get("c"); !ok {
+		t.Fatal("newest entry evicted")
 	}
-	if st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 2 hits / 2 misses", st)
+	if c.Len() != 2 {
+		t.Fatalf("entries = %d, want 2", c.Len())
 	}
 }
 

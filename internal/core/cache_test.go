@@ -9,10 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"microsampler/internal/cache"
 	"microsampler/internal/sim"
-	"microsampler/internal/telemetry"
-	"microsampler/internal/trace"
 )
 
 func mustKey(t *testing.T, w Workload, opts Options) string {
@@ -30,7 +27,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	implicit := mustKey(t, w, Options{})
 	explicit := mustKey(t, w, Options{
 		Config: sim.MegaBoom(), Runs: 1, Warmup: 2,
-		MaxCycles: 20_000_000, Units: trace.AllUnits(),
+		MaxCycles: 20_000_000,
 	})
 	if implicit != explicit {
 		t.Errorf("defaulted and explicit options produced different keys:\n%s\n%s",
@@ -58,7 +55,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"runs":    mustKey(t, w, Options{Runs: 2}),
 		"warmup":  mustKey(t, w, Options{Warmup: NoWarmup}),
 		"cycles":  mustKey(t, w, Options{MaxCycles: 1000}),
-		"units":   mustKey(t, w, Options{Units: []trace.Unit{trace.SQADDR}}),
 	} {
 		if k == base {
 			t.Errorf("changing %s did not change the cache key", name)
@@ -69,87 +65,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 func TestCacheKeyRejectsInvalidOptions(t *testing.T) {
 	if _, err := CacheKey(Workload{Name: "x"}, Options{Runs: -1}); err == nil {
 		t.Fatal("CacheKey accepted negative Runs")
-	}
-}
-
-func TestVerifyCacheHit(t *testing.T) {
-	c := cache.NewLRU(8)
-	reg := telemetry.NewRegistry()
-	w := Workload{Name: "smoke", Source: smokeWorkload}
-	opts := Options{Config: sim.SmallBoom(), Runs: 2, Warmup: 1, Cache: c, Metrics: reg}
-
-	first, err := Verify(w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Verify(w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Error("second verification did not return the cached report")
-	}
-	if got := reg.Counter("verify_cache_hits_total").Value(); got != 1 {
-		t.Errorf("verify_cache_hits_total = %d, want 1", got)
-	}
-	if got := reg.Counter("verify_cache_misses_total").Value(); got != 1 {
-		t.Errorf("verify_cache_misses_total = %d, want 1", got)
-	}
-	// A detection-relevant change must miss.
-	opts.SeedOffset = 3
-	third, err := Verify(w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third == first {
-		t.Error("different seed served the cached report")
-	}
-	if got := reg.Counter("verify_cache_misses_total").Value(); got != 2 {
-		t.Errorf("verify_cache_misses_total = %d, want 2", got)
-	}
-}
-
-// TestMatrixSweepReusesCache pins the matrix-diffing property: cells
-// are cached under per-cell keys, so a re-sweep simulates nothing and a
-// one-axis extension only simulates the new cells.
-func TestMatrixSweepReusesCache(t *testing.T) {
-	c := cache.NewLRU(32)
-	reg := telemetry.NewRegistry()
-	w := Workload{Name: "smoke", Source: smokeWorkload}
-	opts := MatrixOptions{
-		Options: Options{Runs: 1, Warmup: 1, Cache: c, Metrics: reg},
-		Grid:    GridSpec{Axes: []Axis{{Name: "prefetch", Values: []string{"nlp", "none"}}}},
-	}
-	first, err := VerifyMatrix(w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if misses := reg.Counter("verify_cache_misses_total").Value(); misses != 2 {
-		t.Fatalf("first sweep misses = %d, want 2", misses)
-	}
-	// Identical re-sweep: every cell is a hit.
-	second, err := VerifyMatrix(w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := reg.Counter("verify_cache_hits_total").Value(); hits != 2 {
-		t.Errorf("re-sweep hits = %d, want 2", hits)
-	}
-	for i := range first.Cells {
-		if first.Cells[i].Report != second.Cells[i].Report {
-			t.Errorf("cell %s not served from cache", first.Cells[i].Name)
-		}
-	}
-	// One-axis extension: only the new cell simulates.
-	opts.Grid = GridSpec{Axes: []Axis{{Name: "prefetch", Values: []string{"nlp", "none", "stride"}}}}
-	if _, err := VerifyMatrix(w, opts); err != nil {
-		t.Fatal(err)
-	}
-	if misses := reg.Counter("verify_cache_misses_total").Value(); misses != 3 {
-		t.Errorf("extended sweep total misses = %d, want 3 (one new cell)", misses)
-	}
-	if hits := reg.Counter("verify_cache_hits_total").Value(); hits != 4 {
-		t.Errorf("extended sweep total hits = %d, want 4", hits)
 	}
 }
 

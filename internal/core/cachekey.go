@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"microsampler/internal/cache"
+	"microsampler/internal/trace"
 )
 
 // Content-addressed verification keys. A verification is a pure
@@ -84,8 +85,11 @@ func cacheKeyWithDefaults(w Workload, o Options) string {
 	h.Int("maxcycles", o.MaxCycles)
 	h.Int("seedoffset", int64(o.SeedOffset))
 	h.Bool("measurestages", o.MeasureStages)
-	h.Int("nunits", int64(len(o.Units)))
-	for _, u := range o.Units {
+	// The tracked-unit set is fixed, but stays hashed so every key
+	// written while it was an option still matches.
+	units := trace.AllUnits()
+	h.Int("nunits", int64(len(units)))
+	for _, u := range units {
 		h.Str("unit", u.String())
 	}
 	return h.Sum()

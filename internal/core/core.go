@@ -21,14 +21,12 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"microsampler/internal/asm"
-	"microsampler/internal/cache"
 	"microsampler/internal/features"
 	"microsampler/internal/sim"
 	"microsampler/internal/snapshot"
@@ -60,26 +58,10 @@ const NoWarmup = -1
 // per CPU.
 const ParallelAuto = -1
 
-// Progress describes one completed simulation run; see
-// Options.OnProgress.
-type Progress struct {
-	// Run is the 0-based index of the run that just finished; Done of
-	// Total runs have completed so far (runs may finish out of order
-	// under Parallel > 1, but Done is monotonic).
-	Run, Done, Total int
-	// Cycles the run simulated and Iterations it kept after warmup.
-	Cycles     int64
-	Iterations int
-	// Elapsed is the wall time since the verification started.
-	Elapsed time.Duration
-}
-
 // Options configures a verification.
 type Options struct {
 	// Config is the core configuration (default MegaBoom).
 	Config sim.Config
-	// Units to track (default: all Table IV units).
-	Units []trace.Unit
 	// Runs is the number of independent simulations, each starting from
 	// reset state with fresh inputs (default 1).
 	Runs int
@@ -93,8 +75,8 @@ type Options struct {
 	// function: run r calls Setup(SeedOffset+r, ...). Setup functions
 	// derive their input RNG seed from the run index, so distinct
 	// offsets draw disjoint input sets — the oracle harness uses this
-	// to replicate a verification under independent seeds. Progress
-	// callbacks and spans still report local run indices.
+	// to replicate a verification under independent seeds. Spans and
+	// logs still report local run indices.
 	SeedOffset int
 	// MeasureStages makes Verify execute each run twice — once without
 	// tracing — so that the Table VI stage breakdown can separate pure
@@ -126,16 +108,6 @@ type Options struct {
 	// all readable concurrently while Verify runs.
 	Probe *RunProbe
 
-	// Cache, when non-nil, serves repeat verifications from a
-	// content-addressed result cache instead of re-simulating: before
-	// running, Verify hashes the (program, config, seed range,
-	// detection-relevant options) tuple — see CacheKey — and a hit
-	// returns the cached *Report in microseconds. Cached reports are
-	// shared, not copied; callers must treat them as immutable (reports
-	// are read-only once built). Hits and misses are counted in Metrics
-	// as verify_cache_hits_total / verify_cache_misses_total.
-	Cache *cache.LRU
-
 	// Metrics, when non-nil, receives pipeline and simulator counters
 	// (cycles, IPC, cache and predictor events, per-unit sample volume,
 	// run/stage latency distributions). Accumulation is per run, off
@@ -146,10 +118,6 @@ type Options struct {
 	// regardless; the sink only adds the streaming JSONL output. Sink
 	// write errors do not fail the verification.
 	TraceSink io.Writer
-	// OnProgress, when non-nil, is called after each run completes.
-	// Calls are serialised, but may originate from worker goroutines
-	// when Parallel > 1.
-	OnProgress func(Progress)
 
 	// Logger, when non-nil, receives structured progress and outcome
 	// events (run completions, failures, stage durations, the verdict)
@@ -165,9 +133,7 @@ type Options struct {
 // withDefaults validates the options and fills in defaults. Negative
 // Runs or MaxCycles, or a Parallel below the ParallelAuto sentinel, are
 // programming errors that used to surface as panics (e.g. in
-// make([]runOut, opts.Runs)) deep inside Verify. A repeated unit would
-// be sampled and merged twice, inflating its contingency table, and an
-// unknown one would report a phantom "UNIT?" row. All are rejected here
+// make([]runOut, opts.Runs)) deep inside Verify. All are rejected here
 // with a descriptive error instead.
 func (o Options) withDefaults() (Options, error) {
 	if o.Runs < 0 {
@@ -187,19 +153,8 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("core: Options.FlightRecorderFrames must be non-negative, got %d",
 			o.FlightRecorderFrames)
 	}
-	for i, u := range o.Units {
-		if !u.Valid() {
-			return o, fmt.Errorf("core: Options.Units[%d] is not a tracked unit: %d", i, int(u))
-		}
-		if slices.Contains(o.Units[:i], u) {
-			return o, fmt.Errorf("core: Options.Units repeats unit %s", u)
-		}
-	}
 	if o.Config.Name == "" {
 		o.Config = sim.MegaBoom()
-	}
-	if len(o.Units) == 0 {
-		o.Units = trace.AllUnits()
 	}
 	if o.Runs == 0 {
 		o.Runs = 1
@@ -410,35 +365,6 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		lg = lg.With("run_id", opts.RunID)
 	}
 	lg = lg.With("workload", w.Name)
-
-	// Content-addressed cache lookup: a hit short-circuits the whole
-	// pipeline — assembly, simulation, statistics — and returns the
-	// previously computed report. Correct because verification is a pure
-	// function of the hashed tuple (the calibration gate pins
-	// byte-identical output across runs).
-	var cacheKey string
-	if opts.Cache != nil {
-		cacheKey = cacheKeyWithDefaults(w, opts)
-		if v, ok := opts.Cache.Get(cacheKey); ok {
-			rep := v.(*Report)
-			if opts.Metrics != nil {
-				opts.Metrics.Counter("verify_cache_hits_total").Inc()
-			}
-			if opts.TraceSink != nil {
-				ctr := telemetry.NewSpanTracer(opts.TraceSink)
-				ctr.StartDetail("verify.cached", 0, -1, cacheKey[:12]).End()
-			}
-			probe.setStage(StageDone)
-			lg.Info("verify served from cache",
-				"cache_key", cacheKey[:12], "leaky", rep.AnyLeak(),
-				"iterations", len(rep.Iterations), "elapsed", time.Since(verifyStart))
-			return rep, nil
-		}
-		if opts.Metrics != nil {
-			opts.Metrics.Counter("verify_cache_misses_total").Inc()
-		}
-	}
-
 	lg.Info("verify started",
 		"config", opts.Config.Name, "runs", opts.Runs,
 		"parallel", opts.Parallel, "max_cycles", opts.MaxCycles)
@@ -456,22 +382,23 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		return nil, fmt.Errorf("assemble %s: %w", w.Name, err)
 	}
 
+	units := trace.AllUnits()
 	rep := &Report{
 		Workload:     w.Name,
 		Config:       opts.Config.Name,
 		Runs:         opts.Runs,
 		Program:      prog,
-		Samples:      make(map[trace.Unit]uint64, len(opts.Units)),
-		IterHashes:   make(map[trace.Unit][]uint64, len(opts.Units)),
+		Samples:      make(map[trace.Unit]uint64, len(units)),
+		IterHashes:   make(map[trace.Unit][]uint64, len(units)),
 		StoreWriters: make(map[uint64][]uint64),
 		LoadReaders:  make(map[uint64][]uint64),
 	}
 	rep.Stages.Assemble = asmDur
 
 	// Stages 1–2: simulate with tracing, accumulating snapshots.
-	full := make(map[trace.Unit]*snapshot.Store, len(opts.Units))
-	noT := make(map[trace.Unit]*snapshot.Store, len(opts.Units))
-	for _, u := range opts.Units {
+	full := make(map[trace.Unit]*snapshot.Store, len(units))
+	noT := make(map[trace.Unit]*snapshot.Store, len(units))
+	for _, u := range units {
 		full[u] = snapshot.NewStore()
 		noT[u] = snapshot.NewStore()
 	}
@@ -489,7 +416,8 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	// queued or about to start — abort instead of simulating their full
 	// cycle budget only to have the result discarded. firstErr keeps the
 	// error that triggered cancellation: in run order it may be shadowed
-	// by the context.Canceled of an aborted earlier-indexed sibling.
+	// by the context.Canceled of an aborted earlier-indexed sibling, or
+	// by a later run that was never claimed.
 	runCtx, cancelRuns := context.WithCancel(ctx)
 	defer cancelRuns()
 	var failOnce sync.Once
@@ -500,17 +428,9 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 			cancelRuns()
 		})
 	}
-	var progressMu sync.Mutex
-	runsDone := 0
 	// runOne executes one run: the untraced pass (MeasureStages), the
 	// traced pass with a fresh collector, and the synthesised parse span.
 	runOne := func(run int) (out runOut) {
-		// Re-check cancellation here, after the run has been claimed:
-		// a worker may have been waiting while a sibling failed.
-		if err := runCtx.Err(); err != nil {
-			out.err = err
-			return out
-		}
 		runSpan := tr.Start("run", simSpan.ID(), run)
 		defer runSpan.End()
 		failed := func(err error) runOut {
@@ -528,7 +448,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 			}
 		}
 		col := trace.NewCollector(
-			trace.WithUnits(opts.Units...),
+			trace.WithUnits(units...),
 			trace.WithWarmupIterations(opts.Warmup),
 		)
 		tracedStart := time.Now()
@@ -549,35 +469,11 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		}
 		lg.Debug("run complete", "run", run, "cycles", out.res.Cycles,
 			"iterations", len(out.col.Iterations()), "dur", out.traced)
-		if opts.OnProgress != nil {
-			progressMu.Lock()
-			runsDone++
-			opts.OnProgress(Progress{
-				Run:        run,
-				Done:       runsDone,
-				Total:      opts.Runs,
-				Cycles:     out.res.Cycles,
-				Iterations: len(out.col.Iterations()),
-				Elapsed:    time.Since(verifyStart),
-			})
-			progressMu.Unlock()
-		}
 		return out
 	}
 
-	workers := opts.Parallel
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers <= 1 {
-		workers = 1
-	}
-	if workers > opts.Runs {
-		workers = opts.Runs
-	}
-
 	outs := make([]runOut, opts.Runs)
-	doRun := func(run int) {
+	forEachIndex(runCtx, opts.Parallel, opts.Runs, func(run int) {
 		out := runOne(run)
 		if out.err != nil {
 			fail(out.err)
@@ -585,33 +481,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 			probe.runComplete()
 		}
 		outs[run] = out
-	}
-	if workers <= 1 {
-		for run := 0; run < opts.Runs; run++ {
-			doRun(run)
-		}
-	} else {
-		// A fixed pool of `workers` goroutines claims run indices from a
-		// shared counter: at most `workers` goroutines exist (instead of
-		// one per run), and a claimed run observes sibling failure via
-		// runCtx before it starts simulating.
-		var wg sync.WaitGroup
-		var nextRun atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					run := int(nextRun.Add(1)) - 1
-					if run >= opts.Runs {
-						return
-					}
-					doRun(run)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	simWall := simSpan.End()
 
 	// Merge in run order so results are identical to a sequential run.
@@ -623,15 +493,17 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	runParse := make([]time.Duration, 0, opts.Runs)
 	prov := newProvMerger()
 	for run := 0; run < opts.Runs; run++ {
-		if err := outs[run].err; err != nil {
+		if outs[run].col == nil { // failed, or never claimed
 			// End the enclosing spans so a TraceSink JSONL stream is
 			// well-formed even on failure, and surface the error that
-			// caused the abort rather than a sibling's cancellation.
+			// caused the abort rather than a sibling's cancellation. With
+			// no run failed, the caller's context stopped the claiming.
 			mergeSpan.End()
 			root.End()
 			probe.setStage(StageFailed)
-			if firstErr != nil {
-				err = firstErr
+			err := firstErr
+			if err == nil {
+				err = ctx.Err()
 			}
 			lg.Error("verify failed", "err", err, "elapsed", time.Since(verifyStart))
 			return nil, err
@@ -666,7 +538,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 			runParse = append(runParse, parse)
 		}
 	}
-	rep.Provenance = prov.flatten(opts.Units)
+	rep.Provenance = prov.flatten(units)
 	mergeSpan.End()
 	rep.SimCycles = rep.Sim.Cycles
 	rep.Stages.RunWall = telemetry.Stats(runWall)
@@ -689,7 +561,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	// Stage 3: statistical correlation analysis.
 	probe.setStage(StageStats)
 	statsSpan := tr.Start("stats", root.ID(), -1)
-	for _, u := range opts.Units {
+	for _, u := range units {
 		us := tr.StartDetail("stats.unit", statsSpan.ID(), -1, u.String())
 		ur := UnitResult{
 			Unit:          u,
@@ -736,10 +608,43 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		"elapsed", time.Since(verifyStart),
 		"stage_simulate", rep.Stages.Simulate, "stage_stats", rep.Stages.Stats,
 		"stage_extract", rep.Stages.Extract)
-	if opts.Cache != nil {
-		opts.Cache.Put(cacheKey, rep)
-	}
 	return rep, nil
+}
+
+// forEachIndex calls fn(i) for every i in [0, n) on min(workers, n)
+// goroutines claiming indices from a shared counter, where workers
+// follows Options.Parallel: 0 or 1 runs inline on the caller's
+// goroutine in index order, ParallelAuto uses one worker per CPU. Once
+// ctx is done no further index is claimed, so a failure that cancels
+// ctx keeps later indices from starting.
+func forEachIndex(ctx context.Context, workers, n int, fn func(i int)) {
+	if workers == ParallelAuto {
+		workers = runtime.NumCPU()
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || ctx.Err() != nil {
+				return
+			}
+			fn(i)
+		}
+	}
+	workers = min(workers, n)
+	if workers <= 1 {
+		work()
+		return
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 }
 
 // recordMetrics folds one finished verification into a registry.

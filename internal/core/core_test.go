@@ -129,20 +129,6 @@ func TestVerifyCleanWorkloadHasNoLeaks(t *testing.T) {
 	}
 }
 
-func TestVerifyUnitSubset(t *testing.T) {
-	rep, err := Verify(Workload{Name: "smoke", Source: smokeWorkload},
-		Options{Runs: 1, Warmup: 1, Units: []trace.Unit{trace.ROBPC, trace.EUUALU}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Units) != 2 {
-		t.Fatalf("unit subset not honoured: %d results", len(rep.Units))
-	}
-	if _, ok := rep.Unit(trace.SQADDR); ok {
-		t.Error("untracked unit present in report")
-	}
-}
-
 func TestVerifyMeasureStages(t *testing.T) {
 	rep, err := Verify(Workload{Name: "smoke", Source: smokeWorkload},
 		Options{Runs: 1, Warmup: 1, MeasureStages: true, Config: sim.SmallBoom()})
@@ -229,60 +215,6 @@ func TestVerifyNegativeOptions(t *testing.T) {
 	if _, err := Verify(Workload{Name: "auto", Source: smokeWorkload},
 		Options{Runs: 2, Warmup: 1, Config: sim.SmallBoom(), Parallel: ParallelAuto}); err != nil {
 		t.Errorf("ParallelAuto rejected: %v", err)
-	}
-}
-
-// TestOptionsRejectBadUnits pins that a repeated or unknown unit is an
-// option error, not a corrupted verdict: a repeated unit would be
-// sampled and merged twice, and an unknown one would report a phantom
-// "UNIT?" row whose name every other unknown unit shares in the cache
-// key.
-func TestOptionsRejectBadUnits(t *testing.T) {
-	w := Workload{Name: "units", Source: smokeWorkload}
-	cases := []struct {
-		name  string
-		units []trace.Unit
-		want  string
-	}{
-		{"repeated", []trace.Unit{trace.SQADDR, trace.LQADDR, trace.SQADDR}, "repeats unit SQ-ADDR"},
-		{"zero", []trace.Unit{trace.SQADDR, 0}, "Units[1] is not a tracked unit: 0"},
-		{"out of range", []trace.Unit{99}, "Units[0] is not a tracked unit: 99"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Runs: 1, Warmup: 1, Config: sim.SmallBoom(), Units: tc.units}
-			check := func(what string, err error) {
-				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%s: want error containing %q, got %v", what, tc.want, err)
-				}
-			}
-			_, err := Verify(w, opts)
-			check("Verify", err)
-			_, err = CacheKey(w, opts)
-			check("CacheKey", err)
-			mopts := MatrixOptions{Options: opts, Grid: GridSpec{Axes: []Axis{{Name: "predictor", Values: []string{"gshare"}}}}}
-			_, err = MatrixCacheKey(w, mopts)
-			check("MatrixCacheKey", err)
-			m, err := VerifyMatrix(w, mopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range m.Cells {
-				if !strings.Contains(c.Err, tc.want) {
-					t.Errorf("cell %s: error %q, want it to contain %q", c.Name, c.Err, tc.want)
-				}
-			}
-		})
-	}
-	for _, units := range [][]trace.Unit{nil, trace.AllUnits()} {
-		rep, err := Verify(w, Options{Runs: 1, Warmup: 1, Config: sim.SmallBoom(), Units: units})
-		if err != nil {
-			t.Fatalf("units %v: %v", units, err)
-		}
-		if len(rep.Units) != len(trace.AllUnits()) {
-			t.Errorf("units %v: %d unit results, want %d", units, len(rep.Units), len(trace.AllUnits()))
-		}
 	}
 }
 
@@ -792,38 +724,6 @@ func TestParallelMeasureStagesMatchesSequential(t *testing.T) {
 				seq.Units[i].Unit)
 		}
 	}
-}
-
-func TestOnProgress(t *testing.T) {
-	var mu sync.Mutex
-	var events []Progress
-	rep, err := Verify(Workload{Name: "smoke", Source: smokeWorkload},
-		Options{Runs: 3, Warmup: 1, Config: sim.SmallBoom(), Parallel: 2,
-			OnProgress: func(p Progress) {
-				mu.Lock()
-				events = append(events, p)
-				mu.Unlock()
-			}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 3 {
-		t.Fatalf("got %d progress events, want 3", len(events))
-	}
-	seenRun := map[int]bool{}
-	for i, e := range events {
-		if e.Done != i+1 || e.Total != 3 {
-			t.Errorf("event %d: Done=%d Total=%d", i, e.Done, e.Total)
-		}
-		if e.Cycles <= 0 || e.Iterations <= 0 || e.Elapsed <= 0 {
-			t.Errorf("event %d incomplete: %+v", i, e)
-		}
-		seenRun[e.Run] = true
-	}
-	if len(seenRun) != 3 {
-		t.Errorf("runs reported: %v", seenRun)
-	}
-	_ = rep
 }
 
 // syncBuffer is a goroutine-safe bytes.Buffer for parallel span sinks.

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"microsampler/internal/sim"
 )
@@ -371,9 +368,8 @@ func VerifyMatrix(w Workload, opts MatrixOptions) (*Matrix, error) {
 
 // VerifyMatrixContext runs the full verification pipeline once per grid
 // cell, reusing the per-cell worker pool, run deadline and telemetry of
-// VerifyContext. Cells are verified by a fixed pool of CellParallel
-// workers claiming cell indices from a shared counter — the same
-// scheme VerifyContext uses for runs — and merged in cell order, so the
+// VerifyContext. Cells are verified on the scheduler VerifyContext uses
+// for runs, with CellParallel workers, and stored by cell index, so the
 // matrix is deterministic for any parallelism. A failing cell records
 // its error and leaves the sweep running; only a cancelled context or
 // an invalid grid aborts the whole matrix.
@@ -438,43 +434,9 @@ func VerifyMatrixContext(ctx context.Context, w Workload, opts MatrixOptions) (*
 		}
 	}
 
-	workers := opts.CellParallel
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers <= 1 {
-		workers = 1
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i := range cells {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			verifyCell(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for n := 0; n < workers; n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cells) || ctx.Err() != nil {
-						return
-					}
-					verifyCell(i)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	forEachIndex(ctx, opts.CellParallel, len(cells), verifyCell)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

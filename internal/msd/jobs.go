@@ -32,22 +32,19 @@ const (
 // JobRequest is the submit-endpoint payload: a wire adapter over
 // cluster.Point. The fields point() copies mean exactly what the same
 // Point fields mean and are decoded and defaulted only by
-// Point.Resolve; Parallel, HeatmapWindows, Matrix and CellParallel are
-// the job's own.
+// Point.Resolve; HeatmapWindows and Matrix are the job's own. Execution
+// strategy is the daemon's: a request names no parallelism.
 type JobRequest struct {
 	Workload string `json:"workload,omitempty"`
 	Source   string `json:"source,omitempty"`
 	// Config selects the simulated core: "mega" (default) or "small".
-	Config     string `json:"config,omitempty"`
-	FastBypass bool   `json:"fastBypass,omitempty"`
-	Runs       int    `json:"runs,omitempty"`   // default 4
-	Warmup     int    `json:"warmup,omitempty"` // 0: framework default, <0: keep all
-	// Parallel is forwarded to core.Options.Parallel: concurrent
-	// simulations within this job (0/absent: one per CPU).
-	Parallel       int  `json:"parallel,omitempty"`
-	SeedOffset     int  `json:"seedOffset,omitempty"`
-	MeasureStages  bool `json:"measureStages,omitempty"`
-	HeatmapWindows int  `json:"heatmapWindows,omitempty"`
+	Config         string `json:"config,omitempty"`
+	FastBypass     bool   `json:"fastBypass,omitempty"`
+	Runs           int    `json:"runs,omitempty"`   // default 4
+	Warmup         int    `json:"warmup,omitempty"` // 0: framework default, <0: keep all
+	SeedOffset     int    `json:"seedOffset,omitempty"`
+	MeasureStages  bool   `json:"measureStages,omitempty"`
+	HeatmapWindows int    `json:"heatmapWindows,omitempty"`
 
 	// Matrix turns the job into a configuration-grid sweep: the program
 	// is fanned out across every cell of the grid spec (or the default
@@ -57,10 +54,6 @@ type JobRequest struct {
 	// cell's configuration. POST /api/v1/matrix submits this shape
 	// directly.
 	Matrix string `json:"matrix,omitempty"`
-	// CellParallel bounds the concurrently verified cells of a matrix
-	// job (0/absent: sequential cells; each cell still parallelises its
-	// runs via Parallel).
-	CellParallel int `json:"cellParallel,omitempty"`
 
 	// Label names the code state this run should be filed under in the
 	// daemon's run-history store (Config.HistoryDir) — a commit SHA,
@@ -95,13 +88,8 @@ func (r JobRequest) resolve() (core.Workload, core.Options, core.GridSpec, error
 
 // validate reports user errors.
 func (r JobRequest) validate() error {
-	if _, _, _, err := r.resolve(); err != nil {
-		return err
-	}
-	if r.CellParallel < core.ParallelAuto {
-		return fmt.Errorf("cellParallel must be >= %d, got %d", core.ParallelAuto, r.CellParallel)
-	}
-	return nil
+	_, _, _, err := r.resolve()
+	return err
 }
 
 // Job is one tracked verification: the request, its lifecycle

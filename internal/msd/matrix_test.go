@@ -156,7 +156,6 @@ func TestMatrixValidation(t *testing.T) {
 		{"unknown axis", JobRequest{Workload: "CT-DIV", Matrix: "warp=on,off"}},
 		{"unknown value", JobRequest{Workload: "CT-DIV", Matrix: "predictor=gshare,perceptron"}},
 		{"duplicate axis", JobRequest{Workload: "CT-DIV", Matrix: "base=mega;base=small"}},
-		{"bad cellParallel", JobRequest{Workload: "CT-DIV", Matrix: "default", CellParallel: -5}},
 		{"no program", JobRequest{Matrix: "default"}},
 	}
 	for _, tc := range cases {

@@ -34,8 +34,8 @@ import (
 // Config parameterises a Server.
 type Config struct {
 	// Workers is the number of jobs verified concurrently (default 1).
-	// Each job additionally parallelises its own simulation runs via
-	// JobRequest.Parallel / core.Options.Parallel.
+	// Each job additionally runs its simulations on one worker per CPU
+	// (core.ParallelAuto).
 	Workers int
 	// QueueSize bounds the number of queued (not yet running) jobs;
 	// submissions beyond it are rejected with 503 (default 16).
@@ -1001,26 +1001,21 @@ func (s *Server) runJob(job *Job) {
 
 // computeJob runs the job's verification (single or grid sweep) under
 // the panic guard and renders its artifact set — the cacheable unit of
-// work. Both kinds parallelise their runs (Parallel 0 means one
-// simulation per CPU).
+// work. Both kinds run their simulations on one worker per CPU; a
+// matrix job verifies its cells in sequence, sharing the live probe.
 func (s *Server) computeJob(job *Job) (map[string]artifact, core.Summary, error) {
 	w, opts, grid, err := job.Req.resolve()
 	if err != nil {
 		return nil, core.Summary{}, err
 	}
 	opts = s.execOptions(opts, job.ID)
-	opts.Parallel = cmp.Or(job.Req.Parallel, core.ParallelAuto)
+	opts.Parallel = core.ParallelAuto
 	opts.Probe = job.probe
 	if job.Req.Matrix != "" {
-		mo := core.MatrixOptions{Options: opts, Grid: grid, CellParallel: job.Req.CellParallel}
+		mo := core.MatrixOptions{Options: opts, Grid: grid}
 		// Matrix artifacts render no stage breakdown, so the untraced
 		// timing pass would only double every cell's simulation.
 		mo.MeasureStages = false
-		// The live probe is per-verification state; share it only when the
-		// cells run sequentially, where it reports the current cell's runs.
-		if mo.CellParallel > 1 {
-			mo.Probe = nil
-		}
 		var m *core.Matrix
 		if err := s.guard(job.ID, func() (err error) {
 			if s.cfg.verifyMatrix != nil {

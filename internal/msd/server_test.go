@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -535,5 +536,53 @@ func BenchmarkMSDJobLatency(b *testing.B) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestRequestCarriesNoStrategy pins that execution strategy is the
+// daemon's: "parallel" and "cellParallel" in a request are ignored, so a
+// request carrying values no scheduler accepts still verifies, with the
+// verdict and cache key of the bare request.
+func TestRequestCarriesNoStrategy(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := serveDaemon(t, s)
+	post := func(raw string) jobView {
+		t.Helper()
+		resp, err := http.Post(ts+"/api/v1/jobs", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: status %d", raw, resp.StatusCode)
+		}
+		var v jobView
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return waitDone(t, ts, v.ID)
+	}
+	keyOf := func(raw string) string {
+		t.Helper()
+		var req JobRequest
+		if err := json.Unmarshal([]byte(raw), &req); err != nil {
+			t.Fatal(err)
+		}
+		return jobCacheKey(req)
+	}
+	const bare = `{"workload":"ME-NAIVE","config":"small","runs":2,"warmup":2}`
+	const strategy = `{"workload":"ME-NAIVE","config":"small","runs":2,"warmup":2,"parallel":-5,"cellParallel":7}`
+	want, got := post(bare), post(strategy)
+	if want.Status != string(StatusDone) || got.Status != string(StatusDone) {
+		t.Fatalf("status: bare %s (%s), with strategy %s (%s)", want.Status, want.Error, got.Status, got.Error)
+	}
+	if !reflect.DeepEqual(want.Summary, got.Summary) {
+		t.Errorf("verdict differs: bare %+v, with strategy %+v", want.Summary, got.Summary)
+	}
+	if keyOf(bare) == "" || keyOf(bare) != keyOf(strategy) {
+		t.Errorf("cache key differs: bare %q, with strategy %q", keyOf(bare), keyOf(strategy))
 	}
 }

@@ -21,6 +21,7 @@ type Core struct {
 	dc  *dcache
 	ic  *icache
 	bp  branchPredictor
+	tgt *targets // BTB and RAS, whichever direction predictor runs
 	// tg aliases bp when the TAGE predictor is configured, giving the
 	// probe access to the prediction-metadata ring; nil under gshare.
 	tg *tage
@@ -101,13 +102,14 @@ func newCore(cfg Config, mem *Memory) *Core {
 		divs:       make([]fuSlot, cfg.NumDiv),
 		agus:       make([]fuSlot, cfg.NumAGU),
 		brus:       make([]fuSlot, cfg.IssueWidth),
+		tgt:        newTargets(cfg.BTBEntries),
 		lastCommit: 0,
 	}
 	if cfg.TAGEPredictor {
-		c.tg = newTAGE(cfg.BranchPredEnts, cfg.BTBEntries)
+		c.tg = newTAGE(cfg.BranchPredEnts)
 		c.bp = c.tg
 	} else {
-		c.bp = newGshare(cfg.BranchPredEnts, cfg.BTBEntries)
+		c.bp = newGshare(cfg.BranchPredEnts)
 	}
 	for i := 0; i < 32; i++ {
 		c.rat[i] = int16(i)
@@ -290,7 +292,7 @@ func (c *Core) resolveBranch(u *uop) bool {
 		c.bp.train(u.phtIdx, u.pc, u.histChk, u.taken)
 	}
 	if u.inst.Op == isa.OpJALR {
-		c.bp.btbUpdate(u.pc, u.target)
+		c.tgt.btbUpdate(u.pc, u.target)
 	}
 	mispredicted := u.taken != u.predTaken || (u.taken && u.target != u.predTarget)
 	if !mispredicted {
@@ -716,22 +718,28 @@ func (c *Core) fetch() {
 			u.predTaken = true
 			u.predTarget = pc + uint64(inst.Imm)
 			if inst.Rd == isa.RA {
-				c.bp.rasPush(pc + 4) // call: remember the return address
+				c.tgt.rasPush(pc + 4) // call: remember the return address
 			}
 			pc = u.predTarget
 			redirected = true
 		case inst.Op == isa.OpJALR:
 			u.predTaken = true
+			// Only a return pops the RAS: an indirect jump or call
+			// must leave the caller's return address in place.
 			isRet := inst.Rd == isa.Zero && inst.Rs1 == isa.RA
-			if t, ok := c.bp.rasPop(); isRet && ok {
-				u.predTarget = t
-			} else if t, ok := c.bp.btbLookup(pc); ok {
-				u.predTarget = t
-			} else {
-				u.predTarget = pc + 4
+			t, ok := uint64(0), false
+			if isRet {
+				t, ok = c.tgt.rasPop()
 			}
+			if !ok {
+				t, ok = c.tgt.btbLookup(pc)
+			}
+			if !ok {
+				t = pc + 4
+			}
+			u.predTarget = t
 			if inst.Rd == isa.RA {
-				c.bp.rasPush(pc + 4) // indirect call
+				c.tgt.rasPush(pc + 4) // indirect call
 			}
 			pc = u.predTarget
 			redirected = true

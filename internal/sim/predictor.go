@@ -1,57 +1,81 @@
 package sim
 
-// gshare is a global-history XOR-indexed pattern history table of 2-bit
-// saturating counters, plus a direct-mapped BTB for indirect targets.
-type gshare struct {
-	pht     []uint8 // 2-bit counters, initialised weakly not-taken
-	mask    uint64
-	history uint64 // global history, youngest bit is LSB
-	histLen uint
-
+// targets is the front end's target state, shared by both direction
+// predictors: a direct-mapped BTB for indirect targets and a
+// return-address stack (speculatively updated at fetch, no
+// checkpointing — wrong-path pushes/pops corrupt it occasionally, as in
+// simple hardware RAS implementations).
+type targets struct {
 	btbTags    []uint64
 	btbTargets []uint64
 	btbMask    uint64
 
-	// Return-address stack (speculatively updated at fetch, no
-	// checkpointing — wrong-path pushes/pops corrupt it occasionally,
-	// as in simple hardware RAS implementations).
-	ras    []uint64
+	ras    [rasEntries]uint64
 	rasTop int
 }
 
 const rasEntries = 8
 
-func newGshare(phtEntries, btbEntries int) *gshare {
-	g := &gshare{
-		pht:        make([]uint8, phtEntries),
-		mask:       uint64(phtEntries - 1),
-		histLen:    12,
+func newTargets(btbEntries int) *targets {
+	return &targets{
 		btbTags:    make([]uint64, btbEntries),
 		btbTargets: make([]uint64, btbEntries),
 		btbMask:    uint64(btbEntries - 1),
 	}
-	for i := range g.pht {
-		g.pht[i] = 1 // weakly not-taken
+}
+
+// btbLookup returns the last observed target for an indirect branch.
+func (t *targets) btbLookup(pc uint64) (uint64, bool) {
+	i := (pc >> 2) & t.btbMask
+	if t.btbTags[i] == pc {
+		return t.btbTargets[i], true
 	}
-	g.ras = make([]uint64, rasEntries)
-	return g
+	return 0, false
+}
+
+// btbUpdate records the actual target of an indirect branch.
+func (t *targets) btbUpdate(pc, target uint64) {
+	i := (pc >> 2) & t.btbMask
+	t.btbTags[i] = pc
+	t.btbTargets[i] = target
 }
 
 // rasPush records a call's return address.
-func (g *gshare) rasPush(retAddr uint64) {
-	g.rasTop = (g.rasTop + 1) % rasEntries
-	g.ras[g.rasTop] = retAddr
+func (t *targets) rasPush(retAddr uint64) {
+	t.rasTop = (t.rasTop + 1) % rasEntries
+	t.ras[t.rasTop] = retAddr
 }
 
 // rasPop predicts a return target.
-func (g *gshare) rasPop() (uint64, bool) {
-	t := g.ras[g.rasTop]
-	if t == 0 {
+func (t *targets) rasPop() (uint64, bool) {
+	v := t.ras[t.rasTop]
+	if v == 0 {
 		return 0, false
 	}
-	g.ras[g.rasTop] = 0
-	g.rasTop = (g.rasTop - 1 + rasEntries) % rasEntries
-	return t, true
+	t.ras[t.rasTop] = 0
+	t.rasTop = (t.rasTop - 1 + rasEntries) % rasEntries
+	return v, true
+}
+
+// gshare is a global-history XOR-indexed pattern history table of 2-bit
+// saturating counters.
+type gshare struct {
+	pht     []uint8 // 2-bit counters, initialised weakly not-taken
+	mask    uint64
+	history uint64 // global history, youngest bit is LSB
+	histLen uint
+}
+
+func newGshare(phtEntries int) *gshare {
+	g := &gshare{
+		pht:     make([]uint8, phtEntries),
+		mask:    uint64(phtEntries - 1),
+		histLen: 12,
+	}
+	for i := range g.pht {
+		g.pht[i] = 1 // weakly not-taken
+	}
+	return g
 }
 
 func (g *gshare) index(pc uint64) uint64 {
@@ -96,20 +120,4 @@ func (g *gshare) train(idx, _, _ uint64, taken bool) {
 		c--
 	}
 	g.pht[idx] = c
-}
-
-// btbLookup returns the last observed target for an indirect branch.
-func (g *gshare) btbLookup(pc uint64) (uint64, bool) {
-	i := (pc >> 2) & g.btbMask
-	if g.btbTags[i] == pc {
-		return g.btbTargets[i], true
-	}
-	return 0, false
-}
-
-// btbUpdate records the actual target of an indirect branch.
-func (g *gshare) btbUpdate(pc, target uint64) {
-	i := (pc >> 2) & g.btbMask
-	g.btbTags[i] = pc
-	g.btbTargets[i] = target
 }

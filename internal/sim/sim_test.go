@@ -178,6 +178,39 @@ func TestRecursion(t *testing.T) {
 	}
 }
 
+// TestIndirectJumpKeepsReturnAddress: only a return pops the RAS. An
+// indirect jump inside a callee (jr t0) must leave the caller's return
+// address in place, so the callee's ret is still predicted.
+func TestIndirectJumpKeepsReturnAddress(t *testing.T) {
+	for _, cfg := range []Config{MegaBoom(), SmallBoom()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			_, res := runSrc(t, cfg, `
+			_start:
+				li   s0, 200
+				li   a0, 0
+			loop:
+				call f
+				call f
+				addi s0, s0, -1
+				bnez s0, loop
+				j exit
+			f:
+				addi a0, a0, 1
+				la   t0, inner
+				jr   t0
+			inner:
+				ret
+			`+exitStub)
+			if res.ExitCode != 400 {
+				t.Fatalf("exit = %d want 400", res.ExitCode)
+			}
+			if res.Mispredicts >= 50 {
+				t.Errorf("mispredicts = %d, want < 50: the indirect jump popped the RAS", res.Mispredicts)
+			}
+		})
+	}
+}
+
 func TestBranchMispredictionRecovery(t *testing.T) {
 	// Data-dependent alternating branch: the predictor will mispredict;
 	// architectural results must still be exact.

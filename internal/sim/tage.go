@@ -13,10 +13,6 @@ type branchPredictor interface {
 	shiftHistory(taken bool) uint64
 	restoreHistory(checkpoint uint64, actual bool)
 	train(idx, pc, hist uint64, taken bool)
-	btbLookup(pc uint64) (uint64, bool)
-	btbUpdate(pc, target uint64)
-	rasPush(retAddr uint64)
-	rasPop() (uint64, bool)
 }
 
 // TAGE geometry. Four tagged tables with geometrically increasing
@@ -66,24 +62,13 @@ type tage struct {
 
 	history  uint64
 	histMask uint64
-
-	btbTags    []uint64
-	btbTargets []uint64
-	btbMask    uint64
-
-	ras    []uint64
-	rasTop int
 }
 
-func newTAGE(phtEntries, btbEntries int) *tage {
+func newTAGE(phtEntries int) *tage {
 	t := &tage{
-		base:       make([]uint8, phtEntries),
-		baseMask:   uint64(phtEntries - 1),
-		histMask:   1<<tageHistLens[tageNumTables-1] - 1,
-		btbTags:    make([]uint64, btbEntries),
-		btbTargets: make([]uint64, btbEntries),
-		btbMask:    uint64(btbEntries - 1),
-		ras:        make([]uint64, rasEntries),
+		base:     make([]uint8, phtEntries),
+		baseMask: uint64(phtEntries - 1),
+		histMask: 1<<tageHistLens[tageNumTables-1] - 1,
 	}
 	for i := range t.base {
 		t.base[i] = 1 // weakly not-taken, matching gshare's reset state
@@ -284,33 +269,4 @@ func (t *tage) train(_ /* cookie */, pc, hist uint64, taken bool) {
 			}
 		}
 	}
-}
-
-func (t *tage) btbLookup(pc uint64) (uint64, bool) {
-	i := (pc >> 2) & t.btbMask
-	if t.btbTags[i] == pc {
-		return t.btbTargets[i], true
-	}
-	return 0, false
-}
-
-func (t *tage) btbUpdate(pc, target uint64) {
-	i := (pc >> 2) & t.btbMask
-	t.btbTags[i] = pc
-	t.btbTargets[i] = target
-}
-
-func (t *tage) rasPush(retAddr uint64) {
-	t.rasTop = (t.rasTop + 1) % rasEntries
-	t.ras[t.rasTop] = retAddr
-}
-
-func (t *tage) rasPop() (uint64, bool) {
-	v := t.ras[t.rasTop]
-	if v == 0 {
-		return 0, false
-	}
-	t.ras[t.rasTop] = 0
-	t.rasTop = (t.rasTop - 1 + rasEntries) % rasEntries
-	return v, true
 }

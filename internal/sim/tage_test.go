@@ -6,7 +6,7 @@ import "testing"
 // TAGE predictor
 
 func TestTAGEBaseBimodalTrains(t *testing.T) {
-	tg := newTAGE(256, 16)
+	tg := newTAGE(256)
 	pc := uint64(0x1000)
 	if taken, _ := tg.predict(pc); taken {
 		t.Error("fresh TAGE should predict not-taken")
@@ -26,7 +26,7 @@ func TestTAGEBaseBimodalTrains(t *testing.T) {
 // cascade: each misprediction allocates into the shortest longer-history
 // table, and the provider is always the longest matching table.
 func TestTAGEAllocationAndPromotion(t *testing.T) {
-	tg := newTAGE(256, 16)
+	tg := newTAGE(256)
 	pc := uint64(0x2000)
 	hist := uint64(0xABCDE)
 
@@ -62,7 +62,7 @@ func TestTAGEAllocationAndPromotion(t *testing.T) {
 // TestTAGEProviderSelection checks longest-match wins when several
 // tables hold entries for the same (pc, history).
 func TestTAGEProviderSelection(t *testing.T) {
-	tg := newTAGE(256, 16)
+	tg := newTAGE(256)
 	pc := uint64(0x3000)
 	hist := uint64(0x5A5A5)
 	// Force entries into every table by alternating outcomes: each flip
@@ -79,7 +79,7 @@ func TestTAGEProviderSelection(t *testing.T) {
 }
 
 func TestTAGEUsefulBitGuardsEntry(t *testing.T) {
-	tg := newTAGE(256, 16)
+	tg := newTAGE(256)
 	pc := uint64(0x4000)
 	hist := uint64(0x1F)
 	// Push the base counter firmly not-taken so the alternate stays
@@ -110,12 +110,12 @@ func TestTAGELearnsBeyondGshareHistory(t *testing.T) {
 	h0 := uint64(0x00000FFF) // low 12 bits all ones
 	h1 := h0 | 1<<20         // differs only at depth 21
 
-	g := newGshare(2048, 16)
+	g := newGshare(2048)
 	if ((pc>>2)^h0)&g.mask != ((pc>>2)^h1)&g.mask {
 		t.Fatal("test premise broken: gshare must alias h0 and h1")
 	}
 
-	tg := newTAGE(2048, 16)
+	tg := newTAGE(2048)
 	// Outcome is the deep history bit: taken under h0, not-taken under h1.
 	for i := 0; i < 20; i++ {
 		tg.train(0, pc, h0, true)
@@ -137,7 +137,7 @@ func TestTAGELearnsBeyondGshareHistory(t *testing.T) {
 }
 
 func TestTAGEPredictionMeta(t *testing.T) {
-	tg := newTAGE(256, 16)
+	tg := newTAGE(256)
 	pc := uint64(0x6000)
 	taken, meta := tg.predict(pc)
 	if taken {
@@ -171,7 +171,7 @@ func TestTAGEPredictionMeta(t *testing.T) {
 }
 
 func TestTAGEHistoryCheckpoint(t *testing.T) {
-	tg := newTAGE(256, 16)
+	tg := newTAGE(256)
 	chk := tg.shiftHistory(true)
 	tg.shiftHistory(false)
 	tg.shiftHistory(true)

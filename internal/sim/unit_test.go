@@ -9,7 +9,7 @@ import (
 // gshare / BTB / RAS
 
 func TestGsharePredictorTrains(t *testing.T) {
-	g := newGshare(256, 16)
+	g := newGshare(256)
 	pc := uint64(0x1000)
 	// Initially weakly not-taken.
 	if taken, _ := g.predict(pc); taken {
@@ -41,7 +41,7 @@ func TestGsharePredictorTrains(t *testing.T) {
 }
 
 func TestGshareHistoryCheckpoint(t *testing.T) {
-	g := newGshare(256, 16)
+	g := newGshare(256)
 	chk := g.shiftHistory(true)
 	g.shiftHistory(false)
 	g.shiftHistory(true)
@@ -54,7 +54,7 @@ func TestGshareHistoryCheckpoint(t *testing.T) {
 }
 
 func TestGshareHistoryAffectsIndex(t *testing.T) {
-	g := newGshare(256, 16)
+	g := newGshare(256)
 	_, idx1 := g.predict(0x1000)
 	g.shiftHistory(true)
 	_, idx2 := g.predict(0x1000)
@@ -64,7 +64,7 @@ func TestGshareHistoryAffectsIndex(t *testing.T) {
 }
 
 func TestBTB(t *testing.T) {
-	g := newGshare(256, 16)
+	g := newTargets(16)
 	if _, ok := g.btbLookup(0x2000); ok {
 		t.Error("empty BTB should miss")
 	}
@@ -80,7 +80,7 @@ func TestBTB(t *testing.T) {
 }
 
 func TestRAS(t *testing.T) {
-	g := newGshare(256, 16)
+	g := newTargets(16)
 	if _, ok := g.rasPop(); ok {
 		t.Error("empty RAS should miss")
 	}

@@ -116,10 +116,6 @@ type Options = core.Options
 // Warmup keeps the package default.
 const NoWarmup = core.NoWarmup
 
-// Progress is the payload of the Options.OnProgress callback: one call
-// per completed simulation run.
-type Progress = core.Progress
-
 // SimStats aggregates the simulator's performance counters across runs.
 type SimStats = core.SimStats
 
@@ -173,26 +169,13 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 // Verification is deterministic — the calibration gate proves
 // byte-identical output across runs — so a report is a pure function of
 // (program bytes, machine configuration, seed range, detection-relevant
-// options). VerifyCache memoises that function: set Options.Cache and
-// repeat verifications of the same tuple return the cached *Report in
-// microseconds instead of simulating.
-
-// VerifyCache is a bounded in-memory LRU of verification reports, safe
-// for concurrent use. Cached reports are shared, not copied — treat
-// them as immutable.
-type VerifyCache = cache.LRU
-
-// CacheStats is a point-in-time reading of a cache's effectiveness.
-type CacheStats = cache.Stats
-
-// NewVerifyCache returns an empty cache holding at most max reports.
-func NewVerifyCache(max int) *VerifyCache { return cache.NewLRU(max) }
+// options), named by CacheKey. Verify itself never caches; the CLI's
+// -cache-dir and the msd daemon file results under that key.
 
 // DiskCache is a content-addressed blob store: opaque byte values
 // filed under their canonical key, written atomically (temp file,
-// fsync, rename). It is the persistence layer under a VerifyCache; the
-// CLI and the msd daemon use one to serve repeat runs across process
-// restarts.
+// fsync, rename). The CLI and the msd daemon use one to serve repeat
+// runs across process restarts.
 type DiskCache = cache.Disk
 
 // OpenDiskCache opens (creating as needed) a blob store rooted at dir.

@@ -100,6 +100,13 @@ go run ./cmd/microsampler -workload ME-NAIVE -runs 2 -warmup 2 \
     -config small -json -cache-dir "$cachedir/store" > "$cachedir/second.json"
 cmp "$cachedir/first.json" "$cachedir/second.json"
 
+echo "== CLI progress smoke (-progress reads the run probe; stderr reports every run) =="
+progressdir="${TMPDIR:-/tmp}/microsampler-progress-smoke"
+mkdir -p "$progressdir"
+go run ./cmd/microsampler -workload ME-NAIVE -config small -runs 2 -warmup 2 \
+    -chart=false -progress > /dev/null 2> "$progressdir/progress.txt"
+grep -q 'run 2/2' "$progressdir/progress.txt"
+
 echo "== CLI deadline smoke (an expired -run-timeout fails the run on its only attempt) =="
 deadlinedir="${TMPDIR:-/tmp}/microsampler-deadline-smoke"
 mkdir -p "$deadlinedir"
