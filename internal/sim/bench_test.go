@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"microsampler/internal/asm"
@@ -41,6 +43,7 @@ func benchConfig(b *testing.B, cfg Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
@@ -58,6 +61,50 @@ func benchConfig(b *testing.B, cfg Config) {
 		cycles = res.Cycles
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
+}
+
+// TestRunSteadyStateAllocs pins that the pipeline allocates nothing per
+// instruction: a run of benchProgram at 8000 loop iterations makes as
+// many allocations as one at 2000, give or take a few, so every
+// allocation of a run is machine set-up.
+func TestRunSteadyStateAllocs(t *testing.T) {
+	for _, cfg := range []Config{MegaBoom(), SmallBoom()} {
+		short, long := runAllocs(t, cfg, 2000), runAllocs(t, cfg, 8000)
+		if long > short+4 {
+			t.Errorf("%s: %.0f allocations per run at 8000 iterations, %.0f at 2000",
+				cfg.Name, long, short)
+		}
+	}
+}
+
+// runAllocs returns the allocations of one New+LoadProgram+Run of
+// benchProgram with its loop count set to iters.
+func runAllocs(t *testing.T, cfg Config, iters int) float64 {
+	t.Helper()
+	src := strings.Replace(benchProgram, "li   s3, 2000", fmt.Sprintf("li   s3, %d", iters), 1)
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired uint64
+	allocs := testing.AllocsPerRun(2, func() {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run(50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retired = res.Instructions
+	})
+	if retired < uint64(iters)*10 {
+		t.Fatalf("%d iterations retired only %d instructions", iters, retired)
+	}
+	return allocs
 }
 
 // BenchmarkSimMegaBoom measures raw simulation throughput on the large

@@ -32,7 +32,7 @@ type Core struct {
 	// Front end.
 	fetchPC      uint64
 	fetchReadyAt int64
-	fetchBuf     []*uop
+	fetchBuf     window
 	fetchTrapped bool
 
 	// Rename state.
@@ -41,11 +41,17 @@ type Core struct {
 	prfReady []int64 // cycle at which the register becomes readable
 	freeList []int16
 
+	// Uop arena: every uop in flight is an element of uops, named by
+	// its index; freeUops holds the unused indices. The windows below
+	// hold these handles, not pointers.
+	uops     []uop
+	freeUops []uopID
+
 	// Windows.
-	rob []*uop
-	iq  []*uop
-	ldq []*uop
-	stq []*uop
+	rob window
+	iq  window
+	ldq window
+	stq window
 
 	// Committed stores being drained to the D-cache; entries stay in the
 	// STQ until the drain completes.
@@ -91,19 +97,18 @@ type Tracer interface {
 
 func newCore(cfg Config, mem *Memory) *Core {
 	c := &Core{
-		cfg:        cfg,
-		mem:        mem,
-		dc:         newDCache(cfg, mem),
-		ic:         newICache(cfg),
-		prfVal:     make([]uint64, cfg.IntPRF),
-		prfReady:   make([]int64, cfg.IntPRF),
-		alus:       make([]fuSlot, cfg.NumALU),
-		muls:       make([]fuSlot, cfg.NumMul),
-		divs:       make([]fuSlot, cfg.NumDiv),
-		agus:       make([]fuSlot, cfg.NumAGU),
-		brus:       make([]fuSlot, cfg.IssueWidth),
-		tgt:        newTargets(cfg.BTBEntries),
-		lastCommit: 0,
+		cfg:      cfg,
+		mem:      mem,
+		dc:       newDCache(cfg, mem),
+		ic:       newICache(cfg),
+		prfVal:   make([]uint64, cfg.IntPRF),
+		prfReady: make([]int64, cfg.IntPRF),
+		alus:     make([]fuSlot, cfg.NumALU),
+		muls:     make([]fuSlot, cfg.NumMul),
+		divs:     make([]fuSlot, cfg.NumDiv),
+		agus:     make([]fuSlot, cfg.NumAGU),
+		brus:     make([]fuSlot, cfg.IssueWidth),
+		tgt:      newTargets(cfg.BTBEntries),
 	}
 	if cfg.TAGEPredictor {
 		c.tg = newTAGE(cfg.BranchPredEnts)
@@ -114,6 +119,20 @@ func newCore(cfg Config, mem *Memory) *Core {
 	for i := 0; i < 32; i++ {
 		c.rat[i] = int16(i)
 	}
+	// A uop lives from fetch until it commits, or until it drains if it
+	// is a store, so the fetch buffer, the ROB and the committed tail of
+	// the STQ bound how many are in flight; one fetch group is headroom.
+	n := cfg.ROBEntries + max(cfg.FetchBufferSize, 0) + cfg.FetchWidth + cfg.STQEntries
+	c.uops = make([]uop, n)
+	c.freeUops = make([]uopID, n)
+	for i := range c.freeUops {
+		c.freeUops[i] = uopID(n - 1 - i)
+	}
+	c.fetchBuf = newWindow(cfg.FetchBufferSize)
+	c.rob = newWindow(cfg.ROBEntries)
+	c.iq = newWindow(cfg.ROBEntries)
+	c.ldq = newWindow(cfg.LDQEntries)
+	c.stq = newWindow(cfg.STQEntries)
 	c.freeList = make([]int16, 0, cfg.IntPRF)
 	for i := cfg.IntPRF - 1; i >= 32; i-- {
 		c.freeList = append(c.freeList, int16(i))
@@ -154,8 +173,9 @@ func (c *Core) fail(err error) {
 // Commit.
 
 func (c *Core) commit() {
-	for n := 0; n < c.cfg.RetireWidth && len(c.rob) > 0; n++ {
-		u := c.rob[0]
+	for n := 0; n < c.cfg.RetireWidth && len(c.rob.q) > 0; n++ {
+		h := c.rob.q[0]
+		u := &c.uops[h]
 		if !u.completed {
 			return
 		}
@@ -167,7 +187,7 @@ func (c *Core) commit() {
 		drainBarrier := u.inst.Op == isa.OpFENCE ||
 			(u.inst.Op == isa.OpMARK && isa.MarkKind(u.inst.Imm) == isa.MarkIterEnd)
 		if drainBarrier {
-			olderStore := len(c.stq) > 0 && c.stq[0].seq < u.seq
+			olderStore := len(c.stq.q) > 0 && c.uops[c.stq.q[0]].seq < u.seq
 			if olderStore || c.cycle < c.drainBusyUntil {
 				return
 			}
@@ -185,7 +205,7 @@ func (c *Core) commit() {
 		case u.inst.Op == isa.OpECALL:
 			c.syscall()
 			if c.halted {
-				c.popROBHead(u)
+				c.popROBHead(h)
 				return
 			}
 		case u.inst.Op == isa.OpMARK:
@@ -205,18 +225,22 @@ func (c *Core) commit() {
 				c.freeList = append(c.freeList, u.stale)
 			}
 		}
-		c.popROBHead(u)
+		c.popROBHead(h)
 	}
 }
 
-func (c *Core) popROBHead(u *uop) {
-	c.rob = c.rob[1:]
+func (c *Core) popROBHead(h uopID) {
+	c.rob.q = c.rob.q[1:]
 	c.retired++
 	c.lastCommit = c.cycle
-	if u.inst.IsLoad() && len(c.ldq) > 0 && c.ldq[0] == u {
-		c.ldq = c.ldq[1:]
+	u := &c.uops[h]
+	if u.inst.IsLoad() && len(c.ldq.q) > 0 && c.ldq.q[0] == h {
+		c.ldq.q = c.ldq.q[1:]
 	}
-	// Store uops leave the STQ when their drain completes (drainStores).
+	// A store keeps its uop until its drain completes (drainStores).
+	if !u.inst.IsStore() {
+		c.releaseUops(h)
+	}
 }
 
 func (c *Core) syscall() {
@@ -246,10 +270,11 @@ func (c *Core) drainStores() {
 	}
 	// The head of the STQ is the oldest store. It drains only after its
 	// uop has committed (it is no longer in the ROB).
-	if len(c.stq) == 0 {
+	if len(c.stq.q) == 0 {
 		return
 	}
-	u := c.stq[0]
+	h := c.stq.q[0]
+	u := &c.uops[h]
 	if !c.isCommitted(u) {
 		return
 	}
@@ -259,18 +284,20 @@ func (c *Core) drainStores() {
 		return
 	}
 	c.drainBusyUntil = done
-	c.stq = c.stq[1:]
+	c.stq.q = c.stq.q[1:]
+	c.releaseUops(h)
 }
 
 func (c *Core) isCommitted(u *uop) bool {
-	return len(c.rob) == 0 || u.seq < c.rob[0].seq
+	return len(c.rob.q) == 0 || u.seq < c.uops[c.rob.q[0]].seq
 }
 
 // ---------------------------------------------------------------------
 // Completion and branch resolution.
 
 func (c *Core) complete() {
-	for _, u := range c.rob {
+	for _, h := range c.rob.q {
+		u := &c.uops[h]
 		if u.completed || u.doneAt > c.cycle {
 			continue
 		}
@@ -310,35 +337,38 @@ func (c *Core) resolveBranch(u *uop) bool {
 	c.fetchPC = redirect
 	c.fetchReadyAt = c.cycle + 2 // redirect penalty
 	c.fetchTrapped = false
-	c.fetchBuf = c.fetchBuf[:0]
+	c.releaseUops(c.fetchBuf.q...)
+	c.fetchBuf.q = c.fetchBuf.q[:0]
 	return true
 }
 
-// squashAfter removes every uop younger than u from the pipeline and
-// restores the rename state to u's checkpoint.
+// squashAfter removes every uop younger than the branch u from the
+// pipeline and restores the rename state to u's checkpoint.
 func (c *Core) squashAfter(u *uop) {
-	if u.ratChk != nil {
-		c.rat = *u.ratChk
-	}
+	c.rat = u.ratChk
 	squashSeq := u.seq
 	// Free destination registers of squashed uops, youngest first, so
-	// the free list returns to its pre-allocation order.
-	for i := len(c.rob) - 1; i >= 0; i-- {
-		v := c.rob[i]
+	// the free list returns to its pre-allocation order. Every squashed
+	// uop is in the ROB, so this also releases their handles.
+	for i := len(c.rob.q) - 1; i >= 0; i-- {
+		h := c.rob.q[i]
+		v := &c.uops[h]
 		if v.seq <= squashSeq {
 			break
 		}
 		if v.pdst >= 32 {
 			c.freeList = append(c.freeList, v.pdst)
 		}
+		c.releaseUops(h)
 	}
 	if c.serializeSeq > squashSeq {
 		c.serializeSeq = 0
 	}
-	c.rob = truncAfter(c.rob, squashSeq)
-	c.iq = truncAfter(c.iq, squashSeq)
-	c.ldq = truncAfter(c.ldq, squashSeq)
-	c.stq = truncAfter(c.stq, squashSeq)
+	for _, w := range [...]*window{&c.rob, &c.iq, &c.ldq, &c.stq} {
+		for len(w.q) > 0 && c.uops[w.q[len(w.q)-1]].seq > squashSeq {
+			w.q = w.q[:len(w.q)-1]
+		}
+	}
 	for _, pool := range [][]fuSlot{c.alus, c.muls, c.divs, c.agus, c.brus} {
 		for i := range pool {
 			if pool[i].busyUntil > c.cycle && pool[i].seq > squashSeq {
@@ -348,18 +378,12 @@ func (c *Core) squashAfter(u *uop) {
 	}
 }
 
-func truncAfter(q []*uop, seq uint64) []*uop {
-	for len(q) > 0 && q[len(q)-1].seq > seq {
-		q = q[:len(q)-1]
-	}
-	return q
-}
-
 // ---------------------------------------------------------------------
 // Memory issue (loads accessing the D-cache, with STQ forwarding).
 
 func (c *Core) issueMemory() {
-	for _, ld := range c.ldq {
+	for _, h := range c.ldq.q {
+		ld := &c.uops[h]
 		if !ld.addrReady || ld.memIssued {
 			continue
 		}
@@ -401,8 +425,8 @@ func (c *Core) issueMemory() {
 // blocked=true when the load must wait (unknown address, partial
 // overlap, or covering store whose data is not yet available).
 func (c *Core) olderStoreConflict(ld *uop) (fwd *uop, blocked bool) {
-	for i := len(c.stq) - 1; i >= 0; i-- {
-		st := c.stq[i]
+	for i := len(c.stq.q) - 1; i >= 0; i-- {
+		st := &c.uops[c.stq.q[i]]
 		if st.seq > ld.seq {
 			continue
 		}
@@ -448,23 +472,20 @@ func acquireFU(pool []fuSlot, now int64) *fuSlot {
 
 func (c *Core) issue() {
 	issued := 0
-	kept := c.iq[:0]
-	for qi, u := range c.iq {
+	kept := c.iq.q[:0]
+	for qi, h := range c.iq.q {
 		if issued >= c.cfg.IssueWidth {
-			kept = append(kept, c.iq[qi:]...)
+			kept = append(kept, c.iq.q[qi:]...)
 			break
 		}
-		if !c.srcReady(u.ps1) || !c.srcReady(u.ps2) {
-			kept = append(kept, u)
-			continue
-		}
-		if !c.tryIssue(u) {
-			kept = append(kept, u)
+		u := &c.uops[h]
+		if !c.srcReady(u.ps1) || !c.srcReady(u.ps2) || !c.tryIssue(u) {
+			kept = append(kept, h)
 			continue
 		}
 		issued++
 	}
-	c.iq = kept
+	c.iq.q = kept
 }
 
 // tryIssue executes u functionally if a functional unit is available.
@@ -567,18 +588,19 @@ func (c *Core) tryIssue(u *uop) bool {
 // Dispatch (rename + allocate).
 
 func (c *Core) dispatch() {
-	for n := 0; n < c.cfg.DecodeWidth && len(c.fetchBuf) > 0; n++ {
+	for n := 0; n < c.cfg.DecodeWidth && len(c.fetchBuf.q) > 0; n++ {
 		if c.serializeSeq != 0 {
 			return
 		}
-		u := c.fetchBuf[0]
-		if len(c.rob) >= c.cfg.ROBEntries {
+		h := c.fetchBuf.q[0]
+		u := &c.uops[h]
+		if len(c.rob.q) >= c.cfg.ROBEntries {
 			return
 		}
-		if u.inst.IsLoad() && len(c.ldq) >= c.cfg.LDQEntries {
+		if u.inst.IsLoad() && len(c.ldq.q) >= c.cfg.LDQEntries {
 			return
 		}
-		if u.inst.IsStore() && len(c.stq) >= c.cfg.STQEntries {
+		if u.inst.IsStore() && len(c.stq.q) >= c.cfg.STQEntries {
 			return
 		}
 		needsPdst := u.inst.WritesRd() && u.inst.Rd != isa.Zero && !u.trap
@@ -604,36 +626,35 @@ func (c *Core) dispatch() {
 			c.prfReady[p] = never
 		}
 		if u.inst.Class() == isa.ClassBranch {
-			chk := c.rat
-			u.ratChk = &chk
+			u.ratChk = c.rat
 		}
 
 		if u.trap {
 			u.completed = true
 			u.doneAt = c.cycle
-			c.rob = append(c.rob, u)
-			c.fetchBuf = c.fetchBuf[1:]
+			c.rob.push(h)
+			c.fetchBuf.q = c.fetchBuf.q[1:]
 			continue
 		}
 
 		if c.cfg.FastBypass && c.tryFastBypass(u) {
-			c.rob = append(c.rob, u)
-			c.fetchBuf = c.fetchBuf[1:]
+			c.rob.push(h)
+			c.fetchBuf.q = c.fetchBuf.q[1:]
 			continue
 		}
 
-		c.rob = append(c.rob, u)
+		c.rob.push(h)
 		switch u.inst.Class() {
 		case isa.ClassLoad:
-			c.ldq = append(c.ldq, u)
+			c.ldq.push(h)
 		case isa.ClassStore:
-			c.stq = append(c.stq, u)
+			c.stq.push(h)
 		}
 		if u.inst.Op == isa.OpFENCE || u.inst.Op == isa.OpCBOFLUSH {
 			c.serializeSeq = u.seq
 		}
-		c.iq = append(c.iq, u)
-		c.fetchBuf = c.fetchBuf[1:]
+		c.iq.push(h)
+		c.fetchBuf.q = c.fetchBuf.q[1:]
 	}
 }
 
@@ -670,7 +691,7 @@ func (c *Core) fetch() {
 	if c.halted || c.fetchTrapped || c.cycle < c.fetchReadyAt {
 		return
 	}
-	room := c.cfg.FetchBufferSize - len(c.fetchBuf)
+	room := c.cfg.FetchBufferSize - len(c.fetchBuf.q)
 	if room <= 0 {
 		return
 	}
@@ -693,11 +714,11 @@ func (c *Core) fetch() {
 		}
 		word := uint32(c.mem.Read(pc, 4))
 		inst, err := isa.Decode(word)
-		c.seq++
-		u := newUop(c.seq, pc, inst)
+		h := c.newUop(pc, inst)
+		u := &c.uops[h]
 		if err != nil {
 			u.trap = true
-			c.fetchBuf = append(c.fetchBuf, u)
+			c.fetchBuf.push(h)
 			c.fetchTrapped = true
 			return
 		}
@@ -744,7 +765,7 @@ func (c *Core) fetch() {
 			pc = u.predTarget
 			redirected = true
 		}
-		c.fetchBuf = append(c.fetchBuf, u)
+		c.fetchBuf.push(h)
 		if redirected {
 			c.fetchPC = pc
 			return

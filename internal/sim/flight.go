@@ -47,8 +47,8 @@ func (f *FlightRecorder) record(c *Core) {
 	fr.FetchPC = c.fetchPC
 	fr.Retired = c.retired
 	fr.ROB = c.robOccupancy()
-	fr.SQ = len(c.stq)
-	fr.LQ = len(c.ldq)
+	fr.SQ = len(c.stq.q)
+	fr.LQ = len(c.ldq.q)
 	mshr := 0
 	for i := range c.dc.mshrs {
 		if c.dc.mshrs[i].valid {

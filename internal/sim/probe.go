@@ -29,52 +29,44 @@ type LSQEntry struct {
 // committed stores that have not yet drained to the D-cache. The slice
 // is valid until the next StoreQueue call.
 func (p *Probe) StoreQueue() []LSQEntry {
-	out := p.stq[:0]
-	for _, u := range p.c.stq {
-		out = append(out, LSQEntry{Addr: u.memAddr, PC: u.pc, Valid: u.addrReady})
-	}
-	p.stq = out
-	return out
+	p.stq = p.appendLSQ(p.stq[:0], p.c.stq.q)
+	return p.stq
 }
 
 // LoadQueue returns the load-queue contents in age order. The slice is
 // valid until the next LoadQueue call.
 func (p *Probe) LoadQueue() []LSQEntry {
-	out := p.ldq[:0]
-	for _, u := range p.c.ldq {
-		out = append(out, LSQEntry{Addr: u.memAddr, PC: u.pc, Valid: u.addrReady})
+	p.ldq = p.appendLSQ(p.ldq[:0], p.c.ldq.q)
+	return p.ldq
+}
+
+func (p *Probe) appendLSQ(dst []LSQEntry, q []uopID) []LSQEntry {
+	for _, h := range q {
+		u := &p.c.uops[h]
+		dst = append(dst, LSQEntry{Addr: u.memAddr, PC: u.pc, Valid: u.addrReady})
 	}
-	p.ldq = out
-	return out
+	return dst
 }
 
 // AppendStoreAddrs appends the SQ-ADDR feature row: per store-queue slot
 // in age order, the computed store address (0 while unresolved).
-func (p *Probe) AppendStoreAddrs(dst []uint64) []uint64 {
-	for _, u := range p.c.stq {
-		if u.addrReady {
-			dst = append(dst, u.memAddr)
-		} else {
-			dst = append(dst, 0)
-		}
-	}
-	return dst
-}
+func (p *Probe) AppendStoreAddrs(dst []uint64) []uint64 { return p.appendAddrs(dst, p.c.stq.q) }
 
 // AppendStorePCs appends the SQ-PC feature row: the program counter of
 // every store-queue slot in age order.
-func (p *Probe) AppendStorePCs(dst []uint64) []uint64 {
-	for _, u := range p.c.stq {
-		dst = append(dst, u.pc)
-	}
-	return dst
-}
+func (p *Probe) AppendStorePCs(dst []uint64) []uint64 { return p.appendPCs(dst, p.c.stq.q) }
 
 // AppendLoadAddrs appends the LQ-ADDR feature row: per load-queue slot
 // in age order, the computed load address (0 while unresolved).
-func (p *Probe) AppendLoadAddrs(dst []uint64) []uint64 {
-	for _, u := range p.c.ldq {
-		if u.addrReady {
+func (p *Probe) AppendLoadAddrs(dst []uint64) []uint64 { return p.appendAddrs(dst, p.c.ldq.q) }
+
+// AppendLoadPCs appends the LQ-PC feature row: the program counter of
+// every load-queue slot in age order.
+func (p *Probe) AppendLoadPCs(dst []uint64) []uint64 { return p.appendPCs(dst, p.c.ldq.q) }
+
+func (p *Probe) appendAddrs(dst []uint64, q []uopID) []uint64 {
+	for _, h := range q {
+		if u := &p.c.uops[h]; u.addrReady {
 			dst = append(dst, u.memAddr)
 		} else {
 			dst = append(dst, 0)
@@ -83,11 +75,9 @@ func (p *Probe) AppendLoadAddrs(dst []uint64) []uint64 {
 	return dst
 }
 
-// AppendLoadPCs appends the LQ-PC feature row: the program counter of
-// every load-queue slot in age order.
-func (p *Probe) AppendLoadPCs(dst []uint64) []uint64 {
-	for _, u := range p.c.ldq {
-		dst = append(dst, u.pc)
+func (p *Probe) appendPCs(dst []uint64, q []uopID) []uint64 {
+	for _, h := range q {
+		dst = append(dst, p.c.uops[h].pc)
 	}
 	return dst
 }
@@ -95,8 +85,8 @@ func (p *Probe) AppendLoadPCs(dst []uint64) []uint64 {
 // AppendROBPCs appends the ROB-PC feature row: the program counters of
 // the occupied (non-folded) reorder-buffer slots in age order.
 func (p *Probe) AppendROBPCs(dst []uint64) []uint64 {
-	for _, u := range p.c.rob {
-		if !u.folded {
+	for _, h := range p.c.rob.q {
+		if u := &p.c.uops[h]; !u.folded {
 			dst = append(dst, u.pc)
 		}
 	}
@@ -109,8 +99,8 @@ func (p *Probe) ROBOccupancy() int { return p.c.robOccupancy() }
 // robOccupancy counts the occupied (non-folded) reorder-buffer slots.
 func (c *Core) robOccupancy() int {
 	n := 0
-	for _, u := range c.rob {
-		if !u.folded {
+	for _, h := range c.rob.q {
+		if !c.uops[h].folded {
 			n++
 		}
 	}
@@ -245,8 +235,8 @@ func (p *Probe) AppendBPredMeta(dst []uint64) []uint64 {
 	if p.c.tg == nil {
 		return dst
 	}
-	for _, u := range p.c.rob {
-		if !u.folded && u.inst.IsCondBranch() {
+	for _, h := range p.c.rob.q {
+		if u := &p.c.uops[h]; !u.folded && u.inst.IsCondBranch() {
 			dst = append(dst, u.phtIdx)
 		}
 	}
@@ -260,8 +250,8 @@ func (p *Probe) AppendBPredPCs(dst []uint64) []uint64 {
 	if p.c.tg == nil {
 		return dst
 	}
-	for _, u := range p.c.rob {
-		if !u.folded && u.inst.IsCondBranch() {
+	for _, h := range p.c.rob.q {
+		if u := &p.c.uops[h]; !u.folded && u.inst.IsCondBranch() {
 			dst = append(dst, u.pc)
 		}
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"microsampler/internal/asm"
 )
 
 // ---------------------------------------------------------------------
@@ -320,6 +322,44 @@ loop:
 	want &= 0xFFFFF
 	if res.ExitCode != want {
 		t.Errorf("backpressure run = %d want %d", res.ExitCode, want)
+	}
+}
+
+// TestUopHandlesConserved checks the arena's bookkeeping every cycle:
+// each handle is either free or held by exactly one in-flight uop — in
+// the fetch buffer, the ROB, or the committed tail of the STQ — through
+// commits, drains, squashes and fetch-buffer flushes, on full-size and
+// tiny windows alike.
+func TestUopHandlesConserved(t *testing.T) {
+	prog, err := asm.Assemble(benchProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{MegaBoom(), tinyConfig()} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		c := m.core
+		for !c.halted {
+			c.step()
+			held := len(c.fetchBuf.q) + len(c.rob.q)
+			for _, h := range c.stq.q {
+				if c.isCommitted(&c.uops[h]) {
+					held++
+				}
+			}
+			if held+len(c.freeUops) != len(c.uops) {
+				t.Fatalf("%s cycle %d: %d handles held, %d free, arena of %d",
+					cfg.Name, c.cycle, held, len(c.freeUops), len(c.uops))
+			}
+		}
+		if c.runErr != nil || c.mispredicts == 0 {
+			t.Fatalf("%s: run error %v after %d mispredicts", cfg.Name, c.runErr, c.mispredicts)
+		}
 	}
 }
 

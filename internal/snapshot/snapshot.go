@@ -199,10 +199,20 @@ func NewStore() *Store {
 func (s *Store) Observe(class, hash uint64, rows [][]uint64) {
 	e := s.byHash[hash]
 	if e == nil {
+		// One backing array holds every row; the full slice expressions
+		// cap each row at its length, so appending to one never
+		// overwrites the next.
+		total := 0
+		for _, row := range rows {
+			total += len(row)
+		}
+		flat := make([]uint64, total)
 		rep := make([][]uint64, len(rows))
+		a := 0
 		for i, row := range rows {
-			rep[i] = make([]uint64, len(row))
-			copy(rep[i], row)
+			b := a + copy(flat[a:], row)
+			rep[i] = flat[a:b:b]
+			a = b
 		}
 		e = &Entry{
 			Hash:         hash,

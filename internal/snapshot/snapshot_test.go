@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -167,6 +168,24 @@ func TestStoreRepIsCopied(t *testing.T) {
 	m[0][0] = 0
 	if s.Entries()[0].Rep[0][0] != 42 {
 		t.Error("store representative aliases caller rows")
+	}
+}
+
+// TestStoreRepRowsShareOneArray pins the flat copy Observe makes of a
+// new snapshot: the representative equals the observed rows, empty
+// rows included, and appending to one row never writes into the next.
+func TestStoreRepRowsShareOneArray(t *testing.T) {
+	s := NewStore()
+	m := [][]uint64{{1, 2}, {}, {3}, {4, 5, 6}}
+	s.Observe(0, HashMatrix(m), m)
+	rep := s.Entries()[0].Rep
+	if !reflect.DeepEqual(rep, m) {
+		t.Fatalf("Rep = %v, want %v", rep, m)
+	}
+	_ = append(rep[0], 99)
+	_ = append(rep[1], 98)
+	if !reflect.DeepEqual(rep, m) {
+		t.Errorf("appending to a Rep row overwrote another: %v, want %v", rep, m)
 	}
 }
 

@@ -609,20 +609,29 @@ func (c *Collector) Provenance() []UnitProvenance {
 		if st.spec.kind == provNone {
 			continue
 		}
-		// Group the log by stream; at[i] is stream i's position in
-		// streams, or -1 while it has no kept iteration (keys seen only
-		// in discarded iterations are left out).
+		// Group the log by stream. One pass counts each stream's
+		// records; each stream with any then gets a presized subslice
+		// of the unit's one Iters/Hashes pair, and at[i] turns from
+		// stream i's count into its position in streams. Keys seen only
+		// in discarded iterations have no records and are left out.
 		at := make([]int, len(st.prov))
-		for i := range at {
-			at[i] = -1
-		}
-		streams := make([]ProvStream, 0, len(st.prov))
 		for _, rec := range st.provLog {
-			if at[rec.stream] < 0 {
-				at[rec.stream] = len(streams)
-				ps := &st.prov[rec.stream]
-				streams = append(streams, ProvStream{Key: ps.key, Events: ps.events})
+			at[rec.stream]++
+		}
+		iters := make([]int32, len(st.provLog))
+		hashes := make([]uint64, len(st.provLog))
+		streams := make([]ProvStream, 0, len(st.prov))
+		off := 0
+		for i, n := range at {
+			if n == 0 {
+				continue
 			}
+			ps, end := &st.prov[i], off+n
+			streams = append(streams, ProvStream{Key: ps.key, Events: ps.events,
+				Iters: iters[off:off:end], Hashes: hashes[off:off:end]})
+			at[i], off = len(streams)-1, end
+		}
+		for _, rec := range st.provLog {
 			s := &streams[at[rec.stream]]
 			s.Iters = append(s.Iters, rec.iter)
 			s.Hashes = append(s.Hashes, rec.hash)
