@@ -32,7 +32,6 @@ type uop struct {
 	ratChk [32]int16 // RAT checkpoint (branches only)
 
 	// Execution state.
-	inIQ      bool
 	issued    bool
 	resolved  bool // branches: outcome processed
 	completed bool
@@ -62,6 +61,8 @@ func (c *Core) newUop(pc uint64, inst isa.Inst) uopID {
 	h := c.freeUops[len(c.freeUops)-1]
 	c.freeUops = c.freeUops[:len(c.freeUops)-1]
 	c.seq++
+	// Zeroing in place and then setting fields avoids building a
+	// composite literal on the stack and copying it into the slot.
 	u := &c.uops[h]
 	*u = uop{}
 	u.seq, u.pc, u.inst, u.doneAt = c.seq, pc, inst, never
