@@ -491,7 +491,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	runWall := make([]time.Duration, 0, opts.Runs)
 	runSim := make([]time.Duration, 0, opts.Runs)
 	runParse := make([]time.Duration, 0, opts.Runs)
-	prov := newProvMerger()
+	cols := make([]*trace.Collector, 0, opts.Runs)
 	for run := 0; run < opts.Runs; run++ {
 		if outs[run].col == nil { // failed, or never claimed
 			// End the enclosing spans so a TraceSink JSONL stream is
@@ -517,10 +517,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		for u, n := range outs[run].col.SampleCounts() {
 			rep.Samples[u] += n
 		}
-		// Provenance iteration indices are per run; shift them by the
-		// kept iterations merged so far so they stay aligned with
-		// rep.Iterations.
-		prov.add(outs[run].col.Provenance(), len(rep.Iterations))
+		cols = append(cols, outs[run].col)
 		rep.Iterations = append(rep.Iterations, outs[run].col.Iterations()...)
 		writers, readers := outs[run].col.Attribution()
 		mergeAttribution(rep.StoreWriters, writers)
@@ -538,7 +535,9 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 			runParse = append(runParse, parse)
 		}
 	}
-	rep.Provenance = prov.flatten(units)
+	// MergeProvenance shifts each run's iteration indices by the kept
+	// iterations of the runs before it, aligning them with rep.Iterations.
+	rep.Provenance = trace.MergeProvenance(cols...)
 	mergeSpan.End()
 	rep.SimCycles = rep.Sim.Cycles
 	rep.Stages.RunWall = telemetry.Stats(runWall)
@@ -776,67 +775,6 @@ func countFailure(m *telemetry.Registry, err error) {
 	if m != nil {
 		m.Counter("verify_run_" + errClass(err) + "s_total").Inc()
 	}
-}
-
-// provMerger accumulates per-unit provenance streams across runs,
-// rebasing per-run iteration indices onto the merged iteration order.
-type provMerger struct {
-	byUnit map[trace.Unit]*provUnitAcc
-}
-
-type provUnitAcc struct {
-	direct  bool
-	streams map[uint64]*trace.ProvStream
-	keys    []uint64 // insertion-ordered; sorted at flatten time
-}
-
-func newProvMerger() *provMerger {
-	return &provMerger{byUnit: make(map[trace.Unit]*provUnitAcc)}
-}
-
-// add folds one run's provenance in, shifting iteration indices by
-// iterBase (the kept iterations merged before this run).
-func (pm *provMerger) add(prov []trace.UnitProvenance, iterBase int) {
-	for _, up := range prov {
-		acc := pm.byUnit[up.Unit]
-		if acc == nil {
-			acc = &provUnitAcc{direct: up.Direct, streams: make(map[uint64]*trace.ProvStream)}
-			pm.byUnit[up.Unit] = acc
-		}
-		for _, s := range up.Streams {
-			dst := acc.streams[s.Key]
-			if dst == nil {
-				dst = &trace.ProvStream{Key: s.Key}
-				acc.streams[s.Key] = dst
-				acc.keys = append(acc.keys, s.Key)
-			}
-			dst.Events += s.Events
-			for i, it := range s.Iters {
-				dst.Iters = append(dst.Iters, it+int32(iterBase))
-				dst.Hashes = append(dst.Hashes, s.Hashes[i])
-			}
-		}
-	}
-}
-
-// flatten emits the merged provenance in tracked-unit order with keys
-// ascending, matching the determinism of a single-run collection.
-func (pm *provMerger) flatten(units []trace.Unit) []trace.UnitProvenance {
-	out := make([]trace.UnitProvenance, 0, len(pm.byUnit))
-	for _, u := range units {
-		acc := pm.byUnit[u]
-		if acc == nil {
-			continue
-		}
-		sort.Slice(acc.keys, func(i, j int) bool { return acc.keys[i] < acc.keys[j] })
-		up := trace.UnitProvenance{Unit: u, Direct: acc.direct}
-		up.Streams = make([]trace.ProvStream, 0, len(acc.keys))
-		for _, k := range acc.keys {
-			up.Streams = append(up.Streams, *acc.streams[k])
-		}
-		out = append(out, up)
-	}
-	return out
 }
 
 // mergeAttribution unions sorted PC lists per address. Both sides hold

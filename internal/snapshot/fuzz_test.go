@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -32,9 +33,9 @@ func matrixFrom(data []byte) [][]uint64 {
 }
 
 // FuzzHashMatrix asserts the snapshot hashing invariants on arbitrary
-// matrices: determinism, agreement between the one-shot and the
-// incremental (Recorder) hashers, the timing-removal correspondence,
-// and sensitivity — any single-cell mutation and any row-boundary
+// matrices: determinism, agreement between the one-shot hash and the
+// Recorder's incremental one over the matrix's values as one-value
+// rows, and sensitivity — any single-cell mutation and any row-boundary
 // change must change the hash.
 func FuzzHashMatrix(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
@@ -48,22 +49,21 @@ func FuzzHashMatrix(f *testing.F) {
 			t.Fatal("HashMatrix not deterministic")
 		}
 
-		// The incremental recorder must agree with the one-shot hash,
-		// and its timing-free hash with hashing the consolidated matrix.
+		// The recorder's event log must hash like the matrix of its
+		// one-value rows, and hand those rows back.
 		r := NewRecorder()
+		var events [][]uint64
 		for _, row := range m {
-			r.AddRow(row)
+			for _, v := range row {
+				r.AddValue(v)
+				events = append(events, []uint64{v})
+			}
 		}
-		full, noTiming, rows := r.Finish()
-		if full != h {
-			t.Errorf("Recorder full hash %#x != HashMatrix %#x", full, h)
+		if got, want := r.Hash(), HashMatrix(events); got != want {
+			t.Errorf("Recorder hash %#x != HashMatrix of one-value rows %#x", got, want)
 		}
-		if want := HashMatrix(Consolidate(m)); noTiming != want {
-			t.Errorf("Recorder timing-free hash %#x != consolidated HashMatrix %#x",
-				noTiming, want)
-		}
-		if len(rows) != len(m) {
-			t.Errorf("Recorder kept %d rows, want %d", len(rows), len(m))
+		if rows := r.Rows(); !reflect.DeepEqual(rows, events) {
+			t.Errorf("Recorder rows %v, want %v", rows, events)
 		}
 
 		// Single-cell mutation sensitivity: flip one bit of one cell.

@@ -39,93 +39,63 @@ func TestHashMatrixValueSensitive(t *testing.T) {
 	}
 }
 
-func TestConsolidate(t *testing.T) {
-	in := [][]uint64{{1, 2}, {1, 2}, {1, 2}, {3}, {3}, {1, 2}}
-	out := Consolidate(in)
-	want := [][]uint64{{1, 2}, {3}, {1, 2}}
-	if len(out) != len(want) {
-		t.Fatalf("consolidated to %d rows, want %d", len(out), len(want))
-	}
-	for i := range want {
-		if !rowsEqual(out[i], want[i]) {
-			t.Errorf("row %d = %v want %v", i, out[i], want[i])
+func TestAddValueMatchesSingleValueRow(t *testing.T) {
+	// The recorder's event log hashes like HashMatrix over the
+	// equivalent one-value rows, and Rows returns those rows.
+	const seed = 11
+	t.Logf("rng seed %d", seed)
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 50; trial++ {
+		rows := make([][]uint64, rng.Intn(30))
+		r := NewRecorder()
+		for i := range rows {
+			v := uint64(rng.Intn(5)) // small domain: duplicates likely
+			rows[i] = []uint64{v}
+			r.AddValue(v)
 		}
-	}
-	// Must not alias the input.
-	out[0][0] = 99
-	if in[0][0] == 99 {
-		t.Error("Consolidate aliases input storage")
-	}
-}
-
-func TestConsolidateEmpty(t *testing.T) {
-	if got := Consolidate(nil); len(got) != 0 {
-		t.Errorf("Consolidate(nil) = %v", got)
+		if r.Hash() != HashMatrix(rows) {
+			t.Fatalf("trial %d: incremental hash mismatch", trial)
+		}
+		if got := r.Rows(); len(got) != len(rows) || (len(rows) > 0 && !reflect.DeepEqual(got, rows)) {
+			t.Fatalf("trial %d: rows %v want %v", trial, got, rows)
+		}
 	}
 }
 
 func TestRecorderMatchesHashMatrix(t *testing.T) {
+	// One recorder reused across iterations, as the collector reuses
+	// it: after each Reset its hash and rows cover that iteration only,
+	// whether it is longer or shorter than the one before.
 	const seed = 3
 	t.Logf("rng seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
+	r := NewRecorder()
 	for trial := 0; trial < 50; trial++ {
-		rows := make([][]uint64, rng.Intn(20))
-		for i := range rows {
-			row := make([]uint64, rng.Intn(5)+1)
-			for j := range row {
-				row[j] = uint64(rng.Intn(4)) // small domain: duplicates likely
-			}
-			rows[i] = row
+		r.Reset()
+		var rows [][]uint64
+		for i := rng.Intn(40); i > 0; i-- {
+			v := uint64(rng.Intn(4))
+			rows = append(rows, []uint64{v})
+			r.AddValue(v)
 		}
-		r := NewRecorder()
-		for _, row := range rows {
-			r.AddRow(row)
+		if r.Hash() != HashMatrix(rows) {
+			t.Fatalf("trial %d: hash of a reused recorder mismatches", trial)
 		}
-		full, noTiming, kept := r.Finish()
-		if full != HashMatrix(rows) {
-			t.Fatalf("trial %d: incremental full hash mismatch", trial)
+		if got := r.Rows(); len(got) != len(rows) || (len(rows) > 0 && !reflect.DeepEqual(got, rows)) {
+			t.Fatalf("trial %d: rows %v want %v", trial, got, rows)
 		}
-		if noTiming != HashMatrix(Consolidate(rows)) {
-			t.Fatalf("trial %d: incremental no-timing hash mismatch", trial)
-		}
-		if len(kept) != len(rows) {
-			t.Fatalf("trial %d: kept %d rows want %d", trial, len(kept), len(rows))
-		}
-	}
-}
-
-func TestRecorderTimingInvariance(t *testing.T) {
-	// Two recordings that differ only in how long each state persists
-	// must agree on the no-timing hash and disagree on the full hash.
-	r1, r2 := NewRecorder(), NewRecorder()
-	for i := 0; i < 3; i++ {
-		r1.AddRow([]uint64{7})
-	}
-	r1.AddRow([]uint64{9})
-	r2.AddRow([]uint64{7})
-	for i := 0; i < 5; i++ {
-		r2.AddRow([]uint64{9})
-	}
-	f1, n1, _ := r1.Finish()
-	f2, n2, _ := r2.Finish()
-	if n1 != n2 {
-		t.Error("no-timing hashes should match")
-	}
-	if f1 == f2 {
-		t.Error("full hashes should differ")
 	}
 }
 
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder()
-	r.AddRow([]uint64{1})
+	r.AddValue(1)
 	r.Reset()
-	if r.Cycles() != 0 {
+	if len(r.Rows()) != 0 {
 		t.Error("reset did not clear rows")
 	}
-	r.AddRow([]uint64{2})
-	full, _, _ := r.Finish()
-	if full != HashMatrix([][]uint64{{2}}) {
+	r.AddValue(2)
+	if r.Hash() != HashMatrix([][]uint64{{2}}) {
 		t.Error("reset recorder hash wrong")
 	}
 }
@@ -216,76 +186,34 @@ func TestStoreMerge(t *testing.T) {
 	}
 }
 
-func TestAddValueMatchesSingleValueRow(t *testing.T) {
-	// The streaming event API must be hash-identical to building the
-	// equivalent single-value rows: the collector switched from
-	// AddRow([]uint64{v}) to AddValue(v) and the snapshot identity of
-	// every event stream has to survive that switch.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		vals := make([]uint64, rng.Intn(30))
-		for i := range vals {
-			vals[i] = uint64(rng.Intn(5)) // duplicates likely
-		}
-		a, b := NewRecorder(), NewRecorder()
-		for _, v := range vals {
-			a.AddValue(v)
-			b.AddRow([]uint64{v})
-		}
-		af, an := a.Hashes()
-		bf, bn := b.Hashes()
-		if af != bf || an != bn {
-			t.Fatalf("trial %d: AddValue (%x,%x) != AddRow (%x,%x)",
-				trial, af, an, bf, bn)
-		}
-		rows := a.Rows()
-		if len(rows) != len(vals) {
-			t.Fatalf("trial %d: %d rows want %d", trial, len(rows), len(vals))
-		}
-		for i, v := range vals {
-			if len(rows[i]) != 1 || rows[i][0] != v {
-				t.Fatalf("trial %d row %d = %v want [%d]", trial, i, rows[i], v)
-			}
-		}
-	}
-}
-
 func TestRecorderHashesIdempotent(t *testing.T) {
 	r := NewRecorder()
-	r.AddRow([]uint64{1, 2})
+	r.AddValue(1)
 	r.AddValue(3)
-	f1, n1 := r.Hashes()
-	f2, n2 := r.Hashes()
-	if f1 != f2 || n1 != n2 {
-		t.Error("Hashes must be callable repeatedly without changing")
+	h1 := r.Hash()
+	if h2 := r.Hash(); h1 != h2 {
+		t.Error("Hash must be callable repeatedly without changing")
 	}
-	r.AddRow([]uint64{4})
-	f3, _ := r.Hashes()
-	if f3 == f1 {
+	r.AddValue(4)
+	if r.Hash() == h1 {
 		t.Error("hash did not change after more rows")
 	}
 }
 
 func TestRecorderRowsSurviveArenaGrowth(t *testing.T) {
-	// Row views are rebuilt from offsets, so arena reallocation while
-	// recording must not corrupt earlier rows.
+	// Row views are rebuilt from the value buffer, so its reallocation
+	// while recording must not corrupt earlier rows.
 	r := NewRecorder()
 	want := make([][]uint64, 0, 200)
 	for i := 0; i < 200; i++ {
-		row := []uint64{uint64(i), uint64(i * 3)}
-		r.AddRow(row)
-		want = append(want, row)
+		r.AddValue(uint64(i * 3))
+		want = append(want, []uint64{uint64(i * 3)})
 	}
 	got := r.Rows()
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d want %d", len(got), len(want))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows = %v want %v", got, want)
 	}
-	for i := range want {
-		if !rowsEqual(got[i], want[i]) {
-			t.Fatalf("row %d = %v want %v", i, got[i], want[i])
-		}
-	}
-	if HashMatrix(got) != HashMatrix(want) {
+	if HashMatrix(got) != r.Hash() {
 		t.Error("hash mismatch after growth")
 	}
 }
@@ -293,8 +221,9 @@ func TestRecorderRowsSurviveArenaGrowth(t *testing.T) {
 func TestObserveFrom(t *testing.T) {
 	s := NewStore()
 	r := NewRecorder()
-	r.AddRow([]uint64{5, 6})
-	h, _ := r.Hashes()
+	r.AddValue(5)
+	r.AddValue(6)
+	h := r.Hash()
 	s.ObserveFrom(0, h, r)
 	s.ObserveFrom(0, h, r)
 	s.ObserveFrom(1, h, r)
@@ -305,38 +234,11 @@ func TestObserveFrom(t *testing.T) {
 	if e.CountByClass[0] != 2 || e.CountByClass[1] != 1 {
 		t.Errorf("counts wrong: %v", e.CountByClass)
 	}
-	// The stored representative must not alias the recorder's arena.
+	// The stored representative must not alias the recorder's buffer.
 	r.Reset()
-	r.AddRow([]uint64{99, 99})
-	if e.Rep[0][0] != 5 || e.Rep[0][1] != 6 {
-		t.Errorf("representative aliases recorder arena: %v", e.Rep)
-	}
-}
-
-func TestRecorderAddRowReportsChange(t *testing.T) {
-	r := NewRecorder()
-	steps := []struct {
-		row  []uint64
-		want bool
-	}{
-		{[]uint64{1, 2}, true}, // first row of an iteration
-		{[]uint64{1, 2}, false},
-		{[]uint64{1, 2}, false},
-		{[]uint64{1, 3}, true},
-		{[]uint64{1, 2}, true}, // equals an older row, not the previous one
-		{[]uint64{1, 2, 0}, true},
-		{nil, true},
-		{[]uint64{}, false},
-	}
-	for i, s := range steps {
-		if got := r.AddRow(s.row); got != s.want {
-			t.Errorf("step %d AddRow(%v) = %v want %v", i, s.row, got, s.want)
-		}
-	}
-	// Reset starts a new iteration: a row equal to the last one before
-	// the reset is still the iteration's first, so it is a change.
-	r.Reset()
-	if !r.AddRow(nil) {
-		t.Error("first row after Reset reported unchanged")
+	r.AddValue(99)
+	r.AddValue(99)
+	if want := [][]uint64{{5}, {6}}; !reflect.DeepEqual(e.Rep, want) {
+		t.Errorf("representative %v, want %v: it aliases the recorder", e.Rep, want)
 	}
 }

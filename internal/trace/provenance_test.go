@@ -121,3 +121,50 @@ func TestEmptyStreamHash(t *testing.T) {
 		t.Errorf("EmptyStreamHash = %#x want %#x", got, want)
 	}
 }
+
+// TestMergeProvenanceShiftsIterations merges two runs that keep
+// different iterations: each key's merged stream is the first run's
+// records followed by the second's, whose iteration indices move past
+// the first run's kept iterations; events add up and keys stay sorted.
+func TestMergeProvenanceShiftsIterations(t *testing.T) {
+	a, _ := runWithProgram(t, loopProgram, WithWarmupIterations(4))
+	b, _ := runWithProgram(t, loopProgram, WithWarmupIterations(1))
+	shift := int32(len(a.Iterations()))
+	want := map[Unit]map[uint64]*ProvStream{}
+	for i, prov := range [][]UnitProvenance{a.Provenance(), b.Provenance()} {
+		for _, up := range prov {
+			if want[up.Unit] == nil {
+				want[up.Unit] = map[uint64]*ProvStream{}
+			}
+			for _, s := range up.Streams {
+				w := want[up.Unit][s.Key]
+				if w == nil {
+					w = &ProvStream{Key: s.Key}
+					want[up.Unit][s.Key] = w
+				}
+				w.Events += s.Events
+				for j, it := range s.Iters {
+					w.Iters = append(w.Iters, it+int32(i)*shift)
+					w.Hashes = append(w.Hashes, s.Hashes[j])
+				}
+			}
+		}
+	}
+	merged := MergeProvenance(a, b)
+	if len(merged) != len(want) {
+		t.Fatalf("merged %d units, want %d", len(merged), len(want))
+	}
+	for _, up := range merged {
+		if len(up.Streams) != len(want[up.Unit]) {
+			t.Errorf("%v: %d merged streams, want %d", up.Unit, len(up.Streams), len(want[up.Unit]))
+		}
+		for i, s := range up.Streams {
+			if i > 0 && s.Key <= up.Streams[i-1].Key {
+				t.Errorf("%v: keys not ascending at %#x", up.Unit, s.Key)
+			}
+			if w := want[up.Unit][s.Key]; w == nil || !reflect.DeepEqual(s, *w) {
+				t.Errorf("%v key %#x: merged %+v, want %+v", up.Unit, s.Key, s, w)
+			}
+		}
+	}
+}

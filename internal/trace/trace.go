@@ -9,13 +9,15 @@
 //
 // The per-cycle path is allocation-free in steady state: unit state is
 // indexed by dense arrays rather than maps, every unit owns preallocated
-// row scratch, a row equal to the previous cycle's skips event
+// row buffers, each row streams into the iteration's timed hash without
+// being kept, a row equal to the previous cycle's skips event
 // detection, event detection otherwise uses a generation-cleared hash
 // set over the previous cycle's row, and event values stream into the
-// snapshot recorders value by value.
+// event recorder value by value.
 package trace
 
 import (
+	"slices"
 	"sort"
 
 	"microsampler/internal/isa"
@@ -154,7 +156,10 @@ type IterSample struct {
 // UnitTrace is the collected snapshot evidence for one unit.
 type UnitTrace struct {
 	Unit Unit
-	// Full holds the per-cycle snapshot matrices, timing included.
+	// Full deduplicates the per-cycle snapshot matrices, timing
+	// included, by their hash. The matrices themselves are not kept: an
+	// entry's representative is the event sequence of its first
+	// occurrence, which holds the same non-zero values.
 	Full *snapshot.Store
 	// NoTiming holds the timing-free event view: the chronological
 	// sequence of values newly appearing in the unit, with per-cycle
@@ -210,10 +215,11 @@ type provRec struct {
 // unitState is the per-unit sampling state, held in a dense array
 // indexed by Unit so the per-cycle loop does no map lookups.
 type unitState struct {
-	rec        snapshot.Recorder // full (timed) snapshot of the iteration
+	timed      siphash.Hasher    // full (timed) snapshot hash of the iteration
 	evRec      snapshot.Recorder // timing-free event stream
 	spec       *unitSpec
 	row        []uint64 // per-unit row scratch, reused every cycle
+	last       []uint64 // this iteration's previous row; empty at IterBegin
 	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
 	prev       u64set   // non-zero values of the previous cycle's row, keyed (v, 0)
 	samples    uint64   // state rows sampled (telemetry)
@@ -397,9 +403,10 @@ func NewCollector(opts ...Option) *Collector {
 	c.units = kept
 	for _, u := range c.units {
 		st := &c.states[u]
-		st.rec.Reset()
+		st.timed.Reset(siphash.DefaultKey)
 		st.evRec.Reset()
 		st.row = make([]uint64, 0, 128)
+		st.last = make([]uint64, 0, 128)
 		st.full = snapshot.NewStore()
 		st.noT = snapshot.NewStore()
 		st.spec = &unitSpecs[u]
@@ -427,7 +434,8 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 		c.iterStart = cycle
 		for _, u := range c.units {
 			st := &c.states[u]
-			st.rec.Reset()
+			st.timed.Reset(siphash.DefaultKey)
+			st.last = st.last[:0]
 			st.evRec.Reset()
 			st.prev.clear()
 			st.resetProv()
@@ -449,11 +457,13 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 		keptIdx := int32(len(c.iters) - 1)
 		for _, u := range c.units {
 			st := &c.states[u]
-			fullH, _ := st.rec.Hashes()
-			st.full.ObserveFrom(c.class, fullH, &st.rec)
+			// Both stores keep the event sequence as an entry's
+			// representative: a timed matrix's non-zero values are
+			// exactly the values its events carry.
+			fullH := st.timed.Sum64()
+			st.full.ObserveFrom(c.class, fullH, &st.evRec)
 			st.iterHashes = append(st.iterHashes, fullH)
-			evH, _ := st.evRec.Hashes()
-			st.noT.ObserveFrom(c.class, evH, &st.evRec)
+			st.noT.ObserveFrom(c.class, st.evRec.Hash(), &st.evRec)
 			st.foldRuns()
 			st.flushProv(keptIdx)
 		}
@@ -473,13 +483,17 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 	for _, u := range c.units {
 		st := &c.states[u]
 		row := st.spec.row(p, st.row[:0])
-		st.row = row
+		st.timed.WriteRow(row)
 		// A row equal to the previous cycle's has no new values, and
 		// its previous-row set would be rebuilt with the same contents.
-		// The recorder already compares consecutive rows, and its Reset
-		// at IterBegin makes each iteration's first row a change.
-		if st.rec.AddRow(row) {
+		// An empty first row of an iteration matches the emptied last
+		// row, and it has no events to emit either. A changed row
+		// becomes the last row by trading buffers, so no row is copied.
+		if slices.Equal(row, st.last) {
+			st.row = row
+		} else {
 			st.events(p, row)
+			st.row, st.last = st.last, row
 		}
 		if st.spec.timedRuns {
 			st.updateRuns(row)
@@ -598,47 +612,83 @@ func EmptyStreamHash() uint64 {
 	return h.Sum64()
 }
 
-// Provenance returns the per-unit, per-key event-stream evidence for
-// instruction-level leakage attribution, deterministically ordered
-// (units in tracked order, keys ascending). Units whose values carry no
-// attributable key (ROB occupancy, fill-buffer data) are omitted.
-func (c *Collector) Provenance() []UnitProvenance {
-	out := make([]UnitProvenance, 0, len(c.units))
-	for _, u := range c.units {
-		st := &c.states[u]
-		if st.spec.kind == provNone {
+// Provenance returns the collector's per-unit, per-key event-stream
+// evidence; it is MergeProvenance of the one collector.
+func (c *Collector) Provenance() []UnitProvenance { return MergeProvenance(c) }
+
+// MergeProvenance returns the per-unit, per-key event-stream evidence of
+// the runs' collectors for instruction-level leakage attribution, as if
+// one collector had seen every run in order: a record's iteration index
+// is shifted by the kept iterations of every earlier collector, so it
+// indexes the concatenation of their Iterations. The output is
+// deterministically ordered (units in tracked order, keys ascending).
+// Units whose values carry no attributable key (ROB occupancy,
+// fill-buffer data) are omitted, and so are keys seen only in
+// discarded iterations. The collectors must track the same units.
+func MergeProvenance(cols ...*Collector) []UnitProvenance {
+	if len(cols) == 0 {
+		return nil
+	}
+	units := cols[0].units
+	out := make([]UnitProvenance, 0, len(units))
+	for _, u := range units {
+		spec := &unitSpecs[u]
+		if spec.kind == provNone {
 			continue
 		}
-		// Group the log by stream. One pass counts each stream's
-		// records; each stream with any then gets a presized subslice
-		// of the unit's one Iters/Hashes pair, and at[i] turns from
-		// stream i's count into its position in streams. Keys seen only
-		// in discarded iterations have no records and are left out.
-		at := make([]int, len(st.prov))
-		for _, rec := range st.provLog {
-			at[rec.stream]++
+		// One pass over the runs maps every run-local stream to its
+		// key's merged stream, counting records and summing events.
+		// Each merged stream with records then gets a presized subslice
+		// of one Iters/Hashes pair, and at[j] turns from merged stream
+		// j's count into its position in kept; a second pass fills the
+		// subslices in run order.
+		var index u64set
+		var streams []ProvStream
+		var at []int32
+		local := make([][]int32, len(cols))
+		records := 0
+		for ci, c := range cols {
+			st := &c.states[u]
+			local[ci] = make([]int32, len(st.prov))
+			for i := range st.prov {
+				ps := &st.prov[i]
+				j, added := index.insert(ps.key, 0, int32(len(streams)))
+				if added {
+					streams = append(streams, ProvStream{Key: ps.key})
+					at = append(at, 0)
+				}
+				streams[j].Events += ps.events
+				local[ci][i] = j
+			}
+			for _, rec := range st.provLog {
+				at[local[ci][rec.stream]]++
+			}
+			records += len(st.provLog)
 		}
-		iters := make([]int32, len(st.provLog))
-		hashes := make([]uint64, len(st.provLog))
-		streams := make([]ProvStream, 0, len(st.prov))
+		iters := make([]int32, records)
+		hashes := make([]uint64, records)
+		kept := streams[:0]
 		off := 0
-		for i, n := range at {
+		for j, n := range at {
 			if n == 0 {
 				continue
 			}
-			ps, end := &st.prov[i], off+n
-			streams = append(streams, ProvStream{Key: ps.key, Events: ps.events,
-				Iters: iters[off:off:end], Hashes: hashes[off:off:end]})
-			at[i], off = len(streams)-1, end
+			s, end := streams[j], off+int(n)
+			s.Iters, s.Hashes = iters[off:off:end], hashes[off:off:end]
+			at[j], off = int32(len(kept)), end
+			kept = append(kept, s)
 		}
-		for _, rec := range st.provLog {
-			s := &streams[at[rec.stream]]
-			s.Iters = append(s.Iters, rec.iter)
-			s.Hashes = append(s.Hashes, rec.hash)
+		base := int32(0)
+		for ci, c := range cols {
+			for _, rec := range c.states[u].provLog {
+				s := &kept[at[local[ci][rec.stream]]]
+				s.Iters = append(s.Iters, base+rec.iter)
+				s.Hashes = append(s.Hashes, rec.hash)
+			}
+			base += int32(len(c.iters))
 		}
-		sort.Slice(streams, func(i, j int) bool { return streams[i].Key < streams[j].Key })
-		up := UnitProvenance{Unit: u, Direct: st.spec.kind == provDirect, Streams: streams}
-		out = append(out, up)
+		sort.Slice(kept, func(i, j int) bool { return kept[i].Key < kept[j].Key })
+		out = append(out, UnitProvenance{Unit: u, Direct: spec.kind == provDirect, Streams: kept})
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"microsampler/internal/asm"
 	"microsampler/internal/isa"
 	"microsampler/internal/sim"
+	"microsampler/internal/snapshot"
 )
 
 func runWithCollector(t *testing.T, src string, opts ...Option) *Collector {
@@ -298,6 +299,50 @@ func TestEventsSurviveIterationBoundary(t *testing.T) {
 				t.Errorf("%v key %#x: iters %v hashes %x, want both iterations alike",
 					up.Unit, s.Key, s.Iters, s.Hashes)
 			}
+		}
+	}
+}
+
+// TestCollectorUnchangedRows drives one unit through scripted rows and
+// checks what the unchanged-row shortcut must preserve: each
+// iteration's timed hash is HashMatrix of all its rows, repeats
+// included, and its event log holds exactly the values absent from the
+// previous row of the same iteration. A row equal to an older row but
+// not to the previous one is a change; an empty first row, after a
+// non-empty last row of the iteration before, emits nothing; a first
+// row equal to the previous iteration's last row still emits its values.
+func TestCollectorUnchangedRows(t *testing.T) {
+	iters := []struct {
+		rows   [][]uint64
+		events []uint64
+	}{
+		{[][]uint64{{1, 2}, {1, 2}, {1, 2}, {1, 3}, {1, 2}, {1, 2, 0}, nil, {}}, []uint64{1, 2, 3, 2}},
+		{[][]uint64{nil, {1, 2}, {1, 2}}, []uint64{1, 2}},
+		{[][]uint64{{1, 2}, {}, {2, 1}}, []uint64{1, 2, 2, 1}},
+		{[][]uint64{{0, 0}, {0, 0}, {0, 5}}, []uint64{5}},
+	}
+	p := benchProbe(t)
+	var cur []uint64
+	col := NewCollector(WithUnits(SQADDR))
+	st := &col.states[SQADDR]
+	st.spec = &unitSpec{name: "scripted", kind: provNone,
+		row: func(_ *sim.Probe, dst []uint64) []uint64 { return append(dst, cur...) }}
+	col.OnMark(0, isa.MarkROIBegin, 0)
+	for i, it := range iters {
+		col.OnMark(0, isa.MarkIterBegin, uint64(i))
+		for _, cur = range it.rows {
+			col.OnCycle(p)
+		}
+		col.OnMark(int64(len(it.rows)), isa.MarkIterEnd, 0)
+		var want [][]uint64
+		for _, v := range it.events {
+			want = append(want, []uint64{v})
+		}
+		if got := st.evRec.Rows(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("iteration %d: events %v, want %v", i, got, want)
+		}
+		if got, want := st.iterHashes[i], snapshot.HashMatrix(it.rows); got != want {
+			t.Errorf("iteration %d: timed hash %#x, want HashMatrix %#x", i, got, want)
 		}
 	}
 }
