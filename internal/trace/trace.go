@@ -17,6 +17,7 @@
 package trace
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -405,8 +406,8 @@ func NewCollector(opts ...Option) *Collector {
 		st := &c.states[u]
 		st.timed.Reset(siphash.DefaultKey)
 		st.evRec.Reset()
-		st.row = make([]uint64, 0, 128)
-		st.last = make([]uint64, 0, 128)
+		buf := make([]uint64, 256) // row and last share one array
+		st.row, st.last = buf[:0:128], buf[128:128]
 		st.full = snapshot.NewStore()
 		st.noT = snapshot.NewStore()
 		st.spec = &unitSpecs[u]
@@ -638,13 +639,13 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 		}
 		// One pass over the runs maps every run-local stream to its
 		// key's merged stream, counting records and summing events.
-		// Each merged stream with records then gets a presized subslice
-		// of one Iters/Hashes pair, and at[j] turns from merged stream
-		// j's count into its position in kept; a second pass fills the
-		// subslices in run order.
+		// The merged streams with records, in key order, then get
+		// presized subslices of one Iters/Hashes pair, and at[j] turns
+		// from merged stream j's count into its position in kept; a
+		// second pass fills the subslices in run order.
 		var index u64set
-		var streams []ProvStream
-		var at []int32
+		n0 := len(cols[0].states[u].prov)
+		keys, events, at := make([]uint64, 0, n0), make([]uint64, 0, n0), make([]int32, 0, n0)
 		local := make([][]int32, len(cols))
 		records := 0
 		for ci, c := range cols {
@@ -652,12 +653,16 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 			local[ci] = make([]int32, len(st.prov))
 			for i := range st.prov {
 				ps := &st.prov[i]
-				j, added := index.insert(ps.key, 0, int32(len(streams)))
-				if added {
-					streams = append(streams, ProvStream{Key: ps.key})
-					at = append(at, 0)
+				// A collector's keys are distinct, so one collector
+				// needs no index.
+				j := int32(len(keys))
+				if len(cols) > 1 {
+					j, _ = index.insert(ps.key, 0, j)
 				}
-				streams[j].Events += ps.events
+				if j == int32(len(keys)) {
+					keys, events, at = append(keys, ps.key), append(events, 0), append(at, 0)
+				}
+				events[j] += ps.events
 				local[ci][i] = j
 			}
 			for _, rec := range st.provLog {
@@ -665,18 +670,22 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 			}
 			records += len(st.provLog)
 		}
+		order := make([]int32, 0, len(keys))
+		for j, n := range at {
+			if n > 0 {
+				order = append(order, int32(j))
+			}
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 		iters := make([]int32, records)
 		hashes := make([]uint64, records)
-		kept := streams[:0]
+		kept := make([]ProvStream, len(order))
 		off := 0
-		for j, n := range at {
-			if n == 0 {
-				continue
-			}
-			s, end := streams[j], off+int(n)
-			s.Iters, s.Hashes = iters[off:off:end], hashes[off:off:end]
-			at[j], off = int32(len(kept)), end
-			kept = append(kept, s)
+		for k, j := range order {
+			end := off + int(at[j])
+			kept[k] = ProvStream{Key: keys[j], Events: events[j],
+				Iters: iters[off:off:end], Hashes: hashes[off:off:end]}
+			at[j], off = int32(k), end
 		}
 		base := int32(0)
 		for ci, c := range cols {
@@ -687,7 +696,6 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 			}
 			base += int32(len(c.iters))
 		}
-		sort.Slice(kept, func(i, j int) bool { return kept[i].Key < kept[j].Key })
 		out = append(out, UnitProvenance{Unit: u, Direct: spec.kind == provDirect, Streams: kept})
 	}
 	return out
