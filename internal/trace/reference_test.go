@@ -11,15 +11,18 @@ import (
 	"microsampler/internal/workloads"
 )
 
-// rowTap wraps a Collector and keeps, per kept iteration, every unit's
-// rows as the collector samples them, so the collector's streamed
-// digests can be recomputed from whole matrices.
+// rowTap wraps a Collector and samples every unit's rows alongside it,
+// so the collector's streamed digests can be recomputed from whole
+// matrices. Per labeled iteration, warmup included, it keeps each
+// unit's HashMatrix digest, and with keepRows the rows themselves.
 type rowTap struct {
 	col         *trace.Collector
 	units       []trace.Unit
+	keepRows    bool
 	roi, inIter bool
 	cur         [][][]uint64   // per unit: the current iteration's rows
-	iters       [][][][]uint64 // per kept iteration, per unit: its rows
+	iters       [][][][]uint64 // per iteration, per unit: its rows (keepRows)
+	matrixHash  [][]uint64     // per iteration, per unit: HashMatrix of its rows
 }
 
 func (r *rowTap) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
@@ -36,7 +39,14 @@ func (r *rowTap) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 	case isa.MarkIterEnd:
 		if r.roi && r.inIter {
 			r.inIter = false
-			r.iters = append(r.iters, r.cur)
+			hashes := make([]uint64, len(r.units))
+			for i, rows := range r.cur {
+				hashes[i] = snapshot.HashMatrix(rows)
+			}
+			r.matrixHash = append(r.matrixHash, hashes)
+			if r.keepRows {
+				r.iters = append(r.iters, r.cur)
+			}
 		}
 	}
 	r.col.OnMark(cycle, kind, class)
@@ -78,7 +88,7 @@ func TestCollectorHashesMatchHashMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tap := &rowTap{col: trace.NewCollector(), units: trace.AllUnits()}
+		tap := &rowTap{col: trace.NewCollector(), units: trace.AllUnits(), keepRows: true}
 		m.SetTracer(tap)
 		if _, err := m.Run(20_000_000); err != nil {
 			t.Fatalf("%s: %v", name, err)
