@@ -23,9 +23,11 @@ import (
 // changes the report's stage breakdown contents.
 
 // verifyCacheKeySchema versions the key layout: bump it when the set of
-// hashed fields changes, so stale caches miss instead of serving
-// results keyed under the old tuple.
-const verifyCacheKeySchema = "microsampler-verify-v1"
+// hashed fields changes, or when the report a key names changes form, so
+// stale caches miss instead of serving results keyed under the old
+// tuple. v2: the reports' timed snapshot hashes are snapshot.HashTimed
+// digests.
+const verifyCacheKeySchema = "microsampler-verify-v2"
 
 // CacheKey returns the canonical content-addressed key of a
 // verification: identical (program, config, seed range,

@@ -28,13 +28,13 @@ func TestUnitEvidenceGolden(t *testing.T) {
 		digest          string
 	}{
 		{"ME-V1-MV", "MegaBoom", sim.MegaBoom(),
-			"8b91dc594c9b40afc641a8c35f5973852f0747f45224e1d3bb790dd4adee12d1"},
+			"30b41a13860735250cc7ca8c50578f97be94b4f749b33a2cb467e11ef1cebbe4"},
 		{"CT-DIV", "MegaBoom", sim.MegaBoom(),
-			"ff5315d7f86f1bd5b84fde7fc704e5393bd50bc6c96987b0f31aecca347f09d2"},
+			"f8f71affc145866efc23dc5a8b782a30434813ec6c642d3f3bce3230da34d25f"},
 		{"TAGE-HIST", "predictor=tage", gridCellConfig(t, "predictor=tage"),
-			"faea26b52096c5dab1eac835683d24eff4f468c65a0e341848818addc57b75d4"},
+			"a45f840833cd14096a41d37cc32777edf8d9fec98c1f9c793a4288a3ec699eca"},
 		{"SPF-STREAM", "prefetch=stride", gridCellConfig(t, "prefetch=stride"),
-			"584b10adbf6eaa5986de948df1e734142edb6a5243485a3c5139742aa567cd53"},
+			"50a3359d0ce58ea51c91ebaff61ffff146a993eeca6f6a5d5364eba696f9fc2e"},
 	}
 	streams := map[trace.Unit]int{}
 	for _, tc := range cases {

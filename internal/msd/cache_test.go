@@ -174,20 +174,20 @@ func TestJobCacheKeyCanonicalJSON(t *testing.T) {
 func TestCacheKeyGolden(t *testing.T) {
 	for _, c := range []struct{ raw, want string }{
 		{`{"workload":"ME-NAIVE"}`,
-			"2a224f91dc6a6b38d8de8ad478f70d1a047ecfe510972829cc78fd92d948fe9a"},
+			"62588f6f1320bea5234e755803e52bb8c78ccb21d2039840bdc909272b47ea4a"},
 		{`{"source":"nop","config":"small","fastBypass":true,"runs":2,"warmup":2}`,
-			"84f396c13e636ddec8a39ee527df76fc3cd8a5cffd62d74e470cb18e67a025b2"},
+			"c41c4fdb567a60181c79267567bb981c514d3c4843d3c07c1c0f23c873c9a173"},
 		{`{"workload":"ME-NAIVE","warmup":-5,"seedOffset":3}`,
-			"a5b4d361a0d6c0f591b92ee17b3c4c4b406172d486fc53eeb37533ed390cc223"},
+			"330dc5ed71f85638d476d1f0f70cd7f97c9f19f1bd353d6b97e4132c2d9e6681"},
 		// Matrix keys ignore config: the grid defines each cell's.
 		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","config":"small","runs":2}`,
-			"45695583571e5aa547b4edd8b0cdd8691ad3090141f640d4dbd20642007ef10c"},
+			"27c90eb4a6e371bf889327ff63598839604ae3289dee8889169590095411f0e5"},
 		{`{"workload":"TAGE-HIST","matrix":"predictor=gshare,tage","runs":2}`,
-			"45695583571e5aa547b4edd8b0cdd8691ad3090141f640d4dbd20642007ef10c"},
+			"27c90eb4a6e371bf889327ff63598839604ae3289dee8889169590095411f0e5"},
 		{`{"workload":"TAGE-HIST","matrix":"default","warmup":-1}`,
-			"72548f0e9bd341153e673911342b20c70183eee6450ef34fbdd6ecb058268d66"},
+			"0c972064aa9536aeda3531aff4e1df83d161fc2e257dd088d51089bdf4b527dd"},
 		{`{"source":"addi a0, a0, 1","runs":3,"measureStages":true,"heatmapWindows":16,"label":"x","parallel":2}`,
-			"424693d83634e601031002fc2ffd304c3810fb6d307a97fa816e3894c40e0b03"},
+			"e867bc998f56e95f033c66946e417375cf8694c42bd47c207967d612b40d4c8c"},
 	} {
 		var req JobRequest
 		if err := json.Unmarshal([]byte(c.raw), &req); err != nil {
@@ -202,14 +202,14 @@ func TestCacheKeyGolden(t *testing.T) {
 	}
 	for _, c := range []struct{ raw, want string }{
 		{`{"workload":"ME-NAIVE"}`,
-			"72d1e5d2b2c3c5d8ec699fb6b121c6a09050b220f4a7a604236ab7a7c16d3c44"},
+			"ce1690502ce88b1341327c44194547ebf1938453bc405ccc349a829f3f72b4d9"},
 		// A batch cell of the default grid.
 		{`{"workload":"TAGE-HIST","cell":"base=mega,prefetch=none,predictor=tage","runs":2}`,
-			"bfb2a50d54c6167632d5f9bbf9f197ff71029f866934a1f04662b12934ad0a58"},
+			"85d58c8cc0e6a82624581d51c90a871073905bc95ddbf569278481cfc18c05c5"},
 		{`{"source":"nop","config":"small","fastBypass":true,"runs":2,"warmup":2}`,
-			"411703f13aa883425daaded9d27f7a39d8ffcbee2c6a18db885b713bb5e62eb8"},
+			"a28b595531a3deec0d5d2004c9b22d9b9d41e4850b51ecf76a018e52e5a54bcb"},
 		{`{"source":"nop","config":"SmallBoom","warmup":-7,"seedOffset":4,"label":"y"}`,
-			"90a4faafb7f8962b1cbf73af23f95c5b17709c70c1ddcfe8a4cd362c88adaa91"},
+			"88e6c1b879a92912afccdd280ed0099d1c71d54c15be0ab428f8996fae6600ad"},
 	} {
 		var p cluster.Point
 		if err := json.Unmarshal([]byte(c.raw), &p); err != nil {

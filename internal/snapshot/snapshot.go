@@ -1,11 +1,13 @@
 // Package snapshot implements microarchitectural iteration snapshots
-// (Section V-B of the paper): the 64-bit hash of a 2D matrix of
+// (Section V-B of the paper): the 64-bit hashes of a 2D matrix of
 // per-cycle unit state, a recorder for an iteration's event log, and a
 // store that deduplicates snapshots by hash while counting occurrences
 // per secret class.
 package snapshot
 
 import (
+	"slices"
+
 	"microsampler/internal/siphash"
 )
 
@@ -23,6 +25,52 @@ func HashMatrix(rows [][]uint64) uint64 {
 		}
 	}
 	return h.Sum64()
+}
+
+// HashTimed hashes a snapshot matrix in the timed encoding the trace
+// collector streams (version 2 of the timed snapshot hash). Each row is
+// absorbed only as its delta from the previous distinct row prev, which
+// starts empty: a row equal to prev adds one to a repeat count c, and a
+// changed row absorbs c, then the smallest k such that prev[k:] is a
+// prefix of the row, then the row's suffix after that prefix as a
+// length-tagged row, as HashMatrix absorbs a row. The final repeat
+// count closes the stream, which thus reads c0, (k1, S1), c1, …, cN.
+//
+// The stream decodes back to the matrix, and k is a function of the two
+// rows, so two matrices hash equal exactly when HashMatrix hashes them
+// equal (up to collisions): the encoding partitions snapshots as
+// HashMatrix does, with different values. It is written from this
+// definition, one word at a time, as the independent reference for the
+// collector's streamed digests.
+func HashTimed(rows [][]uint64) uint64 {
+	h := siphash.New(siphash.DefaultKey)
+	var prev []uint64
+	var repeat uint64
+	for _, row := range rows {
+		if slices.Equal(row, prev) {
+			repeat++
+			continue
+		}
+		k := 0
+		for k < len(prev) && !isPrefix(prev[k:], row) {
+			k++
+		}
+		suffix := row[len(prev)-k:]
+		h.WriteUint64(repeat)
+		h.WriteUint64(uint64(k))
+		h.WriteUint64(uint64(len(suffix)) | 1<<63)
+		for _, v := range suffix {
+			h.WriteUint64(v)
+		}
+		prev, repeat = row, 0
+	}
+	h.WriteUint64(repeat)
+	return h.Sum64()
+}
+
+// isPrefix reports whether p is a prefix of row.
+func isPrefix(p, row []uint64) bool {
+	return len(p) <= len(row) && slices.Equal(p, row[:len(p)])
 }
 
 // Recorder accumulates the event log of one iteration for a single

@@ -5,7 +5,32 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"microsampler/internal/siphash"
 )
+
+// TestHashTimedLayout pins the v2 timed encoding word by word: leading
+// empty rows count as repeats of the empty previous row, a changed row
+// absorbs the repeat count, its shift k and its suffix as a
+// length-tagged row, and the final repeat count closes the stream.
+func TestHashTimedLayout(t *testing.T) {
+	rows := [][]uint64{{}, {1, 2}, {1, 2}, {2, 3, 4}, {5}, {5}, {5}}
+	h := siphash.New(siphash.DefaultKey)
+	for _, w := range []uint64{
+		1,                  // c0: one empty row
+		0, 2 | 1<<63, 1, 2, // k1 = 0, S1 = [1 2]
+		1,                  // c1
+		1, 2 | 1<<63, 3, 4, // k2 = 1: [2] is kept, S2 = [3 4]
+		0,               // c2
+		3, 1 | 1<<63, 5, // k3 = 3: nothing is kept, S3 = [5]
+		2, // c3 closes the stream
+	} {
+		h.WriteUint64(w)
+	}
+	if got, want := HashTimed(rows), h.Sum64(); got != want {
+		t.Errorf("HashTimed = %#x, want %#x", got, want)
+	}
+}
 
 func TestHashMatrixDeterministic(t *testing.T) {
 	m := [][]uint64{{1, 2, 3}, {4, 5, 6}}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"microsampler/internal/isa"
@@ -8,19 +9,19 @@ import (
 
 // TestOnCycleSteadyStateZeroAlloc pins down the central property of the
 // hot-path rewrite: once warm, sampling a cycle allocates nothing. The
-// huge warmup-iteration count keeps IterEnd on the discard path so the
-// measurement covers exactly the per-cycle machinery (row scratch,
-// event set, recorders) and not the per-kept-iteration bookkeeping.
+// measured iteration is begun but never ended, so the measurement
+// covers exactly the per-cycle machinery (row scratch, event counts,
+// recorders) and the IterBegin reset, and not the per-kept-iteration
+// bookkeeping.
 func TestOnCycleSteadyStateZeroAlloc(t *testing.T) {
 	p := benchProbe(t)
-	col := NewCollector(WithWarmupIterations(1 << 30))
+	col := NewCollector()
 	col.OnMark(0, isa.MarkROIBegin, 0)
 	iter := func(class uint64) {
 		col.OnMark(0, isa.MarkIterBegin, class)
 		for c := 0; c < 64; c++ {
 			col.OnCycle(p)
 		}
-		col.OnMark(64, isa.MarkIterEnd, 0)
 	}
 	for i := 0; i < 16; i++ { // warm scratch buffers and hash tables
 		iter(uint64(i & 1))
@@ -33,8 +34,8 @@ func TestOnCycleSteadyStateZeroAlloc(t *testing.T) {
 
 func TestU64Set(t *testing.T) {
 	var s u64set
-	if s.contains(42) {
-		t.Error("empty set contains 42")
+	if s.get(42) != 0 {
+		t.Error("empty set holds 42")
 	}
 	// Insert enough values to force several growths.
 	for v := uint64(1); v <= 1000; v++ {
@@ -49,12 +50,12 @@ func TestU64Set(t *testing.T) {
 		t.Errorf("n = %d want 1000", s.n)
 	}
 	for v := uint64(1); v <= 1000; v++ {
-		if !s.contains(v) {
-			t.Fatalf("missing %d after insert", v)
+		if got := s.get(v); got != int32(v) {
+			t.Fatalf("get(%d) = %d after insert", v, got)
 		}
 	}
-	if s.contains(1001) {
-		t.Error("contains(1001) on values 1..1000")
+	if s.get(1001) != 0 {
+		t.Error("get(1001) non-zero on values 1..1000")
 	}
 	// Values survive the growths.
 	sum := 0
@@ -72,31 +73,31 @@ func TestU64Set(t *testing.T) {
 		t.Errorf("n = %d after clear", s.n)
 	}
 	for v := uint64(1); v <= 1000; v++ {
-		if s.contains(v) {
-			t.Fatalf("contains(%d) after clear", v)
+		if s.get(v) != 0 {
+			t.Fatalf("get(%d) non-zero after clear", v)
 		}
 	}
 	s.each(func(a, b uint64, _ int32) { t.Fatalf("each visited (%d, %d) after clear", a, b) })
 	// Reuse after clear.
-	s.insert(7, 0, 0)
-	if !s.contains(7) || s.contains(8) {
+	s.insert(7, 0, 1)
+	if s.get(7) != 1 || s.get(8) != 0 {
 		t.Error("set broken after clear+insert")
 	}
 }
 
 func TestU64SetPairs(t *testing.T) {
 	var s u64set
-	s.insert(1, 2, 0)
+	s.insert(1, 2, 1)
 	for _, k := range [][2]uint64{{2, 1}, {1, 0}, {1, 3}, {0, 2}} {
-		if _, added := s.insert(k[0], k[1], 0); !added {
+		if _, added := s.insert(k[0], k[1], 1); !added {
 			t.Errorf("(%d, %d) collides with (1, 2)", k[0], k[1])
 		}
 	}
-	if _, added := s.insert(1, 2, 0); added {
+	if _, added := s.insert(1, 2, 1); added {
 		t.Error("(1, 2) inserted twice")
 	}
-	if !s.contains(1) || s.contains(2) {
-		t.Error("contains(v) must see exactly the (v, 0) keys")
+	if s.get(1) != 1 || s.get(2) != 0 {
+		t.Error("get(v) must see exactly the (v, 0) keys")
 	}
 	if s.n != 5 {
 		t.Errorf("n = %d want 5", s.n)
@@ -105,14 +106,46 @@ func TestU64SetPairs(t *testing.T) {
 
 func TestU64SetGenerationWrap(t *testing.T) {
 	var s u64set
-	s.insert(5, 0, 0)
+	s.insert(5, 0, 1)
 	s.cur = ^uint32(0) // force the next clear to wrap the generation
 	s.clear()
-	if s.contains(5) {
+	if s.get(5) != 0 {
 		t.Error("stale entry visible after generation wrap")
 	}
-	s.insert(9, 0, 0)
-	if !s.contains(9) {
+	s.insert(9, 0, 1)
+	if s.get(9) != 1 {
 		t.Error("insert after generation wrap lost")
+	}
+}
+
+// TestU64SetCounts drives the event counts against a map: add inserts
+// an absent key with its delta, updates a present one in place and
+// removes a key whose count falls to 0, and every other key stays
+// reachable through the probe runs that removal shifts.
+func TestU64SetCounts(t *testing.T) {
+	var s u64set
+	want := map[uint64]int32{}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for step := 0; step < 20000; step++ {
+		// Few distinct keys, many collisions: probe runs form and break.
+		v := 1 + rng.Uint64N(200)
+		d := int32(1)
+		if want[v] > 0 && rng.IntN(2) == 0 {
+			d = -1
+		}
+		s.add(v, d)
+		if want[v] += d; want[v] == 0 {
+			delete(want, v)
+		}
+		if step%97 == 0 || d < 0 {
+			for k := uint64(1); k <= 200; k++ {
+				if got := s.get(k); got != want[k] {
+					t.Fatalf("step %d: get(%d) = %d, want %d", step, k, got, want[k])
+				}
+			}
+		}
+		if s.n != len(want) {
+			t.Fatalf("step %d: n = %d, want %d live keys", step, s.n, len(want))
+		}
 	}
 }

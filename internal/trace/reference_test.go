@@ -61,11 +61,11 @@ func (r *rowTap) OnCycle(p *sim.Probe) {
 	r.col.OnCycle(p)
 }
 
-// TestCollectorHashesMatchHashMatrix keeps HashMatrix the independent
-// reference for the collector's streamed digests: each kept iteration's
-// timed hash is HashMatrix of the unit's rows in that iteration, and
-// each timing-free entry hashes like HashMatrix of its representative
-// event sequence.
+// TestCollectorHashesMatchHashMatrix checks the collector's streamed
+// digests against independent references: each kept iteration's timed
+// hash is HashTimed of the unit's rows in that iteration, and each
+// timing-free entry hashes like HashMatrix of its representative event
+// sequence.
 func TestCollectorHashesMatchHashMatrix(t *testing.T) {
 	for _, name := range []string{"ME-V1-MV", "CT-DIV"} {
 		w, err := workloads.ByName(name)
@@ -100,8 +100,8 @@ func TestCollectorHashesMatchHashMatrix(t *testing.T) {
 		t.Logf("%s: %d iterations", name, len(tap.iters))
 		for ui, ut := range tap.col.Results() {
 			for i, h := range ut.IterHashes {
-				if want := snapshot.HashMatrix(tap.iters[i][ui]); h != want {
-					t.Fatalf("%s %v iteration %d: timed hash %#x, HashMatrix %#x", name, ut.Unit, i, h, want)
+				if want := snapshot.HashTimed(tap.iters[i][ui]); h != want {
+					t.Fatalf("%s %v iteration %d: timed hash %#x, HashTimed %#x", name, ut.Unit, i, h, want)
 				}
 			}
 			for _, e := range ut.NoTiming.Entries() {

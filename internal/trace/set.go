@@ -6,8 +6,9 @@ package trace
 // per-cycle lookups, none of which allocates once the table has grown
 // to its working size:
 //
-//   - the event set: the non-zero values of the previous cycle's row,
-//     keyed (v, 0), cleared every cycle the row changes;
+//   - the event counts: how many times each non-zero value occurs in a
+//     unit's previous row, keyed (v, 0); a value whose count falls to 0
+//     leaves the table;
 //   - a unit's provenance index: key (v, 0) → index into its dense
 //     stream slice;
 //   - the attribution pair set: each (address, PC) of a store or load
@@ -71,9 +72,9 @@ func (s *u64set) grow() {
 	}
 }
 
-// insert adds key (a, b) with value v unless the key is already present.
-// It returns the key's value and whether this call added it.
-func (s *u64set) insert(a, b uint64, v int32) (int32, bool) {
+// slot returns the index of key (a, b)'s slot and whether this call
+// added the key; an added key's value is 0.
+func (s *u64set) slot(a, b uint64) (uint64, bool) {
 	// Keep load factor under 1/2 so probe chains stay short.
 	if len(s.slots) == 0 || 2*(s.n+1) > len(s.slots) {
 		s.grow()
@@ -82,29 +83,64 @@ func (s *u64set) insert(a, b uint64, v int32) (int32, bool) {
 	for i := s.home(a, b); ; i = (i + 1) & mask {
 		e := &s.slots[i]
 		if e.gen != s.cur {
-			*e = setSlot{a: a, b: b, val: v, gen: s.cur}
+			*e = setSlot{a: a, b: b, gen: s.cur}
 			s.n++
-			return v, true
+			return i, true
 		}
 		if e.a == a && e.b == b {
-			return e.val, false
+			return i, false
 		}
 	}
 }
 
-// contains reports whether key (v, 0) is present.
-func (s *u64set) contains(v uint64) bool {
+// insert adds key (a, b) with value v unless the key is already present.
+// It returns the key's value and whether this call added it.
+func (s *u64set) insert(a, b uint64, v int32) (int32, bool) {
+	i, added := s.slot(a, b)
+	e := &s.slots[i]
+	if added {
+		e.val = v
+	}
+	return e.val, added
+}
+
+// add adds d to the value of key (v, 0), inserting the key with value d
+// when it is absent and removing it when its value falls to 0.
+func (s *u64set) add(v uint64, d int32) {
+	i, _ := s.slot(v, 0)
+	if s.slots[i].val += d; s.slots[i].val == 0 {
+		s.remove(i)
+	}
+}
+
+// remove empties the live slot i. Linear probing stops at the first
+// empty slot, so each later entry of the probe run moves back into the
+// hole when its home slot does not lie between the hole and itself.
+func (s *u64set) remove(i uint64) {
+	mask := uint64(len(s.slots) - 1)
+	for j := (i + 1) & mask; s.slots[j].gen == s.cur; j = (j + 1) & mask {
+		if h := s.home(s.slots[j].a, s.slots[j].b); (j-h)&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i].gen = 0 // never current: clear and grow keep cur >= 1
+	s.n--
+}
+
+// get returns the value of key (v, 0), or 0 when the key is absent.
+func (s *u64set) get(v uint64) int32 {
 	if s.n == 0 {
-		return false
+		return 0
 	}
 	mask := uint64(len(s.slots) - 1)
 	for i := s.home(v, 0); ; i = (i + 1) & mask {
 		e := &s.slots[i]
 		if e.gen != s.cur {
-			return false
+			return 0
 		}
 		if e.a == v && e.b == 0 {
-			return true
+			return e.val
 		}
 	}
 }

@@ -8,12 +8,14 @@
 // iteration's secret class.
 //
 // The per-cycle path is allocation-free in steady state: unit state is
-// indexed by dense arrays rather than maps, every unit owns preallocated
-// row buffers, each row streams into the iteration's timed hash without
-// being kept, a row equal to the previous cycle's skips event
-// detection, event detection otherwise uses a generation-cleared hash
-// set over the previous cycle's row, and event values stream into the
-// event recorder value by value.
+// indexed by dense arrays rather than maps, and every unit owns
+// preallocated row buffers. A row equal to the previous cycle's costs one
+// compare and one repeat count. A changed row streams only what entered
+// it since the previous row into the iteration's timed hash (see
+// snapshot.HashTimed), and event detection scans only those values
+// against a count multiset of the previous row, so event values stream
+// into the event recorder value by value. Warmup iterations sample
+// nothing.
 package trace
 
 import (
@@ -158,9 +160,10 @@ type IterSample struct {
 type UnitTrace struct {
 	Unit Unit
 	// Full deduplicates the per-cycle snapshot matrices, timing
-	// included, by their hash. The matrices themselves are not kept: an
-	// entry's representative is the event sequence of its first
-	// occurrence, which holds the same non-zero values.
+	// included, by their snapshot.HashTimed hash. The matrices
+	// themselves are not kept: an entry's representative is the event
+	// sequence of its first occurrence, which holds the same non-zero
+	// values.
 	Full *snapshot.Store
 	// NoTiming holds the timing-free event view: the chronological
 	// sequence of values newly appearing in the unit, with per-cycle
@@ -216,17 +219,18 @@ type provRec struct {
 // unitState is the per-unit sampling state, held in a dense array
 // indexed by Unit so the per-cycle loop does no map lookups.
 type unitState struct {
-	timed      siphash.Hasher    // full (timed) snapshot hash of the iteration
+	timed      siphash.Hasher    // snapshot.HashTimed stream of the iteration
 	evRec      snapshot.Recorder // timing-free event stream
 	spec       *unitSpec
 	row        []uint64 // per-unit row scratch, reused every cycle
 	last       []uint64 // this iteration's previous row; empty at IterBegin
+	repeat     uint64   // rows equal to last since last was absorbed
 	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
-	prev       u64set   // non-zero values of the previous cycle's row, keyed (v, 0)
+	counts     u64set   // occurrences of each non-zero value of last, keyed (v, 0)
 	samples    uint64   // state rows sampled (telemetry)
 	full       *snapshot.Store
 	noT        *snapshot.Store
-	iterHashes []uint64 // full-snapshot hash per kept iteration
+	iterHashes []uint64 // timed snapshot hash per kept iteration
 
 	prov        []provStream // per-key event accumulators, first-seen order
 	provIndex   u64set       // key (k, 0) → index into prov
@@ -437,8 +441,9 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 			st := &c.states[u]
 			st.timed.Reset(siphash.DefaultKey)
 			st.last = st.last[:0]
+			st.repeat = 0
 			st.evRec.Reset()
-			st.prev.clear()
+			st.counts.clear()
 			st.resetProv()
 		}
 	case isa.MarkIterEnd:
@@ -460,7 +465,9 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 			st := &c.states[u]
 			// Both stores keep the event sequence as an entry's
 			// representative: a timed matrix's non-zero values are
-			// exactly the values its events carry.
+			// exactly the values its events carry. The final run of
+			// repeats closes the timed stream.
+			st.timed.WriteUint64(st.repeat)
 			fullH := st.timed.Sum64()
 			st.full.ObserveFrom(c.class, fullH, &st.evRec)
 			st.iterHashes = append(st.iterHashes, fullH)
@@ -476,30 +483,41 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 // before (newly arrived entries, changed states, issued requests). Each
 // event becomes its own single-value row so that the event stream
 // carries no per-cycle grouping (which would smuggle timing back into
-// the "timing removed" view).
+// the "timing removed" view). A warmup iteration is discarded at
+// IterEnd, so its rows are counted but not sampled.
 func (c *Collector) OnCycle(p *sim.Probe) {
 	if !c.roi || !c.inIter {
 		return
 	}
+	warmup := c.iterIdx < c.dropFirst
 	for _, u := range c.units {
 		st := &c.states[u]
+		st.samples++
+		if warmup {
+			continue
+		}
 		row := st.spec.row(p, st.row[:0])
-		st.timed.WriteRow(row)
-		// A row equal to the previous cycle's has no new values, and
-		// its previous-row set would be rebuilt with the same contents.
-		// An empty first row of an iteration matches the emptied last
-		// row, and it has no events to emit either. A changed row
-		// becomes the last row by trading buffers, so no row is copied.
+		// A row equal to the previous one only extends the repeat run:
+		// it has no new values and leaves the counts as they are. An
+		// empty first row of an iteration matches the emptied last row.
+		// A changed row streams the repeat run, its shift k and its
+		// appended suffix (snapshot.HashTimed), and becomes the last row
+		// by trading buffers, so no row is copied.
 		if slices.Equal(row, st.last) {
+			st.repeat++
 			st.row = row
 		} else {
-			st.events(p, row)
+			k := shift(st.last, row)
+			st.timed.WriteUint64(st.repeat)
+			st.timed.WriteUint64(uint64(k))
+			st.timed.WriteRow(row[len(st.last)-k:])
+			st.repeat = 0
+			st.events(p, row, k)
 			st.row, st.last = st.last, row
 		}
 		if st.spec.timedRuns {
 			st.updateRuns(row)
 		}
-		st.samples++
 	}
 	for _, e := range p.StoreQueue() {
 		if e.Valid {
@@ -513,10 +531,24 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 	}
 }
 
-// events streams the row's values that were absent from the previous
-// cycle's row into the event recorder and their keys' provenance
-// streams, then makes the row the previous row.
-func (st *unitState) events(p *sim.Probe, row []uint64) {
+// shift returns the smallest k such that last[k:] is a prefix of row:
+// the number of values retired from last's head, when row is last with
+// values retired from the head and appended at the tail.
+func shift(last, row []uint64) int {
+	for k := max(0, len(last)-len(row)); k < len(last); k++ {
+		if last[k] == row[0] && slices.Equal(last[k+1:], row[1:len(last)-k]) {
+			return k
+		}
+	}
+	return len(last)
+}
+
+// events streams the values of row that were absent from the previous
+// row last into the event recorder and their keys' provenance streams,
+// then updates the counts from last to row. row is last[k:] followed by
+// a suffix, and every value of last[k:] is in last, so only the suffix
+// is scanned, in row order: a value twice in it is an event twice.
+func (st *unitState) events(p *sim.Probe, row []uint64, k int) {
 	spec := st.spec
 	// Units with a slot-aligned PC row attribute each value to the
 	// instruction that produced it; for the PC-valued units the row is
@@ -529,8 +561,10 @@ func (st *unitState) events(p *sim.Probe, row []uint64) {
 	} else if spec.kind == provDirect {
 		pcRow = row
 	}
-	for i, v := range row {
-		if v != 0 && !st.prev.contains(v) {
+	start := len(st.last) - k
+	for i := start; i < len(row); i++ {
+		v := row[i]
+		if v != 0 && st.counts.get(v) == 0 {
 			st.evRec.AddValue(v)
 			if spec.kind != provNone {
 				key := v
@@ -543,10 +577,14 @@ func (st *unitState) events(p *sim.Probe, row []uint64) {
 			}
 		}
 	}
-	st.prev.clear()
-	for _, v := range row {
+	for _, v := range st.last[:k] {
 		if v != 0 {
-			st.prev.insert(v, 0, 0)
+			st.counts.add(v, -1)
+		}
+	}
+	for _, v := range row[start:] {
+		if v != 0 {
+			st.counts.add(v, 1)
 		}
 	}
 }

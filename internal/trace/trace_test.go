@@ -305,7 +305,7 @@ func TestEventsSurviveIterationBoundary(t *testing.T) {
 
 // TestCollectorUnchangedRows drives one unit through scripted rows and
 // checks what the unchanged-row shortcut must preserve: each
-// iteration's timed hash is HashMatrix of all its rows, repeats
+// iteration's timed hash is HashTimed of all its rows, repeats
 // included, and its event log holds exactly the values absent from the
 // previous row of the same iteration. A row equal to an older row but
 // not to the previous one is a change; an empty first row, after a
@@ -341,8 +341,8 @@ func TestCollectorUnchangedRows(t *testing.T) {
 		if got := st.evRec.Rows(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Errorf("iteration %d: events %v, want %v", i, got, want)
 		}
-		if got, want := st.iterHashes[i], snapshot.HashMatrix(it.rows); got != want {
-			t.Errorf("iteration %d: timed hash %#x, want HashMatrix %#x", i, got, want)
+		if got, want := st.iterHashes[i], snapshot.HashTimed(it.rows); got != want {
+			t.Errorf("iteration %d: timed hash %#x, want HashTimed %#x", i, got, want)
 		}
 	}
 }

@@ -126,6 +126,7 @@ go test -run='^$' -fuzz='^FuzzEval$' -fuzztime=5s ./internal/asm
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/isa
 go test -run='^$' -fuzz='^FuzzSipHashChunks$' -fuzztime=5s ./internal/siphash
 go test -run='^$' -fuzz='^FuzzHashMatrix$' -fuzztime=5s ./internal/snapshot
+go test -run='^$' -fuzz='^FuzzHashTimed$' -fuzztime=5s ./internal/trace
 go test -run='^$' -fuzz='^FuzzStoreObserve$' -fuzztime=5s ./internal/snapshot
 go test -run='^$' -fuzz='^FuzzPipeline$' -fuzztime=5s ./internal/oracle
 go test -run='^$' -fuzz='^FuzzMatrixConfig$' -fuzztime=5s ./internal/core
