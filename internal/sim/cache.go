@@ -230,6 +230,9 @@ type dcache struct {
 
 	mshrs []mshr
 	lfb   []lfbEntry
+	// lfbLive bounds the valid fill-buffer slots: every valid slot's
+	// index is below it, so scans stop at lfb[:lfbLive].
+	lfbLive int
 
 	// Outstanding next-line prefetches.
 	nlp []mshr
@@ -319,10 +322,14 @@ func (d *dcache) tick(now int64) {
 			d.spf[i].valid = false
 		}
 	}
-	for i := range d.lfb {
-		if d.lfb[i].valid && d.lfb[i].freeAt <= now {
-			d.lfb[i].valid = false
+	live := d.lfb[:d.lfbLive]
+	for i := range live {
+		if live[i].valid && live[i].freeAt <= now {
+			live[i].valid = false
 		}
+	}
+	for d.lfbLive > 0 && !d.lfb[d.lfbLive-1].valid {
+		d.lfbLive--
 	}
 }
 
@@ -358,6 +365,7 @@ func (d *dcache) mshrOccupancy() int {
 func (d *dcache) freeLFB() *lfbEntry {
 	for i := range d.lfb {
 		if !d.lfb[i].valid {
+			d.lfbLive = max(d.lfbLive, i+1)
 			return &d.lfb[i]
 		}
 	}

@@ -53,6 +53,10 @@ type Core struct {
 	ldq window
 	stq window
 
+	// robFolded counts the folded uops in rob, which occupy no slot of
+	// their own (robOccupancy).
+	robFolded int
+
 	// Committed stores being drained to the D-cache; entries stay in the
 	// STQ until the drain completes.
 	drainBusyUntil int64
@@ -234,6 +238,9 @@ func (c *Core) popROBHead(h uopID) {
 	c.retired++
 	c.lastCommit = c.cycle
 	u := &c.uops[h]
+	if u.folded {
+		c.robFolded--
+	}
 	if u.inst.IsLoad() && len(c.ldq.q) > 0 && c.ldq.q[0] == h {
 		c.ldq.q = c.ldq.q[1:]
 	}
@@ -358,6 +365,9 @@ func (c *Core) squashAfter(u *uop) {
 		}
 		if v.pdst >= 32 {
 			c.freeList = append(c.freeList, v.pdst)
+		}
+		if v.folded {
+			c.robFolded--
 		}
 		c.releaseUops(h)
 	}
@@ -502,6 +512,7 @@ func (c *Core) tryIssue(u *uop) bool {
 		// wake immediately.
 		if c.cfg.FastBypass && u.inst.Op == isa.OpAND && (v1 == 0 || v2 == 0) {
 			u.folded = true
+			c.robFolded++
 			u.result = 0
 			u.doneAt = now
 			break
@@ -674,6 +685,7 @@ func (c *Core) tryFastBypass(u *uop) bool {
 		return false
 	}
 	u.folded = true
+	c.robFolded++
 	u.result = 0
 	u.completed = true
 	u.doneAt = c.cycle

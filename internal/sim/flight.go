@@ -57,8 +57,8 @@ func (f *FlightRecorder) record(c *Core) {
 	}
 	fr.MSHR = mshr
 	lfb := 0
-	for i := range c.dc.lfb {
-		if c.dc.lfb[i].valid {
+	for _, e := range c.dc.lfb[:c.dc.lfbLive] {
+		if e.valid {
 			lfb++
 		}
 	}

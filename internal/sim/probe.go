@@ -97,21 +97,13 @@ func (p *Probe) AppendROBPCs(dst []uint64) []uint64 {
 func (p *Probe) ROBOccupancy() int { return p.c.robOccupancy() }
 
 // robOccupancy counts the occupied (non-folded) reorder-buffer slots.
-func (c *Core) robOccupancy() int {
-	n := 0
-	for _, h := range c.rob.q {
-		if !c.uops[h].folded {
-			n++
-		}
-	}
-	return n
-}
+func (c *Core) robOccupancy() int { return len(c.rob.q) - c.robFolded }
 
 // AppendLFBData appends the LFB-Data feature row: per valid fill-buffer
 // entry, the first doubleword of the line (0 while the fill is in
 // flight).
 func (p *Probe) AppendLFBData(dst []uint64) []uint64 {
-	for _, e := range p.c.dc.lfb {
+	for _, e := range p.c.dc.lfb[:p.c.dc.lfbLive] {
 		if !e.valid {
 			continue
 		}
@@ -127,7 +119,7 @@ func (p *Probe) AppendLFBData(dst []uint64) []uint64 {
 // AppendLFBAddrs appends the LFB-ADDR feature row: the line base
 // addresses of the valid fill-buffer entries.
 func (p *Probe) AppendLFBAddrs(dst []uint64) []uint64 {
-	for _, e := range p.c.dc.lfb {
+	for _, e := range p.c.dc.lfb[:p.c.dc.lfbLive] {
 		if e.valid {
 			dst = append(dst, e.lineAddr<<p.c.dc.cache.lineShift)
 		}

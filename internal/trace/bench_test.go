@@ -85,3 +85,30 @@ func benchOnCycle(b *testing.B, units ...Unit) {
 	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*cyclesPerIter)
 	b.ReportMetric(ns, "ns/cycle")
 }
+
+// BenchmarkEventsFullReplace measures the event diff's worst case: every
+// row replaces all 128 values of the previous one, so each value of the
+// suffix (the whole row) is an event found only by scanning all of
+// last. The ns/row metric is the cost of one such changed row.
+func BenchmarkEventsFullReplace(b *testing.B) {
+	const width, rowsPerIter = 128, 64
+	col := NewCollector(WithUnits(LFBDATA))
+	st := &col.states[LFBDATA]
+	var rows [2][]uint64
+	for i := range rows {
+		for j := range width {
+			rows[i] = append(rows[i], uint64(1+i*width+j))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%rowsPerIter == 0 { // bound the event stream like an iteration
+			st.evRec.Reset()
+		}
+		st.last = rows[i&1]
+		st.events(nil, rows[(i+1)&1], width)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+}

@@ -2,13 +2,10 @@ package trace
 
 // u64set is a small open-addressing hash table keyed by a pair of
 // uint64 words, carrying an int32 value per key, with O(1)
-// generation-based clearing. One type serves the collector's three
-// per-cycle lookups, none of which allocates once the table has grown
-// to its working size:
+// generation-based clearing. One type serves the collector's two
+// per-cycle lookups, neither of which allocates once the table has
+// grown to its working size:
 //
-//   - the event counts: how many times each non-zero value occurs in a
-//     unit's previous row, keyed (v, 0); a value whose count falls to 0
-//     leaves the table;
 //   - a unit's provenance index: key (v, 0) → index into its dense
 //     stream slice;
 //   - the attribution pair set: each (address, PC) of a store or load
@@ -72,9 +69,9 @@ func (s *u64set) grow() {
 	}
 }
 
-// slot returns the index of key (a, b)'s slot and whether this call
-// added the key; an added key's value is 0.
-func (s *u64set) slot(a, b uint64) (uint64, bool) {
+// insert adds key (a, b) with value v unless the key is already present.
+// It returns the key's value and whether this call added it.
+func (s *u64set) insert(a, b uint64, v int32) (int32, bool) {
 	// Keep load factor under 1/2 so probe chains stay short.
 	if len(s.slots) == 0 || 2*(s.n+1) > len(s.slots) {
 		s.grow()
@@ -83,64 +80,12 @@ func (s *u64set) slot(a, b uint64) (uint64, bool) {
 	for i := s.home(a, b); ; i = (i + 1) & mask {
 		e := &s.slots[i]
 		if e.gen != s.cur {
-			*e = setSlot{a: a, b: b, gen: s.cur}
+			*e = setSlot{a: a, b: b, val: v, gen: s.cur}
 			s.n++
-			return i, true
+			return v, true
 		}
 		if e.a == a && e.b == b {
-			return i, false
-		}
-	}
-}
-
-// insert adds key (a, b) with value v unless the key is already present.
-// It returns the key's value and whether this call added it.
-func (s *u64set) insert(a, b uint64, v int32) (int32, bool) {
-	i, added := s.slot(a, b)
-	e := &s.slots[i]
-	if added {
-		e.val = v
-	}
-	return e.val, added
-}
-
-// add adds d to the value of key (v, 0), inserting the key with value d
-// when it is absent and removing it when its value falls to 0.
-func (s *u64set) add(v uint64, d int32) {
-	i, _ := s.slot(v, 0)
-	if s.slots[i].val += d; s.slots[i].val == 0 {
-		s.remove(i)
-	}
-}
-
-// remove empties the live slot i. Linear probing stops at the first
-// empty slot, so each later entry of the probe run moves back into the
-// hole when its home slot does not lie between the hole and itself.
-func (s *u64set) remove(i uint64) {
-	mask := uint64(len(s.slots) - 1)
-	for j := (i + 1) & mask; s.slots[j].gen == s.cur; j = (j + 1) & mask {
-		if h := s.home(s.slots[j].a, s.slots[j].b); (j-h)&mask >= (j-i)&mask {
-			s.slots[i] = s.slots[j]
-			i = j
-		}
-	}
-	s.slots[i].gen = 0 // never current: clear and grow keep cur >= 1
-	s.n--
-}
-
-// get returns the value of key (v, 0), or 0 when the key is absent.
-func (s *u64set) get(v uint64) int32 {
-	if s.n == 0 {
-		return 0
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := s.home(v, 0); ; i = (i + 1) & mask {
-		e := &s.slots[i]
-		if e.gen != s.cur {
-			return 0
-		}
-		if e.a == v && e.b == 0 {
-			return e.val
+			return e.val, false
 		}
 	}
 }

@@ -226,7 +226,6 @@ type unitState struct {
 	last       []uint64 // this iteration's previous row; empty at IterBegin
 	repeat     uint64   // rows equal to last since last was absorbed
 	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
-	counts     u64set   // occurrences of each non-zero value of last, keyed (v, 0)
 	samples    uint64   // state rows sampled (telemetry)
 	full       *snapshot.Store
 	noT        *snapshot.Store
@@ -443,7 +442,6 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 			st.last = st.last[:0]
 			st.repeat = 0
 			st.evRec.Reset()
-			st.counts.clear()
 			st.resetProv()
 		}
 	case isa.MarkIterEnd:
@@ -498,8 +496,7 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 		}
 		row := st.spec.row(p, st.row[:0])
 		// A row equal to the previous one only extends the repeat run:
-		// it has no new values and leaves the counts as they are. An
-		// empty first row of an iteration matches the emptied last row.
+		// it has no new values. An empty first row of an iteration matches the emptied last row.
 		// A changed row streams the repeat run, its shift k and its
 		// appended suffix (snapshot.HashTimed), and becomes the last row
 		// by trading buffers, so no row is copied.
@@ -544,10 +541,12 @@ func shift(last, row []uint64) int {
 }
 
 // events streams the values of row that were absent from the previous
-// row last into the event recorder and their keys' provenance streams,
-// then updates the counts from last to row. row is last[k:] followed by
-// a suffix, and every value of last[k:] is in last, so only the suffix
-// is scanned, in row order: a value twice in it is an event twice.
+// row last into the event recorder and their keys' provenance streams.
+// row is last[k:] followed by a suffix, and every value of last[k:] is
+// in last, so only the suffix is scanned, in row order, each value
+// against the whole of last: a value twice in it is an event twice.
+// Suffixes are a few values and rows a few dozen, so a linear scan
+// beats keeping a count table of last in step.
 func (st *unitState) events(p *sim.Probe, row []uint64, k int) {
 	spec := st.spec
 	// Units with a slot-aligned PC row attribute each value to the
@@ -564,7 +563,7 @@ func (st *unitState) events(p *sim.Probe, row []uint64, k int) {
 	start := len(st.last) - k
 	for i := start; i < len(row); i++ {
 		v := row[i]
-		if v != 0 && st.counts.get(v) == 0 {
+		if v != 0 && !slices.Contains(st.last, v) {
 			st.evRec.AddValue(v)
 			if spec.kind != provNone {
 				key := v
@@ -575,16 +574,6 @@ func (st *unitState) events(p *sim.Probe, row []uint64, k int) {
 					st.provEvent(key, v)
 				}
 			}
-		}
-	}
-	for _, v := range st.last[:k] {
-		if v != 0 {
-			st.counts.add(v, -1)
-		}
-	}
-	for _, v := range row[start:] {
-		if v != 0 {
-			st.counts.add(v, 1)
 		}
 	}
 }
