@@ -139,5 +139,14 @@ func Decode(word uint32) (Inst, error) {
 			return Inst{Op: OpMARK, Rs1: rs1, Imm: int64(f3)}, nil
 		}
 	}
-	return Inst{}, fmt.Errorf("decode: unsupported word %#08x", word)
+	return Inst{}, unsupportedWord(word)
+}
+
+// unsupportedWord is Decode's error. It formats its message only when
+// asked, so a simulated fetch down a wrong path, which discards the
+// error, does not build one.
+type unsupportedWord uint32
+
+func (w unsupportedWord) Error() string {
+	return fmt.Sprintf("decode: unsupported word %#08x", uint32(w))
 }

@@ -252,24 +252,27 @@ type Inst struct {
 	Imm int64
 }
 
+// classes maps each Op to its functional-unit class. Ops left out, and
+// ops outside the table, are ALU ops.
+var classes = [opCount]Class{
+	OpMUL: ClassMul, OpMULH: ClassMul, OpMULHSU: ClassMul, OpMULHU: ClassMul, OpMULW: ClassMul,
+	OpDIV: ClassDiv, OpDIVU: ClassDiv, OpREM: ClassDiv, OpREMU: ClassDiv,
+	OpDIVW: ClassDiv, OpDIVUW: ClassDiv, OpREMW: ClassDiv, OpREMUW: ClassDiv,
+	OpLB: ClassLoad, OpLH: ClassLoad, OpLW: ClassLoad, OpLD: ClassLoad,
+	OpLBU: ClassLoad, OpLHU: ClassLoad, OpLWU: ClassLoad,
+	OpSB: ClassStore, OpSH: ClassStore, OpSW: ClassStore, OpSD: ClassStore,
+	OpJAL: ClassBranch, OpJALR: ClassBranch, OpBEQ: ClassBranch, OpBNE: ClassBranch,
+	OpBLT: ClassBranch, OpBGE: ClassBranch, OpBLTU: ClassBranch, OpBGEU: ClassBranch,
+	OpECALL: ClassSystem, OpEBREAK: ClassSystem, OpFENCE: ClassSystem,
+	OpMARK: ClassSystem, OpCBOFLUSH: ClassSystem,
+}
+
 // Class reports the functional-unit class of the instruction.
 func (i Inst) Class() Class {
-	switch i.Op {
-	case OpMUL, OpMULH, OpMULHSU, OpMULHU, OpMULW:
-		return ClassMul
-	case OpDIV, OpDIVU, OpREM, OpREMU, OpDIVW, OpDIVUW, OpREMW, OpREMUW:
-		return ClassDiv
-	case OpLB, OpLH, OpLW, OpLD, OpLBU, OpLHU, OpLWU:
-		return ClassLoad
-	case OpSB, OpSH, OpSW, OpSD:
-		return ClassStore
-	case OpJAL, OpJALR, OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		return ClassBranch
-	case OpECALL, OpEBREAK, OpFENCE, OpMARK, OpCBOFLUSH:
-		return ClassSystem
-	default:
-		return ClassALU
+	if uint(i.Op) < uint(opCount) && classes[i.Op] != 0 {
+		return classes[i.Op]
 	}
+	return ClassALU
 }
 
 // IsCondBranch reports whether the instruction is a conditional branch.
@@ -280,9 +283,6 @@ func (i Inst) IsCondBranch() bool {
 	}
 	return false
 }
-
-// IsJump reports whether the instruction is an unconditional jump.
-func (i Inst) IsJump() bool { return i.Op == OpJAL || i.Op == OpJALR }
 
 // IsLoad reports whether the instruction reads memory.
 func (i Inst) IsLoad() bool { return i.Class() == ClassLoad }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"microsampler/internal/isa"
 )
@@ -56,6 +57,15 @@ type Core struct {
 	// robFolded counts the folded uops in rob, which occupy no slot of
 	// their own (robOccupancy).
 	robFolded int
+
+	// exec holds, in age order, the uops whose doneAt is set and that
+	// have not completed: the only ROB entries complete can act on.
+	exec []uopID
+
+	// text is the program's text segment decoded once at load time,
+	// one entry per word from textBase.
+	text     []predecoded
+	textBase uint64
 
 	// Committed stores being drained to the D-cache; entries stay in the
 	// STQ until the drain completes.
@@ -137,6 +147,7 @@ func newCore(cfg Config, mem *Memory) *Core {
 	c.iq = newWindow(cfg.ROBEntries)
 	c.ldq = newWindow(cfg.LDQEntries)
 	c.stq = newWindow(cfg.STQEntries)
+	c.exec = make([]uopID, 0, cfg.ROBEntries)
 	c.freeList = make([]int16, 0, cfg.IntPRF)
 	for i := cfg.IntPRF - 1; i >= 32; i-- {
 		c.freeList = append(c.freeList, int16(i))
@@ -303,18 +314,29 @@ func (c *Core) isCommitted(u *uop) bool {
 // Completion and branch resolution.
 
 func (c *Core) complete() {
-	for _, h := range c.rob.q {
+	kept := c.exec[:0]
+	for _, h := range c.exec {
 		u := &c.uops[h]
-		if u.completed || u.doneAt > c.cycle {
+		if u.doneAt > c.cycle {
+			kept = append(kept, h)
 			continue
 		}
 		u.completed = true
-		if u.inst.Class() == isa.ClassBranch && !u.resolved {
-			if c.resolveBranch(u) {
-				return // squash performed; younger state is gone
-			}
+		if u.inst.Class() == isa.ClassBranch && !u.resolved && c.resolveBranch(u) {
+			break // squash performed; every later entry was younger and is gone
 		}
 	}
+	c.exec = kept
+}
+
+// addExec enters h, whose doneAt has just been set, into exec at its
+// age position.
+func (c *Core) addExec(h uopID) {
+	i := len(c.exec)
+	for i > 0 && c.uops[c.exec[i-1]].seq > c.uops[h].seq {
+		i--
+	}
+	c.exec = slices.Insert(c.exec, i, h)
 }
 
 // resolveBranch trains the predictor and squashes on a misprediction.
@@ -392,12 +414,14 @@ func (c *Core) squashAfter(u *uop) {
 // Memory issue (loads accessing the D-cache, with STQ forwarding).
 
 func (c *Core) issueMemory() {
+	older := 0
 	for _, h := range c.ldq.q {
 		ld := &c.uops[h]
 		if !ld.addrReady || ld.memIssued {
 			continue
 		}
-		st, blocked := c.olderStoreConflict(ld)
+		older = c.olderStores(older, ld.seq)
+		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
 		if blocked {
 			continue
 		}
@@ -412,6 +436,7 @@ func (c *Core) issueMemory() {
 				c.prfVal[ld.pdst] = ld.result
 				c.prfReady[ld.pdst] = ld.doneAt
 			}
+			c.addExec(h)
 			continue
 		}
 		done, ok := c.dc.access(c.cycle, ld.memAddr, ld.pc)
@@ -427,19 +452,28 @@ func (c *Core) issueMemory() {
 			c.prfVal[ld.pdst] = ld.result
 			c.prfReady[ld.pdst] = done
 		}
+		c.addExec(h)
 	}
 }
 
-// olderStoreConflict scans older stores. It returns a forwarding source
-// when the youngest older overlapping store fully covers the load, or
-// blocked=true when the load must wait (unknown address, partial
-// overlap, or covering store whose data is not yet available).
-func (c *Core) olderStoreConflict(ld *uop) (fwd *uop, blocked bool) {
-	for i := len(c.stq.q) - 1; i >= 0; i-- {
-		st := &c.uops[c.stq.q[i]]
-		if st.seq > ld.seq {
-			continue
-		}
+// olderStores advances an STQ cursor from i past the stores older
+// than seq. The LDQ and the STQ are both age-ordered, so along the LDQ
+// the cursor only moves forward.
+func (c *Core) olderStores(i int, seq uint64) int {
+	for i < len(c.stq.q) && c.uops[c.stq.q[i]].seq < seq {
+		i++
+	}
+	return i
+}
+
+// olderStoreConflict scans older, the stores older than ld, from the
+// youngest. It returns a forwarding source when the youngest
+// overlapping one fully covers the load, or blocked=true when the load
+// must wait (unknown address, partial overlap, or covering store whose
+// data is not yet available).
+func (c *Core) olderStoreConflict(ld *uop, older []uopID) (fwd *uop, blocked bool) {
+	for i := len(older) - 1; i >= 0; i-- {
+		st := &c.uops[older[i]]
 		if !st.addrReady {
 			return nil, true
 		}
@@ -492,6 +526,9 @@ func (c *Core) issue() {
 		if !c.srcReady(u.ps1) || !c.srcReady(u.ps2) || !c.tryIssue(u) {
 			kept = append(kept, h)
 			continue
+		}
+		if u.doneAt != never { // a load's is set when it accesses memory
+			c.addExec(h)
 		}
 		issued++
 	}
@@ -725,10 +762,10 @@ func (c *Core) fetch() {
 			break // stay within one aligned fetch block per cycle
 		}
 		word := uint32(c.mem.Read(pc, 4))
-		inst, err := isa.Decode(word)
+		inst, ok := c.decode(pc, word)
 		h := c.newUop(pc, inst)
 		u := &c.uops[h]
-		if err != nil {
+		if !ok {
 			u.trap = true
 			c.fetchBuf.push(h)
 			c.fetchTrapped = true
@@ -785,4 +822,24 @@ func (c *Core) fetch() {
 		pc += 4
 	}
 	c.fetchPC = pc
+}
+
+// predecoded is one text word and its decoding.
+type predecoded struct {
+	word uint32
+	inst isa.Inst
+	ok   bool
+}
+
+// decode decodes the word fetched at pc. A text word is decoded once,
+// at load time; the entry serves only while memory still holds that
+// word, so a store into the text is never fetched stale.
+func (c *Core) decode(pc uint64, word uint32) (isa.Inst, bool) {
+	if off := pc - c.textBase; off%4 == 0 && off/4 < uint64(len(c.text)) {
+		if e := &c.text[off/4]; e.word == word {
+			return e.inst, e.ok
+		}
+	}
+	inst, err := isa.Decode(word)
+	return inst, err == nil
 }

@@ -1,0 +1,97 @@
+package sim_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"microsampler/internal/asm"
+	"microsampler/internal/isa"
+	"microsampler/internal/sim"
+)
+
+// stalenessProgram loops over one instruction, at label body, that the
+// test overwrites while the loop runs.
+const stalenessProgram = `
+	.text
+_start:
+	li   s3, 2000
+	li   s4, 0
+loop:
+body:
+	addi s4, s4, 1
+	addi s3, s3, -1
+	bnez s3, loop
+	mv   a0, s4
+	li   a7, 93
+	ecall
+`
+
+// fetchAfterOverwrite runs stalenessProgram until body has been fetched,
+// stores word over it through Memory().Write, and steps on until body
+// is fetched again. It returns the machine, body's pc and the
+// instruction of that later fetch.
+func fetchAfterOverwrite(t *testing.T, word uint32) (*sim.Machine, uint64, isa.Inst) {
+	t.Helper()
+	prog, err := asm.Assemble(stalenessProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.New(sim.MegaBoom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	body := prog.MustSymbol("body")
+	var before uint64
+	for ok := false; !ok; {
+		if m.Halted() {
+			t.Fatal("the loop body was never fetched")
+		}
+		m.Step()
+		before, _, ok = m.Fetched(body)
+	}
+	m.Memory().Write(body, 4, uint64(word))
+	for !m.Halted() {
+		m.Step()
+		if seq, inst, ok := m.Fetched(body); ok && seq > before {
+			return m, body, inst
+		}
+	}
+	t.Fatal("the loop body was not fetched again after the overwrite")
+	return nil, 0, isa.Inst{}
+}
+
+// TestFetchSeesStoreIntoText pins that fetch never serves a stale
+// decoding of a text word: after a store replaces a word that has
+// already been fetched, the next fetch of its pc carries the new
+// instruction, or traps if the new word is illegal.
+func TestFetchSeesStoreIntoText(t *testing.T) {
+	t.Run("valid", func(t *testing.T) {
+		want := isa.Inst{Op: isa.OpADDI, Rd: isa.S4, Rs1: isa.S4, Imm: 2}
+		word, err := isa.Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _, got := fetchAfterOverwrite(t, word)
+		if got != want {
+			t.Fatalf("fetch after the overwrite decoded %v, want %v", got, want)
+		}
+		if _, err := m.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("illegal", func(t *testing.T) {
+		const word = 0xFFFFFFFF
+		if _, err := isa.Decode(word); err == nil {
+			t.Fatalf("%#x decodes; the test needs an illegal word", word)
+		}
+		m, body, _ := fetchAfterOverwrite(t, word)
+		_, err := m.Run(1_000_000)
+		if want := fmt.Sprintf("sim: illegal instruction at pc %#x", body); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run after an illegal overwrite: err %v, want %q", err, want)
+		}
+	})
+}

@@ -1,5 +1,7 @@
 package sim
 
+import "microsampler/internal/isa"
+
 // WalkROB counts the ROB's non-folded and folded uops by a full walk of
 // rob.q, the count robOccupancy keeps in step instead.
 func (p *Probe) WalkROB() (occupied, folded int) {
@@ -34,4 +36,103 @@ func (p *Probe) WalkLFB(data, addrs []uint64) ([]uint64, []uint64, int) {
 		addrs = append(addrs, e.lineAddr<<d.cache.lineShift)
 	}
 	return data, addrs, above
+}
+
+// AppendExec appends the seqs of the executing list to list and, by a
+// full ROB walk, the seqs of the uops complete can act on (doneAt set,
+// not completed) to walk, both in age order.
+func (p *Probe) AppendExec(list, walk []uint64) ([]uint64, []uint64) {
+	c := p.c
+	for _, h := range c.exec {
+		list = append(list, c.uops[h].seq)
+	}
+	for _, h := range c.rob.q {
+		if u := &c.uops[h]; !u.completed && u.doneAt != never {
+			walk = append(walk, u.seq)
+		}
+	}
+	return list, walk
+}
+
+// InROB reports whether the uop with the given seq is in the ROB.
+func (p *Probe) InROB(seq uint64) bool {
+	for _, h := range p.c.rob.q {
+		if p.c.uops[h].seq == seq {
+			return true
+		}
+	}
+	return false
+}
+
+// LoadConflict is one waiting load's store-conflict answer from the
+// cursor-bounded scan issueMemory makes and from a full STQ scan. Fwd
+// and RefFwd are the forwarding store's seq, 0 for none.
+type LoadConflict struct {
+	Load                uint64
+	Fwd, RefFwd         uint64
+	Blocked, RefBlocked bool
+}
+
+// AppendLoadConflicts appends, for every load with its address ready
+// and its access not yet issued, both scans' answers, walking the LDQ
+// with the STQ cursor as issueMemory does.
+func (p *Probe) AppendLoadConflicts(dst []LoadConflict) []LoadConflict {
+	c := p.c
+	seqOf := func(u *uop) uint64 {
+		if u == nil {
+			return 0
+		}
+		return u.seq
+	}
+	older := 0
+	for _, h := range c.ldq.q {
+		ld := &c.uops[h]
+		if !ld.addrReady || ld.memIssued {
+			continue
+		}
+		older = c.olderStores(older, ld.seq)
+		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
+		ref, refBlocked := refOlderStoreConflict(c, ld)
+		dst = append(dst, LoadConflict{ld.seq, seqOf(st), seqOf(ref), blocked, refBlocked})
+	}
+	return dst
+}
+
+// refOlderStoreConflict is the reference for olderStoreConflict: it
+// scans the whole STQ from the youngest store, skipping the stores
+// younger than the load.
+func refOlderStoreConflict(c *Core, ld *uop) (fwd *uop, blocked bool) {
+	for i := len(c.stq.q) - 1; i >= 0; i-- {
+		st := &c.uops[c.stq.q[i]]
+		if st.seq > ld.seq {
+			continue
+		}
+		if !st.addrReady {
+			return nil, true
+		}
+		if st.memAddr+uint64(st.memSize) <= ld.memAddr ||
+			ld.memAddr+uint64(ld.memSize) <= st.memAddr {
+			continue // disjoint
+		}
+		covers := st.memAddr <= ld.memAddr &&
+			ld.memAddr+uint64(ld.memSize) <= st.memAddr+uint64(st.memSize)
+		if covers && st.completed {
+			return st, false
+		}
+		return nil, true
+	}
+	return nil, false
+}
+
+// Fetched returns the youngest uop at pc in the fetch buffer: its seq
+// and the instruction fetch decoded for it. Fetch runs last in a cycle,
+// so after Step every uop fetched in that cycle is still there.
+func (m *Machine) Fetched(pc uint64) (seq uint64, inst isa.Inst, ok bool) {
+	c := m.core
+	for _, h := range c.fetchBuf.q {
+		if u := &c.uops[h]; u.pc == pc {
+			seq, inst, ok = u.seq, u.inst, true
+		}
+	}
+	return seq, inst, ok
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -57,6 +58,13 @@ func (m *Machine) LoadProgram(p *asm.Program) error {
 		return errors.New("sim: empty text segment")
 	}
 	m.mem.WriteBytes(p.TextBase, p.Text)
+	m.core.textBase = p.TextBase
+	m.core.text = make([]predecoded, len(p.Text)/4)
+	for i := range m.core.text {
+		w := binary.LittleEndian.Uint32(p.Text[4*i:])
+		inst, err := isa.Decode(w)
+		m.core.text[i] = predecoded{w, inst, err == nil}
+	}
 	if len(p.Data) > 0 {
 		m.mem.WriteBytes(p.DataBase, p.Data)
 	}

@@ -54,56 +54,22 @@ func (*walkTracer) OnMark(int64, isa.MarkKind, uint64) {}
 // across dispatch and issue folds, squashes, demand misses and both
 // prefetchers.
 func TestProbeCountersMatchWalks(t *testing.T) {
-	bypass := sim.MegaBoom()
-	bypass.FastBypass = true
-	stride := sim.MegaBoom()
-	stride.NextLinePrefetcher = false
-	stride.StridePrefetcher = true
-	cfgs := []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{"megaboom", sim.MegaBoom()},
-		{"smallboom", sim.SmallBoom()},
-		{"fastbypass", bypass},
-		{"stride", stride},
-	}
 	// Under FastBypass ME-V1-MV and ME-V2-SAFE fold at issue, ME-V2-SAFE
 	// and constant_time_cond_swap_buff at dispatch, and
 	// the latter also squashes folded uops on mispredicted
 	// paths; SPF-STREAM and AES-TTABLE keep the fill buffer busy.
 	kernels := []string{"ME-V1-MV", "ME-V2-SAFE", "SPF-STREAM", "AES-TTABLE", "constant_time_cond_swap_buff"}
 	folded := 0
-	for _, c := range cfgs {
+	for _, c := range walkConfigs() {
 		for _, name := range kernels {
 			t.Run(name+"@"+c.name, func(t *testing.T) {
-				w, err := workloads.ByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prog, err := asm.Assemble(w.Source)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, err := sim.New(c.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.LoadProgram(prog); err != nil {
-					t.Fatal(err)
-				}
-				if w.Setup != nil {
-					if err := w.Setup(0, m, prog); err != nil {
-						t.Fatal(err)
-					}
-				}
 				tr := &walkTracer{}
-				m.SetTracer(tr)
-				if _, err := m.Run(20_000_000); err != nil {
-					t.Fatal(err)
-				}
+				err := runTraced(t, name, c.cfg, tr)
 				if tr.err != nil {
 					t.Fatal(tr.err)
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 				folded += tr.folded
 			})
@@ -112,4 +78,55 @@ func TestProbeCountersMatchWalks(t *testing.T) {
 	if folded == 0 {
 		t.Fatal("no run ever held a folded uop in the ROB: the occupancy counter went untested")
 	}
+}
+
+// walkConfig is one configuration the differential tests run on.
+type walkConfig struct {
+	name string
+	cfg  sim.Config
+}
+
+// walkConfigs covers both core sizes, folding at dispatch and at issue,
+// and the stride prefetcher.
+func walkConfigs() []walkConfig {
+	bypass := sim.MegaBoom()
+	bypass.FastBypass = true
+	stride := sim.MegaBoom()
+	stride.NextLinePrefetcher = false
+	stride.StridePrefetcher = true
+	return []walkConfig{
+		{"megaboom", sim.MegaBoom()},
+		{"smallboom", sim.SmallBoom()},
+		{"fastbypass", bypass},
+		{"stride", stride},
+	}
+}
+
+// runTraced runs a catalogue kernel with the inputs of run 0 on cfg,
+// with tr attached, and returns the run's error.
+func runTraced(t *testing.T, name string, cfg sim.Config, tr sim.Tracer) error {
+	t.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	if w.Setup != nil {
+		if err := w.Setup(0, m, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.SetTracer(tr)
+	_, err = m.Run(20_000_000)
+	return err
 }

@@ -133,9 +133,10 @@ go test -run='^$' -fuzz='^FuzzMatrixConfig$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzCacheKey$' -fuzztime=5s ./internal/msd
 go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/msd
 
-echo "== bench smoke (hot-path collector, simulator allocations per run) =="
+echo "== bench smoke (hot-path collector, simulator allocations per run, catalogue ns/cycle) =="
 go test -run '^$' -bench 'OnCycle' -benchtime 100x -benchmem ./internal/trace
 go test -run '^$' -bench 'BenchmarkSim(MegaBoom|SmallBoom)$' -benchtime 3x -benchmem ./internal/sim
+go test -run '^$' -bench 'BenchmarkSimCatalogue$' -benchtime 1x ./internal/sim
 
 echo "== detection-quality gate (mstest, against the committed calibration baseline) =="
 go run ./cmd/mstest run -seeds 5 -quiet -out "${TMPDIR:-/tmp}/microsampler-quality.json" \
