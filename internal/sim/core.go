@@ -527,7 +527,7 @@ func (c *Core) issue() {
 			kept = append(kept, h)
 			continue
 		}
-		if u.doneAt != never { // a load's is set when it accesses memory
+		if u.doneAt != never { // a load joins when it accesses memory
 			c.addExec(h)
 		}
 		issued++
