@@ -99,7 +99,19 @@ func TestSimResultGolden(t *testing.T) {
 // runSeed0 runs workload on cfg with the inputs of run index 0.
 func runSeed0(t *testing.T, workload string, cfg sim.Config) sim.Result {
 	t.Helper()
-	w, err := workloads.ByName(workload)
+	res, err := runTraced(t, workload, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runTraced runs a catalogue kernel with the inputs of run 0 on cfg,
+// with tr (which may be nil) attached, and returns the run's result and
+// error.
+func runTraced(t *testing.T, name string, cfg sim.Config, tr sim.Tracer) (sim.Result, error) {
+	t.Helper()
+	w, err := workloads.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +131,8 @@ func runSeed0(t *testing.T, workload string, cfg sim.Config) sim.Result {
 			t.Fatal(err)
 		}
 	}
-	res, err := m.Run(20_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	m.SetTracer(tr)
+	return m.Run(20_000_000)
 }
 
 func mustJSON(t *testing.T, v any) []byte {

@@ -70,7 +70,7 @@ func TestPipelineListsMatchWalks(t *testing.T) {
 		for _, name := range kernels {
 			t.Run(name+"@"+c.name, func(t *testing.T) {
 				tr := &listTracer{}
-				err := runTraced(t, name, c.cfg, tr)
+				_, err := runTraced(t, name, c.cfg, tr)
 				if tr.err != nil {
 					t.Fatal(tr.err)
 				}

@@ -5,10 +5,8 @@ import (
 	"slices"
 	"testing"
 
-	"microsampler/internal/asm"
 	"microsampler/internal/isa"
 	"microsampler/internal/sim"
-	"microsampler/internal/workloads"
 )
 
 // walkTracer checks, every cycle, the probe's O(1) ROB occupancy and
@@ -64,7 +62,7 @@ func TestProbeCountersMatchWalks(t *testing.T) {
 		for _, name := range kernels {
 			t.Run(name+"@"+c.name, func(t *testing.T) {
 				tr := &walkTracer{}
-				err := runTraced(t, name, c.cfg, tr)
+				_, err := runTraced(t, name, c.cfg, tr)
 				if tr.err != nil {
 					t.Fatal(tr.err)
 				}
@@ -100,33 +98,4 @@ func walkConfigs() []walkConfig {
 		{"fastbypass", bypass},
 		{"stride", stride},
 	}
-}
-
-// runTraced runs a catalogue kernel with the inputs of run 0 on cfg,
-// with tr attached, and returns the run's error.
-func runTraced(t *testing.T, name string, cfg sim.Config, tr sim.Tracer) error {
-	t.Helper()
-	w, err := workloads.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := asm.Assemble(w.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	if w.Setup != nil {
-		if err := w.Setup(0, m, prog); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.SetTracer(tr)
-	_, err = m.Run(20_000_000)
-	return err
 }
