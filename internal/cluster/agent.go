@@ -128,7 +128,7 @@ type HTTPExecutor struct {
 // Execute posts the point to the worker's execute endpoint. The
 // response carries a terminal PointResult — possibly with a
 // verdict-level Err — while transport failures and non-200 statuses
-// come back as errors for the dispatcher's retry/reassignment logic.
+// come back as errors that move the point to its next-ranked worker.
 func (e *HTTPExecutor) Execute(ctx context.Context, workerURL string, p Point, _ string) (PointResult, error) {
 	body, err := json.Marshal(ExecuteRequest{Point: p})
 	if err != nil {

@@ -17,9 +17,10 @@ import (
 // layer): a seeded fault schedule kills, hangs, slows and flakes
 // workers mid-batch, and the final verdicts must still be
 // byte-identical to a fault-free single-node run. The verdict is a pure
-// function of the point, so whatever path a point takes — reassignment
-// after a worker death, a hedged duplicate, retry after a transient, or
-// degradation to local execution — the answer may not change.
+// function of the point, so whatever path a point's walk down its
+// worker rank takes — a reassignment after a transient or a worker
+// death, a hedged leg, or degradation to local execution once the rank
+// is used up — the answer may not change.
 
 // chaosVerdict is the pure per-point verdict both the workers and the
 // local fallback compute: deterministic in the key alone.
@@ -43,19 +44,19 @@ func chaosVerdict(key string) PointResult {
 	return res
 }
 
-// chaosFault is the failure mode one dispatch attempt is given.
+// chaosFault is the failure mode one dispatch leg is given.
 type chaosFault uint8
 
 const (
 	faultNone      chaosFault = iota
-	faultTransient            // transport flake: retried with backoff
+	faultTransient            // transport flake: the next-ranked worker takes over
 	faultKill                 // worker crash: killed mid-batch, later revived
-	faultHang                 // stuck worker: shard timeout, then retry
-	faultSlow                 // straggler: exercises hedged duplicates
+	faultHang                 // stuck worker: hedged, or failed by the shard timeout
+	faultSlow                 // straggler: exercises hedged legs
 )
 
-// chaosMix is the per-attempt fault mix, drawn in this order against
-// one uniform variate; the remaining 50% of attempts are fault-free.
+// chaosMix is the per-leg fault mix, drawn in this order against one
+// uniform variate; the remaining 50% of legs are fault-free.
 var chaosMix = []struct {
 	p     float64
 	fault chaosFault
@@ -75,7 +76,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // chaosPlan draws the fault for one (point, attempt) as a pure function
-// of the seed, so a failing seed replays identically.
+// of the seed, so a failing seed replays identically. attempt counts
+// the point's legs in the order they call the executor.
 func chaosPlan(seed uint64, point, attempt int) chaosFault {
 	h := splitmix64(seed ^ splitmix64(uint64(point)<<32|uint64(uint32(attempt))))
 	u := float64(h>>11) / (1 << 53) // uniform in [0,1)
@@ -139,9 +141,9 @@ func runChaosSeed(t *testing.T, seed uint64) {
 			return PointResult{}, fmt.Errorf("chaos: injected transient (point %d attempt %d)", idx, attempt)
 		case faultKill:
 			// Model a worker SIGKILL mid-batch: the worker drops off the
-			// membership (its in-flight attempts turn into ErrWorkerLost and
-			// reassign) and rejoins shortly after, as a restarted worker's
-			// agent would.
+			// membership (a death poll that lands while it is down fails
+			// its other running legs) and rejoins shortly after, as a
+			// restarted worker's agent would.
 			id := workers[url]
 			mu.Lock()
 			m.MarkDead(id)
@@ -169,24 +171,29 @@ func runChaosSeed(t *testing.T, seed uint64) {
 		Members:      m,
 		Exec:         exec,
 		Local:        func(_ context.Context, _ Point, key string) PointResult { return chaosVerdict(key) },
-		Retry:        RetryPolicy{Max: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-		ShardTimeout: 30 * time.Millisecond, // converts hangs into retried timeouts fast
+		ShardTimeout: 30 * time.Millisecond, // fails hung legs fast
 		HedgeAfter:   10 * time.Millisecond,
-		DeathPoll:    2 * time.Millisecond,
 	}
+	var reassigned, hedged atomic.Int64
+	d.OnReassign = func(string, string, string) { reassigned.Add(1) }
+	d.OnHedge = func(string, string, string) { hedged.Add(1) }
 
 	results := make([]PointResult, npoints)
 	var rmu sync.Mutex
-	stats := d.Run(context.Background(), points, keys, func(idx int, res PointResult) {
+	d.Run(context.Background(), points, keys, func(idx int, res PointResult) {
 		rmu.Lock()
 		results[idx] = res
 		rmu.Unlock()
 	})
 
-	if stats.Points != npoints || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want %d points and no failures", stats, npoints)
-	}
+	degraded := 0
 	for i, res := range results {
+		if res.Err != "" {
+			t.Errorf("point %d failed under chaos: %s", i, res.Err)
+		}
+		if res.Degraded {
+			degraded++
+		}
 		got, err := json.Marshal(res.Verdict())
 		if err != nil {
 			t.Fatal(err)
@@ -196,5 +203,5 @@ func runChaosSeed(t *testing.T, seed uint64) {
 		}
 	}
 	t.Logf("seed %d: reassigned=%d hedged=%d degraded=%d",
-		seed, stats.Reassigned, stats.Hedged, stats.Degraded)
+		seed, reassigned.Load(), hedged.Load(), degraded)
 }

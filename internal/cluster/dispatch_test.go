@@ -72,10 +72,10 @@ func TestDispatchCoalescesByKey(t *testing.T) {
 		Local: localFail(t),
 	}
 	results, onResult := collectResults(len(keys))
-	stats := d.Run(context.Background(), points, keys, onResult)
+	d.Run(context.Background(), points, keys, onResult)
 
-	if stats.Points != 6 || stats.Unique != 3 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want 6 points / 3 unique / 0 failed", stats)
+	if len(execs) != 3 {
+		t.Fatalf("executed keys = %v, want 3 unique", execs)
 	}
 	for key, n := range execs {
 		if n != 1 {
@@ -83,15 +83,15 @@ func TestDispatchCoalescesByKey(t *testing.T) {
 		}
 	}
 	for i, res := range results {
-		if res.Key != keys[i] {
-			t.Errorf("result %d carries key %q, want %q", i, res.Key, keys[i])
+		if res.Key != keys[i] || res.Err != "" {
+			t.Errorf("result %d = %+v, want a verdict for key %q", i, res, keys[i])
 		}
 	}
 }
 
-// TestDispatchReassignsOnWorkerDeath: an attempt whose worker dies
-// mid-flight moves to the next-ranked worker without consuming the
-// retry budget or degrading.
+// TestDispatchReassignsOnWorkerDeath: a leg whose worker dies mid-flight
+// fails, and the point moves to the next-ranked worker without
+// degrading.
 func TestDispatchReassignsOnWorkerDeath(t *testing.T) {
 	m := testMembers("w1", "w2")
 	firstURL := make(chan string, 1)
@@ -100,8 +100,8 @@ func TestDispatchReassignsOnWorkerDeath(t *testing.T) {
 		Members: m,
 		Exec: execFunc(func(ctx context.Context, url string, _ Point, key string) (PointResult, error) {
 			if calls.Add(1) == 1 {
-				// First attempt: report who we are, then hang until the
-				// death watch cancels us.
+				// First leg: report who we are, then hang until the death
+				// watch cancels us.
 				firstURL <- url
 				<-ctx.Done()
 				return PointResult{}, ctx.Err()
@@ -109,27 +109,20 @@ func TestDispatchReassignsOnWorkerDeath(t *testing.T) {
 			return okResult(key), nil
 		}),
 		Local: localFail(t),
-		// No remote retries budgeted: only the lost-worker path (which is
-		// free) can produce the second attempt.
-		Retry:     RetryPolicy{Max: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		DeathPoll: 2 * time.Millisecond,
 	}
 	var reassigns atomic.Int64
 	d.OnReassign = func(key, from, to string) { reassigns.Add(1) }
 
-	// Kill whichever worker won the rendezvous, once its attempt is
-	// in flight.
+	// Kill whichever worker won the rendezvous, once its leg is in
+	// flight.
 	go func() {
 		url := <-firstURL
 		m.MarkDead(strings.TrimPrefix(url, "http://"))
 	}()
 
 	results, onResult := collectResults(1)
-	stats := d.Run(context.Background(), []Point{{}}, []string{"key-x"}, onResult)
+	d.Run(context.Background(), []Point{{}}, []string{"key-x"}, onResult)
 
-	if stats.Reassigned != 1 || stats.Degraded != 0 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want exactly one reassignment", stats)
-	}
 	if reassigns.Load() != 1 {
 		t.Errorf("OnReassign fired %d times, want 1", reassigns.Load())
 	}
@@ -139,31 +132,28 @@ func TestDispatchReassignsOnWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestDispatchDegradesWhenRetriesExhaust: persistent transport failures
-// consume the full-jitter retry budget and then fall back to local
-// execution with the Degraded flag, instead of failing the point.
-func TestDispatchDegradesWhenRetriesExhaust(t *testing.T) {
-	var attempts atomic.Int64
+// TestDispatchDegradesWhenRankExhausted: a worker that fails a point is
+// not asked again for it. With one worker whose every call is a
+// transport error, the point makes exactly one remote call and then
+// runs locally with the Degraded flag, instead of failing.
+func TestDispatchDegradesWhenRankExhausted(t *testing.T) {
+	var calls atomic.Int64
 	d := &Dispatcher{
 		Members: testMembers("w1"),
 		Exec: execFunc(func(_ context.Context, _ string, _ Point, _ string) (PointResult, error) {
-			attempts.Add(1)
+			calls.Add(1)
 			return PointResult{}, fmt.Errorf("connection refused")
 		}),
 		Local: func(_ context.Context, _ Point, key string) PointResult {
 			return okResult(key)
 		},
-		Retry: RetryPolicy{Max: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
 	}
 
 	results, onResult := collectResults(1)
-	stats := d.Run(context.Background(), []Point{{}}, []string{"key-x"}, onResult)
+	d.Run(context.Background(), []Point{{}}, []string{"key-x"}, onResult)
 
-	if got := attempts.Load(); got != 3 { // first + Max retries
-		t.Errorf("remote attempts = %d, want 3", got)
-	}
-	if stats.Degraded != 1 {
-		t.Errorf("stats = %+v, want one degrade", stats)
+	if got := calls.Load(); got != 1 {
+		t.Errorf("remote calls = %d, want 1", got)
 	}
 	res := results[0]
 	if !res.Degraded || res.Worker != "" || res.Err != "" {
@@ -185,10 +175,7 @@ func TestDispatchDegradesWithNoWorkers(t *testing.T) {
 		},
 	}
 	results, onResult := collectResults(2)
-	stats := d.Run(context.Background(), make([]Point, 2), []string{"key-a", "key-b"}, onResult)
-	if stats.Degraded != 2 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want both points degraded", stats)
-	}
+	d.Run(context.Background(), make([]Point, 2), []string{"key-a", "key-b"}, onResult)
 	for i, res := range results {
 		if !res.Degraded || res.Err != "" {
 			t.Errorf("result %d = %+v, want degraded success", i, res)
@@ -196,9 +183,8 @@ func TestDispatchDegradesWithNoWorkers(t *testing.T) {
 	}
 }
 
-// TestDispatchHedgesStragglers: an attempt outliving the hedge
-// threshold gets a duplicate on the next-ranked worker, and the first
-// result wins.
+// TestDispatchHedgesStragglers: a leg outliving the hedge threshold
+// starts a leg on the next-ranked worker, and the first result wins.
 func TestDispatchHedgesStragglers(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -230,10 +216,10 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 	}
 
 	results, onResult := collectResults(1)
-	stats := d.Run(context.Background(), []Point{{}}, []string{"key-x"}, onResult)
+	d.Run(context.Background(), []Point{{}}, []string{"key-x"}, onResult)
 
-	if stats.Hedged != 1 || hedges.Load() != 1 {
-		t.Fatalf("stats = %+v (OnHedge %d), want one hedge", stats, hedges.Load())
+	if hedges.Load() != 1 {
+		t.Fatalf("OnHedge fired %d times, want one hedge", hedges.Load())
 	}
 	res := results[0]
 	if res.Err != "" || res.Worker == "" || res.Worker == "set-by-dispatcher" {
@@ -256,39 +242,8 @@ func TestDispatchCancelledContext(t *testing.T) {
 		},
 	}
 	results, onResult := collectResults(1)
-	stats := d.Run(ctx, []Point{{}}, []string{"key-x"}, onResult)
-	if stats.Failed != 1 {
-		t.Fatalf("stats = %+v, want the point failed", stats)
-	}
+	d.Run(ctx, []Point{{}}, []string{"key-x"}, onResult)
 	if !strings.Contains(results[0].Err, "dispatch cancelled") {
 		t.Fatalf("result error = %q, want a dispatch-cancelled failure", results[0].Err)
-	}
-}
-
-func TestBackoffWindows(t *testing.T) {
-	p := RetryPolicy{Max: 5, BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
-	// u=1 probes the upper edge of each jitter window: 10ms, 20ms, then
-	// capped at 35ms.
-	for n, want := range map[int]time.Duration{
-		0: 10 * time.Millisecond,
-		1: 20 * time.Millisecond,
-		2: 35 * time.Millisecond,
-		9: 35 * time.Millisecond,
-	} {
-		if got := p.backoffAt(n, 1); got != want {
-			t.Errorf("backoffAt(%d, 1) = %v want %v", n, got, want)
-		}
-	}
-	if got := p.backoffAt(3, 0); got != 0 {
-		t.Errorf("backoffAt(_, 0) = %v want 0 (full jitter reaches zero)", got)
-	}
-	if (RetryPolicy{}).backoffAt(2, 1) != 0 {
-		t.Error("zero policy must not sleep")
-	}
-	// Verify jittered draws stay inside the window.
-	for i := 0; i < 100; i++ {
-		if d := p.Backoff(1); d < 0 || d >= 20*time.Millisecond {
-			t.Fatalf("Backoff(1) = %v outside [0, 20ms)", d)
-		}
 	}
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -132,7 +134,7 @@ func (m *Membership) snapshot(healthyOnly bool) []WorkerInfo {
 			Healthy:             healthy,
 		})
 	}
-	sortWorkers(out)
+	slices.SortFunc(out, func(a, b WorkerInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -146,12 +148,4 @@ func (m *Membership) MaxHeartbeatAge() time.Duration {
 		}
 	}
 	return max
-}
-
-func sortWorkers(ws []WorkerInfo) {
-	for i := 1; i < len(ws); i++ {
-		for k := i; k > 0 && ws[k].ID < ws[k-1].ID; k-- {
-			ws[k], ws[k-1] = ws[k-1], ws[k]
-		}
-	}
 }

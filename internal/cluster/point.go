@@ -1,13 +1,16 @@
 // Package cluster is the distributed-verification substrate behind the
 // msd coordinator/worker topology: rendezvous sharding of verification
-// points across a heartbeat-tracked worker set, dispatch with per-shard
-// timeouts, full-jitter retry, death-driven reassignment and hedged
-// duplicates for stragglers, and graceful degradation to local
-// execution when no worker is healthy. The package is transport- and
-// daemon-agnostic: internal/msd supplies the HTTP executor, the local
-// fallback and the verdict cache; everything here is deterministic
-// given the same membership events, which is what lets the chaos tests
-// assert byte-identical verdicts against a single-node run.
+// points across a heartbeat-tracked worker set, and one dispatch rule.
+// Each point walks its rendezvous rank over the healthy workers: a leg
+// that fails (transport error, non-200, shard timeout, or its worker's
+// heartbeat expiring) or straggles past the hedge threshold starts a
+// leg on the next worker not yet tried, the first result wins, and a
+// used-up rank degrades to local execution. The package is transport-
+// and daemon-agnostic: internal/msd supplies the HTTP executor, the
+// local fallback and the verdict cache. A verdict is a pure function of
+// its point, so whichever worker answers, the bytes are the same, which
+// is what lets the chaos tests assert byte-identical verdicts against a
+// single-node run.
 package cluster
 
 import (
@@ -163,7 +166,7 @@ type PointResult struct {
 	// Worker is the ID of the worker that answered ("" for local).
 	Worker string `json:"worker,omitempty"`
 	// Degraded marks a point the coordinator executed locally because no
-	// worker was healthy (or every remote attempt failed).
+	// worker was healthy (or every ranked worker failed it).
 	Degraded bool `json:"degraded,omitempty"`
 }
 

@@ -103,6 +103,11 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "failed verdicts are not cacheable")
 		return
 	}
+	// A verdict computed for one point must never be served as another's.
+	if res.Key != "" && res.Key != key {
+		writeError(w, http.StatusBadRequest, "verdict key %q does not match path key %q", shortKey(res.Key), shortKey(key))
+		return
+	}
 	s.storePoint(key, res)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -704,6 +704,36 @@ func TestWorkerFillsFromCoordinatorStore(t *testing.T) {
 	_ = coord
 }
 
+// TestCachePutRejectsMismatchedKey: a verdict whose body names another
+// point's key is refused, so it can never be served under the path key.
+func TestCachePutRejectsMismatchedKey(t *testing.T) {
+	_, ts := newPointServer(t, Config{Coordinator: true}, nil)
+	key, err := cluster.Point{Workload: "ME-NAIVE", Runs: 2, Warmup: 2}.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := fakePointResult(5)
+	other.Key = strings.Repeat("0", len(key))
+	body, _ := json.Marshal(other)
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/api/v1/cache/"+key, bytes.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("mismatched-key put: %d want 400", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/api/v1/cache/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("get after mismatched put: %d want 404", resp.StatusCode)
+	}
+}
+
 // BenchmarkClusterThroughput measures coordinator batch throughput over
 // two in-process workers, in points per second. Seed offsets keep
 // every point's cache key distinct.

@@ -160,7 +160,11 @@ func (j *Job) view() jobView {
 	}
 	if !j.Finished.IsZero() {
 		v.Finished = j.Finished.UTC().Format(time.RFC3339Nano)
-		v.DurationMS = j.Finished.Sub(j.Started).Milliseconds()
+		// A job failed before it started (dropped at recovery) has no
+		// duration: Finished.Sub of a zero Started saturates.
+		if !j.Started.IsZero() {
+			v.DurationMS = j.Finished.Sub(j.Started).Milliseconds()
+		}
 	}
 	if j.Status == StatusDone {
 		sum := j.Summary
@@ -200,7 +204,9 @@ func (j *Job) progress() progressView {
 	case StatusRunning:
 		v.ElapsedMS = time.Since(j.Started).Milliseconds()
 	default:
-		v.ElapsedMS = j.Finished.Sub(j.Started).Milliseconds()
+		if !j.Started.IsZero() {
+			v.ElapsedMS = j.Finished.Sub(j.Started).Milliseconds()
+		}
 	}
 	if j.probe != nil {
 		s := j.probe.Snapshot()

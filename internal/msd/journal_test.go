@@ -222,6 +222,53 @@ func TestDaemonRecoveryRequeuesInterrupted(t *testing.T) {
 	}
 }
 
+// TestRecoveryDroppedJobHasNoDuration: a queued job that recovery drops
+// because the queue is full never started, so its view carries no
+// duration and its progress reports zero elapsed — on the restart that
+// drops it and on every later one.
+func TestRecoveryDroppedJobHasNoDuration(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"job-1", "job-2"} {
+		if _, err := j.append(journalRecord{Event: "submit", Time: time.Now(), ID: id, Req: &JobRequest{Source: "x"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for restart := 0; restart < 2; restart++ {
+		s, ts := newJournaledServer(t, dir, Config{Workers: 1, QueueSize: 1}, nil)
+		waitDone(t, ts.URL, "job-1")
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/job-2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view["status"] != string(StatusFailed) || !strings.Contains(fmt.Sprint(view["error"]), "queue full") {
+			t.Fatalf("restart %d: job-2 = %v, want failed: dropped at recovery", restart, view)
+		}
+		if d, ok := view["durationMillis"]; ok {
+			t.Errorf("restart %d: dropped job-2 reports durationMillis %v", restart, d)
+		}
+		if p, _ := getProgress(t, ts.URL, "job-2"); p.ElapsedMS != 0 {
+			t.Errorf("restart %d: dropped job-2 reports elapsedMillis %d", restart, p.ElapsedMS)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = s.Drain(ctx)
+		cancel()
+	}
+}
+
 // TestDaemonRecoveryReloadsArtifacts: a finished job survives a restart
 // with its verdict and downloadable artifacts intact.
 func TestDaemonRecoveryReloadsArtifacts(t *testing.T) {

@@ -81,8 +81,8 @@ go test -race -count=1 -run '^TestClusterSmoke$' ./cmd/msd
 echo "== second-signal force-exit smoke =="
 go test -race -count=1 -run '^TestSecondSignalForcesExit$' ./cmd/msd
 
-echo "== cluster chaos determinism (seeded worker kills/hangs vs single-node verdicts) =="
-go test -race -count=1 -run '^TestChaosClusterMatchesSingleNode$' ./internal/cluster
+echo "== cluster dispatch walk under -race x20 (dispatcher tests + seeded chaos vs single-node verdicts) =="
+go test -race -count=20 -run '^(TestDispatch|TestChaosClusterMatchesSingleNode)' ./internal/cluster
 
 echo "== msd cache-hit + audit smoke =="
 go test -race -count=1 \
