@@ -27,6 +27,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -409,15 +410,6 @@ func run(args []string) error {
 	return diffErr
 }
 
-// matrixCacheEntry is the cached form of one full matrix invocation:
-// the verdict text plus both rendered artifacts, so a replay is
-// byte-identical to the original run whatever outputs are requested.
-type matrixCacheEntry struct {
-	Text string `json:"text"`
-	JSON []byte `json:"json"` // rendered artifact, base64 so it round-trips verbatim
-	HTML string `json:"html"`
-}
-
 // showProgress rewrites a "run D/T done" line on stderr whenever the
 // probe's snapshot changes, polling it every 100ms. A sequential sweep
 // of cells verifications shares the probe, so its run total is the
@@ -475,6 +467,8 @@ func runMatrix(w microsampler.Workload, opts microsampler.Options, spec, jsonOut
 		mo.Probe = nil
 	}
 
+	// The cache entry is the artifact JSON: the verdict lines and the
+	// HTML derive from it, so a replay prints and writes the same bytes.
 	var cacheKey string
 	if disk != nil {
 		key, err := microsampler.MatrixCacheKey(w, mo)
@@ -483,21 +477,18 @@ func runMatrix(w microsampler.Workload, opts microsampler.Options, spec, jsonOut
 		}
 		cacheKey = key
 		if data, ok, err := disk.Get(key); err == nil && ok {
-			var ent matrixCacheEntry
-			if err := json.Unmarshal(data, &ent); err == nil {
+			var art microsampler.MatrixArtifact
+			err := json.Unmarshal(data, &art)
+			if err == nil && art.Workload == "" {
+				err = errors.New("no matrix artifact")
+			}
+			if err == nil {
 				fmt.Fprintln(os.Stderr, "microsampler: matrix replayed from cache")
-				fmt.Print(ent.Text)
-				if err := writeMatrixArtifacts(jsonOut, htmlOut, ent.JSON, ent.HTML); err != nil {
+				printMatrix(&art)
+				if err := writeMatrixArtifacts(jsonOut, htmlOut, &art, data); err != nil {
 					return err
 				}
-				if hd.active() {
-					var art microsampler.MatrixArtifact
-					if err := json.Unmarshal(ent.JSON, &art); err != nil {
-						return fmt.Errorf("cached matrix artifact: %w", err)
-					}
-					return hd.finishMatrix(&art, ent.JSON, 0)
-				}
-				return nil
+				return hd.finishMatrix(&art, data, 0)
 			}
 			fmt.Fprintln(os.Stderr, "microsampler: cache entry corrupt, re-verifying:", err)
 		}
@@ -511,60 +502,62 @@ func runMatrix(w microsampler.Workload, opts microsampler.Options, spec, jsonOut
 	if err != nil {
 		return err
 	}
-	var sb strings.Builder
-	leaky := m.LeakyCells()
-	fmt.Fprintf(&sb, "matrix %s: %d cells, %d leaky\n", m.Workload, len(m.Cells), len(leaky))
-	for _, c := range m.Cells {
-		switch {
-		case c.Err != "":
-			fmt.Fprintf(&sb, "  %-60s ERROR %s\n", c.Name, c.Err)
-		case c.Leaky:
-			units := make([]string, 0, len(c.Flagged))
-			for _, f := range c.Flagged {
-				units = append(units, fmt.Sprintf("%s V=%.3f", f.Unit, f.V))
-			}
-			fmt.Fprintf(&sb, "  %-60s LEAKY  %s\n", c.Name, strings.Join(units, ", "))
-		default:
-			fmt.Fprintf(&sb, "  %-60s clean\n", c.Name)
-		}
-	}
-	fmt.Print(sb.String())
-
 	art := microsampler.BuildMatrix(m)
+	printMatrix(art)
 	var artJSON []byte
 	if cacheKey != "" || jsonOut != "" || hd.active() {
 		if artJSON, err = art.JSON(); err != nil {
 			return err
 		}
 	}
-	var artHTML string
-	if cacheKey != "" || htmlOut != "" {
-		artHTML = art.HTML()
-	}
 	if cacheKey != "" {
-		ent := matrixCacheEntry{Text: sb.String(), JSON: artJSON, HTML: artHTML}
-		data, err := json.Marshal(ent)
-		if err == nil {
-			err = disk.Put(cacheKey, data)
-		}
-		if err != nil {
+		if err := disk.Put(cacheKey, artJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "microsampler: cache write:", err)
 		}
 	}
-	if err := writeMatrixArtifacts(jsonOut, htmlOut, artJSON, artHTML); err != nil {
+	if err := writeMatrixArtifacts(jsonOut, htmlOut, art, artJSON); err != nil {
 		return err
 	}
 	return hd.finishMatrix(art, artJSON, sweepElapsed)
 }
 
-func writeMatrixArtifacts(jsonOut, htmlOut string, artJSON []byte, artHTML string) error {
+// printMatrix prints a sweep's verdict, one line per cell. A leaky cell
+// whose provenance failed still prints LEAKY: its error is the
+// artifact's note, not the cell's.
+func printMatrix(art *microsampler.MatrixArtifact) {
+	leaky := 0
+	for _, c := range art.Cells {
+		if c.Leaky {
+			leaky++
+		}
+	}
+	fmt.Printf("matrix %s: %d cells, %d leaky\n", art.Workload, len(art.Cells), leaky)
+	for _, c := range art.Cells {
+		switch {
+		case c.Leaky:
+			units := make([]string, 0, len(c.Flagged))
+			for _, f := range c.Flagged {
+				units = append(units, fmt.Sprintf("%s V=%.3f", f.Unit, f.V))
+			}
+			fmt.Printf("  %-60s LEAKY  %s\n", c.Name, strings.Join(units, ", "))
+		case c.Err != "":
+			fmt.Printf("  %-60s ERROR %s\n", c.Name, c.Err)
+		default:
+			fmt.Printf("  %-60s clean\n", c.Name)
+		}
+	}
+}
+
+// writeMatrixArtifacts writes the artifact JSON and the HTML rendered
+// from the artifact to the requested files.
+func writeMatrixArtifacts(jsonOut, htmlOut string, art *microsampler.MatrixArtifact, artJSON []byte) error {
 	if jsonOut != "" {
 		if err := os.WriteFile(jsonOut, append(artJSON, '\n'), 0o644); err != nil {
 			return err
 		}
 	}
 	if htmlOut != "" {
-		if err := os.WriteFile(htmlOut, []byte(artHTML), 0o644); err != nil {
+		if err := os.WriteFile(htmlOut, []byte(art.HTML()), 0o644); err != nil {
 			return err
 		}
 	}

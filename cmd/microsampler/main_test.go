@@ -345,31 +345,32 @@ func TestRunJSONCacheReplay(t *testing.T) {
 func TestRunMatrixCacheReplay(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
-	out1 := filepath.Join(dir, "m1.json")
-	out2 := filepath.Join(dir, "m2.json")
-	args := func(out string) []string {
+	out := func(run, ext string) string { return filepath.Join(dir, run+"."+ext) }
+	args := func(run string) []string {
 		return []string{"-workload", "ME-NAIVE", "-runs", "2", "-warmup", "2",
 			"-matrix", "base=small;prefetch=none,stride",
-			"-cache-dir", cacheDir, "-matrix-out", out}
+			"-cache-dir", cacheDir, "-matrix-out", out(run, "json"), "-matrix-html", out(run, "html")}
 	}
-	first := captureStdout(t, func() error { return run(args(out1)) })
-	second := captureStdout(t, func() error { return run(args(out2)) })
+	first := captureStdout(t, func() error { return run(args("m1")) })
+	second := captureStdout(t, func() error { return run(args("m2")) })
 	if second != first {
 		t.Error("matrix replay text differs from the original sweep")
 	}
 	if n := countCacheBlobs(t, cacheDir); n != 1 {
 		t.Errorf("blobs after matrix replay = %d, want 1", n)
 	}
-	b1, err := os.ReadFile(out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("matrix artifact bytes differ across replay")
+	for _, ext := range []string{"json", "html"} {
+		b1, err := os.ReadFile(out("m1", ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := os.ReadFile(out("m2", ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("matrix %s artifact bytes differ across replay", ext)
+		}
 	}
 }
 

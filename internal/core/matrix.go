@@ -74,9 +74,11 @@ func DefaultGrid() GridSpec {
 //	axis=value,value;axis=value,...
 //
 // e.g. "base=small,mega;prefetch=none,stride;predictor=gshare,tage",
-// or "default" (any case) for DefaultGrid. Unknown axes or values, a
-// repeated axis (contradictory toggles), a repeated value (duplicate
-// cells), and empty specs are rejected.
+// or "default" (any case) for DefaultGrid. The parser checks only the
+// syntax — an empty spec, axis or value, or an axis without '=' — and
+// leaves the vocabulary to Validate: unknown axes or values, a repeated
+// axis (contradictory toggles) and a repeated value (duplicate cells)
+// are rejected there.
 func ParseGridSpec(s string) (GridSpec, error) {
 	var g GridSpec
 	s = strings.TrimSpace(s)
@@ -86,7 +88,6 @@ func ParseGridSpec(s string) (GridSpec, error) {
 	if strings.EqualFold(s, "default") {
 		return DefaultGrid(), nil
 	}
-	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -96,30 +97,12 @@ func ParseGridSpec(s string) (GridSpec, error) {
 		if !ok {
 			return g, fmt.Errorf("matrix: axis %q missing '=value,...'", part)
 		}
-		name = strings.TrimSpace(name)
-		def := axisDef(name)
-		if def == nil {
-			return g, fmt.Errorf("matrix: unknown axis %q (have %s)", name, axisNames())
-		}
-		if seen[name] {
-			return g, fmt.Errorf("matrix: axis %q listed twice (contradictory toggles)", name)
-		}
-		seen[name] = true
-		ax := Axis{Name: name}
-		dup := map[string]bool{}
+		ax := Axis{Name: strings.TrimSpace(name)}
 		for _, v := range strings.Split(vals, ",") {
 			v = strings.TrimSpace(v)
 			if v == "" {
-				return g, fmt.Errorf("matrix: axis %q has an empty value", name)
+				return g, fmt.Errorf("matrix: axis %q has an empty value", ax.Name)
 			}
-			if !validValue(def.values, v) {
-				return g, fmt.Errorf("matrix: axis %q has no value %q (have %s)",
-					name, v, strings.Join(def.values, ", "))
-			}
-			if dup[v] {
-				return g, fmt.Errorf("matrix: axis %q lists value %q twice (duplicate cells)", name, v)
-			}
-			dup[v] = true
 			ax.Values = append(ax.Values, v)
 		}
 		g.Axes = append(g.Axes, ax)

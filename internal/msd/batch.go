@@ -36,8 +36,8 @@ type BatchEntry struct {
 	Source   string `json:"source,omitempty"`
 
 	// Matrix explodes this entry across a configuration grid ("default"
-	// or an "axis=v1|v2,..." spec — core.ParseGridSpec). Cell, Config and
-	// FastBypass are ignored when set.
+	// or an "axis=v1,v2;axis=..." spec — core.ParseGridSpec). Cell,
+	// Config and FastBypass are ignored when set.
 	Matrix string `json:"matrix,omitempty"`
 	// Cell pins one grid cell by its canonical name; Config/FastBypass
 	// select a plain configuration when both Matrix and Cell are empty.
@@ -249,18 +249,7 @@ func (s *Server) handleBatchList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	b, ok := s.batches[r.PathValue("id")]
-	var view batchView
-	if ok {
-		view = b.view(true)
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown batch %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	serveView(s, w, s.batches, "batch", r.PathValue("id"), func(b *Batch) batchView { return b.view(true) })
 }
 
 // runBatch drives a batch's unresolved points to terminal results and

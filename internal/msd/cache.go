@@ -17,21 +17,17 @@ import (
 // fsync'd disk layer colocated with the journal that survives
 // restarts.
 
-// jobCacheKey returns the content-addressed key of a job request's
-// artifact set, or "" when the request cannot be keyed (an invalid
-// request never reaches the cache — submit validates first — so ""
-// only means "do not cache"). A report job's base is its point's
-// core.CacheKey, the key a batch point of the same tuple gets.
-func jobCacheKey(req JobRequest) string {
-	w, opts, grid, err := req.resolve()
-	if err != nil {
-		return ""
-	}
+// cacheKey returns the content-addressed key of an admitted job's
+// artifact set, from the request it resolved at admission, or "" when
+// it cannot be keyed ("do not cache"). A report job's base is its
+// point's core.CacheKey, the key a batch point of the same tuple gets.
+func (j *Job) cacheKey() string {
 	var base string
-	if req.Matrix != "" {
-		base, err = core.MatrixCacheKey(w, core.MatrixOptions{Options: opts, Grid: grid})
+	var err error
+	if j.Req.Matrix != "" {
+		base, err = core.MatrixCacheKey(j.w, core.MatrixOptions{Options: j.opts, Grid: j.grid})
 	} else {
-		base, err = core.CacheKey(w, opts)
+		base, err = core.CacheKey(j.w, j.opts)
 	}
 	if err != nil {
 		return ""
@@ -41,7 +37,7 @@ func jobCacheKey(req JobRequest) string {
 	h := cache.NewHasher()
 	h.Str("schema", "msd-job-v1")
 	h.Str("base", base)
-	h.Int("heatmapWindows", int64(req.HeatmapWindows))
+	h.Int("heatmapWindows", int64(j.Req.HeatmapWindows))
 	return h.Sum()
 }
 

@@ -286,8 +286,9 @@ func FuzzCacheKey(f *testing.F) {
 	})
 }
 
-// TestSingleflightDedupesInFlightJobs: two identical jobs running
-// concurrently share one verification; the follower is marked cached.
+// TestSingleflightDedupesInFlightJobs: an identical job submitted while
+// another runs follows it and shares its one verification; the
+// follower is marked cached.
 func TestSingleflightDedupesInFlightJobs(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
@@ -300,23 +301,24 @@ func TestSingleflightDedupesInFlightJobs(t *testing.T) {
 	req := JobRequest{Source: "nop"}
 	a, _ := submitJob(t, ts.URL, req)
 	b, _ := submitJob(t, ts.URL, req)
-	// Wait until both jobs are running (each on its own worker), then
-	// give the follower a beat to join the in-flight call before the
-	// leader is released.
-	for _, id := range []string{a.ID, b.ID} {
+	// The leader runs on a worker; the follower waits queued without
+	// one, however long the leader takes.
+	for _, w := range []struct {
+		id     string
+		status JobStatus
+	}{{a.ID, StatusRunning}, {b.ID, StatusQueued}} {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			v, code := getView(t, ts.URL, id)
-			if code == http.StatusOK && v.Status == string(StatusRunning) {
+			v, code := getView(t, ts.URL, w.id)
+			if code == http.StatusOK && v.Status == string(w.status) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("job %s never started", id)
+				t.Fatalf("job %s never %s", w.id, w.status)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	time.Sleep(100 * time.Millisecond)
 	close(gate)
 
 	av, bv := waitDone(t, ts.URL, a.ID), waitDone(t, ts.URL, b.ID)

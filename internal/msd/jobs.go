@@ -86,12 +86,6 @@ func (r JobRequest) resolve() (core.Workload, core.Options, core.GridSpec, error
 	return w, opts, grid, err
 }
 
-// validate reports user errors.
-func (r JobRequest) validate() error {
-	_, _, _, err := r.resolve()
-	return err
-}
-
 // Job is one tracked verification: the request, its lifecycle
 // timestamps, and — once done — the rendered artifacts. Fields are
 // guarded by the server mutex; artifacts are written once before the
@@ -108,12 +102,23 @@ type Job struct {
 	// Summary is a done job's verdict — of the whole sweep for a
 	// matrix job (Req.Matrix set).
 	core.Summary
-	// Cached marks a done job whose verdict came from the
-	// content-addressed cache (or was deduplicated onto an identical
-	// in-flight job) instead of a fresh simulation.
+	// Cached marks a done job that ran no simulation of its own:
+	// admission answered it from the content-addressed cache, or made it
+	// the follower of an identical queued or running job and it finished
+	// with that job's result.
 	Cached bool
 
 	artifacts map[string]artifact
+
+	// Set at admission: what the request resolves to, and the artifact
+	// set's cache key ("" with caching off or when it cannot be keyed).
+	w    core.Workload
+	opts core.Options
+	grid core.GridSpec
+	key  string
+	// followers are the identical jobs admitted while this one was
+	// queued or running; they finish with its result.
+	followers []*Job
 
 	// probe is the live progress view of the running verification,
 	// installed by the worker just before the job starts and read by
@@ -160,11 +165,9 @@ func (j *Job) view() jobView {
 	}
 	if !j.Finished.IsZero() {
 		v.Finished = j.Finished.UTC().Format(time.RFC3339Nano)
-		// A job failed before it started (dropped at recovery) has no
-		// duration: Finished.Sub of a zero Started saturates.
-		if !j.Started.IsZero() {
-			v.DurationMS = j.Finished.Sub(j.Started).Milliseconds()
-		}
+		// Every finished job has started: one that never ran (a cache
+		// hit, a follower, a job dropped at recovery) starts as it ends.
+		v.DurationMS = j.Finished.Sub(j.Started).Milliseconds()
 	}
 	if j.Status == StatusDone {
 		sum := j.Summary
@@ -204,9 +207,7 @@ func (j *Job) progress() progressView {
 	case StatusRunning:
 		v.ElapsedMS = time.Since(j.Started).Milliseconds()
 	default:
-		if !j.Started.IsZero() {
-			v.ElapsedMS = j.Finished.Sub(j.Started).Milliseconds()
-		}
+		v.ElapsedMS = j.Finished.Sub(j.Started).Milliseconds()
 	}
 	if j.probe != nil {
 		s := j.probe.Snapshot()

@@ -222,6 +222,40 @@ func TestDaemonRecoveryRequeuesInterrupted(t *testing.T) {
 	}
 }
 
+// TestRecoveredRerunCarriesNoStaleError: a job interrupted by a crash,
+// re-run and finished by the next incarnation is plainly done at every
+// later restart, without the interruption's error on its view.
+func TestRecoveredRerunCarriesNoStaleError(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, rec := range []journalRecord{
+		{Event: "submit", Time: now, ID: "job-1", Req: &JobRequest{Source: "x"}},
+		{Event: "start", Time: now, ID: "job-1"},
+		{Event: "interrupted", Time: now, ID: "job-1"},
+		{Event: "start", Time: now, ID: "job-1"},
+		{Event: "done", Time: now, ID: "job-1", Summary: &core.Summary{Leaky: true}},
+	} {
+		if _, err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.writeArtifacts("job-1", map[string]artifact{"report": {"application/json", []byte("{}")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newJournaledServer(t, dir, Config{Workers: 1}, nil)
+	defer drainNow(t, s)
+	if v, _ := getView(t, ts.URL, "job-1"); v.Status != string(StatusDone) || v.Error != "" {
+		t.Errorf("re-run job-1 recovered as %s with error %q, want done without one", v.Status, v.Error)
+	}
+}
+
 // TestRecoveryDroppedJobHasNoDuration: a queued job that recovery drops
 // because the queue is full never started, so its view carries no
 // duration and its progress reports zero elapsed — on the restart that

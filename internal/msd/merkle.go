@@ -73,17 +73,23 @@ func merkleNode(l, r [32]byte) [32]byte {
 func merkleRoot(leaves [][32]byte) [32]byte {
 	level := leaves
 	for len(level) > 1 {
-		next := make([][32]byte, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, merkleNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
+		level = merkleUp(level)
 	}
 	return level[0]
+}
+
+// merkleUp hashes one tree level into the next, promoting an odd last
+// node unchanged.
+func merkleUp(level [][32]byte) [][32]byte {
+	next := make([][32]byte, 0, (len(level)+1)/2)
+	for i := 0; i < len(level); i += 2 {
+		if i+1 < len(level) {
+			next = append(next, merkleNode(level[i], level[i+1]))
+		} else {
+			next = append(next, level[i])
+		}
+	}
+	return next
 }
 
 // chainNext advances the root chain: H(prev || root).
@@ -114,15 +120,7 @@ func inclusionProof(leaves [][32]byte, idx int) []proofStep {
 				Left: sib < idx,
 			})
 		}
-		next := make([][32]byte, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, merkleNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
+		level = merkleUp(level)
 		idx /= 2
 	}
 	return proof
@@ -172,7 +170,7 @@ func (a *auditor) observe(jobID string, line []byte) (journalRecord, bool) {
 	if len(a.pending) < a.batchSize {
 		return journalRecord{}, false
 	}
-	return a.sealLocked(), true
+	return a.sealLocked(len(a.pending)), true
 }
 
 // flush seals a partial pending batch (drain path); reports false when
@@ -183,11 +181,13 @@ func (a *auditor) flush() (journalRecord, bool) {
 	if len(a.pending) == 0 {
 		return journalRecord{}, false
 	}
-	return a.sealLocked(), true
+	return a.sealLocked(len(a.pending)), true
 }
 
-func (a *auditor) sealLocked() journalRecord {
-	root := merkleRoot(a.pending)
+// sealLocked seals the oldest n pending leaves into a batch under one
+// root and returns the audit record that persists it.
+func (a *auditor) sealLocked(n int) journalRecord {
+	root := merkleRoot(a.pending[:n])
 	prev := a.chain
 	a.chain = chainNext(prev, root)
 	first := a.seq - len(a.pending) + 1
@@ -195,18 +195,17 @@ func (a *auditor) sealLocked() journalRecord {
 		first:  first,
 		root:   root,
 		chain:  a.chain,
-		leaves: a.pending,
-		ids:    a.pendIDs,
+		leaves: a.pending[:n:n],
+		ids:    a.pendIDs[:n:n],
 	})
-	rec := journalRecord{
+	a.pending, a.pendIDs = a.pending[n:], a.pendIDs[n:]
+	return journalRecord{
 		Event: "audit",
 		Root:  hex.EncodeToString(root[:]),
 		Prev:  hex.EncodeToString(prev[:]),
 		First: first,
-		Count: len(a.pending),
+		Count: n,
 	}
-	a.pending, a.pendIDs = nil, nil
-	return rec
 }
 
 // replay rebuilds the auditor's state from a previous incarnation's raw
@@ -228,18 +227,7 @@ func (a *auditor) replay(raw []byte) {
 			// torn audit line) keeps the extra leaves pending so they are
 			// re-audited rather than silently lost.
 			if rec.Count > 0 && rec.Count <= len(a.pending) {
-				covered := a.pending[:rec.Count]
-				root := merkleRoot(covered)
-				a.chain = chainNext(a.chain, root)
-				a.batches = append(a.batches, auditBatch{
-					first:  a.seq - len(a.pending) + 1,
-					root:   root,
-					chain:  a.chain,
-					leaves: covered,
-					ids:    a.pendIDs[:rec.Count],
-				})
-				a.pending = a.pending[rec.Count:]
-				a.pendIDs = a.pendIDs[rec.Count:]
+				a.sealLocked(rec.Count)
 			}
 		}
 	})

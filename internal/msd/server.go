@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -59,10 +60,10 @@ type Config struct {
 	// CacheEntries enables the content-addressed verdict cache: up to
 	// this many finished jobs' artifact sets are retained (LRU) keyed by
 	// the canonical hash of (program, config, seed range,
-	// detection-relevant options), and a resubmission with the same key
-	// is served the identical bytes without simulating. Identical
-	// requests already in flight are deduplicated onto one computation.
-	// Zero disables caching.
+	// detection-relevant options). Admission answers a resubmission with
+	// the same key at once, done with the identical bytes, and makes a
+	// twin of a queued or running job its follower: neither takes a queue
+	// slot or a worker. Zero disables caching.
 	CacheEntries int
 	// CacheDir, when non-empty (and CacheEntries is positive), adds an
 	// fsync'd disk layer under this directory: cached verdicts survive a
@@ -147,7 +148,9 @@ type Server struct {
 	mux *http.ServeMux
 
 	queue chan *Job
-	wg    sync.WaitGroup
+	// wg counts the workers and the submissions finishing a cache hit,
+	// so Drain outlasts both.
+	wg sync.WaitGroup
 
 	jrn *journal // nil when persistence is disabled
 	aud *auditor // nil when persistence is disabled
@@ -157,7 +160,7 @@ type Server struct {
 
 	// cache is the content-addressed verdict store (nil when disabled);
 	// cacheDisk its optional persistent layer; flight deduplicates
-	// identical in-flight jobs onto one computation.
+	// identical in-flight point verdicts onto one computation.
 	cache     *cache.LRU
 	cacheDisk *cache.Disk
 	flight    cache.Group
@@ -182,8 +185,11 @@ type Server struct {
 	batchOrder  []string
 	nextBatchID int
 	draining    bool
-	// ewmaJobSec tracks typical job duration (exponentially weighted)
-	// to compute the Retry-After hint when the queue saturates.
+	// leaders maps a cache key to the queued or running job computing
+	// it; admission makes an identical job that job's follower.
+	leaders map[string]*Job
+	// ewmaJobSec tracks typical worker-run job duration (exponentially
+	// weighted) to compute the Retry-After hint when the queue saturates.
 	ewmaJobSec float64
 
 	queueDepth  *telemetry.Gauge
@@ -260,6 +266,7 @@ func New(cfg Config) (*Server, error) {
 		reg:         cfg.Metrics,
 		queue:       make(chan *Job, cfg.QueueSize),
 		jobs:        make(map[string]*Job),
+		leaders:     make(map[string]*Job),
 		batches:     make(map[string]*Batch),
 		members:     cluster.NewMembership(cfg.WorkerTTL),
 		clusterHTTP: &http.Client{},
@@ -355,26 +362,18 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 				j.Status = StatusRunning
 				j.Started = r.Time
 			}
-		case "done":
+		case "done", "failed", "interrupted":
+			// The terminal events are named after the statuses they set. A
+			// job finished without running journals no start.
 			if j := s.jobs[r.ID]; j != nil {
-				j.Status = StatusDone
-				j.Finished = r.Time
+				j.Status, j.Err, j.Cached = JobStatus(r.Event), r.Err, r.Cached
+				j.Started, j.Finished = cmp.Or(j.Started, r.Time), r.Time
 				if r.Summary != nil {
 					j.Summary = *r.Summary
 				}
-				j.Cached = r.Cached
-			}
-		case "failed":
-			if j := s.jobs[r.ID]; j != nil {
-				j.Status = StatusFailed
-				j.Finished = r.Time
-				j.Err = r.Err
-			}
-		case "interrupted":
-			if j := s.jobs[r.ID]; j != nil {
-				j.Status = StatusInterrupted
-				j.Finished = r.Time
-				j.Err = "interrupted by daemon restart"
+				if r.Event == "interrupted" {
+					j.Err = "interrupted by daemon restart"
+				}
 			}
 		case "evict":
 			delete(s.jobs, r.ID)
@@ -382,22 +381,9 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 		}
 	}
 
-	requeue := func(j *Job) {
-		select {
-		case s.queue <- j:
-			j.Status = StatusQueued
-			j.Err = ""
-			j.Started, j.Finished = time.Time{}, time.Time{}
-			s.recovered.Inc()
-			s.log.Info("job recovered", "run_id", j.ID, "workload", j.workloadName())
-		default:
-			j.Status = StatusFailed
-			j.Finished = time.Now()
-			j.Err = "dropped at recovery: queue full"
-			s.journal(journalRecord{Event: "failed", Time: j.Finished, ID: j.ID, Err: j.Err})
-			s.log.Warn("recovered job dropped: queue full", "run_id", j.ID)
-		}
-	}
+	// Jobs to re-admit are collected first: finishing one at admission
+	// may evict, which rewrites s.order.
+	var requeue []*Job
 	for _, id := range s.order {
 		j := s.jobs[id]
 		switch j.Status {
@@ -426,10 +412,31 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 			s.journal(journalRecord{Event: "interrupted", Time: j.Finished, ID: id})
 			s.log.Warn("job interrupted by restart", "run_id", id)
 			if s.cfg.RequeueInterrupted {
-				requeue(j)
+				requeue = append(requeue, j)
 			}
 		case StatusQueued:
-			requeue(j)
+			requeue = append(requeue, j)
+		}
+	}
+	for _, j := range requeue {
+		// An interrupted job keeps its journaled start until it runs
+		// again, the start a later restart reads back if it never does.
+		j.Status, j.Err, j.Finished = StatusQueued, "", time.Time{}
+		var hit *cachedJob
+		var err error
+		if j.w, j.opts, j.grid, err = j.Req.resolve(); err == nil {
+			s.mu.Lock()
+			hit, err = s.admitLocked(j)
+			s.mu.Unlock()
+		}
+		if err != nil {
+			s.finish(j, nil, fmt.Errorf("dropped at recovery: %w", err), true)
+			continue
+		}
+		s.recovered.Inc()
+		s.log.Info("job recovered", "run_id", j.ID, "workload", j.workloadName())
+		if hit != nil {
+			s.finish(j, hit, nil, true)
 		}
 	}
 }
@@ -605,9 +612,9 @@ func (s *Server) handleSubmitMatrix(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, r, "default")
 }
 
-// submit decodes and validates a job request — an absent matrix field
-// takes defaultMatrix — admits it into the job queue and answers the
-// submission request.
+// submit decodes and resolves a job request — an absent matrix field
+// takes defaultMatrix — admits it and answers the submission request
+// with the job's view: done already when admission found it cached.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix string) {
 	var req JobRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -615,7 +622,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 		return
 	}
 	req.Matrix = cmp.Or(req.Matrix, defaultMatrix)
-	if err := req.validate(); err != nil {
+	job := &Job{Req: req, Status: StatusQueued}
+	var err error
+	if job.w, job.opts, job.grid, err = req.resolve(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -627,18 +636,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 		return
 	}
 	s.nextID++
-	job := &Job{
-		ID:        fmt.Sprintf("job-%d", s.nextID),
-		Req:       req,
-		Status:    StatusQueued,
-		Submitted: time.Now(),
-	}
-	// Reserve the queue slot while holding the lock: draining flips
-	// before close(queue), so a reserved send cannot hit a closed
-	// channel.
-	select {
-	case s.queue <- job:
-	default:
+	job.ID = fmt.Sprintf("job-%d", s.nextID)
+	job.Submitted = time.Now()
+	hit, err := s.admitLocked(job)
+	if err != nil {
 		retryAfter := s.retryAfterLocked()
 		s.mu.Unlock()
 		s.rejected.Inc()
@@ -655,12 +656,58 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 	s.journal(journalRecord{Event: "submit", Time: job.Submitted, ID: job.ID, Req: &job.Req})
 	evicted := s.evictLocked("")
 	view := job.view()
+	if hit != nil {
+		s.wg.Add(1) // Drain waits for the finish; it is not draining yet
+	}
 	s.mu.Unlock()
 
 	s.dropEvicted(evicted)
 	s.submitted.Inc()
-	s.log.Info("job submitted", "run_id", view.ID, "workload", view.Workload)
+	s.log.Info("job submitted", "run_id", job.ID, "workload", job.workloadName())
+	if hit != nil {
+		s.finish(job, hit, nil, true)
+		s.wg.Done()
+		s.mu.Lock()
+		view = job.view()
+		s.mu.Unlock()
+	}
 	writeJSON(w, http.StatusAccepted, view)
+}
+
+// errQueueFull refuses a job that needs a queue slot when none is free.
+var errQueueFull = errors.New("queue full")
+
+// admitLocked decides the path of a job whose request is resolved: a
+// cache hit (memory, then disk) is returned for the caller to finish
+// the job with; a twin of a queued or running job becomes its follower;
+// anything else is queued, or refused with errQueueFull. The caller
+// holds s.mu and has checked s.draining, so the queue is open.
+func (s *Server) admitLocked(job *Job) (*cachedJob, error) {
+	if s.cache != nil {
+		job.key = job.cacheKey()
+	}
+	if job.key != "" {
+		if cj, ok := cacheLoad(s, job.key, decodeCachedJob); ok {
+			s.cacheHits.Inc()
+			s.log.Info("job served from cache", "run_id", job.ID, "cache_key", job.key[:12])
+			return cj, nil
+		}
+		s.cacheMisses.Inc()
+		if lead := s.leaders[job.key]; lead != nil {
+			lead.followers = append(lead.followers, job)
+			s.log.Info("job follows identical in-flight job", "run_id", job.ID, "leader", lead.ID)
+			return nil, nil
+		}
+	}
+	select {
+	case s.queue <- job:
+	default:
+		return nil, errQueueFull
+	}
+	if job.key != "" {
+		s.leaders[job.key] = job
+	}
+	return nil, nil
 }
 
 // evictLocked drops the oldest finished jobs beyond the retention
@@ -756,18 +803,24 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	serveView(s, w, s.jobs, "job", r.PathValue("id"), (*Job).view)
+}
+
+// serveView answers the view of one job or batch, snapshotted under
+// s.mu, or 404 when the table has no such entry.
+func serveView[T, V any](s *Server, w http.ResponseWriter, table map[string]T, kind, id string, view func(T) V) {
 	s.mu.Lock()
-	job, ok := s.jobs[r.PathValue("id")]
-	var view jobView
+	e, ok := table[id]
+	var v V
 	if ok {
-		view = job.view()
+		v = view(e)
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		writeError(w, http.StatusNotFound, "unknown %s %q", kind, id)
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	writeJSON(w, http.StatusOK, v)
 }
 
 // handleAudit serves the tamper-evidence surface: the chained Merkle
@@ -795,32 +848,17 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) oldestQueuedAge() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var oldest time.Time
+	// s.order is submission order: the first queued job waited longest.
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.Status == StatusQueued && (oldest.IsZero() || j.Submitted.Before(oldest)) {
-			oldest = j.Submitted
+		if j := s.jobs[id]; j.Status == StatusQueued {
+			return time.Since(j.Submitted)
 		}
 	}
-	if oldest.IsZero() {
-		return 0
-	}
-	return time.Since(oldest)
+	return 0
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	job, ok := s.jobs[r.PathValue("id")]
-	var view progressView
-	if ok {
-		view = job.progress()
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	serveView(s, w, s.jobs, "job", r.PathValue("id"), (*Job).progress)
 }
 
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
@@ -857,6 +895,8 @@ func (s *Server) worker(n int) {
 	s.log.Debug("msd worker exiting", "worker", n)
 }
 
+// runJob verifies a queued job, files the result in the cache and
+// finishes the job and its followers with it.
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	job.Status = StatusRunning
@@ -875,53 +915,37 @@ func (s *Server) runJob(job *Job) {
 	s.waitSeconds.Observe(job.Started.Sub(job.Submitted).Seconds())
 	s.log.Info("job started", "run_id", job.ID, "workload", job.workloadName())
 
-	var (
-		arts   map[string]artifact
-		err    error
-		sum    core.Summary
-		cached bool
-	)
-	var key string
-	if s.cache != nil {
-		key = jobCacheKey(job.Req)
+	cj, err := s.computeJob(job)
+	if err == nil && job.key != "" {
+		s.cacheStore(job.key, cj, cj.encode)
 	}
-	if key != "" {
-		if cj, ok := cacheLoad(s, key, decodeCachedJob); ok {
-			arts, sum, cached = cj.arts, cj.sum, true
-			s.cacheHits.Inc()
-			s.log.Info("job served from cache", "run_id", job.ID, "cache_key", key[:12])
-		} else {
-			s.cacheMisses.Inc()
-		}
-	}
-	switch {
-	case cached:
-	case key != "":
-		// Deduplicate identical in-flight jobs: followers block on the
-		// leader's computation and share its artifact set instead of
-		// simulating the same tuple twice.
-		v, ferr, shared := s.flight.Do(key, func() (any, error) {
-			a, su, cerr := s.computeJob(job)
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &cachedJob{arts: a, sum: su}, nil
-		})
-		err = ferr
+	// Retire the leader only after the store: a twin admitted from here
+	// on hits the cache; one admitted before is already a follower.
+	s.mu.Lock()
+	delete(s.leaders, job.key)
+	followers := job.followers
+	s.mu.Unlock()
+	s.inflight.Add(-1)
+
+	s.finish(job, cj, err, false)
+	for _, f := range followers {
 		if err == nil {
-			cj := v.(*cachedJob)
-			arts, sum = cj.arts, cj.sum
-			if shared {
-				cached = true
-				s.deduped.Inc()
-				s.log.Info("job deduplicated onto identical in-flight job",
-					"run_id", job.ID, "cache_key", key[:12])
-			} else {
-				s.cacheStore(key, cj, cj.encode)
-			}
+			s.deduped.Inc()
 		}
-	default:
-		arts, sum, err = s.computeJob(job)
+		s.finish(f, cj, err, true)
+	}
+}
+
+// finish ends a job on every path — worker-run, cache hit, follower or
+// dropped at recovery — with its artifact set and verdict or its error:
+// it persists, journals, files the history record, publishes the status
+// and evicts. cached marks a job that ran no verification of its own;
+// only the others feed the Retry-After estimate of worker throughput.
+func (s *Server) finish(job *Job, cj *cachedJob, err error, cached bool) {
+	var arts map[string]artifact
+	var sum core.Summary
+	if err == nil {
+		arts, sum = cj.arts, cj.sum
 	}
 	// Flush the artifacts to stable storage BEFORE anything marks the
 	// job finished: eviction only touches terminal jobs, so a job whose
@@ -945,7 +969,10 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 
+	// A job finished without running starts as it finishes, the instant
+	// recovery reads back from its terminal record.
 	finished := time.Now()
+	started := cmp.Or(job.Started, finished)
 	if err != nil {
 		s.journal(journalRecord{Event: "failed", Time: finished, ID: job.ID, Err: err.Error()})
 	} else {
@@ -956,12 +983,12 @@ func (s *Server) runJob(job *Job) {
 		}
 		s.recordHistory(history.Record{
 			Label: job.Req.Label, Workload: job.workloadName(), Kind: kind, Summary: sum,
-			ElapsedMillis: finished.Sub(job.Started).Milliseconds(),
+			ElapsedMillis: finished.Sub(started).Milliseconds(),
 		}, art.data, job.ID)
 	}
 
 	s.mu.Lock()
-	job.Finished = finished
+	job.Started, job.Finished = started, finished
 	job.artifacts = arts
 	if err != nil {
 		job.Status = StatusFailed
@@ -971,12 +998,14 @@ func (s *Server) runJob(job *Job) {
 		job.Summary = sum
 		job.Cached = cached
 	}
-	dur := job.Finished.Sub(job.Started)
-	const alpha = 0.3 // favour recent jobs without whiplash
-	if s.ewmaJobSec == 0 {
-		s.ewmaJobSec = dur.Seconds()
-	} else {
-		s.ewmaJobSec = alpha*dur.Seconds() + (1-alpha)*s.ewmaJobSec
+	dur := finished.Sub(started)
+	if !cached {
+		const alpha = 0.3 // favour recent jobs without whiplash
+		if s.ewmaJobSec == 0 {
+			s.ewmaJobSec = dur.Seconds()
+		} else {
+			s.ewmaJobSec = alpha*dur.Seconds() + (1-alpha)*s.ewmaJobSec
+		}
 	}
 	// Other terminal jobs may now be past the retention bound: evicting
 	// here (not only on submit) lets a quiesced daemon converge to
@@ -987,7 +1016,6 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Unlock()
 	s.dropEvicted(evicted)
 
-	s.inflight.Add(-1)
 	s.jobSeconds.Observe(dur.Seconds())
 	if err != nil {
 		s.failed.Inc()
@@ -1003,16 +1031,12 @@ func (s *Server) runJob(job *Job) {
 // the panic guard and renders its artifact set — the cacheable unit of
 // work. Both kinds run their simulations on one worker per CPU; a
 // matrix job verifies its cells in sequence, sharing the live probe.
-func (s *Server) computeJob(job *Job) (map[string]artifact, core.Summary, error) {
-	w, opts, grid, err := job.Req.resolve()
-	if err != nil {
-		return nil, core.Summary{}, err
-	}
-	opts = s.execOptions(opts, job.ID)
+func (s *Server) computeJob(job *Job) (*cachedJob, error) {
+	opts := s.execOptions(job.opts, job.ID)
 	opts.Parallel = core.ParallelAuto
 	opts.Probe = job.probe
 	if job.Req.Matrix != "" {
-		mo := core.MatrixOptions{Options: opts, Grid: grid}
+		mo := core.MatrixOptions{Options: opts, Grid: job.grid}
 		// Matrix artifacts render no stage breakdown, so the untraced
 		// timing pass would only double every cell's simulation.
 		mo.MeasureStages = false
@@ -1021,14 +1045,14 @@ func (s *Server) computeJob(job *Job) (map[string]artifact, core.Summary, error)
 			if s.cfg.verifyMatrix != nil {
 				m, err = s.cfg.verifyMatrix(job)
 			} else {
-				m, err = core.VerifyMatrix(w, mo)
+				m, err = core.VerifyMatrix(job.w, mo)
 			}
 			return err
 		}); err != nil {
-			return nil, core.Summary{}, err
+			return nil, err
 		}
 		arts, err := renderMatrixArtifacts(m)
-		return arts, m.Summary(), err
+		return &cachedJob{arts, m.Summary()}, err
 	}
 	opts.FlightRecorderFrames = s.cfg.FlightFrames
 	var rep *core.Report
@@ -1036,14 +1060,14 @@ func (s *Server) computeJob(job *Job) (map[string]artifact, core.Summary, error)
 		if s.cfg.verify != nil {
 			rep, err = s.cfg.verify(job)
 		} else {
-			rep, err = core.Verify(w, opts)
+			rep, err = core.Verify(job.w, opts)
 		}
 		return err
 	}); err != nil {
-		return nil, core.Summary{}, err
+		return nil, err
 	}
 	arts, err := renderArtifacts(rep, job.Req.HeatmapWindows)
-	return arts, rep.Summary(), err
+	return &cachedJob{arts, rep.Summary()}, err
 }
 
 // execOptions stamps the daemon's execution options onto a resolved
