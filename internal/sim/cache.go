@@ -128,18 +128,41 @@ type tlbEntry struct {
 type tlb struct {
 	entries []tlbEntry
 	scratch []tlbEntry // reused by recencyScratch; no per-cycle allocation
+
+	// gen counts the changes of the recency order, the TLB-ADDR row's
+	// change mark. mru is the entry known to be used strictly more
+	// recently than every other (-1: none known), and touched the cycle
+	// of the latest use.
+	gen     uint64
+	mru     int
+	touched int64
 }
 
-func newTLB(n int) *tlb { return &tlb{entries: make([]tlbEntry, n)} }
+func newTLB(n int) *tlb { return &tlb{entries: make([]tlbEntry, n), mru: -1} }
 
 func (t *tlb) lookup(page uint64, now int64) bool {
 	for i := range t.entries {
 		if t.entries[i].valid && t.entries[i].page == page {
-			t.entries[i].lastUse = now
+			t.touch(i, now)
 			return true
 		}
 	}
 	return false
+}
+
+// touch marks entry i used at now. That leaves the recency order as it
+// was only when i already led it strictly; afterwards i leads it
+// strictly unless another entry was used in the same cycle.
+func (t *tlb) touch(i int, now int64) {
+	t.entries[i].lastUse = now
+	if i != t.mru {
+		t.gen++
+		t.mru = i
+		if t.touched == now {
+			t.mru = -1
+		}
+	}
+	t.touched = now
 }
 
 func (t *tlb) insert(page uint64, now int64) {
@@ -153,7 +176,9 @@ func (t *tlb) insert(page uint64, now int64) {
 			victim = i
 		}
 	}
-	t.entries[victim] = tlbEntry{page: page, valid: true, lastUse: now}
+	t.entries[victim] = tlbEntry{page: page, valid: true}
+	t.mru = -1 // the entry's page changed
+	t.touch(victim, now)
 }
 
 // recencyOrdered returns the valid pages most-recently-used first, as a
@@ -247,6 +272,10 @@ type dcache struct {
 	// Demand request addresses observed this cycle (Cache-ADDR feature).
 	reqThisCycle []reqEvent
 
+	// Change marks: each counts the writes to a structure that a probe
+	// row reads, fills and expiries included.
+	lfbGen, nlpGen, spfGen, mshrGen, reqGen uint64
+
 	// Statistics.
 	hits, misses, tlbMisses, prefetches uint64
 	// Prefetcher accuracy: fills later demanded vs fills evicted (or
@@ -295,11 +324,15 @@ func (d *dcache) accountEvicted(evicted cacheLine) {
 
 // tick retires completed fills and expires fill-buffer entries.
 func (d *dcache) tick(now int64) {
-	d.reqThisCycle = d.reqThisCycle[:0]
+	if len(d.reqThisCycle) > 0 {
+		d.reqThisCycle = d.reqThisCycle[:0]
+		d.reqGen++
+	}
 	for i := range d.mshrs {
 		if d.mshrs[i].valid && d.mshrs[i].fillAt <= now {
 			d.accountEvicted(d.cache.fill(d.mshrs[i].lineAddr, now, pfNone))
 			d.mshrs[i].valid = false
+			d.mshrGen++
 		}
 	}
 	for i := range d.nlp {
@@ -310,6 +343,7 @@ func (d *dcache) tick(now int64) {
 			}
 			d.accountEvicted(d.cache.fill(d.nlp[i].lineAddr, now, src))
 			d.nlp[i].valid = false
+			d.nlpGen++
 		}
 	}
 	for i := range d.spf {
@@ -320,12 +354,18 @@ func (d *dcache) tick(now int64) {
 			}
 			d.accountEvicted(d.cache.fill(d.spf[i].lineAddr, now, src))
 			d.spf[i].valid = false
+			d.spfGen++
 		}
 	}
 	live := d.lfb[:d.lfbLive]
 	for i := range live {
-		if live[i].valid && live[i].freeAt <= now {
+		switch {
+		case !live[i].valid:
+		case live[i].freeAt <= now:
 			live[i].valid = false
+			d.lfbGen++
+		case live[i].fillAt == now: // LFB-Data shows the line from now on
+			d.lfbGen++
 		}
 	}
 	for d.lfbLive > 0 && !d.lfb[d.lfbLive-1].valid {
@@ -372,12 +412,25 @@ func (d *dcache) freeLFB() *lfbEntry {
 	return nil
 }
 
+// fillLFB takes fill-buffer slot f for the line, arriving at fill.
+func (d *dcache) fillLFB(f *lfbEntry, line uint64, fill int64) {
+	*f = lfbEntry{
+		valid:    true,
+		lineAddr: line,
+		data:     d.mem.Read(line<<d.cache.lineShift, 8),
+		fillAt:   fill,
+		freeAt:   fill + 3,
+	}
+	d.lfbGen++
+}
+
 // access models a demand load or store reaching the L1D. It returns the
 // cycle at which the data is available (load) or the write is accepted
 // (store), and ok=false when the request must be retried because all
 // MSHRs or fill-buffer slots are busy.
 func (d *dcache) access(now int64, addr, pc uint64) (done int64, ok bool) {
 	d.reqThisCycle = append(d.reqThisCycle, reqEvent{addr: addr, pc: pc})
+	d.reqGen++
 
 	penalty := int64(0)
 	page := addr / pageBytes
@@ -431,17 +484,11 @@ func (d *dcache) access(now int64, addr, pc uint64) (done int64, ok bool) {
 	}
 	fill := now + penalty + int64(d.cfg.MissLat)
 	*m = mshr{valid: true, lineAddr: line, fillAt: fill}
+	d.mshrGen++
 	if occ := d.mshrOccupancy(); occ > d.mshrHighWater {
 		d.mshrHighWater = occ
 	}
-	lineBase := line << d.cache.lineShift
-	*f = lfbEntry{
-		valid:    true,
-		lineAddr: line,
-		data:     d.mem.Read(lineBase, 8),
-		fillAt:   fill,
-		freeAt:   fill + 3,
-	}
+	d.fillLFB(f, line, fill)
 	return fill + 1, true
 }
 
@@ -477,14 +524,8 @@ func (d *dcache) maybePrefetch(now int64, line uint64) {
 			fill := now + int64(d.cfg.MissLat)
 			d.prefetches++
 			d.nlp[i] = mshr{valid: true, lineAddr: next, fillAt: fill, prefetch: true}
-			lineBase := next << d.cache.lineShift
-			*f = lfbEntry{
-				valid:    true,
-				lineAddr: next,
-				data:     d.mem.Read(lineBase, 8),
-				fillAt:   fill,
-				freeAt:   fill + 3,
-			}
+			d.nlpGen++
+			d.fillLFB(f, next, fill)
 			return
 		}
 	}
@@ -553,14 +594,8 @@ func (d *dcache) spfPrefetch(now int64, addr uint64, pc uint64) {
 			fill := now + int64(d.cfg.MissLat)
 			d.spfPrefetches++
 			d.spf[i] = mshr{valid: true, lineAddr: line, fillAt: fill, prefetch: true, trainPC: pc}
-			lineBase := line << d.cache.lineShift
-			*f = lfbEntry{
-				valid:    true,
-				lineAddr: line,
-				data:     d.mem.Read(lineBase, 8),
-				fillAt:   fill,
-				freeAt:   fill + 3,
-			}
+			d.spfGen++
+			d.fillLFB(f, line, fill)
 			return
 		}
 	}

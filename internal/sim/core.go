@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"microsampler/internal/isa"
 )
@@ -14,6 +13,31 @@ type fuSlot struct {
 	pc        uint64
 	seq       uint64
 }
+
+// fuPool is the set of instances of one functional-unit kind. gen
+// counts its acquires, for the change mark of its EUU row.
+type fuPool struct {
+	slots []fuSlot
+	gen   uint64
+}
+
+// acquire occupies the first free instance with u for lat cycles from
+// now. It reports false when every instance is busy.
+func (p *fuPool) acquire(now, lat int64, u *uop) bool {
+	for i := range p.slots {
+		if p.slots[i].busyUntil <= now {
+			p.slots[i] = fuSlot{busyUntil: now + lat, pc: u.pc, seq: u.seq}
+			p.gen++
+			return true
+		}
+	}
+	return false
+}
+
+// wheelSlots is the number of slots of the wake-up wheel, a power of
+// two. A uop due further ahead than that stays in its slot for another
+// turn.
+const wheelSlots = 64
 
 // Core is the out-of-order pipeline.
 type Core struct {
@@ -33,7 +57,7 @@ type Core struct {
 	// Front end.
 	fetchPC      uint64
 	fetchReadyAt int64
-	fetchBuf     window
+	fetchBuf     window[uopID]
 	fetchTrapped bool
 
 	// Rename state.
@@ -49,18 +73,43 @@ type Core struct {
 	freeUops []uopID
 
 	// Windows.
-	rob window
-	iq  window
-	ldq window
-	stq window
+	rob window[uopID]
+	ldq window[uopRef]
+	stq window[uopRef]
 
 	// robFolded counts the folded uops in rob, which occupy no slot of
 	// their own (robOccupancy).
 	robFolded int
+	// robPCs holds the PCs of rob's non-folded uops in age order: the
+	// ROB-PC row. A fold at issue takes a uop out of its middle, so it
+	// marks the list stale and the next read rebuilds it.
+	robPCs      window[uint64]
+	robPCsStale bool
+
+	// Change marks: each counts the writes to a structure that a probe
+	// row reads (ROB PCs, LDQ, STQ, in-flight conditional branches).
+	robGen, ldqGen, stqGen, branchGen uint64
+
+	// Issue scheduling. ready holds, in age order, the dispatched uops
+	// whose sources are readable: the only ones issue can act on. A uop
+	// with a source whose producer has not yet set its ready cycle waits
+	// in that register's list, which starts at waitHead (-1: empty) and
+	// runs youngest first; one whose sources all have a ready cycle, the
+	// latest still ahead, waits on wheel in slot readyAt mod wheelSlots.
+	ready    []uopRef
+	waitHead []uopID
+	wheel    [wheelSlots][]uopRef
+	// loads holds, in age order, the loads whose address is ready and
+	// that have not yet accessed memory: the only LDQ entries
+	// issueMemory can act on.
+	loads []uopRef
+
+	// resolved lists the load and store addresses computed this cycle.
+	resolved []Resolution
 
 	// exec holds, in age order, the uops whose doneAt is set and that
 	// have not completed: the only ROB entries complete can act on.
-	exec []uopID
+	exec []uopRef
 
 	// text is the program's text segment decoded once at load time,
 	// one entry per word from textBase.
@@ -76,7 +125,7 @@ type Core struct {
 	serializeSeq uint64
 
 	// Functional units.
-	alus, muls, divs, agus, brus []fuSlot
+	alus, muls, divs, agus, brus fuPool
 
 	// Architectural state at commit.
 	archRegs [32]uint64
@@ -117,11 +166,11 @@ func newCore(cfg Config, mem *Memory) *Core {
 		ic:       newICache(cfg),
 		prfVal:   make([]uint64, cfg.IntPRF),
 		prfReady: make([]int64, cfg.IntPRF),
-		alus:     make([]fuSlot, cfg.NumALU),
-		muls:     make([]fuSlot, cfg.NumMul),
-		divs:     make([]fuSlot, cfg.NumDiv),
-		agus:     make([]fuSlot, cfg.NumAGU),
-		brus:     make([]fuSlot, cfg.IssueWidth),
+		alus:     fuPool{slots: make([]fuSlot, cfg.NumALU)},
+		muls:     fuPool{slots: make([]fuSlot, cfg.NumMul)},
+		divs:     fuPool{slots: make([]fuSlot, cfg.NumDiv)},
+		agus:     fuPool{slots: make([]fuSlot, cfg.NumAGU)},
+		brus:     fuPool{slots: make([]fuSlot, cfg.IssueWidth)},
 		tgt:      newTargets(cfg.BTBEntries),
 	}
 	if cfg.TAGEPredictor {
@@ -142,12 +191,24 @@ func newCore(cfg Config, mem *Memory) *Core {
 	for i := range c.freeUops {
 		c.freeUops[i] = uopID(n - 1 - i)
 	}
-	c.fetchBuf = newWindow(cfg.FetchBufferSize)
-	c.rob = newWindow(cfg.ROBEntries)
-	c.iq = newWindow(cfg.ROBEntries)
-	c.ldq = newWindow(cfg.LDQEntries)
-	c.stq = newWindow(cfg.STQEntries)
-	c.exec = make([]uopID, 0, cfg.ROBEntries)
+	c.fetchBuf = newWindow[uopID](cfg.FetchBufferSize)
+	c.rob = newWindow[uopID](cfg.ROBEntries)
+	c.ldq = newWindow[uopRef](cfg.LDQEntries)
+	c.stq = newWindow[uopRef](cfg.STQEntries)
+	c.robPCs = newWindow[uint64](cfg.ROBEntries)
+	c.exec = make([]uopRef, 0, cfg.ROBEntries)
+	c.ready = make([]uopRef, 0, cfg.ROBEntries)
+	c.loads = make([]uopRef, 0, cfg.LDQEntries)
+	c.waitHead = make([]uopID, cfg.IntPRF)
+	for i := range c.waitHead {
+		c.waitHead[i] = -1
+	}
+	// The wheel's slots start with room for a few refs each, carved from
+	// one array, so few of them ever grow.
+	buf := make([]uopRef, wheelSlots*8)
+	for i := range c.wheel {
+		c.wheel[i] = buf[i*8 : i*8 : (i+1)*8]
+	}
 	c.freeList = make([]int16, 0, cfg.IntPRF)
 	for i := cfg.IntPRF - 1; i >= 32; i-- {
 		c.freeList = append(c.freeList, int16(i))
@@ -159,6 +220,7 @@ func newCore(cfg Config, mem *Memory) *Core {
 // step advances the pipeline by one cycle.
 func (c *Core) step() {
 	c.cycle++
+	c.resolved = c.resolved[:0]
 	c.dc.tick(c.cycle)
 
 	c.commit()
@@ -202,7 +264,7 @@ func (c *Core) commit() {
 		drainBarrier := u.inst.Op == isa.OpFENCE ||
 			(u.inst.Op == isa.OpMARK && isa.MarkKind(u.inst.Imm) == isa.MarkIterEnd)
 		if drainBarrier {
-			olderStore := len(c.stq.q) > 0 && c.uops[c.stq.q[0]].seq < u.seq
+			olderStore := len(c.stq.q) > 0 && c.stq.q[0].seq < u.seq
 			if olderStore || c.cycle < c.drainBusyUntil {
 				return
 			}
@@ -216,7 +278,7 @@ func (c *Core) commit() {
 			// The architectural write happens at commit; the D-cache
 			// drain (timing) follows. The STQ entry is released once
 			// the drain completes.
-			c.mem.Write(u.memAddr, u.memSize, u.storeData)
+			c.mem.Write(u.memAddr, int(u.memSize), u.storeData)
 		case u.inst.Op == isa.OpECALL:
 			c.syscall()
 			if c.halted {
@@ -251,9 +313,18 @@ func (c *Core) popROBHead(h uopID) {
 	u := &c.uops[h]
 	if u.folded {
 		c.robFolded--
+	} else {
+		c.robGen++
+		if !c.robPCsStale {
+			c.robPCs.q = c.robPCs.q[1:]
+		}
 	}
-	if u.inst.IsLoad() && len(c.ldq.q) > 0 && c.ldq.q[0] == h {
+	if u.inst.IsCondBranch() {
+		c.branchGen++
+	}
+	if u.inst.IsLoad() && len(c.ldq.q) > 0 && c.ldq.q[0].h == h {
 		c.ldq.q = c.ldq.q[1:]
+		c.ldqGen++
 	}
 	// A store keeps its uop until its drain completes (drainStores).
 	if !u.inst.IsStore() {
@@ -291,7 +362,7 @@ func (c *Core) drainStores() {
 	if len(c.stq.q) == 0 {
 		return
 	}
-	h := c.stq.q[0]
+	h := c.stq.q[0].h
 	u := &c.uops[h]
 	if !c.isCommitted(u) {
 		return
@@ -303,6 +374,7 @@ func (c *Core) drainStores() {
 	}
 	c.drainBusyUntil = done
 	c.stq.q = c.stq.q[1:]
+	c.stqGen++
 	c.releaseUops(h)
 }
 
@@ -315,10 +387,10 @@ func (c *Core) isCommitted(u *uop) bool {
 
 func (c *Core) complete() {
 	kept := c.exec[:0]
-	for _, h := range c.exec {
-		u := &c.uops[h]
+	for _, r := range c.exec {
+		u := &c.uops[r.h]
 		if u.doneAt > c.cycle {
-			kept = append(kept, h)
+			kept = append(kept, r)
 			continue
 		}
 		u.completed = true
@@ -332,11 +404,7 @@ func (c *Core) complete() {
 // addExec enters h, whose doneAt has just been set, into exec at its
 // age position.
 func (c *Core) addExec(h uopID) {
-	i := len(c.exec)
-	for i > 0 && c.uops[c.exec[i-1]].seq > c.uops[h].seq {
-		i--
-	}
-	c.exec = slices.Insert(c.exec, i, h)
+	c.exec = insertByAge(c.exec, uopRef{h, c.uops[h].seq})
 }
 
 // resolveBranch trains the predictor and squashes on a misprediction.
@@ -376,38 +444,63 @@ func (c *Core) resolveBranch(u *uop) bool {
 func (c *Core) squashAfter(u *uop) {
 	c.rat = u.ratChk
 	squashSeq := u.seq
+	c.ldq.q = trimRefs(c.ldq.q, squashSeq)
+	c.stq.q = trimRefs(c.stq.q, squashSeq)
+	c.ready = trimRefs(c.ready, squashSeq)
+	c.loads = trimRefs(c.loads, squashSeq)
 	// Free destination registers of squashed uops, youngest first, so
 	// the free list returns to its pre-allocation order. Every squashed
-	// uop is in the ROB, so this also releases their handles.
-	for i := len(c.rob.q) - 1; i >= 0; i-- {
-		h := c.rob.q[i]
+	// uop is in the ROB, so this also releases their handles; zeroing
+	// their seq voids the wheel's refs to them. A squashed uop still
+	// waiting on a register heads that register's list by now, since
+	// everything pushed after it is younger still.
+	i, pcs := len(c.rob.q), 0
+	for ; i > 0 && c.uops[c.rob.q[i-1]].seq > squashSeq; i-- {
+		h := c.rob.q[i-1]
 		v := &c.uops[h]
-		if v.seq <= squashSeq {
-			break
+		for s, p := range [2]int16{v.ps1, v.ps2} {
+			if v.pending > 0 && p >= 0 && c.waitHead[p] == h {
+				c.waitHead[p] = v.next[s]
+			}
 		}
 		if v.pdst >= 32 {
 			c.freeList = append(c.freeList, v.pdst)
 		}
 		if v.folded {
 			c.robFolded--
+		} else {
+			pcs++
 		}
+		v.seq = 0
 		c.releaseUops(h)
 	}
+	c.rob.q = c.rob.q[:i]
+	if !c.robPCsStale {
+		c.robPCs.q = c.robPCs.q[:len(c.robPCs.q)-pcs]
+	}
+	c.robGen++
+	c.ldqGen++
+	c.stqGen++
+	c.branchGen++
 	if c.serializeSeq > squashSeq {
 		c.serializeSeq = 0
 	}
-	for _, w := range [...]*window{&c.rob, &c.iq, &c.ldq, &c.stq} {
-		for len(w.q) > 0 && c.uops[w.q[len(w.q)-1]].seq > squashSeq {
-			w.q = w.q[:len(w.q)-1]
-		}
-	}
-	for _, pool := range [][]fuSlot{c.alus, c.muls, c.divs, c.agus, c.brus} {
-		for i := range pool {
-			if pool[i].busyUntil > c.cycle && pool[i].seq > squashSeq {
-				pool[i] = fuSlot{}
+	for _, pool := range [...]*fuPool{&c.alus, &c.muls, &c.divs, &c.agus, &c.brus} {
+		for i := range pool.slots {
+			if s := &pool.slots[i]; s.busyUntil > c.cycle && s.seq > squashSeq {
+				*s = fuSlot{}
 			}
 		}
 	}
+}
+
+// trimRefs drops the refs younger than seq from the tail of the
+// age-ordered list q.
+func trimRefs(q []uopRef, seq uint64) []uopRef {
+	for len(q) > 0 && q[len(q)-1].seq > seq {
+		q = q[:len(q)-1]
+	}
+	return q
 }
 
 // ---------------------------------------------------------------------
@@ -415,14 +508,13 @@ func (c *Core) squashAfter(u *uop) {
 
 func (c *Core) issueMemory() {
 	older := 0
-	for _, h := range c.ldq.q {
-		ld := &c.uops[h]
-		if !ld.addrReady || ld.memIssued {
-			continue
-		}
+	kept := c.loads[:0]
+	for _, r := range c.loads {
+		h, ld := r.h, &c.uops[r.h]
 		older = c.olderStores(older, ld.seq)
 		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
 		if blocked {
+			kept = append(kept, r)
 			continue
 		}
 		if st != nil {
@@ -432,35 +524,31 @@ func (c *Core) issueMemory() {
 			ld.result = loadExtend(ld.inst.Op, raw)
 			ld.memIssued = true
 			ld.doneAt = c.cycle + 1
-			if ld.pdst >= 0 {
-				c.prfVal[ld.pdst] = ld.result
-				c.prfReady[ld.pdst] = ld.doneAt
-			}
+			c.writeBack(ld)
 			c.addExec(h)
 			continue
 		}
 		done, ok := c.dc.access(c.cycle, ld.memAddr, ld.pc)
 		if !ok {
 			c.lsuReplays++
+			kept = append(kept, r)
 			continue
 		}
-		raw := c.mem.Read(ld.memAddr, ld.memSize)
+		raw := c.mem.Read(ld.memAddr, int(ld.memSize))
 		ld.result = loadExtend(ld.inst.Op, raw)
 		ld.memIssued = true
 		ld.doneAt = done
-		if ld.pdst >= 0 {
-			c.prfVal[ld.pdst] = ld.result
-			c.prfReady[ld.pdst] = done
-		}
+		c.writeBack(ld)
 		c.addExec(h)
 	}
+	c.loads = kept
 }
 
 // olderStores advances an STQ cursor from i past the stores older
 // than seq. The LDQ and the STQ are both age-ordered, so along the LDQ
 // the cursor only moves forward.
 func (c *Core) olderStores(i int, seq uint64) int {
-	for i < len(c.stq.q) && c.uops[c.stq.q[i]].seq < seq {
+	for i < len(c.stq.q) && c.stq.q[i].seq < seq {
 		i++
 	}
 	return i
@@ -471,9 +559,9 @@ func (c *Core) olderStores(i int, seq uint64) int {
 // overlapping one fully covers the load, or blocked=true when the load
 // must wait (unknown address, partial overlap, or covering store whose
 // data is not yet available).
-func (c *Core) olderStoreConflict(ld *uop, older []uopID) (fwd *uop, blocked bool) {
+func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, blocked bool) {
 	for i := len(older) - 1; i >= 0; i-- {
-		st := &c.uops[older[i]]
+		st := &c.uops[older[i].h]
 		if !st.addrReady {
 			return nil, true
 		}
@@ -505,38 +593,120 @@ func (c *Core) srcVal(p int16) uint64 {
 	return c.prfVal[p]
 }
 
-func acquireFU(pool []fuSlot, now int64) *fuSlot {
-	for i := range pool {
-		if pool[i].busyUntil <= now {
-			return &pool[i]
+// enqueue enters a dispatched uop into the scheduler. It waits on each
+// source whose producer has not yet set a ready cycle, and once none is
+// left it is scheduled for the latest ready cycle among them.
+func (c *Core) enqueue(h uopID) {
+	u := &c.uops[h]
+	for s, p := range [2]int16{u.ps1, u.ps2} {
+		switch {
+		case p < 0 || (s == 1 && p == u.ps1):
+		case c.prfReady[p] != never:
+			u.readyAt = max(u.readyAt, c.prfReady[p])
+		default:
+			u.pending++
+			u.next[s] = c.waitHead[p]
+			c.waitHead[p] = h
 		}
 	}
-	return nil
+	if u.pending == 0 {
+		c.schedule(h)
+	}
+}
+
+// writeBack makes u's result readable from its ready cycle, doneAt, and
+// wakes the uops waiting on its destination register.
+func (c *Core) writeBack(u *uop) {
+	p := u.pdst
+	if p < 0 {
+		return
+	}
+	c.prfVal[p] = u.result
+	c.prfReady[p] = u.doneAt
+	for h := c.waitHead[p]; h >= 0; {
+		w := &c.uops[h]
+		next := w.next[0]
+		if w.ps1 != p {
+			next = w.next[1]
+		}
+		w.readyAt = max(w.readyAt, u.doneAt)
+		if w.pending--; w.pending == 0 {
+			c.schedule(h)
+		}
+		h = next
+	}
+	c.waitHead[p] = -1
+}
+
+// schedule puts a uop whose sources all have a ready cycle on the ready
+// list if that cycle has come, and on the wheel otherwise.
+func (c *Core) schedule(h uopID) {
+	u := &c.uops[h]
+	if u.readyAt <= c.cycle {
+		c.ready = insertByAge(c.ready, uopRef{h, u.seq})
+		return
+	}
+	slot := &c.wheel[u.readyAt&(wheelSlots-1)]
+	*slot = append(*slot, uopRef{h, u.seq})
+}
+
+// insertByAge inserts r into the age-ordered list q, which has room
+// for it.
+func insertByAge(q []uopRef, r uopRef) []uopRef {
+	q = append(q, r)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].seq > r.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = r
+	return q
+}
+
+// wake moves the uops due this cycle from the wheel to the ready list.
+func (c *Core) wake() {
+	slot := &c.wheel[c.cycle&(wheelSlots-1)]
+	if len(*slot) == 0 {
+		return
+	}
+	kept := (*slot)[:0]
+	for _, r := range *slot {
+		switch u := &c.uops[r.h]; {
+		case u.seq != r.seq: // squashed
+		case u.readyAt > c.cycle:
+			kept = append(kept, r) // due on a later turn
+		default:
+			c.ready = insertByAge(c.ready, r)
+		}
+	}
+	*slot = kept
 }
 
 func (c *Core) issue() {
-	issued := 0
-	kept := c.iq.q[:0]
-	for qi, h := range c.iq.q {
-		if issued >= c.cfg.IssueWidth {
-			kept = append(kept, c.iq.q[qi:]...)
-			break
-		}
-		u := &c.uops[h]
-		if !c.srcReady(u.ps1) || !c.srcReady(u.ps2) || !c.tryIssue(u) {
-			kept = append(kept, h)
+	c.wake()
+	issued, kept, i := 0, 0, 0
+	// The walk keeps the uops that do not issue in place. A uop woken
+	// during it (by a fold, whose result is readable at once) is younger
+	// than its producer at i, so it is inserted beyond i.
+	for ; i < len(c.ready) && issued < c.cfg.IssueWidth; i++ {
+		r := c.ready[i]
+		if !c.tryIssue(r.h) {
+			c.ready[kept] = r
+			kept++
 			continue
 		}
-		if u.doneAt != never { // a load joins when it accesses memory
-			c.addExec(h)
+		if c.uops[r.h].doneAt != never { // a load joins when it accesses memory
+			c.addExec(r.h)
 		}
 		issued++
 	}
-	c.iq.q = kept
+	if kept < i {
+		c.ready = append(c.ready[:kept], c.ready[i:]...)
+	}
 }
 
 // tryIssue executes u functionally if a functional unit is available.
-func (c *Core) tryIssue(u *uop) bool {
+func (c *Core) tryIssue(h uopID) bool {
+	u := &c.uops[h]
 	v1 := c.srcVal(u.ps1)
 	v2 := c.srcVal(u.ps2)
 	now := c.cycle
@@ -550,71 +720,66 @@ func (c *Core) tryIssue(u *uop) bool {
 		if c.cfg.FastBypass && u.inst.Op == isa.OpAND && (v1 == 0 || v2 == 0) {
 			u.folded = true
 			c.robFolded++
+			c.robGen++
+			c.robPCsStale = true
 			u.result = 0
 			u.doneAt = now
 			break
 		}
-		fu := acquireFU(c.alus, now)
-		if fu == nil {
+		if !c.alus.acquire(now, 1, u) {
 			return false
 		}
-		*fu = fuSlot{busyUntil: now + 1, pc: u.pc, seq: u.seq}
 		u.result = execALU(u.inst, v1, v2, u.pc)
 		u.doneAt = now + 1
 
 	case isa.ClassMul:
-		fu := acquireFU(c.muls, now)
-		if fu == nil {
+		lat := int64(c.cfg.MulLat)
+		if !c.muls.acquire(now, lat, u) {
 			return false
 		}
-		lat := int64(c.cfg.MulLat)
-		*fu = fuSlot{busyUntil: now + lat, pc: u.pc, seq: u.seq}
 		u.result = execALU(u.inst, v1, v2, u.pc)
 		u.doneAt = now + lat
 
 	case isa.ClassDiv:
-		fu := acquireFU(c.divs, now)
-		if fu == nil {
+		lat := divLatency(c.cfg, v1, v2)
+		if !c.divs.acquire(now, lat, u) {
 			return false
 		}
-		lat := divLatency(c.cfg, v1, v2)
-		*fu = fuSlot{busyUntil: now + lat, pc: u.pc, seq: u.seq}
 		u.result = execALU(u.inst, v1, v2, u.pc)
 		u.doneAt = now + lat
 
 	case isa.ClassBranch:
-		fu := acquireFU(c.brus, now)
-		if fu == nil {
+		if !c.brus.acquire(now, 1, u) {
 			return false
 		}
-		*fu = fuSlot{busyUntil: now + 1, pc: u.pc, seq: u.seq}
 		u.taken, u.target = branchOutcome(u.inst, v1, v2, u.pc)
 		u.result = execALU(u.inst, v1, v2, u.pc) // link value for jal/jalr
 		u.doneAt = now + 1
 
 	case isa.ClassLoad:
-		fu := acquireFU(c.agus, now)
-		if fu == nil {
+		if !c.agus.acquire(now, 1, u) {
 			return false
 		}
-		*fu = fuSlot{busyUntil: now + 1, pc: u.pc, seq: u.seq}
 		u.memAddr = v1 + uint64(u.inst.Imm)
 		u.memSize = memAccessSize(u.inst.Op)
 		u.addrReady = true
+		c.ldqGen++
+		c.resolved = append(c.resolved, Resolution{Addr: u.memAddr, PC: u.pc})
 		// doneAt is set by issueMemory once the access completes.
+		c.loads = insertByAge(c.loads, uopRef{h, u.seq})
 		u.issued = true
 		return true
 
 	case isa.ClassStore:
-		fu := acquireFU(c.agus, now)
-		if fu == nil {
+		if !c.agus.acquire(now, 1, u) {
 			return false
 		}
-		*fu = fuSlot{busyUntil: now + 1, pc: u.pc, seq: u.seq}
 		u.memAddr = v1 + uint64(u.inst.Imm)
 		u.memSize = memAccessSize(u.inst.Op)
 		u.storeData = v2
 		u.addrReady = true
+		c.stqGen++
+		c.resolved = append(c.resolved, Resolution{Addr: u.memAddr, PC: u.pc, Store: true})
 		u.doneAt = now + 1
 
 	case isa.ClassSystem:
@@ -625,10 +790,7 @@ func (c *Core) tryIssue(u *uop) bool {
 	}
 
 	u.issued = true
-	if u.pdst >= 0 && u.inst.Class() != isa.ClassLoad {
-		c.prfVal[u.pdst] = u.result
-		c.prfReady[u.pdst] = u.doneAt
-	}
+	c.writeBack(u)
 	return true
 }
 
@@ -680,7 +842,7 @@ func (c *Core) dispatch() {
 		if u.trap {
 			u.completed = true
 			u.doneAt = c.cycle
-			c.rob.push(h)
+			c.pushROB(h)
 			c.fetchBuf.q = c.fetchBuf.q[1:]
 			continue
 		}
@@ -691,18 +853,32 @@ func (c *Core) dispatch() {
 			continue
 		}
 
-		c.rob.push(h)
+		c.pushROB(h)
 		switch u.inst.Class() {
 		case isa.ClassLoad:
-			c.ldq.push(h)
+			c.ldq.push(uopRef{h, u.seq})
+			c.ldqGen++
 		case isa.ClassStore:
-			c.stq.push(h)
+			c.stq.push(uopRef{h, u.seq})
+			c.stqGen++
 		}
 		if u.inst.Op == isa.OpFENCE || u.inst.Op == isa.OpCBOFLUSH {
 			c.serializeSeq = u.seq
 		}
-		c.iq.push(h)
+		c.enqueue(h)
 		c.fetchBuf.q = c.fetchBuf.q[1:]
+	}
+}
+
+// pushROB enters a non-folded uop into the ROB.
+func (c *Core) pushROB(h uopID) {
+	c.rob.push(h)
+	c.robGen++
+	if !c.robPCsStale {
+		c.robPCs.push(c.uops[h].pc)
+	}
+	if c.uops[h].inst.IsCondBranch() {
+		c.branchGen++
 	}
 }
 
@@ -726,10 +902,7 @@ func (c *Core) tryFastBypass(u *uop) bool {
 	u.result = 0
 	u.completed = true
 	u.doneAt = c.cycle
-	if u.pdst >= 0 {
-		c.prfVal[u.pdst] = 0
-		c.prfReady[u.pdst] = c.cycle
-	}
+	c.writeBack(u)
 	return true
 }
 

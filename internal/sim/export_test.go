@@ -43,8 +43,8 @@ func (p *Probe) WalkLFB(data, addrs []uint64) ([]uint64, []uint64, int) {
 // not completed) to walk, both in age order.
 func (p *Probe) AppendExec(list, walk []uint64) ([]uint64, []uint64) {
 	c := p.c
-	for _, h := range c.exec {
-		list = append(list, c.uops[h].seq)
+	for _, r := range c.exec {
+		list = append(list, r.seq)
 	}
 	for _, h := range c.rob.q {
 		if u := &c.uops[h]; !u.completed && u.doneAt != never {
@@ -52,6 +52,39 @@ func (p *Probe) AppendExec(list, walk []uint64) ([]uint64, []uint64) {
 		}
 	}
 	return list, walk
+}
+
+// AppendReady appends the seqs of the ready list to list and, by a full
+// scan of the uops waiting to issue (in the ROB, neither issued nor
+// completed), the seqs of those whose sources are readable this cycle
+// to scan, both in age order.
+func (p *Probe) AppendReady(list, scan []uint64) ([]uint64, []uint64) {
+	c := p.c
+	for _, r := range c.ready {
+		list = append(list, r.seq)
+	}
+	for _, h := range c.rob.q {
+		if u := &c.uops[h]; !u.issued && !u.completed && c.srcReady(u.ps1) && c.srcReady(u.ps2) {
+			scan = append(scan, u.seq)
+		}
+	}
+	return list, scan
+}
+
+// AppendLoads appends the seqs of the load list to list and, by a full
+// LDQ scan, the seqs of the loads with their address ready that have
+// not accessed memory to scan, both in age order.
+func (p *Probe) AppendLoads(list, scan []uint64) ([]uint64, []uint64) {
+	c := p.c
+	for _, r := range c.loads {
+		list = append(list, r.seq)
+	}
+	for _, r := range c.ldq.q {
+		if u := &c.uops[r.h]; u.addrReady && !u.memIssued {
+			scan = append(scan, u.seq)
+		}
+	}
+	return list, scan
 }
 
 // InROB reports whether the uop with the given seq is in the ROB.
@@ -85,8 +118,8 @@ func (p *Probe) AppendLoadConflicts(dst []LoadConflict) []LoadConflict {
 		return u.seq
 	}
 	older := 0
-	for _, h := range c.ldq.q {
-		ld := &c.uops[h]
+	for _, r := range c.ldq.q {
+		ld := &c.uops[r.h]
 		if !ld.addrReady || ld.memIssued {
 			continue
 		}
@@ -103,7 +136,7 @@ func (p *Probe) AppendLoadConflicts(dst []LoadConflict) []LoadConflict {
 // younger than the load.
 func refOlderStoreConflict(c *Core, ld *uop) (fwd *uop, blocked bool) {
 	for i := len(c.stq.q) - 1; i >= 0; i-- {
-		st := &c.uops[c.stq.q[i]]
+		st := &c.uops[c.stq.q[i].h]
 		if st.seq > ld.seq {
 			continue
 		}

@@ -6,10 +6,15 @@ package sim
 //
 // Each Append* method appends one unit's state row for the current cycle
 // to a caller-provided buffer, so a tracer that reuses its buffers
-// samples without allocating. StoreQueue and LoadQueue additionally
-// expose the queue slots with their address-valid bit, which the rows
-// encode as a 0 address; their slices are backed by probe-owned scratch
-// and valid only until the next call of the same method.
+// samples without allocating. Each *Gen method returns the change mark
+// of the structure behind some rows: a word that differs from the one
+// it returned on an earlier cycle whenever those rows may have changed
+// since, so a tracer can skip rebuilding a row whose mark held.
+// StoreQueue and LoadQueue additionally expose the queue slots with
+// their address-valid bit, which the rows encode as a 0 address; their
+// slices are backed by probe-owned scratch and valid only until the
+// next call of the same method. Resolutions lists the entries whose
+// address became valid in the current cycle.
 type Probe struct {
 	c *Core
 
@@ -40,9 +45,22 @@ func (p *Probe) LoadQueue() []LSQEntry {
 	return p.ldq
 }
 
-func (p *Probe) appendLSQ(dst []LSQEntry, q []uopID) []LSQEntry {
-	for _, h := range q {
-		u := &p.c.uops[h]
+// Resolution is one load or store address computed in the current
+// cycle.
+type Resolution struct {
+	Addr, PC uint64
+	Store    bool
+}
+
+// Resolutions returns the load and store addresses computed in the
+// current cycle, in issue order. An LSQ entry turns valid only here and
+// stays valid until it leaves its queue. The slice is valid for the
+// current OnCycle call only.
+func (p *Probe) Resolutions() []Resolution { return p.c.resolved }
+
+func (p *Probe) appendLSQ(dst []LSQEntry, q []uopRef) []LSQEntry {
+	for _, r := range q {
+		u := &p.c.uops[r.h]
 		dst = append(dst, LSQEntry{Addr: u.memAddr, PC: u.pc, Valid: u.addrReady})
 	}
 	return dst
@@ -64,9 +82,9 @@ func (p *Probe) AppendLoadAddrs(dst []uint64) []uint64 { return p.appendAddrs(ds
 // every load-queue slot in age order.
 func (p *Probe) AppendLoadPCs(dst []uint64) []uint64 { return p.appendPCs(dst, p.c.ldq.q) }
 
-func (p *Probe) appendAddrs(dst []uint64, q []uopID) []uint64 {
-	for _, h := range q {
-		if u := &p.c.uops[h]; u.addrReady {
+func (p *Probe) appendAddrs(dst []uint64, q []uopRef) []uint64 {
+	for _, r := range q {
+		if u := &p.c.uops[r.h]; u.addrReady {
 			dst = append(dst, u.memAddr)
 		} else {
 			dst = append(dst, 0)
@@ -75,9 +93,9 @@ func (p *Probe) appendAddrs(dst []uint64, q []uopID) []uint64 {
 	return dst
 }
 
-func (p *Probe) appendPCs(dst []uint64, q []uopID) []uint64 {
-	for _, h := range q {
-		dst = append(dst, p.c.uops[h].pc)
+func (p *Probe) appendPCs(dst []uint64, q []uopRef) []uint64 {
+	for _, r := range q {
+		dst = append(dst, p.c.uops[r.h].pc)
 	}
 	return dst
 }
@@ -85,12 +103,17 @@ func (p *Probe) appendPCs(dst []uint64, q []uopID) []uint64 {
 // AppendROBPCs appends the ROB-PC feature row: the program counters of
 // the occupied (non-folded) reorder-buffer slots in age order.
 func (p *Probe) AppendROBPCs(dst []uint64) []uint64 {
-	for _, h := range p.c.rob.q {
-		if u := &p.c.uops[h]; !u.folded {
-			dst = append(dst, u.pc)
+	c := p.c
+	if c.robPCsStale {
+		c.robPCs.q = c.robPCs.base[:0]
+		for _, h := range c.rob.q {
+			if u := &c.uops[h]; !u.folded {
+				c.robPCs.push(u.pc)
+			}
 		}
+		c.robPCsStale = false
 	}
-	return dst
+	return append(dst, c.robPCs.q...)
 }
 
 // ROBOccupancy returns the number of occupied (non-folded) ROB slots.
@@ -130,8 +153,8 @@ func (p *Probe) AppendLFBAddrs(dst []uint64) []uint64 {
 // appendBusyPCs appends an EUU-* feature row: per instance of a
 // functional-unit pool, the PC of the op executing this cycle (0 when
 // idle).
-func appendBusyPCs(dst []uint64, pool []fuSlot, now int64) []uint64 {
-	for _, s := range pool {
+func appendBusyPCs(dst []uint64, pool *fuPool, now int64) []uint64 {
+	for _, s := range pool.slots {
 		if s.busyUntil > now {
 			dst = append(dst, s.pc)
 		} else {
@@ -141,24 +164,38 @@ func appendBusyPCs(dst []uint64, pool []fuSlot, now int64) []uint64 {
 	return dst
 }
 
+// busyGen is the change mark of an EUU-* row: the pool's acquire count
+// and its busy instances. Between two acquires instances only fall idle,
+// as their op completes or is squashed, so the busy count tells every
+// such change apart.
+func busyGen(pool *fuPool, now int64) uint64 {
+	busy := uint64(0)
+	for _, s := range pool.slots {
+		if s.busyUntil > now {
+			busy++
+		}
+	}
+	return pool.gen<<16 | busy
+}
+
 // AppendALUBusy appends the EUU-ALU feature row to dst.
 func (p *Probe) AppendALUBusy(dst []uint64) []uint64 {
-	return appendBusyPCs(dst, p.c.alus, p.c.cycle)
+	return appendBusyPCs(dst, &p.c.alus, p.c.cycle)
 }
 
 // AppendMulBusy appends the EUU-MUL feature row to dst.
 func (p *Probe) AppendMulBusy(dst []uint64) []uint64 {
-	return appendBusyPCs(dst, p.c.muls, p.c.cycle)
+	return appendBusyPCs(dst, &p.c.muls, p.c.cycle)
 }
 
 // AppendDivBusy appends the EUU-DIV feature row to dst.
 func (p *Probe) AppendDivBusy(dst []uint64) []uint64 {
-	return appendBusyPCs(dst, p.c.divs, p.c.cycle)
+	return appendBusyPCs(dst, &p.c.divs, p.c.cycle)
 }
 
 // AppendAGUBusy appends the EUU-ADDRGEN feature row to dst.
 func (p *Probe) AppendAGUBusy(dst []uint64) []uint64 {
-	return appendBusyPCs(dst, p.c.agus, p.c.cycle)
+	return appendBusyPCs(dst, &p.c.agus, p.c.cycle)
 }
 
 // AppendPrefetchAddrs appends the NLP-ADDR feature row: the line
@@ -271,3 +308,51 @@ func (p *Probe) AppendMSHRAddrs(dst []uint64) []uint64 {
 	}
 	return dst
 }
+
+// ROBGen is the change mark of the ROB-PC row.
+func (p *Probe) ROBGen() uint64 { return p.c.robGen }
+
+// StoreQueueGen is the change mark of the SQ-ADDR and SQ-PC rows.
+func (p *Probe) StoreQueueGen() uint64 { return p.c.stqGen }
+
+// LoadQueueGen is the change mark of the LQ-ADDR and LQ-PC rows.
+func (p *Probe) LoadQueueGen() uint64 { return p.c.ldqGen }
+
+// BPredGen is the change mark of the TAGE-PRED row.
+func (p *Probe) BPredGen() uint64 {
+	if p.c.tg == nil {
+		return 0
+	}
+	return p.c.branchGen
+}
+
+// ALUGen is the change mark of the EUU-ALU row.
+func (p *Probe) ALUGen() uint64 { return busyGen(&p.c.alus, p.c.cycle) }
+
+// MulGen is the change mark of the EUU-MUL row.
+func (p *Probe) MulGen() uint64 { return busyGen(&p.c.muls, p.c.cycle) }
+
+// DivGen is the change mark of the EUU-DIV row.
+func (p *Probe) DivGen() uint64 { return busyGen(&p.c.divs, p.c.cycle) }
+
+// AGUGen is the change mark of the EUU-ADDRGEN row.
+func (p *Probe) AGUGen() uint64 { return busyGen(&p.c.agus, p.c.cycle) }
+
+// LFBGen is the change mark of the LFB-Data and LFB-ADDR rows.
+func (p *Probe) LFBGen() uint64 { return p.c.dc.lfbGen }
+
+// PrefetchGen is the change mark of the NLP-ADDR row.
+func (p *Probe) PrefetchGen() uint64 { return p.c.dc.nlpGen }
+
+// CacheRequestGen is the change mark of the Cache-ADDR row.
+func (p *Probe) CacheRequestGen() uint64 { return p.c.dc.reqGen }
+
+// TLBGen is the change mark of the TLB-ADDR row.
+func (p *Probe) TLBGen() uint64 { return p.c.dc.tlb.gen }
+
+// MSHRGen is the change mark of the MSHR-ADDR row, which reads the
+// demand MSHRs and both prefetchers' trackers.
+func (p *Probe) MSHRGen() uint64 { return p.c.dc.mshrGen + p.c.dc.nlpGen + p.c.dc.spfGen }
+
+// SPFGen is the change mark of the SPF-ADDR row.
+func (p *Probe) SPFGen() uint64 { return p.c.dc.spfGen }

@@ -347,8 +347,8 @@ func TestUopHandlesConserved(t *testing.T) {
 		for !c.halted {
 			c.step()
 			held := len(c.fetchBuf.q) + len(c.rob.q)
-			for _, h := range c.stq.q {
-				if c.isCommitted(&c.uops[h]) {
+			for _, r := range c.stq.q {
+				if c.isCommitted(&c.uops[r.h]) {
 					held++
 				}
 			}

@@ -11,50 +11,65 @@ const never = math.MaxInt64
 // uop is a micro-op in flight: one decoded instruction plus all of its
 // renaming, prediction and execution state.
 type uop struct {
+	// The fields every stage reads come first, to share a cache line.
 	seq  uint64
 	pc   uint64
 	inst isa.Inst
 
-	// Decode trap (illegal instruction on this path).
-	trap bool
-
-	// Branch prediction state captured at fetch.
-	predTaken  bool
-	predTarget uint64
-	phtIdx     uint64
-	histChk    uint64
-
 	// Rename state.
-	pdst   int16 // physical destination (-1: none)
-	ps1    int16
-	ps2    int16
-	stale  int16     // previous mapping of rd, freed at commit
-	ratChk [32]int16 // RAT checkpoint (branches only)
+	pdst  int16 // physical destination (-1: none)
+	ps1   int16
+	ps2   int16
+	stale int16 // previous mapping of rd, freed at commit
 
-	// Execution state.
+	// Scheduling state: pending counts the sources whose producer has
+	// not yet set its ready cycle, next links the uop into the wait list
+	// of each such source (by source slot), and readyAt is the latest
+	// ready cycle among the others.
+	pending int8
+	next    [2]uopID
+	readyAt int64
+
+	// Status flags.
+	trap      bool // decode trap (illegal instruction on this path)
 	issued    bool
 	resolved  bool // branches: outcome processed
 	completed bool
-	doneAt    int64
-	result    uint64
-
-	// Memory state.
 	addrReady bool
 	memIssued bool
+	folded    bool // fast-bypass folding (shares a ROB slot with its neighbour)
+
+	// Execution state.
+	doneAt int64
+	result uint64
+
+	// Memory state.
 	memAddr   uint64
-	memSize   int
 	storeData uint64
+	memSize   uint8
 
-	// Fast-bypass folding (shares a ROB slot with its neighbour).
-	folded bool
+	// Branch prediction state captured at fetch, and the outcome.
+	predTaken  bool
+	taken      bool
+	predTarget uint64
+	phtIdx     uint64
+	histChk    uint64
+	target     uint64
 
-	// Branch outcome.
-	taken  bool
-	target uint64
+	ratChk [32]int16 // RAT checkpoint (branches only)
 }
 
 // uopID is a handle to a uop in its core's arena.
 type uopID int32
+
+// uopRef names a uop by handle and seq. The scheduler's lists hold
+// refs, so they order by age without reading the uops. The wheel drops
+// the refs of squashed uops lazily: a squash zeroes the seq of the uops
+// it releases, so a ref to one no longer matches.
+type uopRef struct {
+	h   uopID
+	seq uint64
+}
 
 // newUop takes a handle off the free list and initialises its uop.
 func (c *Core) newUop(pc uint64, inst isa.Inst) uopID {
@@ -73,22 +88,22 @@ func (c *Core) newUop(pc uint64, inst isa.Inst) uopID {
 // releaseUops returns handles to the free list.
 func (c *Core) releaseUops(hs ...uopID) { c.freeUops = append(c.freeUops, hs...) }
 
-// window is a fixed-capacity, age-ordered queue of uop handles. q is
-// the live part of one backing array allocated with the core: popping
-// the head advances q, and a push that reaches the end of the array
-// first slides the live handles back to its start, so neither
-// allocates.
-type window struct {
-	q    []uopID
-	base []uopID
+// window is a fixed-capacity, age-ordered queue (of uop handles, or of
+// the ROB's PCs). q is the live part of one backing array allocated
+// with the core: popping the head advances q, and a push that reaches
+// the end of the array first slides the live entries back to its
+// start, so neither allocates.
+type window[T any] struct {
+	q    []T
+	base []T
 }
 
-func newWindow(capacity int) window {
-	base := make([]uopID, 2*max(capacity, 1))
-	return window{q: base[:0], base: base}
+func newWindow[T any](capacity int) window[T] {
+	base := make([]T, 2*max(capacity, 1))
+	return window[T]{q: base[:0], base: base}
 }
 
-func (w *window) push(h uopID) {
+func (w *window[T]) push(h T) {
 	if len(w.q) == cap(w.q) {
 		w.q = w.base[:copy(w.base, w.q)]
 	}
@@ -96,7 +111,7 @@ func (w *window) push(h uopID) {
 }
 
 // memAccessSize returns the access width in bytes for a load or store.
-func memAccessSize(op isa.Op) int {
+func memAccessSize(op isa.Op) uint8 {
 	switch op {
 	case isa.OpLB, isa.OpLBU, isa.OpSB:
 		return 1

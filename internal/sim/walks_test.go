@@ -85,17 +85,20 @@ type walkConfig struct {
 }
 
 // walkConfigs covers both core sizes, folding at dispatch and at issue,
-// and the stride prefetcher.
+// the stride prefetcher and the TAGE predictor.
 func walkConfigs() []walkConfig {
 	bypass := sim.MegaBoom()
 	bypass.FastBypass = true
 	stride := sim.MegaBoom()
 	stride.NextLinePrefetcher = false
 	stride.StridePrefetcher = true
+	tage := sim.MegaBoom()
+	tage.TAGEPredictor = true
 	return []walkConfig{
 		{"megaboom", sim.MegaBoom()},
 		{"smallboom", sim.SmallBoom()},
 		{"fastbypass", bypass},
 		{"stride", stride},
+		{"tage", tage},
 	}
 }

@@ -53,8 +53,11 @@ var onCycleUnits = []Unit{
 // the collector across whole labeled iterations (the IterBegin/IterEnd
 // bracket is part of the steady state: it resets the per-iteration
 // recorders and folds the finished snapshot into the dedup store). The
-// ns/cycle metric is the per-sampled-cycle cost the pipeline pays on
-// every simulated cycle inside the region of interest.
+// probe is frozen, so no change mark moves: each iteration's first
+// cycle rebuilds every row and every later cycle takes the skip path,
+// one mark read and one repeat count per unit. The ns/cycle metric is
+// that floor of the per-sampled-cycle cost; BenchmarkSamplingCatalogue
+// measures sampling on live traffic.
 func BenchmarkOnCycle(b *testing.B) { benchOnCycle(b, onCycleUnits...) }
 
 // BenchmarkOnCycleSingleUnit isolates the cost of one tracked unit, so

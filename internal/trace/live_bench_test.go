@@ -18,33 +18,56 @@ import (
 // work. Each iteration simulates the same run twice, untraced and
 // traced; ns/cycle is the difference per simulated cycle, the sampling
 // share that perfbench reports as trace.ns_per_cycle.
-func BenchmarkOnCycleLive(b *testing.B) {
-	w, err := workloads.ByName("ME-V1-MV")
-	if err != nil {
-		b.Fatal(err)
+func BenchmarkOnCycleLive(b *testing.B) { benchSampling(b, []string{"ME-V1-MV"}, 1) }
+
+// BenchmarkSamplingCatalogue is BenchmarkOnCycleLive over the inputs of
+// one paper-suite deck: every catalogue kernel with the inputs of runs 0
+// to 3 on MegaBoom. The kernels that dominate paper-suite time keep
+// their rows moving differently from ME-V1-MV, so this is the sampling
+// cost paper-suite pays.
+func BenchmarkSamplingCatalogue(b *testing.B) { benchSampling(b, workloads.Names(), 4) }
+
+// benchSampling runs each named kernel with the inputs of runs 0 to
+// runs-1 on MegaBoom, untraced and traced, and reports the traced
+// minus the untraced wall time per simulated cycle.
+func benchSampling(b *testing.B, names []string, runs int) {
+	type kernel struct {
+		name  string
+		prog  *asm.Program
+		setup func(int, *sim.Machine, *asm.Program) error
 	}
-	prog, err := asm.Assemble(w.Source)
-	if err != nil {
-		b.Fatal(err)
+	var kernels []kernel
+	for _, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := asm.Assemble(w.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kernels = append(kernels, kernel{name, prog, w.Setup})
 	}
-	machine := func() *sim.Machine {
+	run := func(k kernel, seed int, tr sim.Tracer) (sim.Result, time.Duration) {
 		m, err := sim.New(sim.MegaBoom())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := m.LoadProgram(prog); err != nil {
+		if err := m.LoadProgram(k.prog); err != nil {
 			b.Fatal(err)
 		}
-		if err := w.Setup(0, m, prog); err != nil {
-			b.Fatal(err)
+		if k.setup != nil {
+			if err := k.setup(seed, m, k.prog); err != nil {
+				b.Fatal(err)
+			}
 		}
-		return m
-	}
-	run := func(m *sim.Machine) (sim.Result, time.Duration) {
+		if tr != nil {
+			m.SetTracer(tr)
+		}
 		start := time.Now()
 		res, err := m.Run(20_000_000)
 		if err != nil {
-			b.Fatal(err)
+			b.Fatalf("%s run %d: %v", k.name, seed, err)
 		}
 		return res, time.Since(start)
 	}
@@ -52,16 +75,19 @@ func BenchmarkOnCycleLive(b *testing.B) {
 	var cycles int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		want, d := run(machine())
-		plain += d
-		m := machine()
-		m.SetTracer(trace.NewCollector())
-		got, d := run(m)
-		traced += d
-		if got.Cycles != want.Cycles {
-			b.Fatalf("tracing changed execution: %d cycles traced, %d untraced", got.Cycles, want.Cycles)
+		for _, k := range kernels {
+			for seed := range runs {
+				want, d := run(k, seed, nil)
+				plain += d
+				got, d := run(k, seed, trace.NewCollector())
+				traced += d
+				if got.Cycles != want.Cycles {
+					b.Fatalf("%s run %d: tracing changed execution: %d cycles traced, %d untraced",
+						k.name, seed, got.Cycles, want.Cycles)
+				}
+				cycles += got.Cycles
+			}
 		}
-		cycles += got.Cycles
 	}
 	b.ReportMetric(float64(traced-plain)/float64(cycles), "ns/cycle")
 }

@@ -9,13 +9,15 @@
 //
 // The per-cycle path is allocation-free in steady state: unit state is
 // indexed by dense arrays rather than maps, and every unit owns
-// preallocated row buffers. A row equal to the previous cycle's costs one
-// compare and one repeat count. A changed row streams only what entered
-// it since the previous row into the iteration's timed hash (see
-// snapshot.HashTimed), and event detection scans only those values
-// against a count multiset of the previous row, so event values stream
-// into the event recorder value by value. Warmup iterations sample
-// nothing.
+// preallocated row buffers. Work follows what changed. A unit whose
+// change mark held since its last row is not sampled at all, and a
+// rebuilt row equal to the previous one costs one compare; either only
+// counts a repeat. A changed row streams only what entered it since the
+// previous row into the iteration's timed hash (see snapshot.HashTimed),
+// and event detection checks only those values against the previous
+// row, so event values stream into the event recorder value by value.
+// Memory-access attribution reads the addresses as they resolve.
+// Warmup iterations build no rows.
 package trace
 
 import (
@@ -62,6 +64,10 @@ type unitSpec struct {
 	name string // the paper's identifier; hashed into cache keys
 	// row appends the unit's state row for the current cycle.
 	row func(*sim.Probe, []uint64) []uint64
+	// gen returns the unit's change mark: a word that differs from its
+	// value at the unit's last row whenever the row may have changed
+	// since (nil: rebuild the row every cycle).
+	gen func(*sim.Probe) uint64
 	// pcs, when set, appends a PC row slot-aligned with row, attributing
 	// each value to the instruction that produced it.
 	pcs  func(*sim.Probe, []uint64) []uint64
@@ -93,27 +99,30 @@ func robOccupancy(p *sim.Probe, dst []uint64) []uint64 {
 	return append(dst, uint64(p.ROBOccupancy()))
 }
 
+// robOccupancyGen is the ROB-OCPNCY change mark: the row's one value.
+func robOccupancyGen(p *sim.Probe) uint64 { return uint64(p.ROBOccupancy()) }
+
 // unitSpecs is the unit table, indexed by Unit (index 0 unused). Adding
 // a unit takes one probe row method and one row here.
 var unitSpecs = [numUnits + 1]unitSpec{
-	SQADDR:     {name: "SQ-ADDR", row: (*sim.Probe).AppendStoreAddrs, pcs: (*sim.Probe).AppendStorePCs, kind: provDirect},
-	SQPC:       {name: "SQ-PC", row: (*sim.Probe).AppendStorePCs, kind: provDirect},
-	LQADDR:     {name: "LQ-ADDR", row: (*sim.Probe).AppendLoadAddrs, pcs: (*sim.Probe).AppendLoadPCs, kind: provDirect},
-	LQPC:       {name: "LQ-PC", row: (*sim.Probe).AppendLoadPCs, kind: provDirect},
-	ROBOCPNCY:  {name: "ROB-OCPNCY", row: robOccupancy, kind: provNone},
-	ROBPC:      {name: "ROB-PC", row: (*sim.Probe).AppendROBPCs, kind: provDirect},
-	LFBDATA:    {name: "LFB-Data", row: (*sim.Probe).AppendLFBData, kind: provNone},
-	LFBADDR:    {name: "LFB-ADDR", row: (*sim.Probe).AppendLFBAddrs, kind: provValue, value: lineBase},
-	EUUALU:     {name: "EUU-ALU", row: (*sim.Probe).AppendALUBusy, kind: provDirect, timedRuns: true},
-	EUUADDRGEN: {name: "EUU-ADDRGEN", row: (*sim.Probe).AppendAGUBusy, kind: provDirect, timedRuns: true},
-	EUUDIV:     {name: "EUU-DIV", row: (*sim.Probe).AppendDivBusy, kind: provDirect, timedRuns: true},
-	EUUMUL:     {name: "EUU-MUL", row: (*sim.Probe).AppendMulBusy, kind: provDirect, timedRuns: true},
-	NLPADDR:    {name: "NLP-ADDR", row: (*sim.Probe).AppendPrefetchAddrs, kind: provValue, value: lineBase},
-	CACHEADDR:  {name: "Cache-ADDR", row: (*sim.Probe).AppendCacheRequests, kind: provValue},
-	TLBADDR:    {name: "TLB-ADDR", row: (*sim.Probe).AppendTLBPages, kind: provValue, value: pageNumber},
-	MSHRADDR:   {name: "MSHR-ADDR", row: (*sim.Probe).AppendMSHRAddrs, kind: provValue, value: lineBase},
-	TAGEPRED:   {name: "TAGE-PRED", row: (*sim.Probe).AppendBPredMeta, pcs: (*sim.Probe).AppendBPredPCs, kind: provDirect},
-	SPFADDR:    {name: "SPF-ADDR", row: (*sim.Probe).AppendSPFAddrs, pcs: (*sim.Probe).AppendSPFPCs, kind: provDirect},
+	SQADDR:     {name: "SQ-ADDR", row: (*sim.Probe).AppendStoreAddrs, gen: (*sim.Probe).StoreQueueGen, pcs: (*sim.Probe).AppendStorePCs, kind: provDirect},
+	SQPC:       {name: "SQ-PC", row: (*sim.Probe).AppendStorePCs, gen: (*sim.Probe).StoreQueueGen, kind: provDirect},
+	LQADDR:     {name: "LQ-ADDR", row: (*sim.Probe).AppendLoadAddrs, gen: (*sim.Probe).LoadQueueGen, pcs: (*sim.Probe).AppendLoadPCs, kind: provDirect},
+	LQPC:       {name: "LQ-PC", row: (*sim.Probe).AppendLoadPCs, gen: (*sim.Probe).LoadQueueGen, kind: provDirect},
+	ROBOCPNCY:  {name: "ROB-OCPNCY", row: robOccupancy, gen: robOccupancyGen, kind: provNone},
+	ROBPC:      {name: "ROB-PC", row: (*sim.Probe).AppendROBPCs, gen: (*sim.Probe).ROBGen, kind: provDirect},
+	LFBDATA:    {name: "LFB-Data", row: (*sim.Probe).AppendLFBData, gen: (*sim.Probe).LFBGen, kind: provNone},
+	LFBADDR:    {name: "LFB-ADDR", row: (*sim.Probe).AppendLFBAddrs, gen: (*sim.Probe).LFBGen, kind: provValue, value: lineBase},
+	EUUALU:     {name: "EUU-ALU", row: (*sim.Probe).AppendALUBusy, gen: (*sim.Probe).ALUGen, kind: provDirect, timedRuns: true},
+	EUUADDRGEN: {name: "EUU-ADDRGEN", row: (*sim.Probe).AppendAGUBusy, gen: (*sim.Probe).AGUGen, kind: provDirect, timedRuns: true},
+	EUUDIV:     {name: "EUU-DIV", row: (*sim.Probe).AppendDivBusy, gen: (*sim.Probe).DivGen, kind: provDirect, timedRuns: true},
+	EUUMUL:     {name: "EUU-MUL", row: (*sim.Probe).AppendMulBusy, gen: (*sim.Probe).MulGen, kind: provDirect, timedRuns: true},
+	NLPADDR:    {name: "NLP-ADDR", row: (*sim.Probe).AppendPrefetchAddrs, gen: (*sim.Probe).PrefetchGen, kind: provValue, value: lineBase},
+	CACHEADDR:  {name: "Cache-ADDR", row: (*sim.Probe).AppendCacheRequests, gen: (*sim.Probe).CacheRequestGen, kind: provValue},
+	TLBADDR:    {name: "TLB-ADDR", row: (*sim.Probe).AppendTLBPages, gen: (*sim.Probe).TLBGen, kind: provValue, value: pageNumber},
+	MSHRADDR:   {name: "MSHR-ADDR", row: (*sim.Probe).AppendMSHRAddrs, gen: (*sim.Probe).MSHRGen, kind: provValue, value: lineBase},
+	TAGEPRED:   {name: "TAGE-PRED", row: (*sim.Probe).AppendBPredMeta, gen: (*sim.Probe).BPredGen, pcs: (*sim.Probe).AppendBPredPCs, kind: provDirect},
+	SPFADDR:    {name: "SPF-ADDR", row: (*sim.Probe).AppendSPFAddrs, gen: (*sim.Probe).SPFGen, pcs: (*sim.Probe).AppendSPFPCs, kind: provDirect},
 }
 
 // String returns the paper's feature identifier.
@@ -225,8 +234,8 @@ type unitState struct {
 	row        []uint64 // per-unit row scratch, reused every cycle
 	last       []uint64 // this iteration's previous row; empty at IterBegin
 	repeat     uint64   // rows equal to last since last was absorbed
+	gen        uint64   // the change mark at the last rebuilt row
 	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
-	samples    uint64   // state rows sampled (telemetry)
 	full       *snapshot.Store
 	noT        *snapshot.Store
 	iterHashes []uint64 // timed snapshot hash per kept iteration
@@ -236,8 +245,8 @@ type unitState struct {
 	provTouched []int32      // indices into prov touched this iteration
 	provLog     []provRec    // kept-iteration observations
 
-	prevRow []uint64 // previous cycle's row (timed units only)
-	runLen  []uint32 // consecutive cycles each slot held its value
+	prevRow []uint64 // the row before the repeats (timed units only)
+	runLen  []uint32 // consecutive cycles each slot held its value, repeats aside
 }
 
 // stream returns key's accumulator, appending it to prov on the key's
@@ -273,10 +282,12 @@ func (st *unitState) provRun(key uint64, n uint32) {
 	st.stream(key).h.WriteUint64(1<<63 | uint64(n))
 }
 
-// updateRuns advances per-slot occupancy runs for a timed unit: a slot
-// keeping its value extends the run, a slot changing or draining folds
-// the finished run's length into the departing key's stream.
+// updateRuns advances per-slot occupancy runs for a timed unit by the
+// repeat rows and then by row: a slot keeping its value extends the
+// run, a slot changing or draining folds the finished run's length into
+// the departing key's stream.
 func (st *unitState) updateRuns(row []uint64) {
+	st.holdRuns()
 	for len(st.prevRow) < len(row) {
 		st.prevRow = append(st.prevRow, 0)
 		st.runLen = append(st.runLen, 0)
@@ -309,10 +320,21 @@ func (st *unitState) updateRuns(row []uint64) {
 	}
 }
 
+// holdRuns extends the run of every occupied slot by the repeat rows,
+// which repeat prevRow.
+func (st *unitState) holdRuns() {
+	for i, v := range st.prevRow {
+		if v != 0 {
+			st.runLen[i] += uint32(st.repeat)
+		}
+	}
+}
+
 // foldRuns closes out the outstanding runs at an iteration boundary so
 // that a run in flight when iter.end commits still contributes its
 // length to this iteration's streams.
 func (st *unitState) foldRuns() {
+	st.holdRuns()
 	for i, v := range st.prevRow {
 		if v != 0 {
 			st.provRun(v, st.runLen[i])
@@ -357,10 +379,12 @@ type Collector struct {
 
 	roi       bool
 	inIter    bool
+	fresh     bool // no cycle of the iteration sampled yet
 	class     uint64
 	iterStart int64
 	iterIdx   int
 	dropFirst int
+	samples   uint64 // in-iteration cycles, warmup included (telemetry)
 
 	iters []IterSample
 
@@ -434,6 +458,7 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 			return
 		}
 		c.inIter = true
+		c.fresh = true
 		c.class = class
 		c.iterStart = cycle
 		for _, u := range c.units {
@@ -481,40 +506,71 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 // before (newly arrived entries, changed states, issued requests). Each
 // event becomes its own single-value row so that the event stream
 // carries no per-cycle grouping (which would smuggle timing back into
-// the "timing removed" view). A warmup iteration is discarded at
-// IterEnd, so its rows are counted but not sampled.
+// the "timing removed" view). A unit whose change mark held repeats its
+// last row without rebuilding it; the first cycle of an iteration
+// rebuilds every row. A warmup iteration is discarded at IterEnd, so
+// its cycles are counted and attributed but build no rows.
 func (c *Collector) OnCycle(p *sim.Probe) {
 	if !c.roi || !c.inIter {
 		return
 	}
-	warmup := c.iterIdx < c.dropFirst
+	c.samples++
+	fresh := c.fresh
+	c.fresh = false
+	c.attribute(p, fresh)
+	if c.iterIdx < c.dropFirst {
+		return
+	}
 	for _, u := range c.units {
 		st := &c.states[u]
-		st.samples++
-		if warmup {
-			continue
+		if gen := st.spec.gen; gen != nil {
+			g := gen(p)
+			if g == st.gen && !fresh {
+				st.repeat++
+				continue
+			}
+			st.gen = g
 		}
 		row := st.spec.row(p, st.row[:0])
 		// A row equal to the previous one only extends the repeat run:
-		// it has no new values. An empty first row of an iteration matches the emptied last row.
-		// A changed row streams the repeat run, its shift k and its
-		// appended suffix (snapshot.HashTimed), and becomes the last row
-		// by trading buffers, so no row is copied.
+		// it has no new values. An empty first row of an iteration
+		// matches the emptied last row. A changed row streams the repeat
+		// run, its shift k and its appended suffix (snapshot.HashTimed),
+		// and becomes the last row by trading buffers, so no row is
+		// copied.
 		if slices.Equal(row, st.last) {
 			st.repeat++
 			st.row = row
-		} else {
-			k := shift(st.last, row)
-			st.timed.WriteUint64(st.repeat)
-			st.timed.WriteUint64(uint64(k))
-			st.timed.WriteRow(row[len(st.last)-k:])
-			st.repeat = 0
-			st.events(p, row, k)
-			st.row, st.last = st.last, row
+			continue
 		}
+		k := shift(st.last, row)
+		st.timed.WriteUint64(st.repeat)
+		st.timed.WriteUint64(uint64(k))
+		st.timed.WriteRow(row[len(st.last)-k:])
+		st.events(p, row, k)
 		if st.spec.timedRuns {
 			st.updateRuns(row)
 		}
+		st.repeat = 0
+		st.row, st.last = st.last, row
+	}
+}
+
+// attribute gathers the (address, PC) pairs of the stores and loads in
+// the queues. An entry joins the pairs when its address resolves and
+// keeps it until it leaves its queue, so after one walk of both queues
+// at an iteration's first cycle, each cycle adds only the addresses
+// that resolved in it.
+func (c *Collector) attribute(p *sim.Probe, walk bool) {
+	if !walk {
+		for _, r := range p.Resolutions() {
+			if r.Store {
+				c.writers.insert(r.Addr, r.PC, 0)
+			} else {
+				c.readers.insert(r.Addr, r.PC, 0)
+			}
+		}
+		return
 	}
 	for _, e := range p.StoreQueue() {
 		if e.Valid {
@@ -550,30 +606,33 @@ func shift(last, row []uint64) int {
 func (st *unitState) events(p *sim.Probe, row []uint64, k int) {
 	spec := st.spec
 	// Units with a slot-aligned PC row attribute each value to the
-	// instruction that produced it; for the PC-valued units the row is
-	// its own attribution; for the rest events are keyed by the
-	// observed value and resolved through Attribution() afterwards.
+	// instruction that produced it, and build that row at their first
+	// event; for the PC-valued units the row is its own attribution; for
+	// the rest events are keyed by the observed value and resolved
+	// through Attribution() afterwards.
 	var pcRow []uint64
-	if spec.pcs != nil {
-		pcRow = spec.pcs(p, st.pcRow[:0])
-		st.pcRow = pcRow
-	} else if spec.kind == provDirect {
+	if spec.pcs == nil && spec.kind == provDirect {
 		pcRow = row
 	}
-	start := len(st.last) - k
-	for i := start; i < len(row); i++ {
+	for i := len(st.last) - k; i < len(row); i++ {
 		v := row[i]
-		if v != 0 && !slices.Contains(st.last, v) {
-			st.evRec.AddValue(v)
-			if spec.kind != provNone {
-				key := v
-				if pcRow != nil {
-					key = pcRow[i]
-				}
-				if key != 0 {
-					st.provEvent(key, v)
-				}
-			}
+		if v == 0 || slices.Contains(st.last, v) {
+			continue
+		}
+		st.evRec.AddValue(v)
+		if spec.kind == provNone {
+			continue
+		}
+		if pcRow == nil && spec.pcs != nil {
+			pcRow = spec.pcs(p, st.pcRow[:0])
+			st.pcRow = pcRow
+		}
+		key := v
+		if pcRow != nil {
+			key = pcRow[i]
+		}
+		if key != 0 {
+			st.provEvent(key, v)
 		}
 	}
 }
@@ -592,12 +651,13 @@ func (c *Collector) Results() []UnitTrace {
 
 // SampleCounts returns, per tracked unit, the number of state rows
 // sampled inside labeled iterations — the volume the snapshot pipeline
-// ingested, surfaced as telemetry.
+// ingested, surfaced as telemetry. Every unit samples every cycle of a
+// labeled iteration, so the counts are equal.
 func (c *Collector) SampleCounts() map[Unit]uint64 {
 	out := make(map[Unit]uint64, len(c.units))
-	for _, u := range c.units {
-		if n := c.states[u].samples; n > 0 {
-			out[u] = n
+	if c.samples > 0 {
+		for _, u := range c.units {
+			out[u] = c.samples
 		}
 	}
 	return out
