@@ -95,10 +95,11 @@ type Core struct {
 	// with a source whose producer has not yet set its ready cycle waits
 	// in that register's list, which starts at waitHead (-1: empty) and
 	// runs youngest first; one whose sources all have a ready cycle, the
-	// latest still ahead, waits on wheel in slot readyAt mod wheelSlots.
+	// latest still ahead, waits in the list of wheel slot readyAt mod
+	// wheelSlots, which starts at wheel (-1: empty).
 	ready    []uopRef
 	waitHead []uopID
-	wheel    [wheelSlots][]uopRef
+	wheel    [wheelSlots]uopID
 	// loads holds, in age order, the loads whose address is ready and
 	// that have not yet accessed memory: the only LDQ entries
 	// issueMemory can act on.
@@ -203,11 +204,8 @@ func newCore(cfg Config, mem *Memory) *Core {
 	for i := range c.waitHead {
 		c.waitHead[i] = -1
 	}
-	// The wheel's slots start with room for a few refs each, carved from
-	// one array, so few of them ever grow.
-	buf := make([]uopRef, wheelSlots*8)
 	for i := range c.wheel {
-		c.wheel[i] = buf[i*8 : i*8 : (i+1)*8]
+		c.wheel[i] = -1
 	}
 	c.freeList = make([]int16, 0, cfg.IntPRF)
 	for i := cfg.IntPRF - 1; i >= 32; i-- {
@@ -450,8 +448,8 @@ func (c *Core) squashAfter(u *uop) {
 	c.loads = trimRefs(c.loads, squashSeq)
 	// Free destination registers of squashed uops, youngest first, so
 	// the free list returns to its pre-allocation order. Every squashed
-	// uop is in the ROB, so this also releases their handles; zeroing
-	// their seq voids the wheel's refs to them. A squashed uop still
+	// uop is in the ROB, so this also releases their handles, after
+	// taking them off the scheduler's lists. A squashed uop still
 	// waiting on a register heads that register's list by now, since
 	// everything pushed after it is younger still.
 	i, pcs := len(c.rob.q), 0
@@ -463,6 +461,13 @@ func (c *Core) squashAfter(u *uop) {
 				c.waitHead[p] = v.next[s]
 			}
 		}
+		if v.onWheel {
+			at := &c.wheel[v.readyAt&(wheelSlots-1)]
+			for *at != h {
+				at = &c.uops[*at].next[0]
+			}
+			*at = v.next[0]
+		}
 		if v.pdst >= 32 {
 			c.freeList = append(c.freeList, v.pdst)
 		}
@@ -471,7 +476,6 @@ func (c *Core) squashAfter(u *uop) {
 		} else {
 			pcs++
 		}
-		v.seq = 0
 		c.releaseUops(h)
 	}
 	c.rob.q = c.rob.q[:i]
@@ -511,9 +515,15 @@ func (c *Core) issueMemory() {
 	kept := c.loads[:0]
 	for _, r := range c.loads {
 		h, ld := r.h, &c.uops[r.h]
+		if c.stillBlocked(ld) {
+			kept = append(kept, r)
+			continue
+		}
 		older = c.olderStores(older, ld.seq)
-		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
-		if blocked {
+		st, at := c.olderStoreConflict(ld, c.stq.q[:older])
+		if at >= 0 {
+			ld.blockedBy = c.stq.q[at].h
+			ld.blockedOn = storeState(&c.uops[ld.blockedBy])
 			kept = append(kept, r)
 			continue
 		}
@@ -556,14 +566,14 @@ func (c *Core) olderStores(i int, seq uint64) int {
 
 // olderStoreConflict scans older, the stores older than ld, from the
 // youngest. It returns a forwarding source when the youngest
-// overlapping one fully covers the load, or blocked=true when the load
-// must wait (unknown address, partial overlap, or covering store whose
-// data is not yet available).
-func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, blocked bool) {
+// overlapping one fully covers the load, or the index in older of the
+// store the load must wait for (unknown address, partial overlap, or
+// covering store whose data is not yet available), -1 for none.
+func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, at int) {
 	for i := len(older) - 1; i >= 0; i-- {
 		st := &c.uops[older[i].h]
 		if !st.addrReady {
-			return nil, true
+			return nil, i
 		}
 		if st.memAddr+uint64(st.memSize) <= ld.memAddr ||
 			ld.memAddr+uint64(ld.memSize) <= st.memAddr {
@@ -572,11 +582,39 @@ func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, blocked bo
 		covers := st.memAddr <= ld.memAddr &&
 			ld.memAddr+uint64(ld.memSize) <= st.memAddr+uint64(st.memSize)
 		if covers && st.completed {
-			return st, false
+			return st, -1
 		}
-		return nil, true
+		return nil, i
 	}
-	return nil, false
+	return nil, -1
+}
+
+// stillBlocked reports whether the store that blocked ld's last attempt
+// is still in the STQ, with the address and completion it had then. The
+// stores the scan passed on the way to it have known, disjoint
+// addresses, so only a change of that store can lift the block. A store
+// drains before issueMemory and its handle is reused at fetch at the
+// earliest, so the STQ-head test sees a drained store before its handle
+// names another uop.
+func (c *Core) stillBlocked(ld *uop) bool {
+	if ld.blockedOn == 0 {
+		return false
+	}
+	st := &c.uops[ld.blockedBy]
+	return len(c.stq.q) > 0 && c.stq.q[0].seq <= st.seq && storeState(st) == ld.blockedOn
+}
+
+// storeState packs what of a store decides whether it blocks a load,
+// never 0.
+func storeState(st *uop) uint8 {
+	s := uint8(4)
+	if st.addrReady {
+		s |= 1
+	}
+	if st.completed {
+		s |= 2
+	}
+	return s
 }
 
 // ---------------------------------------------------------------------
@@ -647,7 +685,8 @@ func (c *Core) schedule(h uopID) {
 		return
 	}
 	slot := &c.wheel[u.readyAt&(wheelSlots-1)]
-	*slot = append(*slot, uopRef{h, u.seq})
+	u.next[0], *slot = *slot, h
+	u.onWheel = true
 }
 
 // insertByAge inserts r into the age-ordered list q, which has room
@@ -663,22 +702,22 @@ func insertByAge(q []uopRef, r uopRef) []uopRef {
 }
 
 // wake moves the uops due this cycle from the wheel to the ready list.
+// A uop due on a later turn goes back on its slot.
 func (c *Core) wake() {
 	slot := &c.wheel[c.cycle&(wheelSlots-1)]
-	if len(*slot) == 0 {
-		return
-	}
-	kept := (*slot)[:0]
-	for _, r := range *slot {
-		switch u := &c.uops[r.h]; {
-		case u.seq != r.seq: // squashed
-		case u.readyAt > c.cycle:
-			kept = append(kept, r) // due on a later turn
-		default:
-			c.ready = insertByAge(c.ready, r)
+	h := *slot
+	*slot = -1
+	for h >= 0 {
+		u := &c.uops[h]
+		next := u.next[0]
+		if u.readyAt > c.cycle {
+			u.next[0], *slot = *slot, h
+		} else {
+			u.onWheel = false
+			c.ready = insertByAge(c.ready, uopRef{h, u.seq})
 		}
+		h = next
 	}
-	*slot = kept
 }
 
 func (c *Core) issue() {

@@ -87,6 +87,25 @@ func (p *Probe) AppendLoads(list, scan []uint64) ([]uint64, []uint64) {
 	return list, scan
 }
 
+// HeldLoads counts the loads on the load list that stillBlocked keeps
+// from a store-conflict scan, and appends to wrong the seqs of those a
+// full STQ scan would not block.
+func (p *Probe) HeldLoads(wrong []uint64) (int, []uint64) {
+	c := p.c
+	held := 0
+	for _, r := range c.loads {
+		ld := &c.uops[r.h]
+		if !c.stillBlocked(ld) {
+			continue
+		}
+		held++
+		if _, blocked := refOlderStoreConflict(c, ld); !blocked {
+			wrong = append(wrong, ld.seq)
+		}
+	}
+	return held, wrong
+}
+
 // InROB reports whether the uop with the given seq is in the ROB.
 func (p *Probe) InROB(seq uint64) bool {
 	for _, h := range p.c.rob.q {
@@ -124,9 +143,9 @@ func (p *Probe) AppendLoadConflicts(dst []LoadConflict) []LoadConflict {
 			continue
 		}
 		older = c.olderStores(older, ld.seq)
-		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
+		st, at := c.olderStoreConflict(ld, c.stq.q[:older])
 		ref, refBlocked := refOlderStoreConflict(c, ld)
-		dst = append(dst, LoadConflict{ld.seq, seqOf(st), seqOf(ref), blocked, refBlocked})
+		dst = append(dst, LoadConflict{ld.seq, seqOf(st), seqOf(ref), at >= 0, refBlocked})
 	}
 	return dst
 }

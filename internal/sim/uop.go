@@ -11,7 +11,7 @@ const never = math.MaxInt64
 // uop is a micro-op in flight: one decoded instruction plus all of its
 // renaming, prediction and execution state.
 type uop struct {
-	// The fields every stage reads come first, to share a cache line.
+	// The fields most stages read come first, to share cache lines.
 	seq  uint64
 	pc   uint64
 	inst isa.Inst
@@ -24,11 +24,10 @@ type uop struct {
 
 	// Scheduling state: pending counts the sources whose producer has
 	// not yet set its ready cycle, next links the uop into the wait list
-	// of each such source (by source slot), and readyAt is the latest
-	// ready cycle among the others.
+	// of each such source (by source slot) and, once none is left, into
+	// its wheel slot's list if it is onWheel; readyAt is the latest ready
+	// cycle among the sources.
 	pending int8
-	next    [2]uopID
-	readyAt int64
 
 	// Status flags.
 	trap      bool // decode trap (illegal instruction on this path)
@@ -39,14 +38,23 @@ type uop struct {
 	memIssued bool
 	folded    bool // fast-bypass folding (shares a ROB slot with its neighbour)
 
+	next    [2]uopID
+	readyAt int64
+
 	// Execution state.
 	doneAt int64
 	result uint64
 
-	// Memory state.
+	// Memory state. A load that an older store blocked keeps that store
+	// and its storeState then (0: none); until the store changes the load
+	// stays blocked (stillBlocked).
 	memAddr   uint64
 	storeData uint64
+	blockedBy uopID
 	memSize   uint8
+	blockedOn uint8
+
+	onWheel bool
 
 	// Branch prediction state captured at fetch, and the outcome.
 	predTaken  bool
@@ -62,10 +70,8 @@ type uop struct {
 // uopID is a handle to a uop in its core's arena.
 type uopID int32
 
-// uopRef names a uop by handle and seq. The scheduler's lists hold
-// refs, so they order by age without reading the uops. The wheel drops
-// the refs of squashed uops lazily: a squash zeroes the seq of the uops
-// it releases, so a ref to one no longer matches.
+// uopRef names a uop by handle and seq. The age-ordered lists hold
+// refs, so they order by age without reading the uops.
 type uopRef struct {
 	h   uopID
 	seq uint64
