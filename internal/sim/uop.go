@@ -22,13 +22,6 @@ type uop struct {
 	ps2   int16
 	stale int16 // previous mapping of rd, freed at commit
 
-	// Scheduling state: pending counts the sources whose producer has
-	// not yet set its ready cycle, next links the uop into the wait list
-	// of each such source (by source slot) and, once none is left, into
-	// its wheel slot's list if it is onWheel; readyAt is the latest ready
-	// cycle among the sources.
-	pending int8
-
 	// Status flags.
 	trap      bool // decode trap (illegal instruction on this path)
 	issued    bool
@@ -38,6 +31,13 @@ type uop struct {
 	memIssued bool
 	folded    bool // fast-bypass folding (shares a ROB slot with its neighbour)
 
+	// Scheduling state: pending counts the sources whose producer has
+	// not yet set its ready cycle, next links the uop into the wait list
+	// of each such source (by source slot) and, once none is left, into
+	// its wheel slot's list while onWheel; readyAt is the latest ready
+	// cycle among the sources.
+	pending int8
+	onWheel bool
 	next    [2]uopID
 	readyAt int64
 
@@ -53,8 +53,6 @@ type uop struct {
 	blockedBy uopID
 	memSize   uint8
 	blockedOn uint8
-
-	onWheel bool
 
 	// Branch prediction state captured at fetch, and the outcome.
 	predTaken  bool

@@ -18,10 +18,12 @@ import (
 // it uses, the change marks and the lazily rebuilt ROB-PC row, so every
 // configuration whose paths move them is covered.
 func TestSamplingPurity(t *testing.T) {
-	for _, c := range walkConfigs() {
-		for _, name := range workloads.Names() {
-			t.Run(name+"@"+c.name, func(t *testing.T) { checkPurity(t, name, c.cfg) })
-		}
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) {
+			for _, c := range walkConfigs() {
+				t.Run(c.name, func(t *testing.T) { checkPurity(t, name, c.cfg) })
+			}
+		})
 	}
 }
 
