@@ -96,9 +96,9 @@ func TestPipelineListsMatchWalks(t *testing.T) {
 // by a full STQ scan. It records the most entries either list held and
 // how many loads were held back.
 type schedTracer struct {
-	err                          error
-	cycles, ready, loads, held   int
-	list, scan, lds, ldsWk, free []uint64
+	err                            error
+	cycles, ready, loads, held     int
+	list, scan, lds, ldqScan, free []uint64
 }
 
 func (s *schedTracer) OnCycle(p *sim.Probe) {
@@ -107,7 +107,7 @@ func (s *schedTracer) OnCycle(p *sim.Probe) {
 	}
 	s.cycles++
 	s.list, s.scan = p.AppendReady(s.list[:0], s.scan[:0])
-	s.lds, s.ldsWk = p.AppendLoads(s.lds[:0], s.ldsWk[:0])
+	s.lds, s.ldqScan = p.AppendLoads(s.lds[:0], s.ldqScan[:0])
 	held, free := p.HeldLoads(s.free[:0])
 	s.held += held
 	s.free = free
@@ -115,9 +115,9 @@ func (s *schedTracer) OnCycle(p *sim.Probe) {
 	case len(free) > 0:
 		s.err = fmt.Errorf("cycle %d: loads %v held back as blocked, a full STQ scan lets them go", s.cycles, free)
 	case !slices.Equal(s.list, s.scan):
-		s.err = fmt.Errorf("cycle %d: ready list %v, IQ scan %v", s.cycles, s.list, s.scan)
-	case !slices.Equal(s.lds, s.ldsWk):
-		s.err = fmt.Errorf("cycle %d: load list %v, LDQ scan %v", s.cycles, s.lds, s.ldsWk)
+		s.err = fmt.Errorf("cycle %d: ready list %v, scan of unissued uops %v", s.cycles, s.list, s.scan)
+	case !slices.Equal(s.lds, s.ldqScan):
+		s.err = fmt.Errorf("cycle %d: load list %v, LDQ scan %v", s.cycles, s.lds, s.ldqScan)
 	}
 	s.ready = max(s.ready, len(s.list))
 	s.loads = max(s.loads, len(s.lds))
