@@ -34,11 +34,6 @@ func (p *fuPool) acquire(now, lat int64, u *uop) bool {
 	return false
 }
 
-// wheelSlots is the number of slots of the wake-up wheel, a power of
-// two. A uop due further ahead than that stays in its slot for another
-// turn.
-const wheelSlots = 64
-
 // Core is the out-of-order pipeline.
 type Core struct {
 	cfg Config
@@ -91,19 +86,21 @@ type Core struct {
 	robGen, ldqGen, stqGen, branchGen uint64
 
 	// Issue scheduling. ready holds, in age order, the dispatched uops
-	// whose sources are readable: the only ones issue can act on. A uop
-	// with a source whose producer has not yet set its ready cycle waits
-	// in that register's list, which starts at waitHead (-1: empty) and
-	// runs youngest first; one whose sources all have a ready cycle, the
-	// latest still ahead, waits in the list of wheel slot readyAt mod
-	// wheelSlots, which starts at wheel (-1: empty).
+	// whose sources all have a ready cycle: the only ones issue can act
+	// on, once that cycle comes. A uop with a source whose producer has
+	// not yet set its ready cycle waits in that register's list, which
+	// starts at waitHead (-1: empty) and runs youngest first.
 	ready    []uopRef
 	waitHead []uopID
-	wheel    [wheelSlots]uopID
 	// loads holds, in age order, the loads whose address is ready and
 	// that have not yet accessed memory: the only LDQ entries
 	// issueMemory can act on.
 	loads []uopRef
+	// storeChanges counts the changes that can lift a load's block: a
+	// store resolving its address and data, completing and draining. A
+	// store dispatched later is younger than every load on loads, and a
+	// squash removes only stores younger than every load it keeps.
+	storeChanges uint64
 
 	// resolved lists the load and store addresses computed this cycle.
 	resolved []Resolution
@@ -203,9 +200,6 @@ func newCore(cfg Config, mem *Memory) *Core {
 	c.waitHead = make([]uopID, cfg.IntPRF)
 	for i := range c.waitHead {
 		c.waitHead[i] = -1
-	}
-	for i := range c.wheel {
-		c.wheel[i] = -1
 	}
 	c.freeList = make([]int16, 0, cfg.IntPRF)
 	for i := cfg.IntPRF - 1; i >= 32; i-- {
@@ -373,6 +367,7 @@ func (c *Core) drainStores() {
 	c.drainBusyUntil = done
 	c.stq.q = c.stq.q[1:]
 	c.stqGen++
+	c.storeChanges++
 	c.releaseUops(h)
 }
 
@@ -392,8 +387,14 @@ func (c *Core) complete() {
 			continue
 		}
 		u.completed = true
-		if u.inst.Class() == isa.ClassBranch && !u.resolved && c.resolveBranch(u) {
-			break // squash performed; every later entry was younger and is gone
+		switch u.inst.Class() {
+		case isa.ClassStore:
+			c.storeChanges++
+		case isa.ClassBranch:
+			if !u.resolved && c.resolveBranch(u) {
+				c.exec = kept
+				return // squash performed; every later entry was younger and is gone
+			}
 		}
 	}
 	c.exec = kept
@@ -449,9 +450,9 @@ func (c *Core) squashAfter(u *uop) {
 	// Free destination registers of squashed uops, youngest first, so
 	// the free list returns to its pre-allocation order. Every squashed
 	// uop is in the ROB, so this also releases their handles, after
-	// taking them off the scheduler's lists. A squashed uop still
-	// waiting on a register heads that register's list by now, since
-	// everything pushed after it is younger still.
+	// taking them off the wait lists. A squashed uop still waiting on a
+	// register heads that register's list by now, since everything
+	// pushed after it is younger still.
 	i, pcs := len(c.rob.q), 0
 	for ; i > 0 && c.uops[c.rob.q[i-1]].seq > squashSeq; i-- {
 		h := c.rob.q[i-1]
@@ -460,13 +461,6 @@ func (c *Core) squashAfter(u *uop) {
 			if v.pending > 0 && p >= 0 && c.waitHead[p] == h {
 				c.waitHead[p] = v.next[s]
 			}
-		}
-		if v.onWheel {
-			at := &c.wheel[v.readyAt&(wheelSlots-1)]
-			for *at != h {
-				at = &c.uops[*at].next[0]
-			}
-			*at = v.next[0]
 		}
 		if v.pdst >= 32 {
 			c.freeList = append(c.freeList, v.pdst)
@@ -520,10 +514,9 @@ func (c *Core) issueMemory() {
 			continue
 		}
 		older = c.olderStores(older, ld.seq)
-		st, at := c.olderStoreConflict(ld, c.stq.q[:older])
-		if at >= 0 {
-			ld.blockedBy = c.stq.q[at].h
-			ld.blockedOn = storeState(&c.uops[ld.blockedBy])
+		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
+		if blocked {
+			ld.blockedAt = c.storeChanges + 1
 			kept = append(kept, r)
 			continue
 		}
@@ -566,14 +559,14 @@ func (c *Core) olderStores(i int, seq uint64) int {
 
 // olderStoreConflict scans older, the stores older than ld, from the
 // youngest. It returns a forwarding source when the youngest
-// overlapping one fully covers the load, or the index in older of the
-// store the load must wait for (unknown address, partial overlap, or
-// covering store whose data is not yet available), -1 for none.
-func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, at int) {
+// overlapping one fully covers the load, or blocked=true when the load
+// must wait (unknown address, partial overlap, or covering store whose
+// data is not yet available).
+func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, blocked bool) {
 	for i := len(older) - 1; i >= 0; i-- {
 		st := &c.uops[older[i].h]
 		if !st.addrReady {
-			return nil, i
+			return nil, true
 		}
 		if st.memAddr+uint64(st.memSize) <= ld.memAddr ||
 			ld.memAddr+uint64(ld.memSize) <= st.memAddr {
@@ -582,39 +575,17 @@ func (c *Core) olderStoreConflict(ld *uop, older []uopRef) (fwd *uop, at int) {
 		covers := st.memAddr <= ld.memAddr &&
 			ld.memAddr+uint64(ld.memSize) <= st.memAddr+uint64(st.memSize)
 		if covers && st.completed {
-			return st, -1
+			return st, false
 		}
-		return nil, i
+		return nil, true
 	}
-	return nil, -1
+	return nil, false
 }
 
-// stillBlocked reports whether the store that blocked ld's last attempt
-// is still in the STQ, with the address and completion it had then. The
-// stores the scan passed on the way to it have known, disjoint
-// addresses, so only a change of that store can lift the block. A store
-// drains before issueMemory and its handle is reused at fetch at the
-// earliest, so the STQ-head test sees a drained store before its handle
-// names another uop.
+// stillBlocked reports whether an older store blocked ld with no store
+// change since, so that a scan would block it again.
 func (c *Core) stillBlocked(ld *uop) bool {
-	if ld.blockedOn == 0 {
-		return false
-	}
-	st := &c.uops[ld.blockedBy]
-	return len(c.stq.q) > 0 && c.stq.q[0].seq <= st.seq && storeState(st) == ld.blockedOn
-}
-
-// storeState packs what of a store decides whether it blocks a load,
-// never 0.
-func storeState(st *uop) uint8 {
-	s := uint8(4)
-	if st.addrReady {
-		s |= 1
-	}
-	if st.completed {
-		s |= 2
-	}
-	return s
+	return ld.blockedAt == c.storeChanges+1
 }
 
 // ---------------------------------------------------------------------
@@ -633,7 +604,8 @@ func (c *Core) srcVal(p int16) uint64 {
 
 // enqueue enters a dispatched uop into the scheduler. It waits on each
 // source whose producer has not yet set a ready cycle, and once none is
-// left it is scheduled for the latest ready cycle among them.
+// left it joins the ready list, to issue from the latest ready cycle
+// among them.
 func (c *Core) enqueue(h uopID) {
 	u := &c.uops[h]
 	for s, p := range [2]int16{u.ps1, u.ps2} {
@@ -648,7 +620,7 @@ func (c *Core) enqueue(h uopID) {
 		}
 	}
 	if u.pending == 0 {
-		c.schedule(h)
+		c.ready = insertByAge(c.ready, uopRef{h, u.seq})
 	}
 }
 
@@ -669,24 +641,11 @@ func (c *Core) writeBack(u *uop) {
 		}
 		w.readyAt = max(w.readyAt, u.doneAt)
 		if w.pending--; w.pending == 0 {
-			c.schedule(h)
+			c.ready = insertByAge(c.ready, uopRef{h, w.seq})
 		}
 		h = next
 	}
 	c.waitHead[p] = -1
-}
-
-// schedule puts a uop whose sources all have a ready cycle on the ready
-// list if that cycle has come, and on the wheel otherwise.
-func (c *Core) schedule(h uopID) {
-	u := &c.uops[h]
-	if u.readyAt <= c.cycle {
-		c.ready = insertByAge(c.ready, uopRef{h, u.seq})
-		return
-	}
-	slot := &c.wheel[u.readyAt&(wheelSlots-1)]
-	u.next[0], *slot = *slot, h
-	u.onWheel = true
 }
 
 // insertByAge inserts r into the age-ordered list q, which has room
@@ -701,34 +660,15 @@ func insertByAge(q []uopRef, r uopRef) []uopRef {
 	return q
 }
 
-// wake moves the uops due this cycle from the wheel to the ready list.
-// A uop due on a later turn goes back on its slot.
-func (c *Core) wake() {
-	slot := &c.wheel[c.cycle&(wheelSlots-1)]
-	h := *slot
-	*slot = -1
-	for h >= 0 {
-		u := &c.uops[h]
-		next := u.next[0]
-		if u.readyAt > c.cycle {
-			u.next[0], *slot = *slot, h
-		} else {
-			u.onWheel = false
-			c.ready = insertByAge(c.ready, uopRef{h, u.seq})
-		}
-		h = next
-	}
-}
-
 func (c *Core) issue() {
-	c.wake()
 	issued, kept, i := 0, 0, 0
-	// The walk keeps the uops that do not issue in place. A uop woken
-	// during it (by a fold, whose result is readable at once) is younger
-	// than its producer at i, so it is inserted beyond i.
+	// The walk keeps in place the uops whose ready cycle is still ahead
+	// and those that do not issue. A uop woken during it (by a fold,
+	// whose result is readable at once) is younger than its producer at
+	// i, so it is inserted beyond i.
 	for ; i < len(c.ready) && issued < c.cfg.IssueWidth; i++ {
 		r := c.ready[i]
-		if !c.tryIssue(r.h) {
+		if c.uops[r.h].readyAt > c.cycle || !c.tryIssue(r.h) {
 			c.ready[kept] = r
 			kept++
 			continue
@@ -818,6 +758,7 @@ func (c *Core) tryIssue(h uopID) bool {
 		u.storeData = v2
 		u.addrReady = true
 		c.stqGen++
+		c.storeChanges++
 		c.resolved = append(c.resolved, Resolution{Addr: u.memAddr, PC: u.pc, Store: true})
 		u.doneAt = now + 1
 

@@ -54,13 +54,19 @@ func (p *Probe) AppendExec(list, walk []uint64) ([]uint64, []uint64) {
 	return list, walk
 }
 
-// AppendReady appends the seqs of the ready list to list and, by a full
-// scan of the uops waiting to issue (in the ROB, neither issued nor
-// completed), the seqs of those whose sources are readable this cycle
-// to scan, both in age order.
-func (p *Probe) AppendReady(list, scan []uint64) ([]uint64, []uint64) {
+// AppendReady appends the seqs of the ready list's uops that may issue
+// this cycle to list and, by a full scan of the uops waiting to issue
+// (in the ROB, neither issued nor completed), the seqs of those whose
+// sources are readable this cycle to scan, both in age order. It also
+// counts the ready list's uops whose ready cycle is still ahead.
+func (p *Probe) AppendReady(list, scan []uint64) ([]uint64, []uint64, int) {
 	c := p.c
+	ahead := 0
 	for _, r := range c.ready {
+		if c.uops[r.h].readyAt > c.cycle {
+			ahead++
+			continue
+		}
 		list = append(list, r.seq)
 	}
 	for _, h := range c.rob.q {
@@ -68,7 +74,7 @@ func (p *Probe) AppendReady(list, scan []uint64) ([]uint64, []uint64) {
 			scan = append(scan, u.seq)
 		}
 	}
-	return list, scan
+	return list, scan, ahead
 }
 
 // AppendLoads appends the seqs of the load list to list and, by a full
@@ -143,9 +149,9 @@ func (p *Probe) AppendLoadConflicts(dst []LoadConflict) []LoadConflict {
 			continue
 		}
 		older = c.olderStores(older, ld.seq)
-		st, at := c.olderStoreConflict(ld, c.stq.q[:older])
+		st, blocked := c.olderStoreConflict(ld, c.stq.q[:older])
 		ref, refBlocked := refOlderStoreConflict(c, ld)
-		dst = append(dst, LoadConflict{ld.seq, seqOf(st), seqOf(ref), at >= 0, refBlocked})
+		dst = append(dst, LoadConflict{ld.seq, seqOf(st), seqOf(ref), blocked, refBlocked})
 	}
 	return dst
 }

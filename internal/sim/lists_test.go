@@ -93,12 +93,13 @@ func TestPipelineListsMatchWalks(t *testing.T) {
 // schedTracer checks, every cycle, the scheduler's ready list against a
 // full scan of the uops waiting to issue, its load list against a full
 // LDQ scan, and that every load held back as still blocked is blocked
-// by a full STQ scan. It records the most entries either list held and
-// how many loads were held back.
+// by a full STQ scan. It records the most entries either list held, how
+// many ready-list entries were not yet due and how many loads were held
+// back.
 type schedTracer struct {
-	err                            error
-	cycles, ready, loads, held     int
-	list, scan, lds, ldqScan, free []uint64
+	err                               error
+	cycles, ready, loads, ahead, held int
+	list, scan, lds, ldqScan, free    []uint64
 }
 
 func (s *schedTracer) OnCycle(p *sim.Probe) {
@@ -106,14 +107,13 @@ func (s *schedTracer) OnCycle(p *sim.Probe) {
 		return
 	}
 	s.cycles++
-	s.list, s.scan = p.AppendReady(s.list[:0], s.scan[:0])
+	var ahead, held int
+	s.list, s.scan, ahead = p.AppendReady(s.list[:0], s.scan[:0])
 	s.lds, s.ldqScan = p.AppendLoads(s.lds[:0], s.ldqScan[:0])
-	held, free := p.HeldLoads(s.free[:0])
-	s.held += held
-	s.free = free
+	held, s.free = p.HeldLoads(s.free[:0])
 	switch {
-	case len(free) > 0:
-		s.err = fmt.Errorf("cycle %d: loads %v held back as blocked, a full STQ scan lets them go", s.cycles, free)
+	case len(s.free) > 0:
+		s.err = fmt.Errorf("cycle %d: loads %v held back as blocked, a full STQ scan lets them go", s.cycles, s.free)
 	case !slices.Equal(s.list, s.scan):
 		s.err = fmt.Errorf("cycle %d: ready list %v, scan of unissued uops %v", s.cycles, s.list, s.scan)
 	case !slices.Equal(s.lds, s.ldqScan):
@@ -121,25 +121,28 @@ func (s *schedTracer) OnCycle(p *sim.Probe) {
 	}
 	s.ready = max(s.ready, len(s.list))
 	s.loads = max(s.loads, len(s.lds))
+	s.ahead += ahead
+	s.held += held
 }
 
 func (*schedTracer) OnMark(int64, isa.MarkKind, uint64) {}
 
 // TestSchedulerListsMatchScans is the differential test of producer
-// wake-up: on every cycle the ready list issue walks must hold exactly
-// the uops waiting to issue whose sources are readable, in age order,
-// and the load list issueMemory walks exactly the LDQ's loads with their
-// address ready and no memory access yet, across wake-ups at issue,
-// at a load's access, at a fold and after squashes. A load issueMemory
-// skips because the store that blocked it has not changed must still be
-// blocked. A configuration with a miss latency past the wake-up wheel's
-// span makes uops wait more than one turn of it.
+// wake-up: on every cycle the ready list's entries that are due must be
+// exactly the uops waiting to issue whose sources are readable, in age
+// order, and the load list issueMemory walks exactly the LDQ's loads
+// with their address ready and no memory access yet, across wake-ups at
+// issue, at a load's access, at a fold and after squashes. A load
+// issueMemory skips because no store changed since one blocked it must
+// still be blocked. On a configuration with one MSHR and one fill
+// buffer entry and long misses, loads that were just unblocked often
+// fail their access and stay on the list.
 func TestSchedulerListsMatchScans(t *testing.T) {
 	kernels := []string{"ME-V2-SAFE", "CRYPTO_memcmp", "SPECTRE-PHT", "ME-NAIVE"}
-	slow := sim.MegaBoom()
-	slow.MissLat = 150
-	var ready, loads, held int
-	for _, c := range append(walkConfigs(), walkConfig{"slowmem", slow}) {
+	narrow := sim.MegaBoom()
+	narrow.MSHREntries, narrow.LFBEntries, narrow.MissLat = 1, 1, 150
+	var ready, loads, ahead, held int
+	for _, c := range append(walkConfigs(), walkConfig{"narrowmem", narrow}) {
 		for _, name := range kernels {
 			t.Run(name+"@"+c.name, func(t *testing.T) {
 				tr := &schedTracer{}
@@ -152,6 +155,7 @@ func TestSchedulerListsMatchScans(t *testing.T) {
 				}
 				ready = max(ready, tr.ready)
 				loads = max(loads, tr.loads)
+				ahead += tr.ahead
 				held += tr.held
 			})
 		}
@@ -181,9 +185,9 @@ func TestSchedulerListsMatchScans(t *testing.T) {
 		}
 		held += tr.held
 	})
-	if ready < 2 || loads < 2 || held == 0 {
-		t.Fatalf("lists never held two entries (ready %d, loads %d) or no load was held back (%d): cases went untested",
-			ready, loads, held)
+	if ready < 2 || loads < 2 || ahead == 0 || held == 0 {
+		t.Fatalf("lists never held two entries (ready %d, loads %d), no ready entry waited for its cycle (%d) or no load was held back (%d): cases went untested",
+			ready, loads, ahead, held)
 	}
 }
 

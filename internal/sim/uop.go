@@ -33,11 +33,9 @@ type uop struct {
 
 	// Scheduling state: pending counts the sources whose producer has
 	// not yet set its ready cycle, next links the uop into the wait list
-	// of each such source (by source slot) and, once none is left, into
-	// its wheel slot's list while onWheel; readyAt is the latest ready
+	// of each such source (by source slot); readyAt is the latest ready
 	// cycle among the sources.
 	pending int8
-	onWheel bool
 	next    [2]uopID
 	readyAt int64
 
@@ -45,14 +43,12 @@ type uop struct {
 	doneAt int64
 	result uint64
 
-	// Memory state. A load that an older store blocked keeps that store
-	// and its storeState then (0: none); until the store changes the load
-	// stays blocked (stillBlocked).
+	// Memory state. blockedAt is the core's storeChanges plus one when
+	// an older store last blocked the load (0: never).
 	memAddr   uint64
 	storeData uint64
-	blockedBy uopID
+	blockedAt uint64
 	memSize   uint8
-	blockedOn uint8
 
 	// Branch prediction state captured at fetch, and the outcome.
 	predTaken  bool
