@@ -57,19 +57,21 @@
 // before exiting; a second SIGINT/SIGTERM forces immediate exit.
 //
 // With -journal-dir set, every job transition is appended to a fsynced
-// write-ahead journal and finished jobs' artifacts are persisted under
-// that directory; a daemon restarted over the same directory re-enqueues
-// jobs that were queued at the crash and marks jobs that were mid-run as
-// interrupted (-recover re-enqueues those too):
+// write-ahead journal, and each finished job's artifacts are filed once
+// in the verdict store's disk layer (-cache-dir, default
+// <journal-dir>/cache), which the job's journal record names by key; a
+// daemon restarted over the same directory re-enqueues jobs that were
+// queued at the crash and marks jobs that were mid-run as interrupted
+// (-recover re-enqueues those too):
 //
 //	msd -journal-dir /var/lib/msd -recover
 //
 // With -cache set, finished jobs' verdicts are retained in a
 // content-addressed cache and identical resubmissions are served the
-// same bytes without simulating (add -cache-dir for a disk layer that
-// survives restarts). Journaled daemons additionally chain terminal
-// journal records into Merkle roots (GET /api/v1/audit); the journal
-// can be checked offline:
+// same bytes without simulating (add -cache-dir to an unjournaled
+// daemon for a disk layer that survives restarts). Journaled daemons
+// additionally chain terminal journal records into Merkle roots
+// (GET /api/v1/audit); the journal can be checked offline:
 //
 //	msd -journal-dir /var/lib/msd -audit-verify
 //	msd -journal-dir /var/lib/msd -audit-verify -audit-head <chain-hex>
@@ -143,11 +145,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		queue         = fs.Int("queue", 16, "queued-job capacity (submissions beyond it get 503)")
 		maxJobs       = fs.Int("max-jobs", 64, "finished jobs and finished batches retained in memory (each)")
 		drainTimeout  = fs.Duration("drain-timeout", 2*time.Minute, "max wait for in-flight jobs on shutdown")
-		journalDir    = fs.String("journal-dir", "", "directory for the crash-safe job journal and artifacts (default: disabled, jobs are in-memory only)")
+		journalDir    = fs.String("journal-dir", "", "directory for the crash-safe job journal; finished jobs' artifacts are filed once in the verdict store's disk layer (-cache-dir) and the journal names them (default: disabled, jobs are in-memory only)")
 		recoverFlag   = fs.Bool("recover", false, "re-enqueue jobs interrupted by a crash instead of leaving them terminal (requires -journal-dir; queued jobs are always recovered)")
 		flightFrames  = fs.Int("flight-recorder", 1024, "cycles of per-unit occupancy kept per run; failed jobs expose the dump as a postmortem artifact (0: off)")
 		cacheEntries  = fs.Int("cache", 256, "verdicts retained in the content-addressed cache; identical resubmissions are served without simulating (0: off)")
-		cacheDir      = fs.String("cache-dir", "", "disk layer for the verdict cache, surviving restarts (default: <journal-dir>/cache when journaled, else memory-only)")
+		cacheDir      = fs.String("cache-dir", "", "disk layer of the verdict store, surviving restarts; a journaled daemon always has one and keeps finished jobs' artifacts there (default: <journal-dir>/cache when journaled, else memory-only)")
 		historyDir    = fs.String("history-dir", "", "directory for the labeled run-history store behind /api/v1/history and /api/v1/diff (default: <journal-dir>/history when journaled, else disabled)")
 		auditBatch    = fs.Int("audit-batch", 0, "terminal journal records per Merkle audit root (0: default)")
 		coordinator   = fs.Bool("coordinator", false, "serve the cluster-coordinator surface: worker registration, batch sharding, the shared verdict store")
@@ -179,9 +181,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			return fmt.Errorf("-audit-verify requires -journal-dir")
 		}
 		return runAuditVerify(*journalDir, *auditHead)
-	}
-	if *cacheDir == "" && *cacheEntries > 0 && *journalDir != "" {
-		*cacheDir = filepath.Join(*journalDir, "cache")
 	}
 	if *historyDir == "" && *journalDir != "" {
 		*historyDir = filepath.Join(*journalDir, "history")

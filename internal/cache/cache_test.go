@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +179,39 @@ func TestDiskRoundTrip(t *testing.T) {
 	})
 	if len(stray) > 0 {
 		t.Fatalf("temp files left behind: %v", stray)
+	}
+}
+
+// TestDiskConcurrentPutsOneKey: writers racing to file blobs of
+// different lengths under one key all succeed, and the stored blob is
+// one of them whole, never bytes of two.
+func TestDiskConcurrentPutsOneKey(t *testing.T) {
+	d, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := NewHasher().Sum()
+	blobs := make([][]byte, 4)
+	for i := range blobs {
+		blobs[i] = bytes.Repeat([]byte{byte('a' + i)}, 4096*(len(blobs)-i))
+	}
+	var wg sync.WaitGroup
+	for _, blob := range blobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if err := d.Put(key, blob); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, ok, err := d.Get(key)
+	if err != nil || !ok || !slices.ContainsFunc(blobs, func(b []byte) bool { return bytes.Equal(b, got) }) {
+		t.Fatalf("stored blob of %d bytes is none of the written ones (ok=%v err=%v)", len(got), ok, err)
 	}
 }
 

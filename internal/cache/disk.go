@@ -64,12 +64,19 @@ func (d *Disk) Put(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("cache: shard dir: %w", err)
 	}
-	tmp := p + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	// Each writer gets its own temp file: two Puts of one key racing on
+	// a shared name could interleave their bytes into a torn blob.
+	f, err := os.CreateTemp(filepath.Dir(p), key+".*.tmp")
 	if err != nil {
-		return fmt.Errorf("cache: create %s: %w", tmp, err)
+		return fmt.Errorf("cache: create temp for %s: %w", key, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	tmp := f.Name()
+	// CreateTemp makes the file 0600; a blob is as readable as before.
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("cache: write %s: %w", tmp, err)

@@ -1,26 +1,28 @@
 package msd
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
 	"microsampler/internal/cache"
 	"microsampler/internal/cluster"
 	"microsampler/internal/core"
+	"microsampler/internal/telemetry/export"
 )
 
-// Content-addressed job cache. Verification is deterministic, so a
-// job's full artifact set is a pure function of (program, config, seed
-// range, detection-relevant options, artifact parameters); two
-// submissions with the same key are served the same rendered bytes.
-// The in-memory LRU holds recent verdicts; Config.CacheDir adds an
-// fsync'd disk layer colocated with the journal that survives
-// restarts.
+// The verdict store. Verification is deterministic, so a job's full
+// artifact set is a pure function of (program, config, seed range,
+// detection-relevant options, artifact parameters); two submissions
+// with the same key are served the same rendered bytes. The in-memory
+// LRU holds recent verdicts; the fsync'd disk layer survives restarts
+// and is the only durable home of a journaled job's artifacts.
 
 // cacheKey returns the content-addressed key of an admitted job's
-// artifact set, from the request it resolved at admission, or "" when
-// it cannot be keyed ("do not cache"). A report job's base is its
-// point's core.CacheKey, the key a batch point of the same tuple gets.
+// artifact set, from the request it resolved at admission. A report
+// job's base is its point's core.CacheKey, the key a batch point of the
+// same tuple gets. Every resolved request has one: Point.Resolve and
+// core.ParseGridSpec reject each request either key function refuses.
 func (j *Job) cacheKey() string {
 	var base string
 	var err error
@@ -30,7 +32,7 @@ func (j *Job) cacheKey() string {
 		base, err = core.CacheKey(j.w, j.opts)
 	}
 	if err != nil {
-		return ""
+		panic(fmt.Sprintf("msd: resolved request has no cache key: %v", err))
 	}
 	// The rendered artifacts depend on the heatmap windowing on top of
 	// the verification tuple.
@@ -88,14 +90,15 @@ func decodePointResult(data []byte) (cluster.PointResult, error) {
 }
 
 // cacheLoad looks key up in the memory layer, then the disk layer,
-// promoting a disk hit into memory. Job artifact sets and point verdicts
-// share both layers under disjoint key spaces ("msd-job-v1" hashes
-// versus core.CacheKey); the checked assertion keeps an entry from ever
+// promoting a disk hit into memory; with no memory layer caching is off
+// and every lookup misses. Job artifact sets and point verdicts share
+// both layers under disjoint key spaces ("msd-job-v1" hashes versus
+// core.CacheKey); the checked assertion keeps an entry from ever
 // masquerading as the other kind. A corrupt disk blob is a miss — the
 // work simply re-verifies and overwrites it.
 func cacheLoad[T any](s *Server, key string, decode func([]byte) (T, error)) (T, bool) {
 	var zero T
-	if s.cache == nil || key == "" {
+	if s.cache == nil {
 		return zero, false
 	}
 	if v, ok := s.cache.Get(key); ok {
@@ -121,21 +124,75 @@ func cacheLoad[T any](s *Server, key string, decode func([]byte) (T, error)) (T,
 	return t, true
 }
 
-// cacheStore puts v in the memory layer and its encoding in the disk
-// layer. Disk failures degrade to memory-only caching.
-func (s *Server) cacheStore(key string, v any, encode func() ([]byte, error)) {
-	if s.cache == nil || key == "" {
-		return
+// cacheStore files v's encoding in the disk layer, then v in the memory
+// layer. On a journaled daemon a failed disk write is returned and v
+// stays out of memory, since a journal record may name only a blob on
+// disk; without a journal it degrades to memory-only caching.
+func (s *Server) cacheStore(key string, v any, encode func() ([]byte, error)) error {
+	if s.cacheDisk != nil {
+		data, err := encode()
+		if err == nil {
+			err = s.cacheDisk.Put(key, data)
+		}
+		if err != nil && s.jrn != nil {
+			return fmt.Errorf("persist artifacts: %w", err)
+		}
+		if err != nil {
+			s.log.Warn("cache disk write failed", "key", shortKey(key), "err", err)
+		}
 	}
-	s.cache.Put(key, v)
-	if s.cacheDisk == nil {
-		return
+	if s.cache != nil {
+		s.cache.Put(key, v)
 	}
-	data, err := encode()
+	return nil
+}
+
+// postmortem renders the flight-recorder dump a failed job's error
+// carries (nil when none) as a Perfetto counter trace. A journaled
+// daemon files it in the disk layer under the hash of its encoding and
+// returns that key ("" when it is not stored).
+func (s *Server) postmortem(runID string, failure error) (*cachedJob, string) {
+	dump, ok := core.FlightDumpFromError(failure)
+	if !ok {
+		return nil, ""
+	}
+	data, err := export.FlightPerfetto(dump).JSON()
+	if err != nil {
+		return nil, ""
+	}
+	pm := &cachedJob{arts: map[string]artifact{"postmortem": {"application/json", data}}}
+	if s.jrn == nil {
+		return pm, ""
+	}
+	blob, err := pm.encode()
+	key := fmt.Sprintf("%x", sha256.Sum256(blob))
 	if err == nil {
-		err = s.cacheDisk.Put(key, data)
+		err = s.cacheDisk.Put(key, blob)
 	}
 	if err != nil {
-		s.log.Warn("cache disk write failed", "key", shortKey(key), "err", err)
+		s.log.Warn("postmortem not persisted", "run_id", runID, "err", err)
+		return pm, ""
 	}
+	return pm, key
+}
+
+// loadStored reads back the artifacts a recovered terminal job's record
+// names: the blob under its key or, for a keyless record, the job's
+// jobs/<id>/ directory.
+func (s *Server) loadStored(j *Job) (map[string]artifact, error) {
+	if j.key == "" {
+		return s.jrn.loadArtifacts(j.ID)
+	}
+	data, ok, err := s.cacheDisk.Get(j.key)
+	if err == nil && !ok {
+		err = fmt.Errorf("msd: no blob under key %s", shortKey(j.key))
+	}
+	if err != nil {
+		return nil, err
+	}
+	cj, err := decodeCachedJob(data)
+	if err != nil {
+		return nil, err
+	}
+	return cj.arts, nil
 }

@@ -158,11 +158,17 @@ func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
 
 // storePoint caches a successful verdict under its key, stripped to the
 // deterministic verdict fields: who computed it and how is dispatch
-// metadata, not part of the answer.
+// metadata, not part of the answer. With caching off it stores nothing:
+// no lookup would read it back.
 func (s *Server) storePoint(key string, res cluster.PointResult) {
+	if s.cache == nil {
+		return
+	}
 	v := res.Verdict()
 	v.Key = key
-	s.cacheStore(key, v, func() ([]byte, error) { return json.Marshal(v) })
+	if err := s.cacheStore(key, v, func() ([]byte, error) { return json.Marshal(v) }); err != nil {
+		s.log.Warn("point verdict not stored", "key", shortKey(key), "err", err)
+	}
 }
 
 // computePoint runs one point's verification sequentially under the

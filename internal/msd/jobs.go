@@ -86,6 +86,14 @@ func (r JobRequest) resolve() (core.Workload, core.Options, core.GridSpec, error
 	return w, opts, grid, err
 }
 
+// resolve decodes the job's request and keys it, once, before admission.
+func (j *Job) resolve() (err error) {
+	if j.w, j.opts, j.grid, err = j.Req.resolve(); err == nil {
+		j.key = j.cacheKey()
+	}
+	return err
+}
+
 // Job is one tracked verification: the request, its lifecycle
 // timestamps, and — once done — the rendered artifacts. Fields are
 // guarded by the server mutex; artifacts are written once before the
@@ -111,7 +119,9 @@ type Job struct {
 	artifacts map[string]artifact
 
 	// Set at admission: what the request resolves to, and the artifact
-	// set's cache key ("" with caching off or when it cannot be keyed).
+	// set's cache key. A job recovered terminal instead holds the key its
+	// journal record names (a failed job's names its postmortem; a
+	// record written before records named a blob, none).
 	w    core.Workload
 	opts core.Options
 	grid core.GridSpec
@@ -299,22 +309,4 @@ func renderMatrixArtifacts(m *core.Matrix) (map[string]artifact, error) {
 		"matrix":      {"application/json", data},
 		"matrix.html": {"text/html; charset=utf-8", []byte(art.HTML())},
 	}, nil
-}
-
-// postmortemArtifacts extracts the downloadable evidence of a failed
-// job: the flight-recorder dump rendered as a Perfetto counter trace,
-// when the verification error carries one. Failures without a dump
-// yield no artifacts.
-func postmortemArtifacts(err error) map[string]artifact {
-	dump, ok := core.FlightDumpFromError(err)
-	if !ok {
-		return nil
-	}
-	data, jerr := export.FlightPerfetto(dump).JSON()
-	if jerr != nil {
-		return nil
-	}
-	return map[string]artifact{
-		"postmortem": {"application/json", data},
-	}
 }

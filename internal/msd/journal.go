@@ -31,12 +31,16 @@ type journalRecord struct {
 	Err string `json:"err,omitempty"`
 
 	// Summary is the verdict, recorded on done (nil on every other
-	// event). Artifacts live next to the journal under jobs/<id>/ and
-	// are not duplicated here.
+	// event).
 	*core.Summary
 	// Cached marks a done job whose verdict was served from the
 	// content-addressed cache instead of a fresh simulation.
 	Cached bool `json:"cached,omitempty"`
+	// Key names the verdict-store blob of the job's artifacts, recorded
+	// on done and on a failed job that left a postmortem. Recovery reads
+	// it and never recomputes it. Older records have none: their
+	// artifacts live under jobs/<id>/.
+	Key string `json:"key,omitempty"`
 
 	// Batch fields: BatchReq is recorded on batch-submit (recovery
 	// re-explodes it deterministically), PointIdx/PointRes on
@@ -62,7 +66,8 @@ type journalRecord struct {
 }
 
 // journal is the daemon's crash-safe persistence: an append-only JSONL
-// event log plus per-job artifact directories, all under one root.
+// event log. Finished jobs' artifacts live in the verdict store, which
+// the records name by key.
 type journal struct {
 	dir string
 
@@ -76,7 +81,7 @@ type journal struct {
 // plus the raw journal bytes so the audit chain can be rebuilt from the
 // exact line bytes its leaves hash.
 func openJournal(dir string) (*journal, []journalRecord, []byte, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("msd: journal dir: %w", err)
 	}
 	path := filepath.Join(dir, "journal.jsonl")
@@ -143,43 +148,18 @@ func (j *journal) Close() error {
 	return j.f.Close()
 }
 
-// jobDir is where one job's artifacts live on disk.
+// jobDir is where a keyless record's artifacts live on disk.
 func (j *journal) jobDir(id string) string { return filepath.Join(j.dir, "jobs", id) }
 
-// artifactMeta is one entry of a job's on-disk artifact manifest.
+// artifactMeta is one entry of a job's artifact manifest in the
+// jobs/<id>/ layout of journals written before records named a blob.
 type artifactMeta struct {
 	File        string `json:"file"`
 	ContentType string `json:"contentType"`
 }
 
-// writeArtifacts flushes a finished job's artifacts to its directory.
-// Every file lands via write-to-temp, fsync, rename — the manifest
-// last — so a reader (including a recovering daemon) never observes a
-// partially written artifact: either the manifest names only complete
-// files, or there is no manifest and the job does not count as done.
-func (j *journal) writeArtifacts(id string, arts map[string]artifact) error {
-	dir := j.jobDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("msd: job dir: %w", err)
-	}
-	manifest := make(map[string]artifactMeta, len(arts))
-	for name, art := range arts {
-		if strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
-			return fmt.Errorf("msd: unsafe artifact name %q", name)
-		}
-		if err := writeFileAtomic(filepath.Join(dir, name), art.data); err != nil {
-			return err
-		}
-		manifest[name] = artifactMeta{File: name, ContentType: art.contentType}
-	}
-	mdata, err := json.MarshalIndent(manifest, "", "  ")
-	if err != nil {
-		return fmt.Errorf("msd: encode manifest: %w", err)
-	}
-	return writeFileAtomic(filepath.Join(dir, "manifest.json"), mdata)
-}
-
-// loadArtifacts reads a job's artifacts back from its directory.
+// loadArtifacts reads a job's artifacts back from its jobs/<id>/
+// directory, the layout of a keyless record.
 func (j *journal) loadArtifacts(id string) (map[string]artifact, error) {
 	dir := j.jobDir(id)
 	mdata, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -201,38 +181,9 @@ func (j *journal) loadArtifacts(id string) (map[string]artifact, error) {
 	return arts, nil
 }
 
-// removeJob deletes a job's artifact directory (eviction).
+// removeJob deletes a keyless job's artifact directory (eviction).
 func (j *journal) removeJob(id string) error {
 	return os.RemoveAll(j.jobDir(id))
-}
-
-// writeFileAtomic writes data to path via a temp file, fsync and
-// rename, so path never holds a torn write.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("msd: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("msd: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("msd: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("msd: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("msd: rename %s: %w", tmp, err)
-	}
-	return nil
 }
 
 // idNum extracts the numeric suffix of a "job-N" or "batch-N"

@@ -11,11 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"microsampler/internal/cache"
 	"microsampler/internal/core"
 )
 
@@ -231,20 +234,19 @@ func TestRecoveredRerunCarriesNoStaleError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := jobCacheKey(JobRequest{Source: "x"})
+	fileBlob(t, dir, key, map[string]artifact{"report": {"application/json", []byte("{}")}})
 	now := time.Now()
 	for _, rec := range []journalRecord{
 		{Event: "submit", Time: now, ID: "job-1", Req: &JobRequest{Source: "x"}},
 		{Event: "start", Time: now, ID: "job-1"},
 		{Event: "interrupted", Time: now, ID: "job-1"},
 		{Event: "start", Time: now, ID: "job-1"},
-		{Event: "done", Time: now, ID: "job-1", Summary: &core.Summary{Leaky: true}},
+		{Event: "done", Time: now, ID: "job-1", Summary: &core.Summary{Leaky: true}, Key: key},
 	} {
 		if _, err := j.append(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.writeArtifacts("job-1", map[string]artifact{"report": {"application/json", []byte("{}")}}); err != nil {
-		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -317,10 +319,12 @@ func TestDaemonRecoveryReloadsArtifacts(t *testing.T) {
 	defer cancel()
 	_ = sA.Drain(ctx)
 
-	// The artifacts were flushed to disk before the job was marked done.
-	for _, name := range []string{"report", "trace", "heatmap", "heatmap.html", "manifest.json"} {
-		if _, err := os.Stat(filepath.Join(dir, "jobs", v.ID, name)); err != nil {
-			t.Errorf("artifact %s not on disk: %v", name, err)
+	// The artifacts were filed in the store before the job was marked
+	// done, under the job's key.
+	arts := storedBlob(t, dir, jobCacheKey(JobRequest{Source: "x"}))
+	for _, name := range []string{"report", "trace", "heatmap", "heatmap.html"} {
+		if _, ok := arts[name]; !ok {
+			t.Errorf("artifact %s not in the stored blob", name)
 		}
 	}
 
@@ -383,22 +387,170 @@ func TestDaemonEvictionNeverTouchesRunningJob(t *testing.T) {
 	if done.Status != string(StatusDone) {
 		t.Fatalf("job-1: %+v", done)
 	}
-	// Its artifacts are complete on disk despite the eviction pressure.
-	if _, err := os.Stat(filepath.Join(dir, "jobs", "job-1", "manifest.json")); err != nil {
-		t.Errorf("job-1 artifacts: %v", err)
+	// Its artifacts are complete in the store despite the eviction
+	// pressure.
+	if arts := storedBlob(t, dir, jobCacheKey(JobRequest{Source: "slow"})); len(arts) == 0 {
+		t.Error("job-1's stored blob holds no artifacts")
 	}
-	// Evicted jobs' directories are gone, and a restart does not
-	// resurrect them.
-	evictedDirs := 0
-	for i := 2; i <= 5; i++ {
-		if _, err := os.Stat(filepath.Join(dir, "jobs", fmt.Sprintf("job-%d", i))); err == nil {
-			evictedDirs++
+}
+
+// fileBlob files an artifact set in the verdict store of the journal
+// under dir, as a worker-run job does before journaling its done record.
+func fileBlob(t *testing.T, dir, key string, arts map[string]artifact) {
+	t.Helper()
+	disk, err := cache.NewDisk(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := (&cachedJob{arts: arts}).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storedBlob reads back the artifact set filed under key in the verdict
+// store of the journal under dir.
+func storedBlob(t *testing.T, dir, key string) map[string]artifact {
+	t.Helper()
+	disk, err := cache.NewDisk(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok, err := disk.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("no blob under %s: %v", shortKey(key), err)
+	}
+	cj, err := decodeCachedJob(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cj.arts
+}
+
+// fileState is what treeState records of one file.
+type fileState struct {
+	size int64
+	mod  time.Time
+}
+
+// treeState records every file under dir by its path relative to dir.
+func treeState(t *testing.T, dir string) map[string]fileState {
+	t.Helper()
+	files := map[string]fileState{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = fileState{info.Size(), info.ModTime()}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// writtenOutsideLog lists the files created or modified between two
+// tree states, except the journal and the history store.
+func writtenOutsideLog(before, after map[string]fileState) []string {
+	var out []string
+	for path, st := range after {
+		if path == "journal.jsonl" || strings.HasPrefix(path, "history"+string(filepath.Separator)) {
+			continue
+		}
+		if prev, ok := before[path]; !ok || prev != st {
+			out = append(out, path)
 		}
 	}
-	// MaxJobs=1 retains at most one finished job's directory alongside
-	// job-1's.
-	if evictedDirs > 1 {
-		t.Errorf("%d evicted job dirs persisted", evictedDirs)
+	slices.Sort(out)
+	return out
+}
+
+// TestHitAndFollowerWriteNoArtifacts: on a journaled daemon with
+// caching, a follower and a cache hit write no file besides their
+// journal and history records. The leader files the one blob all three
+// jobs' records name.
+func TestHitAndFollowerWriteNoArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	var calls atomic.Int64
+	s, ts := newJournaledServer(t, dir,
+		Config{Workers: 1, CacheEntries: 8, HistoryDir: filepath.Join(dir, "history")},
+		gatedOnSeed(gate, &calls))
+	defer drainNow(t, s)
+	req := JobRequest{Source: "nop", SeedOffset: 1}
+	key := jobCacheKey(req)
+
+	lead, _ := submitJob(t, ts.URL, req)
+	waitStatus(t, ts.URL, lead.ID, StatusRunning, 5*time.Second)
+	follower, _ := submitJob(t, ts.URL, req)
+	before := treeState(t, dir)
+	close(gate)
+	waitDone(t, ts.URL, lead.ID)
+	if v := waitDone(t, ts.URL, follower.ID); v.Status != string(StatusDone) || !v.Cached {
+		t.Fatalf("follower: %+v", v)
+	}
+	blob := filepath.Join("cache", key[:2], key+".bin")
+	if got := writtenOutsideLog(before, treeState(t, dir)); !slices.Equal(got, []string{blob}) {
+		t.Errorf("leader and follower wrote %v, want only the leader's blob %s", got, blob)
+	}
+
+	before = treeState(t, dir)
+	hit, _ := submitJob(t, ts.URL, req)
+	if hit.Status != string(StatusDone) || !hit.Cached {
+		t.Fatalf("resubmission not answered from cache: %+v", hit)
+	}
+	if got := writtenOutsideLog(before, treeState(t, dir)); len(got) > 0 {
+		t.Errorf("cache hit wrote %v", got)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("verification ran %d times, want 1", n)
+	}
+}
+
+// TestRecoveryReadsRecordedKey: recovery serves the blob a done record
+// names, even when the job's request now hashes to another key — a
+// key-schema change cannot orphan a finished job.
+func TestRecoveryReadsRecordedKey(t *testing.T) {
+	dir := t.TempDir()
+	req := JobRequest{Source: "x"}
+	key := jobCacheKey(JobRequest{Source: "recorded under another key"})
+	if key == jobCacheKey(req) {
+		t.Fatal("test keys collide")
+	}
+	report := []byte(`{"from":"the recorded blob"}`)
+	fileBlob(t, dir, key, map[string]artifact{"report": {"application/json", report}})
+	j, _, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for _, rec := range []journalRecord{
+		{Event: "submit", Time: now, ID: "job-1", Req: &req},
+		{Event: "done", Time: now, ID: "job-1", Summary: &core.Summary{Leaky: true}, Key: key},
+	} {
+		if _, err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newJournaledServer(t, dir, Config{Workers: 1, CacheEntries: 8}, nil)
+	defer drainNow(t, s)
+	if v, _ := getView(t, ts.URL, "job-1"); v.Status != string(StatusDone) {
+		t.Fatalf("job-1 recovered as %s (%s), want done", v.Status, v.Error)
+	}
+	if got := fetchArtifact(t, ts.URL, "job-1", "report"); !bytes.Equal(got, report) {
+		t.Errorf("recovered report = %s, want the recorded blob's %s", got, report)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"path/filepath"
 	"runtime/debug"
 	"slices"
 	"strconv"
@@ -65,9 +66,10 @@ type Config struct {
 	// twin of a queued or running job its follower: neither takes a queue
 	// slot or a worker. Zero disables caching.
 	CacheEntries int
-	// CacheDir, when non-empty (and CacheEntries is positive), adds an
-	// fsync'd disk layer under this directory: cached verdicts survive a
-	// daemon restart. Typically a subdirectory of JournalDir.
+	// CacheDir is the verdict store's fsync'd disk layer, where cached
+	// verdicts survive a restart. A journaled daemon always has one
+	// (default <JournalDir>/cache): it holds finished jobs' artifacts.
+	// Without a journal it needs CacheEntries positive.
 	CacheDir string
 
 	// HistoryDir, when non-empty, enables the run-history store: every
@@ -115,13 +117,13 @@ type Config struct {
 
 	// JournalDir, when non-empty, enables crash-safe job persistence:
 	// every job transition is appended (and fsynced) to a JSONL
-	// write-ahead journal under this directory, and finished jobs'
-	// artifacts are flushed to jobs/<id>/ on disk before the job is
-	// marked done. A daemon restarted over the same directory rebuilds
-	// its job table from the journal: jobs queued at the crash are
-	// re-enqueued, jobs mid-run are marked interrupted (see
-	// RequeueInterrupted), finished jobs reload their artifacts. Empty
-	// disables persistence; the daemon is then purely in-memory.
+	// write-ahead journal under this directory; a terminal record names
+	// the job's artifacts by their key in CacheDir. A daemon restarted
+	// over the same directory rebuilds its job table from the journal:
+	// jobs queued at the crash are re-enqueued, jobs mid-run are marked
+	// interrupted (see RequeueInterrupted), finished jobs reload their
+	// artifacts. Empty disables persistence; the daemon is then purely
+	// in-memory.
 	JournalDir string
 	// RequeueInterrupted makes recovery re-enqueue jobs that were
 	// running when the previous process died, instead of leaving them
@@ -158,7 +160,7 @@ type Server struct {
 	// seal, the same in the journal as in the auditor.
 	audMu sync.Mutex
 
-	// cache is the content-addressed verdict store (nil when disabled);
+	// cache is the verdict store's memory layer (nil with caching off);
 	// cacheDisk its optional persistent layer; flight deduplicates
 	// identical in-flight point verdicts onto one computation.
 	cache     *cache.LRU
@@ -300,15 +302,18 @@ func New(cfg Config) (*Server, error) {
 	// The constant build-info gauge ties every scrape to the exact
 	// binary that produced it.
 	version.Gauge(cfg.Metrics, "msd_build_info")
+	if cfg.CacheDir == "" && cfg.JournalDir != "" {
+		cfg.CacheDir = filepath.Join(cfg.JournalDir, "cache")
+	}
 	if cfg.CacheEntries > 0 {
 		s.cache = cache.NewLRU(cfg.CacheEntries)
-		if cfg.CacheDir != "" {
-			disk, err := cache.NewDisk(cfg.CacheDir)
-			if err != nil {
-				return nil, fmt.Errorf("msd: cache dir: %w", err)
-			}
-			s.cacheDisk = disk
+	}
+	if cfg.CacheDir != "" && (s.cache != nil || cfg.JournalDir != "") {
+		disk, err := cache.NewDisk(cfg.CacheDir)
+		if err != nil {
+			return nil, fmt.Errorf("msd: cache dir: %w", err)
 		}
+		s.cacheDisk = disk
 	}
 	if cfg.HistoryDir != "" {
 		h, err := history.Open(cfg.HistoryDir)
@@ -366,7 +371,7 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 			// The terminal events are named after the statuses they set. A
 			// job finished without running journals no start.
 			if j := s.jobs[r.ID]; j != nil {
-				j.Status, j.Err, j.Cached = JobStatus(r.Event), r.Err, r.Cached
+				j.Status, j.Err, j.Cached, j.key = JobStatus(r.Event), r.Err, r.Cached, r.Key
 				j.Started, j.Finished = cmp.Or(j.Started, r.Time), r.Time
 				if r.Summary != nil {
 					j.Summary = *r.Summary
@@ -387,21 +392,16 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 	for _, id := range s.order {
 		j := s.jobs[id]
 		switch j.Status {
-		case StatusDone:
-			arts, err := s.jrn.loadArtifacts(id)
-			if err != nil {
+		case StatusDone, StatusFailed:
+			// Most failed jobs left no post-mortem to reload.
+			arts, err := s.loadStored(j)
+			if err != nil && j.Status == StatusDone {
 				j.Status = StatusFailed
 				j.Err = fmt.Sprintf("artifacts lost at recovery: %v", err)
 				s.log.Warn("done job lost artifacts", "run_id", id, "err", err)
 				continue
 			}
 			j.artifacts = arts
-		case StatusFailed:
-			// A failed job may have persisted a post-mortem; reload it
-			// tolerantly — most failures leave no artifacts at all.
-			if arts, err := s.jrn.loadArtifacts(id); err == nil && len(arts) > 0 {
-				j.artifacts = arts
-			}
 		case StatusRunning:
 			// Orphaned mid-run by the crash: the journal has a start
 			// without a terminal event.
@@ -423,20 +423,20 @@ func (s *Server) recoverJobs(recs []journalRecord) {
 		// again, the start a later restart reads back if it never does.
 		j.Status, j.Err, j.Finished = StatusQueued, "", time.Time{}
 		var hit *cachedJob
-		var err error
-		if j.w, j.opts, j.grid, err = j.Req.resolve(); err == nil {
+		err := j.resolve()
+		if err == nil {
 			s.mu.Lock()
 			hit, err = s.admitLocked(j)
 			s.mu.Unlock()
 		}
 		if err != nil {
-			s.finish(j, nil, fmt.Errorf("dropped at recovery: %w", err), true)
+			s.finish(j, nil, "", fmt.Errorf("dropped at recovery: %w", err), true)
 			continue
 		}
 		s.recovered.Inc()
 		s.log.Info("job recovered", "run_id", j.ID, "workload", j.workloadName())
 		if hit != nil {
-			s.finish(j, hit, nil, true)
+			s.finish(j, hit, j.key, nil, true)
 		}
 	}
 }
@@ -623,8 +623,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 	}
 	req.Matrix = cmp.Or(req.Matrix, defaultMatrix)
 	job := &Job{Req: req, Status: StatusQueued}
-	var err error
-	if job.w, job.opts, job.grid, err = req.resolve(); err != nil {
+	if err := job.resolve(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -665,7 +664,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 	s.submitted.Inc()
 	s.log.Info("job submitted", "run_id", job.ID, "workload", job.workloadName())
 	if hit != nil {
-		s.finish(job, hit, nil, true)
+		s.finish(job, hit, job.key, nil, true)
 		s.wg.Done()
 		s.mu.Lock()
 		view = job.view()
@@ -677,16 +676,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 // errQueueFull refuses a job that needs a queue slot when none is free.
 var errQueueFull = errors.New("queue full")
 
-// admitLocked decides the path of a job whose request is resolved: a
-// cache hit (memory, then disk) is returned for the caller to finish
-// the job with; a twin of a queued or running job becomes its follower;
-// anything else is queued, or refused with errQueueFull. The caller
-// holds s.mu and has checked s.draining, so the queue is open.
+// admitLocked decides the path of a job whose request is resolved: with
+// caching on, a cache hit (memory, then disk) is returned for the
+// caller to finish the job with and a twin of a queued or running job
+// becomes its follower; anything else is queued, or refused with
+// errQueueFull. The caller holds s.mu and has checked s.draining, so the
+// queue is open.
 func (s *Server) admitLocked(job *Job) (*cachedJob, error) {
 	if s.cache != nil {
-		job.key = job.cacheKey()
-	}
-	if job.key != "" {
 		if cj, ok := cacheLoad(s, job.key, decodeCachedJob); ok {
 			s.cacheHits.Inc()
 			s.log.Info("job served from cache", "run_id", job.ID, "cache_key", job.key[:12])
@@ -704,17 +701,17 @@ func (s *Server) admitLocked(job *Job) (*cachedJob, error) {
 	default:
 		return nil, errQueueFull
 	}
-	if job.key != "" {
+	if s.cache != nil {
 		s.leaders[job.key] = job
 	}
 	return nil, nil
 }
 
 // evictLocked drops the oldest finished jobs beyond the retention
-// bound, returning the evicted IDs so the caller can clean up their
-// on-disk artifacts outside the lock. Queued and running jobs are never
-// evicted — a job's artifacts are flushed to disk before its status
-// turns terminal, so an evictable job is never still being written.
+// bound, returning the evicted IDs so the caller can journal them
+// outside the lock. Queued and running jobs are never evicted — a job's
+// artifacts are filed in the store before its status turns terminal,
+// so an evictable job is never still being written.
 // keepID (completion-time eviction passes the job that just finished)
 // is also spared: a fresh verdict must stay fetchable at least until
 // the next submission or completion, not vanish the instant it lands.
@@ -748,7 +745,8 @@ func evictOldest[T any](order []string, table map[string]T, bound int, keepID st
 }
 
 // dropEvicted journals evictions of jobs and batches and removes the
-// evicted jobs' artifact directories (batches have none); called
+// artifact directory a keyless journal record left (batches have none);
+// the store's blobs stay, shared by every job with their key. Called
 // without the server lock held.
 func (s *Server) dropEvicted(ids []string) {
 	for _, id := range ids {
@@ -895,8 +893,9 @@ func (s *Server) worker(n int) {
 	s.log.Debug("msd worker exiting", "worker", n)
 }
 
-// runJob verifies a queued job, files the result in the cache and
-// finishes the job and its followers with it.
+// runJob verifies a queued job, files the result in the verdict store
+// (a failed job's postmortem, if any) and finishes the job and its
+// followers with it.
 func (s *Server) runJob(job *Job) {
 	s.mu.Lock()
 	job.Status = StatusRunning
@@ -916,8 +915,12 @@ func (s *Server) runJob(job *Job) {
 	s.log.Info("job started", "run_id", job.ID, "workload", job.workloadName())
 
 	cj, err := s.computeJob(job)
-	if err == nil && job.key != "" {
-		s.cacheStore(job.key, cj, cj.encode)
+	key := job.key
+	if err == nil {
+		err = s.cacheStore(key, cj, cj.encode)
+	}
+	if err != nil {
+		cj, key = s.postmortem(job.ID, err)
 	}
 	// Retire the leader only after the store: a twin admitted from here
 	// on hits the cache; one admitted before is already a follower.
@@ -927,56 +930,36 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Unlock()
 	s.inflight.Add(-1)
 
-	s.finish(job, cj, err, false)
+	s.finish(job, cj, key, err, false)
 	for _, f := range followers {
 		if err == nil {
 			s.deduped.Inc()
 		}
-		s.finish(f, cj, err, true)
+		s.finish(f, cj, key, err, true)
 	}
 }
 
 // finish ends a job on every path — worker-run, cache hit, follower or
-// dropped at recovery — with its artifact set and verdict or its error:
-// it persists, journals, files the history record, publishes the status
-// and evicts. cached marks a job that ran no verification of its own;
-// only the others feed the Retry-After estimate of worker throughput.
-func (s *Server) finish(job *Job, cj *cachedJob, err error, cached bool) {
-	var arts map[string]artifact
-	var sum core.Summary
-	if err == nil {
-		arts, sum = cj.arts, cj.sum
+// dropped at recovery — with its artifact set and verdict or its error
+// and postmortem (cj, nil when there is none): it journals, files the
+// history record, publishes the status and evicts. It writes no
+// artifact: the terminal record names cj's stored blob by key ("" when
+// none). cached marks a job that ran no verification of its own; only
+// the others feed the Retry-After estimate of worker throughput.
+func (s *Server) finish(job *Job, cj *cachedJob, key string, err error, cached bool) {
+	if cj == nil {
+		cj = &cachedJob{}
 	}
-	// Flush the artifacts to stable storage BEFORE anything marks the
-	// job finished: eviction only touches terminal jobs, so a job whose
-	// artifacts are still being written can never be evicted, and a
-	// recovering daemon only sees a "done" journal record after its
-	// artifacts are durable.
-	if err == nil && s.jrn != nil {
-		if werr := s.jrn.writeArtifacts(job.ID, arts); werr != nil {
-			err = fmt.Errorf("persist artifacts: %w", werr)
-		}
-	}
-	if err != nil {
-		// A failed run may still leave evidence: the flight-recorder
-		// post-mortem rides along as a downloadable artifact, persisted
-		// before the failure is journaled so recovery can reload it.
-		arts = postmortemArtifacts(err)
-		if len(arts) > 0 && s.jrn != nil {
-			if werr := s.jrn.writeArtifacts(job.ID, arts); werr != nil {
-				s.log.Warn("postmortem not persisted", "run_id", job.ID, "err", werr)
-			}
-		}
-	}
+	arts, sum := cj.arts, cj.sum
 
 	// A job finished without running starts as it finishes, the instant
 	// recovery reads back from its terminal record.
 	finished := time.Now()
 	started := cmp.Or(job.Started, finished)
 	if err != nil {
-		s.journal(journalRecord{Event: "failed", Time: finished, ID: job.ID, Err: err.Error()})
+		s.journal(journalRecord{Event: "failed", Time: finished, ID: job.ID, Err: err.Error(), Key: key})
 	} else {
-		s.journal(journalRecord{Event: "done", Time: finished, ID: job.ID, Summary: &sum, Cached: cached})
+		s.journal(journalRecord{Event: "done", Time: finished, ID: job.ID, Summary: &sum, Cached: cached, Key: key})
 		kind, art := history.KindReport, arts["digest"]
 		if job.Req.Matrix != "" {
 			kind, art = history.KindMatrix, arts["matrix"]

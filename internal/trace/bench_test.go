@@ -40,6 +40,14 @@ func benchProbe(tb testing.TB) *sim.Probe {
 	return g.p
 }
 
+// cycleCounter is the change mark of a scripted unit spec whose row the
+// test sets by hand each cycle: a count that moves on every call, so
+// OnCycle rebuilds the row every cycle.
+func cycleCounter() func(*sim.Probe) uint64 {
+	var n uint64
+	return func(*sim.Probe) uint64 { n++; return n }
+}
+
 // onCycleUnits is the pinned unit set of BenchmarkOnCycle: every unit
 // tracked when the set was pinned, spelled out so that adding a unit to
 // the table does not silently change what the benchmark measures.

@@ -77,7 +77,8 @@ func FuzzHashTimed(f *testing.F) {
 		col := NewCollector(WithUnits(SQADDR))
 		st := &col.states[SQADDR]
 		st.spec = &unitSpec{name: "scripted", kind: provNone,
-			row: func(_ *sim.Probe, dst []uint64) []uint64 { return append(dst, cur...) }}
+			row: func(_ *sim.Probe, dst []uint64) []uint64 { return append(dst, cur...) },
+			gen: cycleCounter()}
 		col.OnMark(0, isa.MarkROIBegin, 0)
 		for class := uint64(0); class < 2; class++ {
 			col.OnMark(0, isa.MarkIterBegin, class)

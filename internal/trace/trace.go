@@ -66,7 +66,7 @@ type unitSpec struct {
 	row func(*sim.Probe, []uint64) []uint64
 	// gen returns the unit's change mark: a word that differs from its
 	// value at the unit's last row whenever the row may have changed
-	// since (nil: rebuild the row every cycle).
+	// since.
 	gen func(*sim.Probe) uint64
 	// pcs, when set, appends a PC row slot-aligned with row, attributing
 	// each value to the instruction that produced it.
@@ -523,14 +523,12 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 	}
 	for _, u := range c.units {
 		st := &c.states[u]
-		if gen := st.spec.gen; gen != nil {
-			g := gen(p)
-			if g == st.gen && !fresh {
-				st.repeat++
-				continue
-			}
-			st.gen = g
+		g := st.spec.gen(p)
+		if g == st.gen && !fresh {
+			st.repeat++
+			continue
 		}
+		st.gen = g
 		row := st.spec.row(p, st.row[:0])
 		// A row equal to the previous one only extends the repeat run:
 		// it has no new values. An empty first row of an iteration

@@ -326,7 +326,8 @@ func TestCollectorUnchangedRows(t *testing.T) {
 	col := NewCollector(WithUnits(SQADDR))
 	st := &col.states[SQADDR]
 	st.spec = &unitSpec{name: "scripted", kind: provNone,
-		row: func(_ *sim.Probe, dst []uint64) []uint64 { return append(dst, cur...) }}
+		row: func(_ *sim.Probe, dst []uint64) []uint64 { return append(dst, cur...) },
+		gen: cycleCounter()}
 	col.OnMark(0, isa.MarkROIBegin, 0)
 	for i, it := range iters {
 		col.OnMark(0, isa.MarkIterBegin, uint64(i))
