@@ -240,6 +240,11 @@ func run(args []string) error {
 		hd.store = store
 	}
 
+	// Provenance is recorded during the runs when an output renders it:
+	// the provenance files, and the digest behind -digest-out, history
+	// and diffs. Otherwise a report that needed it would replay its runs.
+	opts.Provenance = *provOut != "" || *provHTML != "" || *digestOut != "" || hd.active()
+
 	if *matrixSpec != "" {
 		if *digestOut != "" {
 			return fmt.Errorf("-digest-out applies to single-config runs; with -matrix the diffable artifact is -matrix-out")

@@ -92,6 +92,15 @@ type Options struct {
 	// its siblings are cancelled instead of simulating to completion.
 	Parallel int
 
+	// Provenance makes the runs record per-key provenance while they
+	// simulate, so Report.Provenance is set when Verify returns. Without
+	// it the verdict path records none, and Report.LoadProvenance
+	// rebuilds it by replaying the runs when a reader first needs it.
+	// Verdicts and artifact bytes are the same either way; set it when
+	// most reports will have their provenance read, since a replay
+	// simulates every run again.
+	Provenance bool
+
 	// RunTimeout bounds the wall time of each run (0 means no bound).
 	// An expired run fails with a context.DeadlineExceeded-wrapped error,
 	// and so does the verification: every run gets exactly one attempt.
@@ -296,8 +305,12 @@ type Report struct {
 	// iteration indices into Iterations. Keys are PCs for direct units
 	// and observed values (addresses) for the rest; the report package's
 	// BuildProvenance computes per-key Cramér's V over these streams and
-	// resolves value keys to instructions.
+	// resolves value keys to instructions. It is nil after a Verify
+	// without Options.Provenance until LoadProvenance fills it.
 	Provenance []trace.UnitProvenance
+	// replay rebuilds Provenance on demand; nil when Verify recorded it
+	// or did not build the report.
+	replay *provReplay
 
 	// Program is the assembled image, kept for symbolising extracted
 	// features (PCs to functions, addresses to data symbols).
@@ -450,6 +463,7 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 		col := trace.NewCollector(
 			trace.WithUnits(units...),
 			trace.WithWarmupIterations(opts.Warmup),
+			trace.WithProvenance(opts.Provenance),
 		)
 		tracedStart := time.Now()
 		res, err := execRun(runCtx, w, opts, prog, probe, run, col, tr, runSpan.ID())
@@ -537,7 +551,11 @@ func VerifyContext(ctx context.Context, w Workload, opts Options) (*Report, erro
 	}
 	// MergeProvenance shifts each run's iteration indices by the kept
 	// iterations of the runs before it, aligning them with rep.Iterations.
-	rep.Provenance = trace.MergeProvenance(cols...)
+	if opts.Provenance {
+		rep.Provenance = trace.MergeProvenance(cols...)
+	} else {
+		rep.replay = newProvReplay(w, opts)
+	}
 	mergeSpan.End()
 	rep.SimCycles = rep.Sim.Cycles
 	rep.Stages.RunWall = telemetry.Stats(runWall)

@@ -20,7 +20,9 @@ import (
 // store-writer/load-reader attribution maps. The digests were captured
 // before the unit definitions were consolidated into one table, so any
 // drift in a unit's row, PC attribution, value keying or run encoding
-// fails here even when the verdicts happen to survive it.
+// fails here even when the verdicts happen to survive it. Each case runs
+// twice, recording provenance during the runs and rebuilding it by
+// replay, and both must match the one digest.
 func TestUnitEvidenceGolden(t *testing.T) {
 	cases := []struct {
 		workload, where string
@@ -42,15 +44,21 @@ func TestUnitEvidenceGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.Verify(w, core.Options{Runs: 2, Config: tc.cfg})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.workload, err)
-		}
-		if got := evidenceDigest(rep); got != tc.digest {
-			t.Errorf("%s on %s: evidence digest %s, want %s", tc.workload, tc.where, got, tc.digest)
-		}
-		for _, up := range rep.Provenance {
-			streams[up.Unit] += len(up.Streams)
+		for _, inRun := range []bool{true, false} {
+			rep, err := core.Verify(w, core.Options{Runs: 2, Config: tc.cfg, Provenance: inRun})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.workload, err)
+			}
+			if err := rep.LoadProvenance(); err != nil {
+				t.Fatalf("%s: %v", tc.workload, err)
+			}
+			if got := evidenceDigest(rep); got != tc.digest {
+				t.Errorf("%s on %s (in-run provenance %v): evidence digest %s, want %s",
+					tc.workload, tc.where, inRun, got, tc.digest)
+			}
+			for _, up := range rep.Provenance {
+				streams[up.Unit] += len(up.Streams)
+			}
 		}
 	}
 	// Every unit whose events carry a key must be exercised by some case,

@@ -125,7 +125,7 @@ func TestFlightRecorderFramesValidation(t *testing.T) {
 
 func TestProvenanceMergedAcrossRuns(t *testing.T) {
 	rep, err := Verify(Workload{Name: "leak", Source: leakWorkload},
-		Options{Runs: 3, Warmup: NoWarmup})
+		Options{Runs: 3, Warmup: NoWarmup, Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestProvenanceMergedAcrossRuns(t *testing.T) {
 	// Determinism: a second identical verification must merge to the
 	// identical provenance.
 	rep2, err := Verify(Workload{Name: "leak", Source: leakWorkload},
-		Options{Runs: 3, Warmup: NoWarmup})
+		Options{Runs: 3, Warmup: NoWarmup, Provenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,16 +323,6 @@ type Matrix struct {
 	Cells    []CellResult `json:"cells"`
 }
 
-// CellByName returns a cell result by its canonical name.
-func (m *Matrix) CellByName(name string) (*CellResult, bool) {
-	for i := range m.Cells {
-		if m.Cells[i].Name == name {
-			return &m.Cells[i], true
-		}
-	}
-	return nil, false
-}
-
 // LeakyCells returns the names of the cells with a leaky verdict.
 func (m *Matrix) LeakyCells() []string {
 	var out []string
@@ -386,6 +376,9 @@ func VerifyMatrixContext(ctx context.Context, w Workload, opts MatrixOptions) (*
 		cr.ConfigName = cfg.Name
 		o := opts.Options
 		o.Config = cfg
+		// BuildMatrix reads the provenance of every leaky cell, so the
+		// cells record it while they run rather than replay for it.
+		o.Provenance = true
 		// Every cell gets its own run ID: with a caller-supplied ID the
 		// cell name is suffixed; without one the cell name itself is the
 		// ID. An empty per-cell ID would make cells indistinguishable in

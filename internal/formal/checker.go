@@ -58,7 +58,7 @@ func Check(n *Netlist, maxSteps int) (Result, error) {
 	scratch := make([]bool, len(n.gates))
 
 	visited := map[productState]bool{}
-	frontier := []productState{{n.resetState, n.resetState}}
+	frontier := []productState{{0, 0}} // both copies start from the all-zero reset state
 	visited[frontier[0]] = true
 
 	publicMax := uint64(1) << n.publicBits

@@ -43,7 +43,6 @@ type Netlist struct {
 	gates      []gate
 	next       []int // per state bit: gate producing its next value
 	observable []int // gates an attacker can time/observe
-	resetState uint64
 }
 
 // Builder constructs netlists.
@@ -130,9 +129,6 @@ func (b *Builder) SetNext(i int, s Signal) { b.n.next[i] = int(s) }
 func (b *Builder) Observe(s Signal) {
 	b.n.observable = append(b.n.observable, int(s))
 }
-
-// SetReset sets the reset value of the state registers.
-func (b *Builder) SetReset(v uint64) { b.n.resetState = v }
 
 // Build finalises the netlist.
 func (b *Builder) Build() *Netlist { return b.n }

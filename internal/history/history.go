@@ -165,7 +165,8 @@ func BlobKey(data []byte) string {
 // Append files the artifacts content-addressed, stamps the record with
 // their keys (and an append time, if unset), and appends it to the
 // index. The blobs and the index line are durable — fsync'd — before
-// Append returns the stored record.
+// Append returns the stored record. A blob already on disk with the
+// same bytes is read, not written again.
 func (s *Store) Append(rec Record, artifacts map[string][]byte) (Record, error) {
 	if rec.Label == "" {
 		return Record{}, fmt.Errorf("history: record needs a label")
@@ -180,6 +181,10 @@ func (s *Store) Append(rec Record, artifacts map[string][]byte) (Record, error) 
 		rec.Artifacts = make(map[string]string, len(artifacts))
 		for name, data := range artifacts {
 			key := BlobKey(data)
+			if old, ok, err := s.blobs.Get(key); err == nil && ok && bytes.Equal(old, data) {
+				rec.Artifacts[name] = key
+				continue
+			}
 			if err := s.blobs.Put(key, data); err != nil {
 				return Record{}, fmt.Errorf("history: artifact %s: %w", name, err)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"microsampler/internal/core"
 )
@@ -53,6 +54,53 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Artifact(recs[1], "matrix"); err == nil {
 		t.Fatal("missing artifact should error")
+	}
+}
+
+// TestAppendKeepsFiledBlob appends the same artifact twice: the second
+// Append finds the blob on disk with the same bytes and leaves the file
+// as it was, same inode and same mtime. A blob whose bytes differ from
+// its key's is filed again.
+func TestAppendKeepsFiledBlob(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	blob := []byte(`{"workload":"TAGE-HIST"}`)
+	if _, err := s.Append(rec("aaa111", KindReport), map[string][]byte{"digest": blob}); err != nil {
+		t.Fatal(err)
+	}
+	key := BlobKey(blob)
+	path := filepath.Join(dir, "blobs", key[:2], key+".bin")
+	past := time.Date(2020, 1, 2, 3, 4, 5, 0, time.UTC)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := s.Append(rec("bbb222", KindReport), map[string][]byte{"digest": blob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Artifacts["digest"] != key {
+		t.Fatalf("second record names blob %q, want %q", stored.Artifacts["digest"], key)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(past) {
+		t.Errorf("second Append rewrote the blob: mtime %v, same file %v", after.ModTime(), os.SameFile(before, after))
+	}
+
+	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(rec("ccc333", KindReport), map[string][]byte{"digest": blob}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, blob) {
+		t.Errorf("damaged blob not filed again: %q, %v", got, err)
 	}
 }
 

@@ -230,7 +230,7 @@ const (
 )
 
 // Class categorizes operations for the pipeline's functional-unit routing.
-type Class int
+type Class uint8
 
 // Functional-unit classes.
 const (

@@ -1054,9 +1054,12 @@ func (s *Server) computeJob(job *Job) (*cachedJob, error) {
 }
 
 // execOptions stamps the daemon's execution options onto a resolved
-// verification: the telemetry sinks and the run ID every log record
-// and span carries.
+// verification: the telemetry sinks, the run ID every log record and
+// span carries, and in-run provenance, because every job and point
+// renders provenance or a digest that reads it, which a replay would
+// simulate again.
 func (s *Server) execOptions(opts core.Options, runID string) core.Options {
+	opts.Provenance = true
 	opts.Metrics = s.reg
 	opts.Logger = s.log
 	opts.RunID = runID

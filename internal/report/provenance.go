@@ -76,8 +76,13 @@ const maxProvValues = 4
 // to the instructions that produced the address, and keeps the
 // statistically significant entries ranked by V. A report with no
 // provenance streams (e.g. deserialised from an older artifact) yields
-// an empty ranking rather than an error.
+// an empty ranking rather than an error. A report whose verification
+// recorded no provenance has it rebuilt first (core.Report.LoadProvenance),
+// and a replay that fails is an error.
 func BuildProvenance(rep *core.Report) (*Provenance, error) {
+	if err := rep.LoadProvenance(); err != nil {
+		return nil, fmt.Errorf("provenance: %w", err)
+	}
 	n := len(rep.Iterations)
 	if n == 0 {
 		return nil, fmt.Errorf("provenance: report has no iterations")

@@ -266,7 +266,7 @@ func (c *Core) commit() {
 			return
 		}
 		switch {
-		case u.inst.IsStore():
+		case u.class == isa.ClassStore:
 			// The architectural write happens at commit; the D-cache
 			// drain (timing) follows. The STQ entry is released once
 			// the drain completes.
@@ -314,12 +314,12 @@ func (c *Core) popROBHead(h uopID) {
 	if u.inst.IsCondBranch() {
 		c.branchGen++
 	}
-	if u.inst.IsLoad() && len(c.ldq.q) > 0 && c.ldq.q[0].h == h {
+	if u.class == isa.ClassLoad && len(c.ldq.q) > 0 && c.ldq.q[0].h == h {
 		c.ldq.q = c.ldq.q[1:]
 		c.ldqGen++
 	}
 	// A store keeps its uop until its drain completes (drainStores).
-	if !u.inst.IsStore() {
+	if u.class != isa.ClassStore {
 		c.releaseUops(h)
 	}
 }
@@ -387,7 +387,7 @@ func (c *Core) complete() {
 			continue
 		}
 		u.completed = true
-		switch u.inst.Class() {
+		switch u.class {
 		case isa.ClassStore:
 			c.storeChanges++
 		case isa.ClassBranch:
@@ -690,7 +690,7 @@ func (c *Core) tryIssue(h uopID) bool {
 	v2 := c.srcVal(u.ps2)
 	now := c.cycle
 
-	switch u.inst.Class() {
+	switch u.class {
 	case isa.ClassALU:
 		// Fast bypass, late check (Section VII-B1 step 2.2): an AND
 		// whose operand arrived as zero via the bypass network is
@@ -787,10 +787,10 @@ func (c *Core) dispatch() {
 		if len(c.rob.q) >= c.cfg.ROBEntries {
 			return
 		}
-		if u.inst.IsLoad() && len(c.ldq.q) >= c.cfg.LDQEntries {
+		if u.class == isa.ClassLoad && len(c.ldq.q) >= c.cfg.LDQEntries {
 			return
 		}
-		if u.inst.IsStore() && len(c.stq.q) >= c.cfg.STQEntries {
+		if u.class == isa.ClassStore && len(c.stq.q) >= c.cfg.STQEntries {
 			return
 		}
 		needsPdst := u.inst.WritesRd() && u.inst.Rd != isa.Zero && !u.trap
@@ -815,7 +815,7 @@ func (c *Core) dispatch() {
 			c.rat[u.inst.Rd] = p
 			c.prfReady[p] = never
 		}
-		if u.inst.Class() == isa.ClassBranch {
+		if u.class == isa.ClassBranch {
 			u.ratChk = c.rat
 		}
 
@@ -834,7 +834,7 @@ func (c *Core) dispatch() {
 		}
 
 		c.pushROB(h)
-		switch u.inst.Class() {
+		switch u.class {
 		case isa.ClassLoad:
 			c.ldq.push(uopRef{h, u.seq})
 			c.ldqGen++

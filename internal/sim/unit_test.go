@@ -3,9 +3,21 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"microsampler/internal/asm"
 )
+
+// ---------------------------------------------------------------------
+// uop
+
+// TestUopSize pins the uop at 216 bytes: every stage reads uops out of
+// the arena, and the cached class sits in padding the layout had.
+func TestUopSize(t *testing.T) {
+	if got := unsafe.Sizeof(uop{}); got != 216 {
+		t.Errorf("uop is %d bytes, want 216", got)
+	}
+}
 
 // ---------------------------------------------------------------------
 // gshare / BTB / RAS

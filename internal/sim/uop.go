@@ -50,6 +50,9 @@ type uop struct {
 	blockedAt uint64
 	memSize   uint8
 
+	// class is inst.Class(), looked up once when the uop is made.
+	class isa.Class
+
 	// Branch prediction state captured at fetch, and the outcome.
 	predTaken  bool
 	taken      bool
@@ -80,7 +83,7 @@ func (c *Core) newUop(pc uint64, inst isa.Inst) uopID {
 	// composite literal on the stack and copying it into the slot.
 	u := &c.uops[h]
 	*u = uop{}
-	u.seq, u.pc, u.inst, u.doneAt = c.seq, pc, inst, never
+	u.seq, u.pc, u.inst, u.class, u.doneAt = c.seq, pc, inst, inst.Class(), never
 	u.pdst, u.ps1, u.ps2, u.stale = -1, -1, -1, -1
 	return h
 }

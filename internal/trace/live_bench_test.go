@@ -24,13 +24,21 @@ func BenchmarkOnCycleLive(b *testing.B) { benchSampling(b, []string{"ME-V1-MV"},
 // one paper-suite deck: every catalogue kernel with the inputs of runs 0
 // to 3 on MegaBoom. The kernels that dominate paper-suite time keep
 // their rows moving differently from ME-V1-MV, so this is the sampling
-// cost paper-suite pays.
+// cost of a verification that records provenance.
 func BenchmarkSamplingCatalogue(b *testing.B) { benchSampling(b, workloads.Names(), 4) }
 
+// BenchmarkSamplingCatalogueVerdict is BenchmarkSamplingCatalogue with
+// provenance off: the sampling a verdict alone needs, which is what
+// core.Verify pays without Options.Provenance.
+func BenchmarkSamplingCatalogueVerdict(b *testing.B) {
+	benchSampling(b, workloads.Names(), 4, trace.WithProvenance(false))
+}
+
 // benchSampling runs each named kernel with the inputs of runs 0 to
-// runs-1 on MegaBoom, untraced and traced, and reports the traced
-// minus the untraced wall time per simulated cycle.
-func benchSampling(b *testing.B, names []string, runs int) {
+// runs-1 on MegaBoom, untraced and traced by a collector built with
+// opts, and reports the traced minus the untraced wall time per
+// simulated cycle.
+func benchSampling(b *testing.B, names []string, runs int, opts ...trace.Option) {
 	type kernel struct {
 		name  string
 		prog  *asm.Program
@@ -79,7 +87,7 @@ func benchSampling(b *testing.B, names []string, runs int) {
 			for seed := range runs {
 				want, d := run(k, seed, nil)
 				plain += d
-				got, d := run(k, seed, trace.NewCollector())
+				got, d := run(k, seed, trace.NewCollector(opts...))
 				traced += d
 				if got.Cycles != want.Cycles {
 					b.Fatalf("%s run %d: tracing changed execution: %d cycles traced, %d untraced",

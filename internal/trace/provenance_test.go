@@ -168,3 +168,35 @@ func TestMergeProvenanceShiftsIterations(t *testing.T) {
 		}
 	}
 }
+
+// TestWithoutProvenanceRecordsNone runs the same program with and
+// without provenance: without it no unit gets a provenance part, so no
+// provenance state exists to fill during the run and Provenance is nil,
+// while the verdict evidence (timed and event stores, iteration hashes,
+// iterations) and the attribution pairs equal the recording run's.
+func TestWithoutProvenanceRecordsNone(t *testing.T) {
+	on, _ := runWithProgram(t, loopProgram)
+	off, _ := runWithProgram(t, loopProgram, WithProvenance(false))
+	for _, u := range AllUnits() {
+		if off.states[u].prov != nil {
+			t.Errorf("%v: provenance state exists with provenance off", u)
+		}
+	}
+	if prov := off.Provenance(); prov != nil {
+		t.Errorf("Provenance() = %v with provenance off, want nil", prov)
+	}
+	if len(on.Provenance()) == 0 {
+		t.Fatal("recording run collected no provenance")
+	}
+	if !reflect.DeepEqual(off.Results(), on.Results()) {
+		t.Error("turning provenance off changed the snapshot evidence")
+	}
+	if !reflect.DeepEqual(off.Iterations(), on.Iterations()) {
+		t.Error("turning provenance off changed the kept iterations")
+	}
+	wOn, rOn := on.Attribution()
+	wOff, rOff := off.Attribution()
+	if len(wOn) == 0 || !reflect.DeepEqual(wOff, wOn) || !reflect.DeepEqual(rOff, rOn) {
+		t.Error("turning provenance off changed the memory-access attribution")
+	}
+}

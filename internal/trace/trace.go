@@ -213,16 +213,173 @@ type provStream struct {
 	key        uint64
 	iterEvents uint64 // events seen this iteration
 	events     uint64 // events across kept iterations
-	touched    bool   // appeared this iteration (queued in provTouched)
+	touched    bool   // appeared this iteration (queued in touched)
 }
 
 // provRec is one kept-iteration observation of one key: all records of
 // a unit share a single append-only log so the per-iteration flush has
 // the same amortised allocation profile as iterHashes.
 type provRec struct {
-	stream int32 // index into unitState.prov
+	stream int32 // index into unitProv.streams
 	iter   int32 // index into Collector.iters
 	hash   uint64
+}
+
+// unitProv is the provenance part of one unit's sampling state: the
+// per-key event streams, their log of kept iterations, and what the
+// streams need from the rows (the slot-aligned PC row, and for the
+// timed units the per-slot occupancy runs). Verdicts read none of it; a
+// unit has it only in a collector that records provenance, and only if
+// its values carry an attributable key.
+type unitProv struct {
+	streams []provStream // per-key event accumulators, first-seen order
+	index   u64set       // key (k, 0) → index into streams
+	touched []int32      // indices into streams touched this iteration
+	log     []provRec    // kept-iteration observations
+
+	pcRow   []uint64 // slot-aligned PC row scratch (units with spec.pcs)
+	prevRow []uint64 // the row before the repeats (timed units only)
+	runLen  []uint32 // consecutive cycles each slot held its value, repeats aside
+}
+
+// stream returns key's accumulator, appending it to streams on the
+// key's first-ever sighting and queueing its index in touched on its
+// first use this iteration. The returned pointer is valid until the
+// next new key grows streams.
+func (pv *unitProv) stream(key uint64) *provStream {
+	i, added := pv.index.insert(key, 0, int32(len(pv.streams)))
+	if added {
+		pv.streams = append(pv.streams, provStream{key: key})
+		pv.streams[i].h.Reset(siphash.DefaultKey)
+	}
+	ps := &pv.streams[i]
+	if !ps.touched {
+		ps.touched = true
+		pv.touched = append(pv.touched, i)
+	}
+	return ps
+}
+
+// event folds the event value v at slot i of row into the stream of its
+// key: after the key's first sighting, one table probe and one hash
+// block. Units with a slot-aligned PC row attribute v to the
+// instruction that produced it, building that row (returned, so later
+// events of the row reuse it) at the row's first event; the other units
+// key events by the value itself, which for the PC-valued units is the
+// instruction and for the rest is resolved through Attribution
+// afterwards.
+func (pv *unitProv) event(p *sim.Probe, spec *unitSpec, pcRow []uint64, i int, v uint64) []uint64 {
+	key := v
+	if spec.pcs != nil {
+		if pcRow == nil {
+			pcRow = spec.pcs(p, pv.pcRow[:0])
+			pv.pcRow = pcRow
+		}
+		key = pcRow[i]
+	}
+	if key != 0 {
+		ps := pv.stream(key)
+		ps.h.WriteUint64(v)
+		ps.iterEvents++
+	}
+	return pcRow
+}
+
+// run folds a completed occupancy run into its key's stream. The high
+// tag bit keeps run lengths from colliding with sampled values; runs do
+// not count as events (the arrival already did).
+func (pv *unitProv) run(key uint64, n uint32) {
+	pv.stream(key).h.WriteUint64(1<<63 | uint64(n))
+}
+
+// updateRuns advances per-slot occupancy runs for a timed unit by the
+// repeat rows before row and then by row: a slot keeping its value
+// extends the run, a slot changing or draining folds the finished run's
+// length into the departing key's stream.
+func (pv *unitProv) updateRuns(repeat uint64, row []uint64) {
+	pv.holdRuns(repeat)
+	for len(pv.prevRow) < len(row) {
+		pv.prevRow = append(pv.prevRow, 0)
+		pv.runLen = append(pv.runLen, 0)
+	}
+	for i := len(row); i < len(pv.prevRow); i++ {
+		if pv.prevRow[i] != 0 {
+			pv.run(pv.prevRow[i], pv.runLen[i])
+			pv.prevRow[i], pv.runLen[i] = 0, 0
+		}
+	}
+	pv.prevRow = pv.prevRow[:len(row)]
+	pv.runLen = pv.runLen[:len(row)]
+	for i, v := range row {
+		switch {
+		case v == pv.prevRow[i]:
+			if v != 0 {
+				pv.runLen[i]++
+			}
+		default:
+			if pv.prevRow[i] != 0 {
+				pv.run(pv.prevRow[i], pv.runLen[i])
+			}
+			pv.prevRow[i] = v
+			if v != 0 {
+				pv.runLen[i] = 1
+			} else {
+				pv.runLen[i] = 0
+			}
+		}
+	}
+}
+
+// holdRuns extends the run of every occupied slot by the repeat rows,
+// which repeat prevRow.
+func (pv *unitProv) holdRuns(repeat uint64) {
+	for i, v := range pv.prevRow {
+		if v != 0 {
+			pv.runLen[i] += uint32(repeat)
+		}
+	}
+}
+
+// foldRuns closes out the outstanding runs at an iteration boundary,
+// after the iteration's final repeat rows, so that a run in flight when
+// iter.end commits still contributes its length to this iteration's
+// streams.
+func (pv *unitProv) foldRuns(repeat uint64) {
+	pv.holdRuns(repeat)
+	for i, v := range pv.prevRow {
+		if v != 0 {
+			pv.run(v, pv.runLen[i])
+		}
+		pv.prevRow[i], pv.runLen[i] = 0, 0
+	}
+}
+
+// reset discards the current iteration's stream state.
+func (pv *unitProv) reset() {
+	for _, i := range pv.touched {
+		ps := &pv.streams[i]
+		ps.touched = false
+		ps.iterEvents = 0
+		ps.h.Reset(siphash.DefaultKey)
+	}
+	pv.touched = pv.touched[:0]
+	for i := range pv.prevRow {
+		pv.prevRow[i], pv.runLen[i] = 0, 0
+	}
+}
+
+// flush commits the current iteration's streams to the provenance log
+// under kept-iteration index iter, then resets them.
+func (pv *unitProv) flush(iter int32) {
+	for _, i := range pv.touched {
+		ps := &pv.streams[i]
+		pv.log = append(pv.log, provRec{stream: i, iter: iter, hash: ps.h.Sum64()})
+		ps.events += ps.iterEvents
+		ps.touched = false
+		ps.iterEvents = 0
+		ps.h.Reset(siphash.DefaultKey)
+	}
+	pv.touched = pv.touched[:0]
 }
 
 // unitState is the per-unit sampling state, held in a dense array
@@ -235,140 +392,10 @@ type unitState struct {
 	last       []uint64 // this iteration's previous row; empty at IterBegin
 	repeat     uint64   // rows equal to last since last was absorbed
 	gen        uint64   // the change mark at the last rebuilt row
-	pcRow      []uint64 // slot-aligned PC row scratch (units with spec.pcs)
 	full       *snapshot.Store
 	noT        *snapshot.Store
-	iterHashes []uint64 // timed snapshot hash per kept iteration
-
-	prov        []provStream // per-key event accumulators, first-seen order
-	provIndex   u64set       // key (k, 0) → index into prov
-	provTouched []int32      // indices into prov touched this iteration
-	provLog     []provRec    // kept-iteration observations
-
-	prevRow []uint64 // the row before the repeats (timed units only)
-	runLen  []uint32 // consecutive cycles each slot held its value, repeats aside
-}
-
-// stream returns key's accumulator, appending it to prov on the key's
-// first-ever sighting and queueing its index in provTouched on its
-// first use this iteration. The returned pointer is valid until the
-// next new key grows prov.
-func (st *unitState) stream(key uint64) *provStream {
-	i, added := st.provIndex.insert(key, 0, int32(len(st.prov)))
-	if added {
-		st.prov = append(st.prov, provStream{key: key})
-		st.prov[i].h.Reset(siphash.DefaultKey)
-	}
-	ps := &st.prov[i]
-	if !ps.touched {
-		ps.touched = true
-		st.provTouched = append(st.provTouched, i)
-	}
-	return ps
-}
-
-// provEvent folds one event value into the stream of its key: after the
-// key's first sighting, one table probe and one hash block.
-func (st *unitState) provEvent(key, v uint64) {
-	ps := st.stream(key)
-	ps.h.WriteUint64(v)
-	ps.iterEvents++
-}
-
-// provRun folds a completed occupancy run into its key's stream. The
-// high tag bit keeps run lengths from colliding with sampled values;
-// runs do not count as events (the arrival already did).
-func (st *unitState) provRun(key uint64, n uint32) {
-	st.stream(key).h.WriteUint64(1<<63 | uint64(n))
-}
-
-// updateRuns advances per-slot occupancy runs for a timed unit by the
-// repeat rows and then by row: a slot keeping its value extends the
-// run, a slot changing or draining folds the finished run's length into
-// the departing key's stream.
-func (st *unitState) updateRuns(row []uint64) {
-	st.holdRuns()
-	for len(st.prevRow) < len(row) {
-		st.prevRow = append(st.prevRow, 0)
-		st.runLen = append(st.runLen, 0)
-	}
-	for i := len(row); i < len(st.prevRow); i++ {
-		if st.prevRow[i] != 0 {
-			st.provRun(st.prevRow[i], st.runLen[i])
-			st.prevRow[i], st.runLen[i] = 0, 0
-		}
-	}
-	st.prevRow = st.prevRow[:len(row)]
-	st.runLen = st.runLen[:len(row)]
-	for i, v := range row {
-		switch {
-		case v == st.prevRow[i]:
-			if v != 0 {
-				st.runLen[i]++
-			}
-		default:
-			if st.prevRow[i] != 0 {
-				st.provRun(st.prevRow[i], st.runLen[i])
-			}
-			st.prevRow[i] = v
-			if v != 0 {
-				st.runLen[i] = 1
-			} else {
-				st.runLen[i] = 0
-			}
-		}
-	}
-}
-
-// holdRuns extends the run of every occupied slot by the repeat rows,
-// which repeat prevRow.
-func (st *unitState) holdRuns() {
-	for i, v := range st.prevRow {
-		if v != 0 {
-			st.runLen[i] += uint32(st.repeat)
-		}
-	}
-}
-
-// foldRuns closes out the outstanding runs at an iteration boundary so
-// that a run in flight when iter.end commits still contributes its
-// length to this iteration's streams.
-func (st *unitState) foldRuns() {
-	st.holdRuns()
-	for i, v := range st.prevRow {
-		if v != 0 {
-			st.provRun(v, st.runLen[i])
-		}
-		st.prevRow[i], st.runLen[i] = 0, 0
-	}
-}
-
-// resetProv discards the current iteration's stream state.
-func (st *unitState) resetProv() {
-	for _, i := range st.provTouched {
-		ps := &st.prov[i]
-		ps.touched = false
-		ps.iterEvents = 0
-		ps.h.Reset(siphash.DefaultKey)
-	}
-	st.provTouched = st.provTouched[:0]
-	for i := range st.prevRow {
-		st.prevRow[i], st.runLen[i] = 0, 0
-	}
-}
-
-// flushProv commits the current iteration's streams to the provenance
-// log under kept-iteration index iter, then resets them.
-func (st *unitState) flushProv(iter int32) {
-	for _, i := range st.provTouched {
-		ps := &st.prov[i]
-		st.provLog = append(st.provLog, provRec{stream: i, iter: iter, hash: ps.h.Sum64()})
-		ps.events += ps.iterEvents
-		ps.touched = false
-		ps.iterEvents = 0
-		ps.h.Reset(siphash.DefaultKey)
-	}
-	st.provTouched = st.provTouched[:0]
+	iterHashes []uint64  // timed snapshot hash per kept iteration
+	prov       *unitProv // nil: no provenance recorded for the unit
 }
 
 // Collector implements sim.Tracer. It samples the tracked units every
@@ -387,6 +414,10 @@ type Collector struct {
 	samples   uint64 // in-iteration cycles, warmup included (telemetry)
 
 	iters []IterSample
+
+	// provenance makes NewCollector give every unit with attributable
+	// values its provenance part (see WithProvenance).
+	provenance bool
 
 	// Memory-access attribution inside the region of interest: which
 	// store/load PCs produced each address, as sets of (address, PC)
@@ -414,9 +445,17 @@ func WithWarmupIterations(n int) Option {
 	return func(c *Collector) { c.dropFirst = n }
 }
 
+// WithProvenance sets whether the collector records per-key provenance
+// (default true). Without it the collector still builds every row, the
+// timed hashes, the event views and the memory-access attribution, so
+// the verdict evidence is unchanged; only Provenance comes back empty.
+func WithProvenance(on bool) Option {
+	return func(c *Collector) { c.provenance = on }
+}
+
 // NewCollector returns a Collector tracking all Table IV units.
 func NewCollector(opts ...Option) *Collector {
-	c := &Collector{units: AllUnits()}
+	c := &Collector{units: AllUnits(), provenance: true}
 	for _, o := range opts {
 		o(c)
 	}
@@ -438,8 +477,11 @@ func NewCollector(opts ...Option) *Collector {
 		st.full = snapshot.NewStore()
 		st.noT = snapshot.NewStore()
 		st.spec = &unitSpecs[u]
-		if st.spec.pcs != nil {
-			st.pcRow = make([]uint64, 0, 128)
+		if c.provenance && st.spec.kind != provNone {
+			st.prov = &unitProv{}
+			if st.spec.pcs != nil {
+				st.prov.pcRow = make([]uint64, 0, 128)
+			}
 		}
 	}
 	return c
@@ -467,7 +509,9 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 			st.last = st.last[:0]
 			st.repeat = 0
 			st.evRec.Reset()
-			st.resetProv()
+			if st.prov != nil {
+				st.prov.reset()
+			}
 		}
 	case isa.MarkIterEnd:
 		if !c.roi || !c.inIter {
@@ -495,8 +539,10 @@ func (c *Collector) OnMark(cycle int64, kind isa.MarkKind, class uint64) {
 			st.full.ObserveFrom(c.class, fullH, &st.evRec)
 			st.iterHashes = append(st.iterHashes, fullH)
 			st.noT.ObserveFrom(c.class, st.evRec.Hash(), &st.evRec)
-			st.foldRuns()
-			st.flushProv(keptIdx)
+			if st.prov != nil {
+				st.prov.foldRuns(st.repeat)
+				st.prov.flush(keptIdx)
+			}
 		}
 	}
 }
@@ -546,8 +592,8 @@ func (c *Collector) OnCycle(p *sim.Probe) {
 		st.timed.WriteUint64(uint64(k))
 		st.timed.WriteRow(row[len(st.last)-k:])
 		st.events(p, row, k)
-		if st.spec.timedRuns {
-			st.updateRuns(row)
+		if st.prov != nil && st.spec.timedRuns {
+			st.prov.updateRuns(st.repeat, row)
 		}
 		st.repeat = 0
 		st.row, st.last = st.last, row
@@ -595,42 +641,22 @@ func shift(last, row []uint64) int {
 }
 
 // events streams the values of row that were absent from the previous
-// row last into the event recorder and their keys' provenance streams.
-// row is last[k:] followed by a suffix, and every value of last[k:] is
-// in last, so only the suffix is scanned, in row order, each value
-// against the whole of last: a value twice in it is an event twice.
-// Suffixes are a few values and rows a few dozen, so a linear scan
-// beats keeping a count table of last in step.
+// row last into the event recorder and, with provenance recorded, their
+// keys' streams. row is last[k:] followed by a suffix, and every value
+// of last[k:] is in last, so only the suffix is scanned, in row order,
+// each value against the whole of last: a value twice in it is an event
+// twice. Suffixes are a few values and rows a few dozen, so a linear
+// scan beats keeping a count table of last in step.
 func (st *unitState) events(p *sim.Probe, row []uint64, k int) {
-	spec := st.spec
-	// Units with a slot-aligned PC row attribute each value to the
-	// instruction that produced it, and build that row at their first
-	// event; for the PC-valued units the row is its own attribution; for
-	// the rest events are keyed by the observed value and resolved
-	// through Attribution() afterwards.
 	var pcRow []uint64
-	if spec.pcs == nil && spec.kind == provDirect {
-		pcRow = row
-	}
 	for i := len(st.last) - k; i < len(row); i++ {
 		v := row[i]
 		if v == 0 || slices.Contains(st.last, v) {
 			continue
 		}
 		st.evRec.AddValue(v)
-		if spec.kind == provNone {
-			continue
-		}
-		if pcRow == nil && spec.pcs != nil {
-			pcRow = spec.pcs(p, st.pcRow[:0])
-			st.pcRow = pcRow
-		}
-		key := v
-		if pcRow != nil {
-			key = pcRow[i]
-		}
-		if key != 0 {
-			st.provEvent(key, v)
+		if st.prov != nil {
+			pcRow = st.prov.event(p, st.spec, pcRow, i, v)
 		}
 	}
 }
@@ -710,9 +736,11 @@ func (c *Collector) Provenance() []UnitProvenance { return MergeProvenance(c) }
 // deterministically ordered (units in tracked order, keys ascending).
 // Units whose values carry no attributable key (ROB occupancy,
 // fill-buffer data) are omitted, and so are keys seen only in
-// discarded iterations. The collectors must track the same units.
+// discarded iterations. The collectors must track the same units and
+// all record provenance; without it (WithProvenance(false)) the result
+// is nil.
 func MergeProvenance(cols ...*Collector) []UnitProvenance {
-	if len(cols) == 0 {
+	if len(cols) == 0 || !cols[0].provenance {
 		return nil
 	}
 	units := cols[0].units
@@ -729,15 +757,15 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 		// from merged stream j's count into its position in kept; a
 		// second pass fills the subslices in run order.
 		var index u64set
-		n0 := len(cols[0].states[u].prov)
+		n0 := len(cols[0].states[u].prov.streams)
 		keys, events, at := make([]uint64, 0, n0), make([]uint64, 0, n0), make([]int32, 0, n0)
 		local := make([][]int32, len(cols))
 		records := 0
 		for ci, c := range cols {
-			st := &c.states[u]
-			local[ci] = make([]int32, len(st.prov))
-			for i := range st.prov {
-				ps := &st.prov[i]
+			pv := c.states[u].prov
+			local[ci] = make([]int32, len(pv.streams))
+			for i := range pv.streams {
+				ps := &pv.streams[i]
 				// A collector's keys are distinct, so one collector
 				// needs no index.
 				j := int32(len(keys))
@@ -750,10 +778,10 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 				events[j] += ps.events
 				local[ci][i] = j
 			}
-			for _, rec := range st.provLog {
+			for _, rec := range pv.log {
 				at[local[ci][rec.stream]]++
 			}
-			records += len(st.provLog)
+			records += len(pv.log)
 		}
 		order := make([]int32, 0, len(keys))
 		for j, n := range at {
@@ -774,7 +802,7 @@ func MergeProvenance(cols ...*Collector) []UnitProvenance {
 		}
 		base := int32(0)
 		for ci, c := range cols {
-			for _, rec := range c.states[u].provLog {
+			for _, rec := range c.states[u].prov.log {
 				s := &kept[at[local[ci][rec.stream]]]
 				s.Iters = append(s.Iters, base+rec.iter)
 				s.Hashes = append(s.Hashes, rec.hash)

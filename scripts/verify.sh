@@ -136,9 +136,9 @@ go test -run='^$' -fuzz='^FuzzMatrixConfig$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzCacheKey$' -fuzztime=5s ./internal/msd
 go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/msd
 
-echo "== bench smoke (hot-path collector, catalogue sampling and simulation ns/cycle, simulator allocations per run) =="
+echo "== bench smoke (hot-path collector, catalogue sampling with and without provenance and simulation ns/cycle, simulator allocations per run) =="
 go test -run '^$' -bench 'OnCycle' -benchtime 100x -benchmem ./internal/trace
-go test -run '^$' -bench 'BenchmarkSamplingCatalogue$' -benchtime 1x ./internal/trace
+go test -run '^$' -bench 'BenchmarkSamplingCatalogue(Verdict)?$' -benchtime 1x ./internal/trace
 go test -run '^$' -bench 'BenchmarkSim(MegaBoom|SmallBoom)$' -benchtime 3x -benchmem ./internal/sim
 go test -run '^$' -bench 'BenchmarkSimCatalogue$' -benchtime 1x ./internal/sim
 
