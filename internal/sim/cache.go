@@ -41,34 +41,34 @@ func newCache(sets, ways, lineBytes int) *cache {
 
 func (c *cache) setOf(lineAddr uint64) []cacheLine { return c.sets[lineAddr&c.setMask] }
 
-// lookup probes for a line (identified by addr>>lineShift) and refreshes
-// its LRU stamp on a hit.
-func (c *cache) lookup(lineAddr uint64, now int64) bool {
+// find returns the valid way holding a line (identified by
+// addr>>lineShift), or nil.
+func (c *cache) find(lineAddr uint64) *cacheLine {
 	set := c.setOf(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == lineAddr {
-			set[i].lastUse = now
-			return true
+			return &set[i]
 		}
 	}
-	return false
+	return nil
+}
+
+// lookup probes for a line on behalf of a demand access. On a hit it
+// refreshes the LRU stamp and clears (and reports) the prefetch source,
+// so the prefetchers' accuracy counters can distinguish useful fills
+// from wasted ones.
+func (c *cache) lookup(lineAddr uint64, now int64) (hit bool, wasPrefetched uint8) {
+	l := c.find(lineAddr)
+	if l == nil {
+		return false, pfNone
+	}
+	l.lastUse = now
+	wasPrefetched, l.prefetched = l.prefetched, pfNone
+	return true, wasPrefetched
 }
 
 // present probes without updating replacement state.
-func (c *cache) present(lineAddr uint64) bool {
-	set := c.setOf(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
-// insert fills a line, evicting the LRU way if needed.
-func (c *cache) insert(lineAddr uint64, now int64) {
-	c.fill(lineAddr, now, pfNone)
-}
+func (c *cache) present(lineAddr uint64) bool { return c.find(lineAddr) != nil }
 
 // fill installs a line (tagging prefetcher fills with their source) and
 // returns the evicted line so callers can account for never-used
@@ -90,30 +90,10 @@ func (c *cache) fill(lineAddr uint64, now int64, prefetched uint8) (evicted cach
 	return evicted
 }
 
-// demandLookup probes for a line on behalf of a demand access. On a hit
-// it refreshes the LRU stamp and clears (and reports) the prefetch
-// source, so the prefetchers' accuracy counters can distinguish useful
-// fills from wasted ones.
-func (c *cache) demandLookup(lineAddr uint64, now int64) (hit bool, wasPrefetched uint8) {
-	set := c.setOf(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].lastUse = now
-			wasPrefetched = set[i].prefetched
-			set[i].prefetched = pfNone
-			return true, wasPrefetched
-		}
-	}
-	return false, pfNone
-}
-
 // invalidate removes a line if present.
 func (c *cache) invalidate(lineAddr uint64) {
-	set := c.setOf(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].valid = false
-		}
+	if l := c.find(lineAddr); l != nil {
+		l.valid = false
 	}
 }
 
@@ -181,12 +161,6 @@ func (t *tlb) insert(page uint64, now int64) {
 	t.touch(victim, now)
 }
 
-// recencyOrdered returns the valid pages most-recently-used first, as a
-// freshly allocated slice safe to retain.
-func (t *tlb) recencyOrdered() []tlbEntry {
-	return append([]tlbEntry(nil), t.recencyScratch()...)
-}
-
 // recencyScratch returns the valid pages most-recently-used first. This
 // is the TLB-ADDR feature row: it exposes the replacement (LRU stack)
 // state, which is genuine RTL state of the translation unit. The result
@@ -218,6 +192,36 @@ type mshr struct {
 	// load stream that trained the prefetch — the attribution target of
 	// the SPF-ADDR trace unit.
 	trainPC uint64
+}
+
+// tracker is one set of outstanding-fill slots: the demand MSHRs or a
+// prefetcher's miss trackers. gen is the change mark of the rows that
+// read the slots, fills and expiries included; issued counts the fills
+// it started, and useful and useless how its prefetched lines ended:
+// demanded, or evicted without ever serving a demand access.
+type tracker struct {
+	slots                        []mshr
+	gen, issued, useful, useless uint64
+}
+
+func (t *tracker) free() *mshr {
+	for i := range t.slots {
+		if !t.slots[i].valid {
+			return &t.slots[i]
+		}
+	}
+	return nil
+}
+
+// occupancy counts the slots currently tracking a fill.
+func (t *tracker) occupancy() int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].valid {
+			n++
+		}
+	}
+	return n
 }
 
 // lfbEntry is a load-fill-buffer slot holding an in-flight or freshly
@@ -253,36 +257,30 @@ type dcache struct {
 	tlb   *tlb
 	mem   *Memory
 
-	mshrs []mshr
-	lfb   []lfbEntry
+	// Outstanding fills, indexed by their source: the demand MSHRs
+	// (pfNone), the next-line prefetches (pfNLP) and the stride
+	// prefetches (pfSPF). Every walk visits them in that order.
+	trackers [3]tracker
+
+	lfb []lfbEntry
 	// lfbLive bounds the valid fill-buffer slots: every valid slot's
 	// index is below it, so scans stop at lfb[:lfbLive].
 	lfbLive int
 
-	// Outstanding next-line prefetches.
-	nlp []mshr
-
-	// Stride prefetcher: per-PC training table (direct-mapped by PC) and
-	// outstanding stride prefetches. The table is the SPF's RTL state —
-	// secret-dependent access patterns train secret-dependent strides,
-	// which the SPF-ADDR trace unit observes via the in-flight trackers.
+	// Stride prefetcher's per-PC training table (direct-mapped by PC).
+	// The table is the SPF's RTL state — secret-dependent access
+	// patterns train secret-dependent strides, which the SPF-ADDR trace
+	// unit observes via the in-flight trackers.
 	stride []strideEntry
-	spf    []mshr
 
 	// Demand request addresses observed this cycle (Cache-ADDR feature).
 	reqThisCycle []reqEvent
 
-	// Change marks: each counts the writes to a structure that a probe
-	// row reads, fills and expiries included.
-	lfbGen, nlpGen, spfGen, mshrGen, reqGen uint64
+	// Change marks of the fill buffer and the Cache-ADDR row.
+	lfbGen, reqGen uint64
 
 	// Statistics.
-	hits, misses, tlbMisses, prefetches uint64
-	// Prefetcher accuracy: fills later demanded vs fills evicted (or
-	// still unreferenced) without ever serving a demand access.
-	nlpUseful, nlpUseless uint64
-	// Stride-prefetcher issue and accuracy counters.
-	spfPrefetches, spfUseful, spfUseless uint64
+	hits, misses, tlbMisses uint64
 	// Demand-MSHR occupancy high-water mark across the run.
 	mshrHighWater int
 }
@@ -293,68 +291,46 @@ type reqEvent struct {
 }
 
 func newDCache(cfg Config, mem *Memory) *dcache {
-	return &dcache{
+	d := &dcache{
 		cfg:    cfg,
 		cache:  newCache(cfg.DCacheSets, cfg.DCacheWays, cfg.LineBytes),
 		tlb:    newTLB(cfg.TLBEntries),
 		mem:    mem,
-		mshrs:  make([]mshr, cfg.MSHREntries),
 		lfb:    make([]lfbEntry, cfg.LFBEntries),
-		nlp:    make([]mshr, 2),
 		stride: make([]strideEntry, spfTableEntries),
-		spf:    make([]mshr, 2),
 	}
+	for src, n := range [...]int{pfNone: cfg.MSHREntries, pfNLP: 2, pfSPF: 2} {
+		d.trackers[src].slots = make([]mshr, n)
+	}
+	return d
 }
 
 func (d *dcache) lineOf(addr uint64) uint64 { return addr >> d.cache.lineShift }
 
-// accountEvicted charges a never-demanded prefetched line to the
+// tick retires completed fills and expires fill-buffer entries. A
+// never-demanded prefetched line that a fill evicts is charged to the
 // prefetcher that fetched it.
-func (d *dcache) accountEvicted(evicted cacheLine) {
-	if !evicted.valid {
-		return
-	}
-	switch evicted.prefetched {
-	case pfNLP:
-		d.nlpUseless++
-	case pfSPF:
-		d.spfUseless++
-	}
-}
-
-// tick retires completed fills and expires fill-buffer entries.
 func (d *dcache) tick(now int64) {
 	if len(d.reqThisCycle) > 0 {
 		d.reqThisCycle = d.reqThisCycle[:0]
 		d.reqGen++
 	}
-	for i := range d.mshrs {
-		if d.mshrs[i].valid && d.mshrs[i].fillAt <= now {
-			d.accountEvicted(d.cache.fill(d.mshrs[i].lineAddr, now, pfNone))
-			d.mshrs[i].valid = false
-			d.mshrGen++
-		}
-	}
-	for i := range d.nlp {
-		if d.nlp[i].valid && d.nlp[i].fillAt <= now {
-			src := pfNone
-			if d.nlp[i].prefetch {
-				src = pfNLP
+	for src := range d.trackers {
+		t := &d.trackers[src]
+		for i := range t.slots {
+			m := &t.slots[i]
+			if !m.valid || m.fillAt > now {
+				continue
 			}
-			d.accountEvicted(d.cache.fill(d.nlp[i].lineAddr, now, src))
-			d.nlp[i].valid = false
-			d.nlpGen++
-		}
-	}
-	for i := range d.spf {
-		if d.spf[i].valid && d.spf[i].fillAt <= now {
-			src := pfNone
-			if d.spf[i].prefetch {
-				src = pfSPF
+			fillSrc := pfNone
+			if m.prefetch {
+				fillSrc = uint8(src)
 			}
-			d.accountEvicted(d.cache.fill(d.spf[i].lineAddr, now, src))
-			d.spf[i].valid = false
-			d.spfGen++
+			if ev := d.cache.fill(m.lineAddr, now, fillSrc); ev.valid && ev.prefetched != pfNone {
+				d.trackers[ev.prefetched].useless++
+			}
+			m.valid = false
+			t.gen++
 		}
 	}
 	live := d.lfb[:d.lfbLive]
@@ -373,33 +349,18 @@ func (d *dcache) tick(now int64) {
 	}
 }
 
-func (d *dcache) mshrFor(line uint64) *mshr {
-	for i := range d.mshrs {
-		if d.mshrs[i].valid && d.mshrs[i].lineAddr == line {
-			return &d.mshrs[i]
+// inFlight returns the slot tracking the line's outstanding fill and
+// its source, or nil.
+func (d *dcache) inFlight(line uint64) (*mshr, uint8) {
+	for src := range d.trackers {
+		t := &d.trackers[src]
+		for i := range t.slots {
+			if t.slots[i].valid && t.slots[i].lineAddr == line {
+				return &t.slots[i], uint8(src)
+			}
 		}
 	}
-	return nil
-}
-
-func (d *dcache) freeMSHR() *mshr {
-	for i := range d.mshrs {
-		if !d.mshrs[i].valid {
-			return &d.mshrs[i]
-		}
-	}
-	return nil
-}
-
-// mshrOccupancy counts the demand MSHRs currently tracking a miss.
-func (d *dcache) mshrOccupancy() int {
-	n := 0
-	for i := range d.mshrs {
-		if d.mshrs[i].valid {
-			n++
-		}
-	}
-	return n
+	return nil, pfNone
 }
 
 func (d *dcache) freeLFB() *lfbEntry {
@@ -412,8 +373,20 @@ func (d *dcache) freeLFB() *lfbEntry {
 	return nil
 }
 
-// fillLFB takes fill-buffer slot f for the line, arriving at fill.
-func (d *dcache) fillLFB(f *lfbEntry, line uint64, fill int64) {
+// start begins a fill of the line from source src, arriving at fill:
+// it takes a fill-buffer slot and a slot of the source's tracker, and
+// reports false, starting nothing, when either is busy. pc is the
+// training load stream of a stride prefetch, recorded for attribution.
+func (d *dcache) start(src uint8, line uint64, fill int64, pc uint64) bool {
+	f := d.freeLFB()
+	t := &d.trackers[src]
+	m := t.free()
+	if f == nil || m == nil {
+		return false
+	}
+	*m = mshr{valid: true, lineAddr: line, fillAt: fill, prefetch: src != pfNone, trainPC: pc}
+	t.gen++
+	t.issued++
 	*f = lfbEntry{
 		valid:    true,
 		lineAddr: line,
@@ -422,6 +395,7 @@ func (d *dcache) fillLFB(f *lfbEntry, line uint64, fill int64) {
 		freeAt:   fill + 3,
 	}
 	d.lfbGen++
+	return true
 }
 
 // access models a demand load or store reaching the L1D. It returns the
@@ -441,93 +415,45 @@ func (d *dcache) access(now int64, addr, pc uint64) (done int64, ok bool) {
 	}
 
 	line := d.lineOf(addr)
-	d.maybePrefetch(now, line)
+	if d.cfg.NextLinePrefetcher {
+		d.prefetch(now, pfNLP, line+1, 0)
+	}
 	d.trainStride(now, addr, pc)
 
-	if hit, wasPrefetched := d.cache.demandLookup(line, now); hit {
+	if hit, src := d.cache.lookup(line, now); hit {
 		d.hits++
-		switch wasPrefetched {
-		case pfNLP:
-			d.nlpUseful++
-		case pfSPF:
-			d.spfUseful++
+		if src != pfNone {
+			d.trackers[src].useful++
 		}
 		return now + penalty + int64(d.cfg.DCacheHitLat), true
 	}
 	d.misses++
-	if m := d.mshrFor(line); m != nil {
+	// An outstanding fill serves the access; a prefetch demanded while
+	// in flight counts as useful.
+	if m, src := d.inFlight(line); m != nil {
+		if m.prefetch {
+			m.prefetch = false
+			d.trackers[src].useful++
+		}
 		return m.fillAt + 1 + penalty, true
 	}
-	// Check in-flight prefetches: promote to a demand hit on the fill.
-	for i := range d.nlp {
-		if d.nlp[i].valid && d.nlp[i].lineAddr == line {
-			if d.nlp[i].prefetch {
-				d.nlp[i].prefetch = false // demanded while in flight: useful
-				d.nlpUseful++
-			}
-			return d.nlp[i].fillAt + 1 + penalty, true
-		}
-	}
-	for i := range d.spf {
-		if d.spf[i].valid && d.spf[i].lineAddr == line {
-			if d.spf[i].prefetch {
-				d.spf[i].prefetch = false // demanded while in flight: useful
-				d.spfUseful++
-			}
-			return d.spf[i].fillAt + 1 + penalty, true
-		}
-	}
-	m := d.freeMSHR()
-	f := d.freeLFB()
-	if m == nil || f == nil {
+	fill := now + penalty + int64(d.cfg.MissLat)
+	if !d.start(pfNone, line, fill, 0) {
 		return 0, false
 	}
-	fill := now + penalty + int64(d.cfg.MissLat)
-	*m = mshr{valid: true, lineAddr: line, fillAt: fill}
-	d.mshrGen++
-	if occ := d.mshrOccupancy(); occ > d.mshrHighWater {
-		d.mshrHighWater = occ
-	}
-	d.fillLFB(f, line, fill)
+	d.mshrHighWater = max(d.mshrHighWater, d.trackers[pfNone].occupancy())
 	return fill + 1, true
 }
 
-// maybePrefetch lets the next-line prefetcher probe line+1 on every
-// demand access and fetch it when absent. A prefetch occupies a next-line
-// tracker slot, an MSHR and a fill-buffer entry, as in real designs, but
-// never delays demand traffic (demand requests that need the last MSHR
-// simply retry the next cycle).
-func (d *dcache) maybePrefetch(now int64, line uint64) {
-	if !d.cfg.NextLinePrefetcher {
-		return
-	}
-	next := line + 1
-	if d.cache.present(next) || d.mshrFor(next) != nil {
-		return
-	}
-	for i := range d.nlp {
-		if d.nlp[i].valid && d.nlp[i].lineAddr == next {
-			return
-		}
-	}
-	for i := range d.spf {
-		if d.spf[i].valid && d.spf[i].lineAddr == next {
-			return
-		}
-	}
-	f := d.freeLFB()
-	if f == nil {
-		return
-	}
-	for i := range d.nlp {
-		if !d.nlp[i].valid {
-			fill := now + int64(d.cfg.MissLat)
-			d.prefetches++
-			d.nlp[i] = mshr{valid: true, lineAddr: next, fillAt: fill, prefetch: true}
-			d.nlpGen++
-			d.fillLFB(f, next, fill)
-			return
-		}
+// prefetch lets prefetcher src fetch the line when it is neither cached
+// nor in flight. A prefetch occupies a tracker slot of its own and a
+// fill-buffer entry, as in real designs, but never delays demand
+// traffic (demand requests that need the last fill-buffer entry simply
+// retry the next cycle). pc is the training load stream of a stride
+// prefetch.
+func (d *dcache) prefetch(now int64, src uint8, line, pc uint64) {
+	if m, _ := d.inFlight(line); m == nil && !d.cache.present(line) {
+		d.start(src, line, now+int64(d.cfg.MissLat), pc)
 	}
 }
 
@@ -562,42 +488,7 @@ func (d *dcache) trainStride(now int64, addr, pc uint64) {
 		e.conf++
 	}
 	if e.conf >= 2 {
-		d.spfPrefetch(now, uint64(int64(addr)+e.stride), pc)
-	}
-}
-
-// spfPrefetch issues a stride prefetch for the line containing addr. A
-// stride prefetch occupies a dedicated tracker slot and a fill-buffer
-// entry, like a next-line prefetch, and never delays demand traffic.
-// pc is the training load stream, recorded for attribution.
-func (d *dcache) spfPrefetch(now int64, addr uint64, pc uint64) {
-	line := d.lineOf(addr)
-	if d.cache.present(line) || d.mshrFor(line) != nil {
-		return
-	}
-	for i := range d.nlp {
-		if d.nlp[i].valid && d.nlp[i].lineAddr == line {
-			return
-		}
-	}
-	for i := range d.spf {
-		if d.spf[i].valid && d.spf[i].lineAddr == line {
-			return
-		}
-	}
-	f := d.freeLFB()
-	if f == nil {
-		return
-	}
-	for i := range d.spf {
-		if !d.spf[i].valid {
-			fill := now + int64(d.cfg.MissLat)
-			d.spfPrefetches++
-			d.spf[i] = mshr{valid: true, lineAddr: line, fillAt: fill, prefetch: true, trainPC: pc}
-			d.spfGen++
-			d.fillLFB(f, line, fill)
-			return
-		}
+		d.prefetch(now, pfSPF, d.lineOf(uint64(int64(addr)+e.stride)), pc)
 	}
 }
 
@@ -626,10 +517,10 @@ func newICache(cfg Config) *icache {
 // deliver instructions, filling it on a miss.
 func (ic *icache) fetchReady(now int64, pc uint64) int64 {
 	line := pc >> ic.cache.lineShift
-	if ic.cache.lookup(line, now) {
+	if hit, _ := ic.cache.lookup(line, now); hit {
 		return now + int64(ic.hitLat) - 1
 	}
-	ic.cache.insert(line, now)
+	ic.cache.fill(line, now, pfNone)
 	return now + int64(ic.missLat)
 }
 

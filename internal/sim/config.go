@@ -163,18 +163,11 @@ func ConfigByName(name string) (Config, error) {
 // StateBits estimates the number of microarchitectural state bits of the
 // configured design, used by the scalability experiment (Table VII).
 func (c Config) StateBits() int {
-	bits := 0
-	bits += c.IntPRF * 64                                 // physical register file
-	bits += c.ROBEntries * 80                             // ROB payload
-	bits += (c.LDQEntries + c.STQEntries) * (64 + 64 + 8) // LSQ addr+data+meta
-	bits += c.LFBEntries * (c.LineBytes*8 + 64)           // fill buffer
-	bits += c.FetchBufferSize * 48                        // fetch buffer
+	bits := c.CoreStateBits()
 	bits += c.predictorBits()
 	bits += c.BTBEntries * 96 // BTB tags+targets
 	bits += c.DCacheSets * c.DCacheWays * (c.LineBytes*8 + 64)
 	bits += c.ICacheSets * c.ICacheWays * (c.LineBytes*8 + 64)
-	bits += c.MSHREntries * 80
-	bits += c.TLBEntries * 128
 	return bits
 }
 
@@ -185,11 +178,11 @@ func (c Config) StateBits() int {
 // under which MegaBoom is roughly 4x SmallBoom.
 func (c Config) CoreStateBits() int {
 	bits := 0
-	bits += c.IntPRF * 64
-	bits += c.ROBEntries * 80
-	bits += (c.LDQEntries + c.STQEntries) * (64 + 64 + 8)
-	bits += c.LFBEntries * (c.LineBytes*8 + 64)
-	bits += c.FetchBufferSize * 48
+	bits += c.IntPRF * 64                                 // physical register file
+	bits += c.ROBEntries * 80                             // ROB payload
+	bits += (c.LDQEntries + c.STQEntries) * (64 + 64 + 8) // LSQ addr+data+meta
+	bits += c.LFBEntries * (c.LineBytes*8 + 64)           // fill buffer
+	bits += c.FetchBufferSize * 48                        // fetch buffer
 	bits += c.MSHREntries * 80
 	bits += c.TLBEntries * 128
 	return bits

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"microsampler/internal/isa"
@@ -110,9 +111,12 @@ type Core struct {
 	exec []uopRef
 
 	// text is the program's text segment decoded once at load time,
-	// one entry per word from textBase.
-	text     []predecoded
-	textBase uint64
+	// one entry per word from textBase. textPages are the memory pages
+	// holding it, from the one containing textBase: memory never frees
+	// a page, so every later write into the text lands in them.
+	text      []predecoded
+	textBase  uint64
+	textPages []*[pageBytes]byte
 
 	// Committed stores being drained to the D-cache; entries stay in the
 	// STQ until the drain completes.
@@ -914,8 +918,7 @@ func (c *Core) fetch() {
 		if pc&blockMask != block {
 			break // stay within one aligned fetch block per cycle
 		}
-		word := uint32(c.mem.Read(pc, 4))
-		inst, ok := c.decode(pc, word)
+		inst, ok := c.decode(pc)
 		h := c.newUop(pc, inst)
 		u := &c.uops[h]
 		if !ok {
@@ -987,11 +990,16 @@ type predecoded struct {
 // decode decodes the word fetched at pc. A text word is decoded once,
 // at load time; the entry serves only while memory still holds that
 // word, so a store into the text is never fetched stale.
-func (c *Core) decode(pc uint64, word uint32) (isa.Inst, bool) {
-	if off := pc - c.textBase; off%4 == 0 && off/4 < uint64(len(c.text)) {
+func (c *Core) decode(pc uint64) (isa.Inst, bool) {
+	var word uint32
+	if off := pc - c.textBase; off%4 == 0 && off/4 < uint64(len(c.text)) && pc%pageBytes <= pageBytes-4 {
+		pg := c.textPages[pc/pageBytes-c.textBase/pageBytes]
+		word = binary.LittleEndian.Uint32(pg[pc%pageBytes:])
 		if e := &c.text[off/4]; e.word == word {
 			return e.inst, e.ok
 		}
+	} else {
+		word = uint32(c.mem.Read(pc, 4))
 	}
 	inst, err := isa.Decode(word)
 	return inst, err == nil

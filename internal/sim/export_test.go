@@ -1,6 +1,10 @@
 package sim
 
-import "microsampler/internal/isa"
+import (
+	"slices"
+
+	"microsampler/internal/isa"
+)
 
 // WalkROB counts the ROB's non-folded and folded uops by a full walk of
 // rob.q, the count robOccupancy keeps in step instead.
@@ -193,4 +197,33 @@ func (m *Machine) Fetched(pc uint64) (seq uint64, inst isa.Inst, ok bool) {
 		}
 	}
 	return seq, inst, ok
+}
+
+// WalkFills counts the lines outstanding in more than one slot across
+// the demand, next-line and stride trackers, and the lines valid in
+// more than one way of a D-cache set.
+func (p *Probe) WalkFills() (twiceInFlight, twiceValid int) {
+	d := p.c.dc
+	var lines []uint64
+	for _, t := range d.trackers {
+		for _, m := range t.slots {
+			if !m.valid {
+				continue
+			}
+			if slices.Contains(lines, m.lineAddr) {
+				twiceInFlight++
+			}
+			lines = append(lines, m.lineAddr)
+		}
+	}
+	for _, set := range d.cache.sets {
+		for i, a := range set {
+			for _, b := range set[i+1:] {
+				if a.valid && b.valid && a.tag == b.tag {
+					twiceValid++
+				}
+			}
+		}
+	}
+	return twiceInFlight, twiceValid
 }

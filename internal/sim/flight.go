@@ -49,13 +49,7 @@ func (f *FlightRecorder) record(c *Core) {
 	fr.ROB = c.robOccupancy()
 	fr.SQ = len(c.stq.q)
 	fr.LQ = len(c.ldq.q)
-	mshr := 0
-	for i := range c.dc.mshrs {
-		if c.dc.mshrs[i].valid {
-			mshr++
-		}
-	}
-	fr.MSHR = mshr
+	fr.MSHR = c.dc.trackers[pfNone].occupancy()
 	lfb := 0
 	for _, e := range c.dc.lfb[:c.dc.lfbLive] {
 		if e.valid {

@@ -59,6 +59,10 @@ func (m *Machine) LoadProgram(p *asm.Program) error {
 	}
 	m.mem.WriteBytes(p.TextBase, p.Text)
 	m.core.textBase = p.TextBase
+	m.core.textPages = m.core.textPages[:0]
+	for pn := p.TextBase / pageBytes; pn <= (p.TextBase+uint64(len(p.Text))-1)/pageBytes; pn++ {
+		m.core.textPages = append(m.core.textPages, m.mem.page(pn*pageBytes, false))
+	}
 	m.core.text = make([]predecoded, len(p.Text)/4)
 	for i := range m.core.text {
 		w := binary.LittleEndian.Uint32(p.Text[4*i:])
@@ -181,6 +185,7 @@ func (m *Machine) Cycle() int64 { return m.core.cycle }
 func (m *Machine) ArchReg(r isa.Reg) uint64 { return m.core.archRegs[r] }
 
 func (m *Machine) result() Result {
+	nlp, spf := &m.core.dc.trackers[pfNLP], &m.core.dc.trackers[pfSPF]
 	return Result{
 		Cycles:                  m.core.cycle,
 		Instructions:            m.core.retired,
@@ -191,12 +196,12 @@ func (m *Machine) result() Result {
 		DCacheHits:              m.core.dc.hits,
 		DCacheMisses:            m.core.dc.misses,
 		TLBMisses:               m.core.dc.tlbMisses,
-		Prefetches:              m.core.dc.prefetches,
-		PrefetchesUseful:        m.core.dc.nlpUseful,
-		PrefetchesUseless:       m.core.dc.nlpUseless,
-		StridePrefetches:        m.core.dc.spfPrefetches,
-		StridePrefetchesUseful:  m.core.dc.spfUseful,
-		StridePrefetchesUseless: m.core.dc.spfUseless,
+		Prefetches:              nlp.issued,
+		PrefetchesUseful:        nlp.useful,
+		PrefetchesUseless:       nlp.useless,
+		StridePrefetches:        spf.issued,
+		StridePrefetchesUseful:  spf.useful,
+		StridePrefetchesUseless: spf.useless,
 		LSUReplays:              m.core.lsuReplays,
 		MSHRHighWater:           m.core.dc.mshrHighWater,
 	}

@@ -57,20 +57,55 @@ func (t *targets) rasPop() (uint64, bool) {
 	return v, true
 }
 
+// branchHistory is a global branch-history register, youngest outcome
+// in the LSB, kept to the bits of histMask.
+type branchHistory struct {
+	history, histMask uint64
+}
+
+// shiftHistory speculatively pushes a predicted direction into the
+// global history; it returns the previous history for checkpointing.
+func (h *branchHistory) shiftHistory(taken bool) uint64 {
+	prev := h.history
+	h.history = (h.history << 1) & h.histMask
+	if taken {
+		h.history |= 1
+	}
+	return prev
+}
+
+// restoreHistory rewinds the global history to a checkpoint (taken on a
+// mispredicted branch) and then pushes the actual outcome.
+func (h *branchHistory) restoreHistory(checkpoint uint64, actual bool) {
+	h.history = checkpoint
+	h.shiftHistory(actual)
+}
+
+// saturate steps a saturating counter by one within [lo, hi]: up when
+// up is set, down otherwise.
+func saturate[T int8 | uint8](c T, up bool, lo, hi T) T {
+	switch {
+	case up && c < hi:
+		return c + 1
+	case !up && c > lo:
+		return c - 1
+	}
+	return c
+}
+
 // gshare is a global-history XOR-indexed pattern history table of 2-bit
 // saturating counters.
 type gshare struct {
-	pht     []uint8 // 2-bit counters, initialised weakly not-taken
-	mask    uint64
-	history uint64 // global history, youngest bit is LSB
-	histLen uint
+	pht  []uint8 // 2-bit counters, initialised weakly not-taken
+	mask uint64
+	branchHistory
 }
 
 func newGshare(phtEntries int) *gshare {
 	g := &gshare{
-		pht:     make([]uint8, phtEntries),
-		mask:    uint64(phtEntries - 1),
-		histLen: 12,
+		pht:           make([]uint8, phtEntries),
+		mask:          uint64(phtEntries - 1),
+		branchHistory: branchHistory{histMask: 1<<12 - 1},
 	}
 	for i := range g.pht {
 		g.pht[i] = 1 // weakly not-taken
@@ -89,35 +124,9 @@ func (g *gshare) predict(pc uint64) (taken bool, idx uint64) {
 	return g.pht[idx] >= 2, idx
 }
 
-// shiftHistory speculatively pushes a predicted direction into the
-// global history; it returns the previous history for checkpointing.
-func (g *gshare) shiftHistory(taken bool) uint64 {
-	prev := g.history
-	g.history = (g.history << 1) & ((1 << g.histLen) - 1)
-	if taken {
-		g.history |= 1
-	}
-	return prev
-}
-
-// restoreHistory rewinds the global history to a checkpoint (taken on a
-// mispredicted branch) and then pushes the actual outcome.
-func (g *gshare) restoreHistory(checkpoint uint64, actual bool) {
-	g.history = checkpoint
-	g.shiftHistory(actual)
-}
-
 // train updates the 2-bit counter that produced a prediction. The pc and
 // checkpointed history carried for TAGE's sake are unused: gshare already
 // folded them into idx at predict time.
 func (g *gshare) train(idx, _, _ uint64, taken bool) {
-	c := g.pht[idx]
-	if taken {
-		if c < 3 {
-			c++
-		}
-	} else if c > 0 {
-		c--
-	}
-	g.pht[idx] = c
+	g.pht[idx] = saturate(g.pht[idx], taken, 0, 3)
 }

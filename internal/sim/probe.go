@@ -200,8 +200,12 @@ func (p *Probe) AppendAGUBusy(dst []uint64) []uint64 {
 
 // AppendPrefetchAddrs appends the NLP-ADDR feature row: the line
 // addresses of outstanding next-line prefetches.
-func (p *Probe) AppendPrefetchAddrs(dst []uint64) []uint64 {
-	for _, m := range p.c.dc.nlp {
+func (p *Probe) AppendPrefetchAddrs(dst []uint64) []uint64 { return p.appendLines(dst, pfNLP) }
+
+// appendLines appends the line base addresses of the outstanding fills
+// from source src.
+func (p *Probe) appendLines(dst []uint64, src uint8) []uint64 {
+	for _, m := range p.c.dc.trackers[src].slots {
 		if m.valid {
 			dst = append(dst, m.lineAddr<<p.c.dc.cache.lineShift)
 		}
@@ -231,14 +235,7 @@ func (p *Probe) AppendTLBPages(dst []uint64) []uint64 {
 // AppendSPFAddrs appends the SPF-ADDR feature row: the line addresses of
 // outstanding stride prefetches. Empty when the stride prefetcher is
 // disabled (the trackers never become valid).
-func (p *Probe) AppendSPFAddrs(dst []uint64) []uint64 {
-	for _, m := range p.c.dc.spf {
-		if m.valid {
-			dst = append(dst, m.lineAddr<<p.c.dc.cache.lineShift)
-		}
-	}
-	return dst
-}
+func (p *Probe) AppendSPFAddrs(dst []uint64) []uint64 { return p.appendLines(dst, pfSPF) }
 
 // AppendSPFPCs appends the slot-aligned training-load PCs of the
 // outstanding stride prefetches, attributing each SPF-ADDR value to the
@@ -247,7 +244,7 @@ func (p *Probe) AppendSPFAddrs(dst []uint64) []uint64 {
 // so unlike the demand-miss units SPF-ADDR cannot be attributed through
 // load/store address maps.
 func (p *Probe) AppendSPFPCs(dst []uint64) []uint64 {
-	for _, m := range p.c.dc.spf {
+	for _, m := range p.c.dc.trackers[pfSPF].slots {
 		if m.valid {
 			dst = append(dst, m.trainPC)
 		}
@@ -291,20 +288,8 @@ func (p *Probe) AppendBPredPCs(dst []uint64) []uint64 {
 // of outstanding misses — demand MSHRs plus the prefetchers' dedicated
 // miss trackers.
 func (p *Probe) AppendMSHRAddrs(dst []uint64) []uint64 {
-	for _, m := range p.c.dc.mshrs {
-		if m.valid {
-			dst = append(dst, m.lineAddr<<p.c.dc.cache.lineShift)
-		}
-	}
-	for _, m := range p.c.dc.nlp {
-		if m.valid {
-			dst = append(dst, m.lineAddr<<p.c.dc.cache.lineShift)
-		}
-	}
-	for _, m := range p.c.dc.spf {
-		if m.valid {
-			dst = append(dst, m.lineAddr<<p.c.dc.cache.lineShift)
-		}
+	for src := range p.c.dc.trackers {
+		dst = p.appendLines(dst, uint8(src))
 	}
 	return dst
 }
@@ -342,7 +327,7 @@ func (p *Probe) AGUGen() uint64 { return busyGen(&p.c.agus, p.c.cycle) }
 func (p *Probe) LFBGen() uint64 { return p.c.dc.lfbGen }
 
 // PrefetchGen is the change mark of the NLP-ADDR row.
-func (p *Probe) PrefetchGen() uint64 { return p.c.dc.nlpGen }
+func (p *Probe) PrefetchGen() uint64 { return p.c.dc.trackers[pfNLP].gen }
 
 // CacheRequestGen is the change mark of the Cache-ADDR row.
 func (p *Probe) CacheRequestGen() uint64 { return p.c.dc.reqGen }
@@ -352,7 +337,10 @@ func (p *Probe) TLBGen() uint64 { return p.c.dc.tlb.gen }
 
 // MSHRGen is the change mark of the MSHR-ADDR row, which reads the
 // demand MSHRs and both prefetchers' trackers.
-func (p *Probe) MSHRGen() uint64 { return p.c.dc.mshrGen + p.c.dc.nlpGen + p.c.dc.spfGen }
+func (p *Probe) MSHRGen() uint64 {
+	t := &p.c.dc.trackers
+	return t[pfNone].gen + t[pfNLP].gen + t[pfSPF].gen
+}
 
 // SPFGen is the change mark of the SPF-ADDR row.
-func (p *Probe) SPFGen() uint64 { return p.c.dc.spfGen }
+func (p *Probe) SPFGen() uint64 { return p.c.dc.trackers[pfSPF].gen }

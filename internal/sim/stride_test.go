@@ -41,12 +41,12 @@ func TestStridePrefetcherDetectsStream(t *testing.T) {
 					addr = uint64(int64(addr) + tc.stride)
 				}
 			}
-			if d.spfPrefetches == 0 {
+			if d.trackers[pfSPF].issued == 0 {
 				t.Fatal("no stride prefetch issued")
 			}
 			want := d.lineOf(uint64(int64(addr) + tc.stride))
 			found := false
-			for _, m := range d.spf {
+			for _, m := range d.trackers[pfSPF].slots {
 				if m.lineAddr == want {
 					found = true
 				}
@@ -74,8 +74,8 @@ func TestStridePrefetchUsefulCounters(t *testing.T) {
 		}
 		now += 50
 	}
-	if d.spfPrefetches != 1 {
-		t.Fatalf("spfPrefetches = %d want 1", d.spfPrefetches)
+	if d.trackers[pfSPF].issued != 1 {
+		t.Fatalf("spfPrefetches = %d want 1", d.trackers[pfSPF].issued)
 	}
 	// After the fill retires, demanding the prefetched line counts it
 	// useful exactly once.
@@ -83,11 +83,11 @@ func TestStridePrefetchUsefulCounters(t *testing.T) {
 	if _, ok := d.access(now, 0x40100, pc); !ok {
 		t.Fatal("demand of prefetched line rejected")
 	}
-	if d.spfUseful != 1 {
-		t.Errorf("spfUseful = %d want 1", d.spfUseful)
+	if d.trackers[pfSPF].useful != 1 {
+		t.Errorf("spfUseful = %d want 1", d.trackers[pfSPF].useful)
 	}
-	if d.spfUseless != 0 {
-		t.Errorf("spfUseless = %d want 0", d.spfUseless)
+	if d.trackers[pfSPF].useless != 0 {
+		t.Errorf("spfUseless = %d want 0", d.trackers[pfSPF].useless)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestStridePrefetchInFlightPromotion(t *testing.T) {
 	if !ok {
 		t.Fatal("in-flight demand rejected")
 	}
-	if d.spfUseful != 1 {
-		t.Errorf("spfUseful = %d want 1 (promoted in flight)", d.spfUseful)
+	if d.trackers[pfSPF].useful != 1 {
+		t.Errorf("spfUseful = %d want 1 (promoted in flight)", d.trackers[pfSPF].useful)
 	}
 	if done <= now {
 		t.Error("promoted access must still wait for the fill")
@@ -128,8 +128,8 @@ func TestStridePrefetchUselessEviction(t *testing.T) {
 		}
 		now += 50
 	}
-	if d.spfPrefetches != 1 {
-		t.Fatalf("spfPrefetches = %d want 1", d.spfPrefetches)
+	if d.trackers[pfSPF].issued != 1 {
+		t.Fatalf("spfPrefetches = %d want 1", d.trackers[pfSPF].issued)
 	}
 	d.tick(now) // retire the prefetch fill
 	// Flood the set from unrelated PCs (each trains a cold stride slot,
@@ -143,11 +143,11 @@ func TestStridePrefetchUselessEviction(t *testing.T) {
 		now += 50
 	}
 	d.tick(now)
-	if d.spfUseless != 1 {
-		t.Errorf("spfUseless = %d want 1 (prefetched line evicted unused)", d.spfUseless)
+	if d.trackers[pfSPF].useless != 1 {
+		t.Errorf("spfUseless = %d want 1 (prefetched line evicted unused)", d.trackers[pfSPF].useless)
 	}
-	if d.spfUseful != 0 {
-		t.Errorf("spfUseful = %d want 0", d.spfUseful)
+	if d.trackers[pfSPF].useful != 0 {
+		t.Errorf("spfUseful = %d want 0", d.trackers[pfSPF].useful)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestStrideDisabledStaysCold(t *testing.T) {
 		d.access(now, addr, pc)
 		now += 50
 	}
-	if d.spfPrefetches != 0 || d.spfUseful != 0 || d.spfUseless != 0 {
+	if d.trackers[pfSPF].issued != 0 || d.trackers[pfSPF].useful != 0 || d.trackers[pfSPF].useless != 0 {
 		t.Error("disabled stride prefetcher must keep zero counters")
 	}
 	for _, e := range d.stride {
@@ -172,7 +172,7 @@ func TestStrideDisabledStaysCold(t *testing.T) {
 			t.Fatal("disabled stride prefetcher must not train")
 		}
 	}
-	for _, m := range d.spf {
+	for _, m := range d.trackers[pfSPF].slots {
 		if m.valid {
 			t.Fatal("disabled stride prefetcher must not issue")
 		}
@@ -191,14 +191,14 @@ func TestStrideConfidenceResetsOnNewPattern(t *testing.T) {
 		}
 	}
 	run([]uint64{0x80000, 0x80040, 0x80080, 0x800C0}) // conf reaches 2, one prefetch
-	issued := d.spfPrefetches
+	issued := d.trackers[pfSPF].issued
 	if issued != 1 {
 		t.Fatalf("spfPrefetches = %d want 1", issued)
 	}
 	// A stride change decays confidence below the prefetch threshold:
 	// the immediately following irregular accesses must not prefetch.
 	run([]uint64{0x90000, 0x90800, 0x91300})
-	if d.spfPrefetches != issued {
-		t.Errorf("irregular stream issued %d extra prefetches", d.spfPrefetches-issued)
+	if d.trackers[pfSPF].issued != issued {
+		t.Errorf("irregular stream issued %d extra prefetches", d.trackers[pfSPF].issued-issued)
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // branchPredictor abstracts the direction predictor so the core can run
 // either the default gshare or the TAGE model. predict returns the
 // predicted direction plus an opaque cookie that rides in the uop:
@@ -42,7 +44,7 @@ type tageEntry struct {
 type tageTable struct {
 	entries  []tageEntry
 	mask     uint64
-	histLen  uint
+	idxBits  uint // width of mask
 	histMask uint64
 }
 
@@ -60,15 +62,14 @@ type tage struct {
 
 	tables [tageNumTables]tageTable
 
-	history  uint64
-	histMask uint64
+	branchHistory
 }
 
 func newTAGE(phtEntries int) *tage {
 	t := &tage{
-		base:     make([]uint8, phtEntries),
-		baseMask: uint64(phtEntries - 1),
-		histMask: 1<<tageHistLens[tageNumTables-1] - 1,
+		base:          make([]uint8, phtEntries),
+		baseMask:      uint64(phtEntries - 1),
+		branchHistory: branchHistory{histMask: 1<<tageHistLens[tageNumTables-1] - 1},
 	}
 	for i := range t.base {
 		t.base[i] = 1 // weakly not-taken, matching gshare's reset state
@@ -78,7 +79,7 @@ func newTAGE(phtEntries int) *tage {
 		t.tables[i] = tageTable{
 			entries:  make([]tageEntry, n),
 			mask:     uint64(n - 1),
-			histLen:  tageHistLens[i],
+			idxBits:  uint(bits.Len64(uint64(n - 1))),
 			histMask: 1<<tageHistLens[i] - 1,
 		}
 	}
@@ -96,18 +97,9 @@ func fold(h uint64, bits uint) uint64 {
 	return f
 }
 
-// idxBits returns the index width of a tagged table.
-func (tt *tageTable) idxBits() uint {
-	bits := uint(0)
-	for m := tt.mask; m != 0; m >>= 1 {
-		bits++
-	}
-	return bits
-}
-
 // index hashes (pc, history slice) into the table.
 func (tt *tageTable) index(pc, hist uint64) uint64 {
-	return ((pc >> 2) ^ fold(hist&tt.histMask, tt.idxBits())) & tt.mask
+	return ((pc >> 2) ^ fold(hist&tt.histMask, tt.idxBits)) & tt.mask
 }
 
 // tagOf hashes (pc, history slice) into a tag, using a fold width
@@ -181,31 +173,6 @@ func (t *tage) predict(pc uint64) (bool, uint64) {
 	return taken, packMeta(provider, idx, taken)
 }
 
-func (t *tage) shiftHistory(taken bool) uint64 {
-	prev := t.history
-	t.history = (t.history << 1) & t.histMask
-	if taken {
-		t.history |= 1
-	}
-	return prev
-}
-
-func (t *tage) restoreHistory(checkpoint uint64, actual bool) {
-	t.history = checkpoint
-	t.shiftHistory(actual)
-}
-
-func satUpdate(ctr int8, taken bool) int8 {
-	if taken {
-		if ctr < tageCtrMax {
-			ctr++
-		}
-	} else if ctr > tageCtrMin {
-		ctr--
-	}
-	return ctr
-}
-
 // train updates the predictor for a resolved branch. TAGE recomputes the
 // provider from (pc, hist) — the fetch-time checkpoint — rather than
 // carrying per-prediction metadata through the pipeline: the counter
@@ -217,26 +184,12 @@ func (t *tage) train(_ /* cookie */, pc, hist uint64, taken bool) {
 
 	if provider < 0 {
 		i := (pc >> 2) & t.baseMask
-		c := t.base[i]
-		if taken {
-			if c < 3 {
-				c++
-			}
-		} else if c > 0 {
-			c--
-		}
-		t.base[i] = c
+		t.base[i] = saturate(t.base[i], taken, 0, 3)
 	} else {
 		e := &t.tables[provider].entries[providerIdx]
-		e.ctr = satUpdate(e.ctr, taken)
+		e.ctr = saturate(e.ctr, taken, tageCtrMin, tageCtrMax)
 		if predTaken != altTaken {
-			if predTaken == taken {
-				if e.u < tageUMax {
-					e.u++
-				}
-			} else if e.u > 0 {
-				e.u--
-			}
+			e.u = saturate(e.u, predTaken == taken, 0, tageUMax)
 		}
 	}
 
@@ -263,10 +216,8 @@ func (t *tage) train(_ /* cookie */, pc, hist uint64, taken bool) {
 	if !allocated {
 		for i := provider + 1; i < tageNumTables; i++ {
 			tt := &t.tables[i]
-			idx := tt.index(pc, hist)
-			if tt.entries[idx].u > 0 {
-				tt.entries[idx].u--
-			}
+			e := &tt.entries[tt.index(pc, hist)]
+			e.u = saturate(e.u, false, 0, tageUMax)
 		}
 	}
 }

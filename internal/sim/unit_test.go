@@ -61,7 +61,7 @@ func TestGshareHistoryCheckpoint(t *testing.T) {
 	g.shiftHistory(true)
 	g.restoreHistory(chk, false)
 	// After restore+actual(false), history = (chk<<1)|0.
-	want := (chk << 1) & ((1 << g.histLen) - 1)
+	want := (chk << 1) & g.histMask
 	if g.history != want {
 		t.Errorf("history = %b want %b", g.history, want)
 	}
@@ -125,13 +125,13 @@ func TestCacheLRU(t *testing.T) {
 	c := newCache(2, 2, 64) // 2 sets, 2 ways
 	now := int64(0)
 	// Lines 0, 2, 4 map to set 0 (even line numbers).
-	c.insert(0, now)
-	c.insert(2, now+1)
+	c.fill(0, now, pfNone)
+	c.fill(2, now+1, pfNone)
 	if !c.present(0) || !c.present(2) {
 		t.Fatal("both ways should be filled")
 	}
-	c.lookup(0, now+2) // refresh line 0
-	c.insert(4, now+3) // evicts LRU = line 2
+	c.lookup(0, now+2)       // refresh line 0
+	c.fill(4, now+3, pfNone) // evicts LRU = line 2
 	if !c.present(0) || c.present(2) || !c.present(4) {
 		t.Error("LRU eviction selected the wrong victim")
 	}
@@ -152,7 +152,7 @@ func TestTLBLRUAndRecency(t *testing.T) {
 	if tl.lookup(20, 4) {
 		t.Error("page 20 should have been evicted")
 	}
-	order := tl.recencyOrdered()
+	order := append([]tlbEntry(nil), tl.recencyScratch()...)
 	if len(order) != 2 || order[0].page != 30 || order[1].page != 10 {
 		t.Errorf("recency order wrong: %+v", order)
 	}
@@ -173,7 +173,7 @@ func TestDCacheMissAndFill(t *testing.T) {
 		t.Errorf("miss completed too fast: %d", done)
 	}
 	// The miss should occupy an MSHR and an LFB entry with the data.
-	if d.mshrFor(d.lineOf(0x1000)) == nil {
+	if m, src := d.inFlight(d.lineOf(0x1000)); m == nil || src != pfNone {
 		t.Error("no MSHR allocated")
 	}
 	var lfbData uint64
@@ -206,7 +206,7 @@ func TestDCacheMSHRMerge(t *testing.T) {
 		t.Errorf("merged access should complete with the fill: %d vs %d", d2, d1)
 	}
 	used := 0
-	for _, m := range d.mshrs {
+	for _, m := range d.trackers[pfNone].slots {
 		if m.valid {
 			used++
 		}
@@ -238,7 +238,7 @@ func TestNextLinePrefetch(t *testing.T) {
 	d.tick(0)
 	d.access(0, 0x4000, 0)
 	found := false
-	for _, m := range d.nlp {
+	for _, m := range d.trackers[pfNLP].slots {
 		if m.valid && m.lineAddr == d.lineOf(0x4000)+1 {
 			found = true
 		}

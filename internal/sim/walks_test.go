@@ -10,7 +10,10 @@ import (
 )
 
 // walkTracer checks, every cycle, the probe's O(1) ROB occupancy and
-// its live-bounded fill-buffer rows against full walks of the state.
+// its live-bounded fill-buffer rows against full walks of the state,
+// and that no line is outstanding in two fill slots (demand, next-line
+// and stride trackers together) or valid in two ways of a D-cache set:
+// the one lookup over all trackers and the one tag walk rely on both.
 type walkTracer struct {
 	err                              error
 	cycles                           int
@@ -39,6 +42,9 @@ func (w *walkTracer) OnCycle(p *sim.Probe) {
 	case !slices.Equal(w.addrs, w.wantAddrs):
 		w.err = fmt.Errorf("AppendLFBAddrs = %x, walk gives %x", w.addrs, w.wantAddrs)
 	}
+	if twice, ways := p.WalkFills(); w.err == nil && twice+ways > 0 {
+		w.err = fmt.Errorf("%d lines outstanding in two fill slots, %d valid in two ways of a set", twice, ways)
+	}
 	if w.err != nil {
 		w.err = fmt.Errorf("cycle %d: %w", w.cycles, w.err)
 	}
@@ -50,7 +56,8 @@ func (*walkTracer) OnMark(int64, isa.MarkKind, uint64) {}
 // bookkeeping: the folded-uop counter behind ROBOccupancy and the
 // fill buffer's live bound must agree with full walks on every cycle,
 // across dispatch and issue folds, squashes, demand misses and both
-// prefetchers.
+// prefetchers. The same walk checks that each line has at most one
+// outstanding fill and at most one valid way.
 func TestProbeCountersMatchWalks(t *testing.T) {
 	// Under FastBypass ME-V1-MV and ME-V2-SAFE fold at issue, ME-V2-SAFE
 	// and constant_time_cond_swap_buff at dispatch, and
