@@ -76,11 +76,10 @@
 //	msd -journal-dir /var/lib/msd -audit-verify
 //	msd -journal-dir /var/lib/msd -audit-verify -audit-head <chain-hex>
 //
-// With -history-dir set (journaled daemons default it to
-// <journal-dir>/history), every finished job's verdict is filed in the
-// labeled run-history store and the daemon serves verdict diffs between
-// labels; clean↔leaky flips surface in the msd_verdict_flips_total
-// counter.
+// A journaled daemon lists its verdicts by label (GET /api/v1/history)
+// and serves verdict diffs between labels (POST /api/v1/diff), both read
+// from the journal and the verdict store; clean↔leaky flips surface in
+// the msd_verdict_flips_total counter.
 package main
 
 import (
@@ -93,7 +92,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -150,7 +148,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		flightFrames  = fs.Int("flight-recorder", 1024, "cycles of per-unit occupancy kept per run; failed jobs expose the dump as a postmortem artifact (0: off)")
 		cacheEntries  = fs.Int("cache", 256, "verdicts retained in the content-addressed cache; identical resubmissions are served without simulating (0: off)")
 		cacheDir      = fs.String("cache-dir", "", "disk layer of the verdict store, surviving restarts; a journaled daemon always has one and keeps finished jobs' artifacts there (default: <journal-dir>/cache when journaled, else memory-only)")
-		historyDir    = fs.String("history-dir", "", "directory for the labeled run-history store behind /api/v1/history and /api/v1/diff (default: <journal-dir>/history when journaled, else disabled)")
 		auditBatch    = fs.Int("audit-batch", 0, "terminal journal records per Merkle audit root (0: default)")
 		coordinator   = fs.Bool("coordinator", false, "serve the cluster-coordinator surface: worker registration, batch sharding, the shared verdict store")
 		workerOf      = fs.String("worker-of", "", "coordinator base URL this daemon registers with as a worker (e.g. http://host:8844)")
@@ -182,9 +179,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}
 		return runAuditVerify(*journalDir, *auditHead)
 	}
-	if *historyDir == "" && *journalDir != "" {
-		*historyDir = filepath.Join(*journalDir, "history")
-	}
 
 	logger, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
@@ -201,7 +195,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		FlightFrames:       *flightFrames,
 		CacheEntries:       *cacheEntries,
 		CacheDir:           *cacheDir,
-		HistoryDir:         *historyDir,
 		AuditBatch:         *auditBatch,
 		Coordinator:        *coordinator,
 		CoordinatorURL:     *workerOf,

@@ -31,7 +31,7 @@ func TestSmoke(t *testing.T) {
 			"-log-level", "error",
 			"-drain-timeout", "60s",
 			"-flight-recorder", "256",
-			"-history-dir", t.TempDir(),
+			"-journal-dir", t.TempDir(),
 		}, ready)
 	}()
 
@@ -118,7 +118,7 @@ func TestSmoke(t *testing.T) {
 		t.Errorf("artifacts: %v", final.Artifacts)
 	}
 
-	// The labeled run landed in the history store.
+	// The labeled run is listed in the journal's run history.
 	resp, err = http.Get(base + "/api/v1/history?label=smoke")
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -94,30 +95,41 @@ func (a *Agent) Run(ctx context.Context) {
 }
 
 func (a *Agent) post(ctx context.Context, path string, payload any) error {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	url := strings.TrimRight(a.Coordinator, "/") + path
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	client := a.Client
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
+	_, err := Call(ctx, client, http.MethodPost, strings.TrimRight(a.Coordinator, "/")+path, payload)
+	return err
+}
+
+// Call is the one HTTP exchange of the cluster protocol: it sends
+// payload as JSON (no body when nil) and returns the response body, read
+// up to 16 MiB. A status other than 200 or 204 is an error.
+func Call(ctx context.Context, client *http.Client, method, url string, payload any) ([]byte, error) {
+	var body io.Reader
+	if payload != nil {
+		data, err := json.Marshal(payload)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(data)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("cluster: %s: HTTP %d", path, resp.StatusCode)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err == nil && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
+		err = fmt.Errorf("cluster: %s %s: HTTP %d: %s", method, url, resp.StatusCode, bytes.TrimSpace(data))
 	}
-	return nil
+	return data, err
 }
 
 // HTTPExecutor dispatches points to workers over the msd HTTP surface.
@@ -130,32 +142,10 @@ type HTTPExecutor struct {
 // verdict-level Err — while transport failures and non-200 statuses
 // come back as errors that move the point to its next-ranked worker.
 func (e *HTTPExecutor) Execute(ctx context.Context, workerURL string, p Point, _ string) (PointResult, error) {
-	body, err := json.Marshal(ExecuteRequest{Point: p})
+	client := cmp.Or(e.Client, http.DefaultClient)
+	data, err := Call(ctx, client, http.MethodPost, strings.TrimRight(workerURL, "/")+"/api/v1/cluster/execute", ExecuteRequest{Point: p})
 	if err != nil {
 		return PointResult{}, err
-	}
-	url := strings.TrimRight(workerURL, "/") + "/api/v1/cluster/execute"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return PointResult{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	client := e.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return PointResult{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return PointResult{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return PointResult{}, fmt.Errorf("cluster: execute on %s: HTTP %d: %s",
-			workerURL, resp.StatusCode, bytes.TrimSpace(data))
 	}
 	var res PointResult
 	if err := json.Unmarshal(data, &res); err != nil {

@@ -46,10 +46,6 @@ type Point struct {
 	Warmup        int  `json:"warmup,omitempty"` // 0: framework default, <0: keep all
 	SeedOffset    int  `json:"seedOffset,omitempty"`
 	MeasureStages bool `json:"measureStages,omitempty"`
-
-	// Label is execution metadata for the worker's history store; it
-	// never enters the cache key.
-	Label string `json:"label,omitempty"`
 }
 
 // ParseCell decodes a canonical "axis=value,axis=value" cell name into

@@ -1,6 +1,7 @@
 package msd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 
 	"microsampler/internal/cluster"
 	"microsampler/internal/core"
+	"microsampler/internal/version"
 )
 
 // Batch verification: POST /api/v1/batch accepts many program×config
@@ -53,19 +55,21 @@ type BatchEntry struct {
 
 // BatchRequest is the POST /api/v1/batch payload.
 type BatchRequest struct {
-	// Label tags every point's history record (workers file fresh
-	// verdicts under it).
+	// Label names the code state the batch's successful points are
+	// listed under in the coordinator's run history (GET
+	// /api/v1/history). Admission defaults an empty label to the daemon
+	// binary's VCS stamp before the batch is journaled.
 	Label   string       `json:"label,omitempty"`
 	Entries []BatchEntry `json:"points"`
 }
 
-// explode expands the request into its flat point list with canonical
-// cache keys, deterministically: the same request always yields the
-// same points in the same order, which is what lets recovery rebuild a
-// journaled batch from its "batch-submit" record alone.
-func (r BatchRequest) explode() ([]cluster.Point, []string, error) {
+// points expands the request into its flat point list,
+// deterministically: the same request always yields the same points in
+// the same order, which is what lets recovery rebuild a journaled batch
+// from its "batch-submit" record alone.
+func (r BatchRequest) points() ([]cluster.Point, error) {
 	if len(r.Entries) == 0 {
-		return nil, nil, fmt.Errorf("batch has no points")
+		return nil, fmt.Errorf("batch has no points")
 	}
 	var points []cluster.Point
 	for ei, e := range r.Entries {
@@ -73,18 +77,18 @@ func (r BatchRequest) explode() ([]cluster.Point, []string, error) {
 			Workload: e.Workload, Source: e.Source,
 			Cell: e.Cell, Config: e.Config, FastBypass: e.FastBypass,
 			Runs: e.Runs, Warmup: e.Warmup, SeedOffset: e.SeedOffset,
-			MeasureStages: e.MeasureStages, Label: r.Label,
+			MeasureStages: e.MeasureStages,
 		}
 		if e.Matrix == "" {
 			points = append(points, base)
 			continue
 		}
 		if e.Cell != "" {
-			return nil, nil, fmt.Errorf("point %d: matrix and cell are mutually exclusive", ei)
+			return nil, fmt.Errorf("point %d: matrix and cell are mutually exclusive", ei)
 		}
 		grid, err := core.ParseGridSpec(e.Matrix)
 		if err != nil {
-			return nil, nil, fmt.Errorf("point %d: %v", ei, err)
+			return nil, fmt.Errorf("point %d: %v", ei, err)
 		}
 		for _, cell := range grid.Cells() {
 			p := base
@@ -94,17 +98,27 @@ func (r BatchRequest) explode() ([]cluster.Point, []string, error) {
 		}
 	}
 	if len(points) > maxBatchPoints {
-		return nil, nil, fmt.Errorf("batch explodes to %d points, max %d", len(points), maxBatchPoints)
+		return nil, fmt.Errorf("batch explodes to %d points, max %d", len(points), maxBatchPoints)
 	}
-	keys := make([]string, len(points))
+	return points, nil
+}
+
+// newBatch explodes a request into a running batch: its points, their
+// canonical cache keys and no result yet. The caller sets the ID and
+// the submission time.
+func newBatch(req BatchRequest) (*Batch, error) {
+	points, err := req.points()
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{Req: req, Points: points, Keys: make([]string, len(points)),
+		Results: make([]*cluster.PointResult, len(points)), Status: BatchRunning}
 	for i, p := range points {
-		key, err := p.Key()
-		if err != nil {
-			return nil, nil, fmt.Errorf("point %d: %v", i, err)
+		if b.Keys[i], err = p.Key(); err != nil {
+			return nil, fmt.Errorf("point %d: %v", i, err)
 		}
-		keys[i] = key
 	}
-	return points, keys, nil
+	return b, nil
 }
 
 // Batch statuses.
@@ -201,7 +215,8 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	points, keys, err := req.explode()
+	req.Label = cmp.Or(req.Label, version.DefaultLabel())
+	b, err := newBatch(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -215,15 +230,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.nextBatchID++
-	b := &Batch{
-		ID:        fmt.Sprintf("batch-%d", s.nextBatchID),
-		Req:       req,
-		Points:    points,
-		Keys:      keys,
-		Results:   make([]*cluster.PointResult, len(points)),
-		Status:    BatchRunning,
-		Submitted: time.Now(),
-	}
+	b.ID, b.Submitted = fmt.Sprintf("batch-%d", s.nextBatchID), time.Now()
 	s.batches[b.ID] = b
 	s.batchOrder = append(s.batchOrder, b.ID)
 	// Journal before acknowledging, under the lock so journal order
@@ -234,7 +241,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.batchWG.Add(1)
 	go s.runBatch(b)
-	s.log.Info("batch submitted", "batch", b.ID, "points", len(points))
+	s.log.Info("batch submitted", "batch", b.ID, "points", len(b.Points))
 	writeJSON(w, http.StatusAccepted, view)
 }
 
@@ -345,7 +352,7 @@ func (s *Server) recoverBatches(recs []journalRecord) {
 			if r.BatchReq == nil {
 				continue
 			}
-			points, keys, err := r.BatchReq.explode()
+			b, err := newBatch(*r.BatchReq)
 			if err != nil {
 				s.log.Warn("journaled batch no longer explodes", "batch", r.ID, "err", err)
 				continue
@@ -353,12 +360,8 @@ func (s *Server) recoverBatches(recs []journalRecord) {
 			if _, dup := s.batches[r.ID]; !dup {
 				s.batchOrder = append(s.batchOrder, r.ID)
 			}
-			s.batches[r.ID] = &Batch{
-				ID: r.ID, Req: *r.BatchReq, Points: points, Keys: keys,
-				Results:   make([]*cluster.PointResult, len(points)),
-				Status:    BatchRunning,
-				Submitted: r.Time,
-			}
+			b.ID, b.Submitted = r.ID, r.Time
+			s.batches[r.ID] = b
 			if n := idNum(r.ID); n > s.nextBatchID {
 				s.nextBatchID = n
 			}

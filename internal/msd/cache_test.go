@@ -276,12 +276,12 @@ func FuzzCacheKey(f *testing.F) {
 			Runs: req.Runs, Warmup: req.Warmup, SeedOffset: req.SeedOffset,
 			MeasureStages: req.MeasureStages,
 		}}}
-		_, keys, err := batch.explode()
+		b, err := newBatch(batch)
 		if err != nil {
 			t.Fatalf("equivalent batch entry rejected: %v", err)
 		}
-		if keys[0] != jobKey {
-			t.Fatalf("job and batch point keys differ: %s vs %s", jobKey, keys[0])
+		if b.Keys[0] != jobKey {
+			t.Fatalf("job and batch point keys differ: %s vs %s", jobKey, b.Keys[0])
 		}
 	})
 }

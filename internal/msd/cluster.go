@@ -1,16 +1,13 @@
 package msd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 
 	"microsampler/internal/cluster"
 	"microsampler/internal/core"
-	"microsampler/internal/history"
 	"microsampler/internal/report"
 )
 
@@ -115,11 +112,8 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 // runPoint resolves one point to a terminal result through the cache
 // hierarchy: local store, then the coordinator's store (worker mode),
 // then a fresh simulation — deduplicated across identical in-flight
-// points, uploaded back to the coordinator, and filed in this daemon's
-// history exactly once per fresh verdict. The cache-key dedup is what
-// keeps a restarted or re-registered worker from double-reporting a
-// point it already answered: the replayed request hits the disk cache
-// and never reaches the history append.
+// points and uploaded back to the coordinator. A restarted worker
+// answers a replayed point from its disk cache without simulating.
 func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
 	if res, ok := cacheLoad(s, key, decodePointResult); ok {
 		s.cacheHits.Inc()
@@ -149,9 +143,6 @@ func (s *Server) runPoint(p cluster.Point, key string) cluster.PointResult {
 		if s.cfg.CoordinatorURL != "" {
 			s.pointUploadRemote(key, res)
 		}
-		s.recordHistory(history.Record{
-			Label: p.Label, Workload: p.WorkloadName(), Kind: history.KindReport, Summary: res.Summary,
-		}, res.Digest, "point-"+shortKey(key))
 	}
 	return res
 }
@@ -208,21 +199,9 @@ func (s *Server) computePoint(p cluster.Point, key string) cluster.PointResult {
 // Any failure — transport, 404, decode — is a miss; the worker just
 // simulates.
 func (s *Server) pointFetchRemote(key string) (cluster.PointResult, bool) {
-	req, err := http.NewRequest(http.MethodGet, s.coordinatorCacheURL(key), nil)
-	if err != nil {
-		return cluster.PointResult{}, false
-	}
-	resp, err := s.clusterHTTP.Do(req)
-	if err != nil {
-		return cluster.PointResult{}, false
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return cluster.PointResult{}, false
-	}
 	var res cluster.PointResult
-	if err := json.Unmarshal(data, &res); err != nil || res.Err != "" {
+	data, err := cluster.Call(context.TODO(), s.clusterHTTP, http.MethodGet, s.coordinatorCacheURL(key), nil)
+	if err != nil || json.Unmarshal(data, &res) != nil || res.Err != "" {
 		return cluster.PointResult{}, false
 	}
 	return res.Verdict(), true
@@ -232,22 +211,9 @@ func (s *Server) pointFetchRemote(key string) (cluster.PointResult, bool) {
 // best-effort: a worker that dies right after this upload has already
 // made its result a cache hit for whoever inherits the shard.
 func (s *Server) pointUploadRemote(key string, res cluster.PointResult) {
-	data, err := json.Marshal(res.Verdict())
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPut, s.coordinatorCacheURL(key), bytes.NewReader(data))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.clusterHTTP.Do(req)
-	if err != nil {
+	if _, err := cluster.Call(context.TODO(), s.clusterHTTP, http.MethodPut, s.coordinatorCacheURL(key), res.Verdict()); err != nil {
 		s.log.Warn("verdict upload to coordinator failed", "key", shortKey(key), "err", err)
-		return
 	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 }
 
 func (s *Server) coordinatorCacheURL(key string) string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -117,17 +118,27 @@ func executeOnWorker(t *testing.T, base string, p cluster.Point) (cluster.PointR
 	return res, resp.StatusCode
 }
 
-func historyRecords(t *testing.T, base string) []history.Record {
+// historyBody fetches the raw /api/v1/history listing.
+func historyBody(t *testing.T, base string) []byte {
 	t.Helper()
 	resp, err := http.Get(base + "/api/v1/history")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("history: %d %v", resp.StatusCode, err)
+	}
+	return body
+}
+
+func historyRecords(t *testing.T, base string) []history.Record {
+	t.Helper()
 	var v struct {
 		Records []history.Record `json:"records"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+	if err := json.Unmarshal(historyBody(t, base), &v); err != nil {
 		t.Fatal(err)
 	}
 	return v.Records
@@ -596,17 +607,15 @@ func TestRetryAfterCapDisabled(t *testing.T) {
 	}
 }
 
-// TestWorkerRestartNoDoubleHistory is the worker-side journal-replay
-// dedup test: a worker restarted over the same cache and history
-// directories must serve a replayed point from its disk cache and must
-// NOT append a second history record for a verdict it already filed.
-func TestWorkerRestartNoDoubleHistory(t *testing.T) {
-	dir := t.TempDir()
-	cacheDir, histDir := dir+"/cache", dir+"/history"
-	point := cluster.Point{Workload: "ME-NAIVE", Runs: 2, Warmup: 2, Label: "pr10"}
+// TestWorkerRestartServesReplayFromDisk: a worker restarted over the
+// same cache directory serves a replayed point from its disk cache and
+// never simulates it again.
+func TestWorkerRestartServesReplayFromDisk(t *testing.T) {
+	cacheDir := t.TempDir()
+	point := cluster.Point{Workload: "ME-NAIVE", Runs: 2, Warmup: 2}
 
 	var computes1 atomic.Int64
-	cfg1 := Config{CacheEntries: 8, CacheDir: cacheDir, HistoryDir: histDir}
+	cfg1 := Config{CacheEntries: 8, CacheDir: cacheDir}
 	cfg1.executePoint = func(cluster.Point, string) cluster.PointResult {
 		computes1.Add(1)
 		return fakePointResult(8)
@@ -621,16 +630,12 @@ func TestWorkerRestartNoDoubleHistory(t *testing.T) {
 	if code != http.StatusOK || res.Err != "" || res.Cached {
 		t.Fatalf("first execute: code=%d res=%+v, want a fresh verdict", code, res)
 	}
-	if recs := historyRecords(t, ts1.URL); len(recs) != 1 || recs[0].Label != "pr10" {
-		t.Fatalf("history after fresh compute = %+v, want one pr10 record", recs)
-	}
 	drainNow(t, s1)
 	ts1.Close()
 
-	// The restarted worker: same disk layers, fresh process. The
-	// replayed point must be a cache hit that never reaches the seam or
-	// the history store.
-	cfg2 := Config{CacheEntries: 8, CacheDir: cacheDir, HistoryDir: histDir}
+	// The restarted worker: same disk layer, fresh process. The replayed
+	// point must be a cache hit that never reaches the seam.
+	cfg2 := Config{CacheEntries: 8, CacheDir: cacheDir}
 	cfg2.executePoint = func(cluster.Point, string) cluster.PointResult {
 		t.Error("replayed point recomputed after restart")
 		return fakePointResult(8)
@@ -647,11 +652,65 @@ func TestWorkerRestartNoDoubleHistory(t *testing.T) {
 	if code != http.StatusOK || !res.Cached || res.Iterations != 8 {
 		t.Fatalf("replayed execute: code=%d res=%+v, want a cached verdict", code, res)
 	}
-	if recs := historyRecords(t, ts2.URL); len(recs) != 1 {
-		t.Fatalf("history after replay has %d records, want 1 — the verdict was double-reported", len(recs))
-	}
 	if n := computes1.Load(); n != 1 {
 		t.Errorf("first incarnation computed %d times, want 1", n)
+	}
+}
+
+// TestBatchHistoryFromJournal: a journaled coordinator lists each
+// successful point of a batch once, under the batch label, with the
+// digest its batch-point record carries; a failed point is not listed.
+// A drain and a restart over the same journal list the same records,
+// and the restarted daemon diffs two batch labels from them.
+func TestBatchHistoryFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	exec := func(p cluster.Point, _ string) cluster.PointResult {
+		if p.SeedOffset == 2 {
+			return cluster.PointResult{Err: "injected point failure"}
+		}
+		return fakePointResult(8)
+	}
+	s1, ts1 := newPointServer(t, Config{Coordinator: true, JournalDir: dir}, exec)
+	req := BatchRequest{Label: "v1", Entries: []BatchEntry{
+		{Workload: "ME-NAIVE", Config: "small", Runs: 2},
+		{Workload: "CT-DIV", Config: "small", Runs: 2},
+		{Workload: "ME-NAIVE", Config: "small", Runs: 2, SeedOffset: 2},
+	}}
+	v, code := submitBatch(t, ts1.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	if done := waitBatch(t, ts1.URL, v.ID); done.Done != 2 || done.Failed != 1 {
+		t.Fatalf("batch: %+v, want 2 done and 1 failed", done)
+	}
+	// A second batch resubmits the first point under another label: a
+	// cached point is listed like a fresh one.
+	v2, _ := submitBatch(t, ts1.URL, BatchRequest{Label: "v2", Entries: req.Entries[:1]})
+	waitBatch(t, ts1.URL, v2.ID)
+
+	recs := historyRecords(t, ts1.URL)
+	var got []string
+	for _, r := range recs {
+		if r.Kind != "report" || !r.Leaky || r.Iterations != 8 || len(r.Artifacts) > 0 {
+			t.Errorf("point record %+v", r)
+		}
+		got = append(got, r.Label+"/"+r.Workload)
+	}
+	// A batch's points are journaled in completion order.
+	slices.Sort(got)
+	if want := []string{"v1/CT-DIV", "v1/ME-NAIVE", "v2/ME-NAIVE"}; !slices.Equal(got, want) {
+		t.Fatalf("history = %v, want %v", got, want)
+	}
+	before := historyBody(t, ts1.URL)
+	drainNow(t, s1)
+
+	_, ts2 := newPointServer(t, Config{Coordinator: true, JournalDir: dir}, exec)
+	if after := historyBody(t, ts2.URL); !bytes.Equal(after, before) {
+		t.Errorf("history after restart:\n%s\nbefore drain:\n%s", after, before)
+	}
+	out, code := postDiff(t, ts2.URL, map[string]any{"from": "v1", "to": "v2", "workload": "ME-NAIVE"})
+	if code != http.StatusOK || out["kind"] != "report" || out["flips"] != float64(0) {
+		t.Errorf("diff v1→v2: %d %v", code, out)
 	}
 }
 

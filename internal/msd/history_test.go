@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"microsampler/internal/core"
 	"microsampler/internal/stats"
@@ -61,7 +62,7 @@ func postDiff(t *testing.T, base string, req map[string]any) (map[string]any, in
 // /api/v1/diff detects the clean→leaky flip between two labels,
 // feeding msd_verdict_flips_total.
 func TestDaemonHistoryAndDiff(t *testing.T) {
-	cfg := Config{Workers: 1, HistoryDir: t.TempDir() + "/hist"}
+	cfg := Config{Workers: 1, JournalDir: t.TempDir()}
 	_, ts := newFakeServer(t, cfg, func(j *Job) (*core.Report, error) {
 		if j.Req.Label == "clean" {
 			return fakeCleanReport(), nil
@@ -70,7 +71,7 @@ func TestDaemonHistoryAndDiff(t *testing.T) {
 	})
 
 	for _, label := range []string{"clean", "leaky"} {
-		v, code := submitJob(t, ts.URL, JobRequest{Source: "fake", Label: label})
+		v, code := submitJob(t, ts.URL, JobRequest{Source: label, Label: label})
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s: %d", label, code)
 		}
@@ -165,7 +166,7 @@ func TestDaemonHistoryAndDiff(t *testing.T) {
 // TestDaemonMatrixDiff: matrix jobs file their artifact under the
 // matrix kind and the diff endpoint flags a cell flip between labels.
 func TestDaemonMatrixDiff(t *testing.T) {
-	cfg := Config{Workers: 1, HistoryDir: t.TempDir() + "/hist"}
+	cfg := Config{Workers: 1, JournalDir: t.TempDir()}
 	cfg.verifyMatrix = func(j *Job) (*core.Matrix, error) {
 		m := fakeMatrix()
 		if j.Req.Label == "clean" {
@@ -180,8 +181,8 @@ func TestDaemonMatrixDiff(t *testing.T) {
 	}
 	_, ts := newFakeServer(t, cfg, nil)
 
-	for _, label := range []string{"clean", "current"} {
-		v, code := submitMatrix(t, ts.URL, JobRequest{Workload: "CT-DIV", Label: label})
+	for i, label := range []string{"clean", "current"} {
+		v, code := submitMatrix(t, ts.URL, JobRequest{Workload: "CT-DIV", SeedOffset: i, Label: label})
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s: %d", label, code)
 		}
@@ -211,7 +212,7 @@ func TestDaemonMatrixDiff(t *testing.T) {
 	}
 }
 
-// TestHistoryDisabled: without a HistoryDir the history and diff
+// TestHistoryDisabled: without a journal the history and diff
 // endpoints answer 404 instead of pretending an empty history.
 func TestHistoryDisabled(t *testing.T) {
 	_, ts := newFakeServer(t, Config{Workers: 1}, nil)
@@ -225,6 +226,47 @@ func TestHistoryDisabled(t *testing.T) {
 	}
 	if _, code := postDiff(t, ts.URL, map[string]any{"from": "a", "to": "b"}); code != http.StatusNotFound {
 		t.Errorf("diff without store: %d want 404", code)
+	}
+}
+
+// TestHistorySurvivesRestart: the history of report and matrix jobs —
+// a fresh run, its cache hit and a matrix sweep — reads the same after
+// a drain and a restart over the journal as before the drain. A job
+// that ran counts its elapsed time from its start record; a hit, which
+// never ran, counts none.
+func TestHistorySurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	slow := func(*Job) (*core.Report, error) {
+		time.Sleep(20 * time.Millisecond)
+		return fakeReport(), nil
+	}
+	cfg := Config{Workers: 1, CacheEntries: 8}
+	cfg.verifyMatrix = func(*Job) (*core.Matrix, error) { return fakeMatrix(), nil }
+	s1, ts1 := newJournaledServer(t, dir, cfg, slow)
+	req := JobRequest{Source: "nop", Label: "v1"}
+	run, _ := submitJob(t, ts1.URL, req)
+	waitDone(t, ts1.URL, run.ID)
+	if hit, _ := submitJob(t, ts1.URL, req); !hit.Cached {
+		t.Fatalf("resubmission not a cache hit: %+v", hit)
+	}
+	m, _ := submitMatrix(t, ts1.URL, JobRequest{Workload: "CT-DIV", Label: "v1"})
+	waitDone(t, ts1.URL, m.ID)
+
+	recs := historyRecords(t, ts1.URL)
+	if len(recs) != 3 || recs[0].Kind != "report" || recs[1].Kind != "report" || recs[2].Kind != "matrix" {
+		t.Fatalf("history = %+v, want report, report, matrix", recs)
+	}
+	if recs[0].ElapsedMillis < 20 || recs[1].ElapsedMillis != 0 {
+		t.Errorf("elapsedMillis: run %d (want >= 20), hit %d (want 0)",
+			recs[0].ElapsedMillis, recs[1].ElapsedMillis)
+	}
+	before := historyBody(t, ts1.URL)
+	drainNow(t, s1)
+
+	s2, ts2 := newJournaledServer(t, dir, cfg, slow)
+	defer drainNow(t, s2)
+	if after := historyBody(t, ts2.URL); !bytes.Equal(after, before) {
+		t.Errorf("history after restart:\n%s\nbefore drain:\n%s", after, before)
 	}
 }
 

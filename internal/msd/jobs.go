@@ -55,11 +55,12 @@ type JobRequest struct {
 	// directly.
 	Matrix string `json:"matrix,omitempty"`
 
-	// Label names the code state this run should be filed under in the
-	// daemon's run-history store (Config.HistoryDir) — a commit SHA,
+	// Label names the code state this run is listed under in a journaled
+	// daemon's run history (GET /api/v1/history) — a commit SHA,
 	// typically. Execution metadata only: it never enters the
 	// content-addressed cache key, so relabeled resubmissions still hit
-	// the cache. Empty defaults to the daemon binary's own VCS stamp.
+	// the cache. Admission defaults an empty label to the daemon binary's
+	// VCS stamp before the job is journaled.
 	Label string `json:"label,omitempty"`
 }
 
@@ -69,7 +70,7 @@ func (r JobRequest) point() cluster.Point {
 		Workload: r.Workload, Source: r.Source,
 		Config: r.Config, FastBypass: r.FastBypass,
 		Runs: r.Runs, Warmup: r.Warmup, SeedOffset: r.SeedOffset,
-		MeasureStages: r.MeasureStages, Label: r.Label,
+		MeasureStages: r.MeasureStages,
 	}
 }
 

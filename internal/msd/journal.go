@@ -1,6 +1,7 @@
 package msd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -85,19 +86,35 @@ func openJournal(dir string) (*journal, []journalRecord, []byte, error) {
 		return nil, nil, nil, fmt.Errorf("msd: journal dir: %w", err)
 	}
 	path := filepath.Join(dir, "journal.jsonl")
-	var recs []journalRecord
 	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		recs = parseJournal(raw)
-	case !os.IsNotExist(err):
+	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, nil, fmt.Errorf("msd: read journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("msd: open journal: %w", err)
 	}
-	return &journal{dir: dir, f: f}, recs, raw, nil
+	// A crash mid-append leaves a final line without its newline. Cut it
+	// when it is torn and re-terminate it when it is whole, so the next
+	// record starts a line of its own instead of merging into it.
+	if tail := raw[bytes.LastIndexByte(raw, '\n')+1:]; len(tail) > 0 {
+		var rec journalRecord
+		if json.Unmarshal(tail, &rec) == nil {
+			raw = append(raw, '\n')
+			_, err = f.Write([]byte{'\n'})
+		} else {
+			raw = raw[:len(raw)-len(tail)]
+			err = f.Truncate(int64(len(raw)))
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, nil, fmt.Errorf("msd: repair journal tail: %w", err)
+		}
+	}
+	return &journal{dir: dir, f: f}, parseJournal(raw), raw, nil
 }
 
 // parseJournal decodes the job and batch records of a journal — every

@@ -20,6 +20,7 @@ import (
 
 	"microsampler/internal/cache"
 	"microsampler/internal/core"
+	"microsampler/internal/history"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -73,6 +74,62 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if recs[2].Summary == nil || !recs[2].Leaky || recs[2].SimCycles != 99 || recs[2].LeakyUnits[0] != "SQ_ADDR" {
 		t.Errorf("done summary lost: %+v", recs[2])
+	}
+}
+
+// TestJournalTornTailRepaired: a daemon reopened over a journal whose
+// final line lost its newline in a crash — torn mid-record, or whole —
+// appends its next record on a line of its own. That record replays
+// after another restart, and the audit chain still verifies.
+func TestJournalTornTailRepaired(t *testing.T) {
+	for name, crash := range map[string]func(log []byte) []byte{
+		"torn": func(log []byte) []byte {
+			return append(log, `{"event":"done","time":"2026-10-17T01:56:57Z","id":"job-9","lea`...)
+		},
+		"unterminated": func(log []byte) []byte { return bytes.TrimSuffix(log, []byte("\n")) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "journal.jsonl")
+			s1, ts1 := newJournaledServer(t, dir, Config{Workers: 1}, nil)
+			runJobs(t, ts1.URL, 1)
+			drainNow(t, s1)
+			log, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, crash(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, ts2 := newJournaledServer(t, dir, Config{Workers: 1}, nil)
+			v, _ := submitJob(t, ts2.URL, JobRequest{Source: "after the crash"})
+			waitDone(t, ts2.URL, v.ID)
+			drainNow(t, s2)
+
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []string
+			for _, rec := range parseJournal(raw) {
+				if rec.ID == v.ID {
+					events = append(events, rec.Event)
+				}
+			}
+			if want := []string{"submit", "start", "done"}; !slices.Equal(events, want) {
+				t.Errorf("%s replays as %v, want %v", v.ID, events, want)
+			}
+			sum, err := VerifyAuditLog(dir)
+			if err != nil || sum.Terminal != 2 || sum.Pending != 0 {
+				t.Errorf("audit after the repaired tail: %+v, %v; want 2 audited terminal records", sum, err)
+			}
+			s3, ts3 := newJournaledServer(t, dir, Config{Workers: 1}, nil)
+			defer drainNow(t, s3)
+			if got, _ := getView(t, ts3.URL, v.ID); got.Status != string(StatusDone) {
+				t.Errorf("%s recovered as %q, want done", v.ID, got.Status)
+			}
+		})
 	}
 }
 
@@ -459,11 +516,11 @@ func treeState(t *testing.T, dir string) map[string]fileState {
 }
 
 // writtenOutsideLog lists the files created or modified between two
-// tree states, except the journal and the history store.
+// tree states, except the journal.
 func writtenOutsideLog(before, after map[string]fileState) []string {
 	var out []string
 	for path, st := range after {
-		if path == "journal.jsonl" || strings.HasPrefix(path, "history"+string(filepath.Separator)) {
+		if path == "journal.jsonl" {
 			continue
 		}
 		if prev, ok := before[path]; !ok || prev != st {
@@ -475,16 +532,15 @@ func writtenOutsideLog(before, after map[string]fileState) []string {
 }
 
 // TestHitAndFollowerWriteNoArtifacts: on a journaled daemon with
-// caching, a follower and a cache hit write no file besides their
-// journal and history records. The leader files the one blob all three
-// jobs' records name.
+// caching, a follower and a cache hit write no file besides the
+// journal, and a hit appends exactly its submit and done records: two
+// fsynced lines. The leader files the one blob all three jobs' records
+// name.
 func TestHitAndFollowerWriteNoArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	gate := make(chan struct{})
 	var calls atomic.Int64
-	s, ts := newJournaledServer(t, dir,
-		Config{Workers: 1, CacheEntries: 8, HistoryDir: filepath.Join(dir, "history")},
-		gatedOnSeed(gate, &calls))
+	s, ts := newJournaledServer(t, dir, Config{Workers: 1, CacheEntries: 8}, gatedOnSeed(gate, &calls))
 	defer drainNow(t, s)
 	req := JobRequest{Source: "nop", SeedOffset: 1}
 	key := jobCacheKey(req)
@@ -504,12 +560,27 @@ func TestHitAndFollowerWriteNoArtifacts(t *testing.T) {
 	}
 
 	before = treeState(t, dir)
+	logBefore, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	hit, _ := submitJob(t, ts.URL, req)
 	if hit.Status != string(StatusDone) || !hit.Cached {
 		t.Fatalf("resubmission not answered from cache: %+v", hit)
 	}
 	if got := writtenOutsideLog(before, treeState(t, dir)); len(got) > 0 {
 		t.Errorf("cache hit wrote %v", got)
+	}
+	logAfter, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil || !bytes.HasPrefix(logAfter, logBefore) {
+		t.Fatalf("journal rewritten by the hit (%v)", err)
+	}
+	var events []string
+	for _, rec := range parseJournal(logAfter[len(logBefore):]) {
+		events = append(events, rec.Event+" "+rec.ID)
+	}
+	if want := []string{"submit " + hit.ID, "done " + hit.ID}; bytes.Count(logAfter[len(logBefore):], []byte("\n")) != 2 || !slices.Equal(events, want) {
+		t.Errorf("cache hit appended %q, want exactly %q", logAfter[len(logBefore):], want)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("verification ran %d times, want 1", n)
@@ -664,9 +735,11 @@ func TestParentJournalRecovers(t *testing.T) {
 }
 
 // FuzzJournalReplay feeds raw journal bytes through every reader of
-// the journal — recovery's parseJournal, the auditor's replay and
-// VerifyAuditLog. None may panic, and every record recovery accepts
-// must survive a marshal/decode round trip unchanged. The seeds are
+// the journal — recovery's parseJournal, the run-history view, the
+// auditor's replay and VerifyAuditLog. None may panic, every record
+// recovery accepts must survive a marshal/decode round trip unchanged,
+// and every history record must carry a label and a report or matrix
+// kind. The seeds are
 // verbatim lines of a journal written before the records embedded
 // core.Summary, plus a torn line.
 func FuzzJournalReplay(f *testing.F) {
@@ -704,6 +777,11 @@ func FuzzJournalReplay(f *testing.F) {
 			var back2 journalRecord
 			if err := json.Unmarshal(again, &back2); err != nil || !reflect.DeepEqual(back, back2) {
 				t.Fatalf("round trip changed the record: %+v vs %+v (%v)", back, back2, err)
+			}
+		}
+		for _, e := range historyView(raw) {
+			if e.Label == "" || (e.Kind != history.KindReport && e.Kind != history.KindMatrix) {
+				t.Fatalf("history lists %+v", e.Record)
 			}
 		}
 		newAuditor(2).replay(raw)

@@ -27,7 +27,6 @@ import (
 	"microsampler/internal/cache"
 	"microsampler/internal/cluster"
 	"microsampler/internal/core"
-	"microsampler/internal/history"
 	"microsampler/internal/telemetry"
 	"microsampler/internal/telemetry/export"
 	"microsampler/internal/version"
@@ -72,11 +71,10 @@ type Config struct {
 	// Without a journal it needs CacheEntries positive.
 	CacheDir string
 
-	// HistoryDir, when non-empty, enables the run-history store: every
-	// finished job's verdict is appended to an append-only labeled index
-	// under this directory with its diffable artifact (report digest or
-	// matrix) filed content-addressed, feeding GET /api/v1/history and
-	// POST /api/v1/diff. Typically a subdirectory of JournalDir.
+	// HistoryDir is ignored.
+	//
+	// Deprecated: a journaled daemon serves GET /api/v1/history and
+	// POST /api/v1/diff from its journal and verdict store.
 	HistoryDir string
 
 	// AuditBatch is how many terminal journal records one Merkle root of
@@ -155,7 +153,7 @@ type Server struct {
 	wg sync.WaitGroup
 
 	jrn *journal // nil when persistence is disabled
-	aud *auditor // nil when persistence is disabled
+	aud *auditor // set exactly when jrn is
 	// audMu orders terminal journal lines, and the audit records they
 	// seal, the same in the journal as in the auditor.
 	audMu sync.Mutex
@@ -166,10 +164,6 @@ type Server struct {
 	cache     *cache.LRU
 	cacheDisk *cache.Disk
 	flight    cache.Group
-
-	// hist is the labeled run-history store behind /api/v1/history and
-	// /api/v1/diff (nil when disabled). It carries its own lock.
-	hist *history.Store
 
 	// Cluster state: the worker failure detector, the HTTP client
 	// batches dispatch (and workers upload) through, and the tracked
@@ -315,13 +309,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cacheDisk = disk
 	}
-	if cfg.HistoryDir != "" {
-		h, err := history.Open(cfg.HistoryDir)
-		if err != nil {
-			return nil, fmt.Errorf("msd: history: %w", err)
-		}
-		s.hist = h
-	}
 	if cfg.JournalDir != "" {
 		jrn, recs, raw, err := openJournal(cfg.JournalDir)
 		if err != nil {
@@ -449,7 +436,7 @@ func (s *Server) journal(rec journalRecord) {
 	if s.jrn == nil {
 		return
 	}
-	audited := s.aud != nil && terminalEvent(rec.Event)
+	audited := terminalEvent(rec.Event)
 	if audited {
 		s.audMu.Lock()
 		defer s.audMu.Unlock()
@@ -503,17 +490,12 @@ func (s *Server) Drain(ctx context.Context) error {
 		if s.jrn != nil {
 			// Seal the partial audit batch so every terminal record of a
 			// cleanly drained daemon is covered by a persisted root.
-			if s.aud != nil {
-				if audRec, sealed := s.aud.flush(); sealed {
-					if _, err := s.jrn.append(audRec); err != nil {
-						s.log.Error("audit flush failed", "err", err)
-					}
+			if audRec, sealed := s.aud.flush(); sealed {
+				if _, err := s.jrn.append(audRec); err != nil {
+					s.log.Error("audit flush failed", "err", err)
 				}
 			}
 			_ = s.jrn.Close()
-		}
-		if s.hist != nil {
-			_ = s.hist.Close()
 		}
 		s.log.Info("msd drained")
 		return nil
@@ -622,6 +604,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, defaultMatrix st
 		return
 	}
 	req.Matrix = cmp.Or(req.Matrix, defaultMatrix)
+	req.Label = cmp.Or(req.Label, version.DefaultLabel())
 	job := &Job{Req: req, Status: StatusQueued}
 	if err := job.resolve(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -941,11 +924,11 @@ func (s *Server) runJob(job *Job) {
 
 // finish ends a job on every path — worker-run, cache hit, follower or
 // dropped at recovery — with its artifact set and verdict or its error
-// and postmortem (cj, nil when there is none): it journals, files the
-// history record, publishes the status and evicts. It writes no
-// artifact: the terminal record names cj's stored blob by key ("" when
-// none). cached marks a job that ran no verification of its own; only
-// the others feed the Retry-After estimate of worker throughput.
+// and postmortem (cj, nil when there is none): it journals, publishes
+// the status and evicts. It writes no artifact: the terminal record
+// names cj's stored blob by key ("" when none). cached marks a job that
+// ran no verification of its own; only the others feed the Retry-After
+// estimate of worker throughput.
 func (s *Server) finish(job *Job, cj *cachedJob, key string, err error, cached bool) {
 	if cj == nil {
 		cj = &cachedJob{}
@@ -960,14 +943,6 @@ func (s *Server) finish(job *Job, cj *cachedJob, key string, err error, cached b
 		s.journal(journalRecord{Event: "failed", Time: finished, ID: job.ID, Err: err.Error(), Key: key})
 	} else {
 		s.journal(journalRecord{Event: "done", Time: finished, ID: job.ID, Summary: &sum, Cached: cached, Key: key})
-		kind, art := history.KindReport, arts["digest"]
-		if job.Req.Matrix != "" {
-			kind, art = history.KindMatrix, arts["matrix"]
-		}
-		s.recordHistory(history.Record{
-			Label: job.Req.Label, Workload: job.workloadName(), Kind: kind, Summary: sum,
-			ElapsedMillis: finished.Sub(started).Milliseconds(),
-		}, art.data, job.ID)
 	}
 
 	s.mu.Lock()

@@ -172,10 +172,13 @@ func (c Config) StateBits() int {
 }
 
 // CoreStateBits estimates the state bits of the core's pipeline
-// structures only (ROB, register file, queues, predictors), excluding
-// the cache data arrays that are identical across the Table III
-// configurations — the paper's "size of structures (e.g., ROB)" metric
-// under which MegaBoom is roughly 4x SmallBoom.
+// structures only: the physical register file, ROB, load/store queues,
+// fill buffer, fetch buffer, MSHRs and TLB. It counts no predictor
+// state and none of the cache data arrays that are identical across the
+// Table III configurations — the paper's "size of structures (e.g.,
+// ROB)" metric under which MegaBoom is roughly 4x SmallBoom. StateBits
+// adds the direction-predictor, BTB and stride-table terms and the
+// caches.
 func (c Config) CoreStateBits() int {
 	bits := 0
 	bits += c.IntPRF * 64                                 // physical register file

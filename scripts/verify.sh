@@ -84,12 +84,12 @@ go test -race -count=1 -run '^TestSecondSignalForcesExit$' ./cmd/msd
 echo "== cluster dispatch walk under -race x20 (dispatcher tests + seeded chaos vs single-node verdicts) =="
 go test -race -count=20 -run '^(TestDispatch|TestChaosClusterMatchesSingleNode)' ./internal/cluster
 
-echo "== msd cache-hit + audit smoke; admission hits, twins and stored-artifact recovery under -race x20 =="
+echo "== msd cache-hit + audit smoke; admission hits, twins, stored-artifact recovery, journal-backed history and torn-tail repair under -race x20 =="
 go test -race -count=1 \
     -run '^TestCacheHitServesJob$|^TestCacheDiskLayerSurvivesRestart$|^TestAuditLogVerifiesClean$|^TestAuditLogDetectsTampering$' \
     ./internal/msd
 go test -race -count=20 \
-    -run '^(TestAdmissionAnswersHitWithFullQueue|TestAdmissionHitViewSurvivesRestart|TestTwinTakesNoWorker|TestRecoveryFollowsQueuedTwin|TestConcurrentTwinsVerifyOnce|TestSingleflightDedupesInFlightJobs|TestDaemonRecoveryReloadsArtifacts|TestFailedJobLeavesPostmortem|TestRecoveredRerunCarriesNoStaleError|TestHitAndFollowerWriteNoArtifacts|TestRecoveryReadsRecordedKey)$' \
+    -run '^(TestAdmissionAnswersHitWithFullQueue|TestAdmissionHitViewSurvivesRestart|TestTwinTakesNoWorker|TestRecoveryFollowsQueuedTwin|TestConcurrentTwinsVerifyOnce|TestSingleflightDedupesInFlightJobs|TestDaemonRecoveryReloadsArtifacts|TestFailedJobLeavesPostmortem|TestRecoveredRerunCarriesNoStaleError|TestHitAndFollowerWriteNoArtifacts|TestRecoveryReadsRecordedKey|TestDaemonHistoryAndDiff|TestDaemonMatrixDiff|TestHistorySurvivesRestart|TestBatchHistoryFromJournal|TestJournalTornTailRepaired)$' \
     ./internal/msd
 go test -race -count=1 -run '^TestAuditVerifyFlag$' ./cmd/msd
 
