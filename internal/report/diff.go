@@ -208,43 +208,20 @@ func BuildDiff(from, to *ReportDigest, opts DiffOptions) *Diff {
 	if from.Workload != to.Workload {
 		d.FromWorkload = from.Workload
 	}
-	prev := make(map[string]DigestUnit, len(from.Units))
-	for _, u := range from.Units {
-		prev[u.Unit] = u
-	}
-	seen := make(map[string]bool, len(to.Units))
-	for _, u := range to.Units {
-		seen[u.Unit] = true
-		p, ok := prev[u.Unit]
-		if !ok {
+	pairByName(from.Units, to.Units, func(u *DigestUnit) string { return u.Unit }, func(p, u *DigestUnit) {
+		switch {
+		case u == nil:
+			d.Removed = append(d.Removed, p.Unit)
+		case p == nil:
 			d.Added = append(d.Added, u.Unit)
 			if u.Leaky {
 				d.Regressions++
 			}
-			continue
+		default:
+			tally(VerdictFlip{Name: u.Unit, FromLeaky: p.Leaky, ToLeaky: u.Leaky, FromV: p.V, ToV: u.V},
+				opts.vdelta(), &d.Flips, &d.VDrifts, &d.Regressions, &d.Improvements)
 		}
-		switch {
-		case p.Leaky != u.Leaky:
-			d.Flips = append(d.Flips, VerdictFlip{
-				Name: u.Unit, FromLeaky: p.Leaky, ToLeaky: u.Leaky,
-				FromV: p.V, ToV: u.V,
-			})
-			if u.Leaky {
-				d.Regressions++
-			} else {
-				d.Improvements++
-			}
-		case abs(u.V-p.V) >= opts.vdelta():
-			d.VDrifts = append(d.VDrifts, VDrift{
-				Name: u.Unit, FromV: p.V, ToV: u.V, Delta: u.V - p.V,
-			})
-		}
-	}
-	for _, u := range from.Units {
-		if !seen[u.Unit] {
-			d.Removed = append(d.Removed, u.Unit)
-		}
-	}
+	})
 	// Provenance drift: the top-ranked attribution of a unit moved to a
 	// different PC, in the new digest's ranking order.
 	fromTop := topProvByName(from.TopProvenance)
@@ -311,7 +288,7 @@ func (d *MatrixDiff) JSON() ([]byte, error) {
 }
 
 // flagged lists a cell's flagged unit names.
-func flagged(c MatrixCell) []string {
+func flagged(c *MatrixCell) []string {
 	if len(c.Flagged) == 0 {
 		return nil
 	}
@@ -335,20 +312,17 @@ func BuildMatrixDiff(from, to *MatrixArtifact, opts DiffOptions) *MatrixDiff {
 	if from.Workload != to.Workload {
 		d.FromWorkload = from.Workload
 	}
-	prev := make(map[string]MatrixCell, len(from.Cells))
-	for _, c := range from.Cells {
-		prev[c.Name] = c
-	}
-	seen := make(map[string]bool, len(to.Cells))
-	for _, c := range to.Cells {
-		seen[c.Name] = true
-		p, ok := prev[c.Name]
-		if !ok {
+	pairByName(from.Cells, to.Cells, func(c *MatrixCell) string { return c.Name }, func(p, c *MatrixCell) {
+		switch {
+		case c == nil:
+			d.Removed = append(d.Removed, CellSummary{Name: p.Name, Leaky: p.Leaky, MaxV: p.MaxV})
+			return
+		case p == nil:
 			d.Added = append(d.Added, CellSummary{Name: c.Name, Leaky: c.Leaky, MaxV: c.MaxV})
 			if c.Leaky {
 				d.Regressions++
 			}
-			continue
+			return
 		}
 		d.Cells++
 		if p.Err != "" || c.Err != "" {
@@ -360,27 +334,13 @@ func BuildMatrixDiff(from, to *MatrixArtifact, opts DiffOptions) *MatrixDiff {
 				side = "old sweep"
 			}
 			d.Errors = append(d.Errors, fmt.Sprintf("%s: failed in %s", c.Name, side))
-			continue
+			return
 		}
-		changed := false
-		if p.Leaky != c.Leaky {
-			changed = true
-			d.Flips = append(d.Flips, VerdictFlip{
-				Name: c.Name, FromLeaky: p.Leaky, ToLeaky: c.Leaky,
-				FromV: p.MaxV, ToV: c.MaxV,
-				FromFlagged: flagged(p), ToFlagged: flagged(c),
-			})
-			if c.Leaky {
-				d.Regressions++
-			} else {
-				d.Improvements++
-			}
-		} else if abs(c.MaxV-p.MaxV) >= opts.vdelta() {
-			changed = true
-			d.VDrifts = append(d.VDrifts, VDrift{
-				Name: c.Name, FromV: p.MaxV, ToV: c.MaxV, Delta: c.MaxV - p.MaxV,
-			})
-		}
+		changed := tally(VerdictFlip{
+			Name: c.Name, FromLeaky: p.Leaky, ToLeaky: c.Leaky,
+			FromV: p.MaxV, ToV: c.MaxV,
+			FromFlagged: flagged(p), ToFlagged: flagged(c),
+		}, opts.vdelta(), &d.Flips, &d.VDrifts, &d.Regressions, &d.Improvements)
 		if len(p.TopProvenance) > 0 && len(c.TopProvenance) > 0 &&
 			p.TopProvenance[0].PC != c.TopProvenance[0].PC {
 			changed = true
@@ -393,25 +353,54 @@ func BuildMatrixDiff(from, to *MatrixArtifact, opts DiffOptions) *MatrixDiff {
 		if !changed {
 			d.Unchanged++
 		}
-	}
-	for _, c := range from.Cells {
-		if !seen[c.Name] {
-			d.Removed = append(d.Removed, CellSummary{Name: c.Name, Leaky: c.Leaky, MaxV: c.MaxV})
-		}
-	}
+	})
 	return d
 }
 
-// flippedCells is the highlight set for the side-by-side heatmaps.
-func (d *MatrixDiff) flippedCells() map[string]bool {
-	if len(d.Flips) == 0 {
-		return nil
+// pairByName is the name-keyed walk both diffs compare by: each
+// element of to in order, with its namesake in from (the last one; nil
+// when added), then each element of from whose name to lacks, with nil.
+func pairByName[T any](from, to []T, name func(*T) string, visit func(from, to *T)) {
+	prev := make(map[string]int, len(from))
+	for i := range from {
+		prev[name(&from[i])] = i
 	}
-	m := make(map[string]bool, len(d.Flips))
-	for _, f := range d.Flips {
-		m[f.Name] = true
+	seen := make(map[string]bool, len(to))
+	for i := range to {
+		n := name(&to[i])
+		seen[n] = true
+		var p *T
+		if j, ok := prev[n]; ok {
+			p = &from[j]
+		}
+		visit(p, &to[i])
 	}
-	return m
+	for i := range from {
+		if !seen[name(&from[i])] {
+			visit(&from[i], nil)
+		}
+	}
+}
+
+// tally adds one namesake pair's verdict change to a diff: a changed
+// verdict is a flip, a regression when it turns leaky and an
+// improvement otherwise; a held verdict whose V moved by at least
+// vdelta is drift. It reports whether it added either.
+func tally(f VerdictFlip, vdelta float64, flips *[]VerdictFlip, drifts *[]VDrift, regressions, improvements *int) bool {
+	switch {
+	case f.FromLeaky != f.ToLeaky:
+		*flips = append(*flips, f)
+		if f.ToLeaky {
+			*regressions++
+		} else {
+			*improvements++
+		}
+	case abs(f.ToV-f.FromV) >= vdelta:
+		*drifts = append(*drifts, VDrift{Name: f.Name, FromV: f.FromV, ToV: f.ToV, Delta: f.ToV - f.FromV})
+	default:
+		return false
+	}
+	return true
 }
 
 // HTML renders the matrix diff as a self-contained document: the two
@@ -419,87 +408,33 @@ func (d *MatrixDiff) flippedCells() map[string]bool {
 // orange, followed by the flip/drift details. from and to must be the
 // artifacts the diff was built from.
 func (d *MatrixDiff) HTML(from, to *MatrixArtifact) string {
-	highlight := d.flippedCells()
-	fromName, toName := d.FromLabel, d.ToLabel
-	if fromName == "" {
-		fromName = "baseline"
-	}
-	if toName == "" {
-		toName = "current"
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>MicroSampler matrix diff — %s</title>
-<style>
-%s</style>
-</head>
-<body>
-<h1>Matrix diff — %s</h1>
-<div class="meta">%d common cells, %d unchanged; <span class="flip">%d verdict
-flip(s)</span> ringed orange, %d regression(s), %d improvement(s). Hover a
-cell for details.</div>
-`,
-		html.EscapeString(d.Workload), matrixCSS, html.EscapeString(d.Workload),
-		d.Cells, d.Unchanged, len(d.Flips), d.Regressions, d.Improvements)
-
+	fromName, toName := sideNames(d.FromLabel, d.ToLabel)
 	fromTitle := from.Workload
 	if d.FromWorkload != "" {
 		fromTitle = d.FromWorkload
 	}
-	fmt.Fprintf(&b, `<div class="side"><h2>%s — %s</h2>`+"\n",
-		html.EscapeString(fromName), html.EscapeString(fromTitle))
-	b.WriteString(from.svg(highlight))
-	b.WriteString("</div>\n")
-	fmt.Fprintf(&b, `<div class="side"><h2>%s — %s</h2>`+"\n",
-		html.EscapeString(toName), html.EscapeString(to.Workload))
-	b.WriteString(to.svg(highlight))
-	b.WriteString("</div>\n")
-
-	writeList := func(title string, lines []string) {
-		if len(lines) == 0 {
-			return
+	meta := fmt.Sprintf(`%d common cells, %d unchanged; <span class="flip">%d verdict
+flip(s)</span> ringed orange, %d regression(s), %d improvement(s). Hover a
+cell for details.`, d.Cells, d.Unchanged, len(d.Flips), d.Regressions, d.Improvements)
+	w := html.EscapeString(d.Workload)
+	return page("matrix diff — "+w, matrixCSS, "Matrix diff — "+w, meta, "matrix diff", func(b *strings.Builder) {
+		highlight := flipped(d.Flips)
+		side := func(name, title string, a *MatrixArtifact) {
+			fmt.Fprintf(b, `<div class="side"><h2>%s — %s</h2>`+"\n", html.EscapeString(name), html.EscapeString(title))
+			a.svg(b, highlight)
+			b.WriteString("</div>\n")
 		}
-		fmt.Fprintf(&b, "<h2>%s</h2>\n<ul>\n", html.EscapeString(title))
-		for _, l := range lines {
-			fmt.Fprintf(&b, "<li>%s</li>\n", html.EscapeString(l))
+		side(fromName, fromTitle, from)
+		side(toName, to.Workload, to)
+		var cells []string
+		for _, c := range d.Added {
+			cells = append(cells, fmt.Sprintf("added %s (%s, max V %.3f)", c.Name, verdict(c.Leaky), c.MaxV))
 		}
-		b.WriteString("</ul>\n")
-	}
-	var flips []string
-	for _, f := range d.Flips {
-		flips = append(flips, fmt.Sprintf("%s: %s → %s (V %.3f → %.3f; flagged %s → %s)",
-			f.Name, verdict(f.FromLeaky), verdict(f.ToLeaky), f.FromV, f.ToV,
-			orNone(f.FromFlagged), orNone(f.ToFlagged)))
-	}
-	writeList("Verdict flips", flips)
-	var drifts []string
-	for _, v := range d.VDrifts {
-		drifts = append(drifts, fmt.Sprintf("%s: V %.3f → %.3f (Δ %+.3f)", v.Name, v.FromV, v.ToV, v.Delta))
-	}
-	writeList("Cramér's V drift", drifts)
-	var prov []string
-	for _, p := range d.ProvDrifts {
-		prov = append(prov, fmt.Sprintf("%s: top attribution pc %#x (%s) → %#x (%s)",
-			p.Name, p.FromPC, p.FromSymbol, p.ToPC, p.ToSymbol))
-	}
-	writeList("Provenance drift", prov)
-	var cells []string
-	for _, c := range d.Added {
-		cells = append(cells, fmt.Sprintf("added %s (%s, max V %.3f)", c.Name, verdict(c.Leaky), c.MaxV))
-	}
-	for _, c := range d.Removed {
-		cells = append(cells, fmt.Sprintf("removed %s (%s, max V %.3f)", c.Name, verdict(c.Leaky), c.MaxV))
-	}
-	writeList("Grid changes", cells)
-	writeList("Cell errors", d.Errors)
-
-	b.WriteString(`<div class="legend">Generated by microsampler; data identical to the matrix diff JSON artifact.</div>` + "\n")
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+		for _, c := range d.Removed {
+			cells = append(cells, fmt.Sprintf("removed %s (%s, max V %.3f)", c.Name, verdict(c.Leaky), c.MaxV))
+		}
+		writeDetails(b, d.Flips, true, d.VDrifts, d.ProvDrifts, "Grid changes", cells, d.Errors)
+	})
 }
 
 // HTML renders the report diff as a self-contained document: a
@@ -507,174 +442,53 @@ cell for details.</div>
 // plus the detail lists. from and to must be the digests the diff was
 // built from.
 func (d *Diff) HTML(from, to *ReportDigest) string {
-	const (
-		cell    = 34
-		gap     = 2
-		headerH = 70
-		labelW  = 76
-	)
-	flipped := make(map[string]bool, len(d.Flips))
-	for _, f := range d.Flips {
-		flipped[f.Name] = true
-	}
-	fromName, toName := d.FromLabel, d.ToLabel
-	if fromName == "" {
-		fromName = "baseline"
-	}
-	if toName == "" {
-		toName = "current"
-	}
-
-	// Column per unit of the new run, plus removed units at the end.
-	type col struct {
-		unit     string
-		from, to *DigestUnit
-	}
-	prev := make(map[string]DigestUnit, len(from.Units))
-	for _, u := range from.Units {
-		prev[u.Unit] = u
-	}
-	var cols []col
-	for i := range to.Units {
-		u := &to.Units[i]
-		c := col{unit: u.Unit, to: u}
-		if p, ok := prev[u.Unit]; ok {
-			pc := p
-			c.from = &pc
-		}
-		cols = append(cols, c)
-	}
-	seen := make(map[string]bool, len(to.Units))
-	for _, u := range to.Units {
-		seen[u.Unit] = true
-	}
-	for i := range from.Units {
-		u := &from.Units[i]
-		if !seen[u.Unit] {
-			cols = append(cols, col{unit: u.Unit, from: u})
-		}
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>MicroSampler report diff — %s</title>
-<style>
-%s</style>
-</head>
-<body>
-<h1>Report diff — %s</h1>
-<div class="meta">%s (%s) vs %s (%s); <span class="flip">%d verdict flip(s)</span>
-ringed orange, %d regression(s), %d improvement(s).</div>
-`,
-		html.EscapeString(d.Workload), matrixCSS, html.EscapeString(d.Workload),
-		html.EscapeString(fromName), verdict(d.FromLeaky),
-		html.EscapeString(toName), verdict(d.ToLeaky),
+	fromName, toName := sideNames(d.FromLabel, d.ToLabel)
+	meta := fmt.Sprintf(`%s (%s) vs %s (%s); <span class="flip">%d verdict flip(s)</span>
+ringed orange, %d regression(s), %d improvement(s).`,
+		html.EscapeString(fromName), verdict(d.FromLeaky), html.EscapeString(toName), verdict(d.ToLeaky),
 		len(d.Flips), d.Regressions, d.Improvements)
-
-	svgW := labelW + len(cols)*(cell+gap) + gap
-	svgH := headerH + 2*(cell+gap) + gap
-	fmt.Fprintf(&b, `<svg width="%d" height="%d" viewBox="0 0 %d %d" role="img">`,
-		svgW, svgH, svgW, svgH)
-	b.WriteString("\n")
-	for i, c := range cols {
-		x := labelW + i*(cell+gap) + gap
-		fmt.Fprintf(&b, `<text x="%d" y="%d" transform="rotate(-45 %d %d)">%s</text>`,
-			x, headerH-8, x, headerH-8, html.EscapeString(c.unit))
-		b.WriteString("\n")
-	}
-	rows := []struct {
-		name  string
-		pick  func(col) *DigestUnit
-		other func(col) *DigestUnit
-	}{
-		{fromName, func(c col) *DigestUnit { return c.from }, func(c col) *DigestUnit { return c.to }},
-		{toName, func(c col) *DigestUnit { return c.to }, func(c col) *DigestUnit { return c.from }},
-	}
-	for r, row := range rows {
-		y := headerH + r*(cell+gap) + gap
-		fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="end">%s</text>`,
-			labelW-6, y+cell-12, html.EscapeString(row.name))
-		b.WriteString("\n")
-		for i, c := range cols {
-			x := labelW + i*(cell+gap) + gap
-			u := row.pick(c)
-			fill, stroke, strokeW := "#eeeeee", "none", 2
-			title := c.unit + ": not analysed"
+	w := html.EscapeString(d.Workload)
+	return page("report diff — "+w, matrixCSS, "Report diff — "+w, meta, "report diff", func(b *strings.Builder) {
+		// A column per unit of the new run, then the removed units; row
+		// 0 is the old run, row 1 the new.
+		g := grid{cell: 34, labelW: 76, headerH: 70, tilt: true, rows: []string{fromName, toName}}
+		var cols [][2]*DigestUnit
+		pairByName(from.Units, to.Units, func(u *DigestUnit) string { return u.Unit }, func(p, u *DigestUnit) {
+			cols = append(cols, [2]*DigestUnit{p, u})
+			if u == nil {
+				u = p
+			}
+			g.cols = append(g.cols, u.Unit)
+		})
+		highlight := flipped(d.Flips)
+		g.at = func(r, c int) (fill, stroke, title string, ok bool) {
+			if c >= len(cols) {
+				return "", "", "", false
+			}
+			name, u := g.cols[c], cols[c][r]
+			fill, stroke, title = "#eeeeee", "none", name+": not analysed"
 			if u != nil {
 				fill = heatColor(u.V, u.P < stats.DefaultPThreshold)
 				if u.Leaky {
-					stroke = "#b2182b"
+					stroke = leakStroke
 				}
-				title = fmt.Sprintf("%s (%s): %s, V=%.3f p=%.3g", c.unit, row.name, verdict(u.Leaky), u.V, u.P)
+				title = fmt.Sprintf("%s (%s): %s, V=%.3f p=%.3g", name, g.rows[r], verdict(u.Leaky), u.V, u.P)
 			}
-			if flipped[c.unit] {
-				stroke, strokeW = "#b35806", 4
-				title += " — VERDICT FLIP"
+			if highlight[name] {
+				stroke, title = flipStroke, title+" — VERDICT FLIP"
 			}
-			fmt.Fprintf(&b,
-				`<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="%s" stroke-width="%d"><title>%s</title></rect>`,
-				x, y, cell, cell, fill, stroke, strokeW, html.EscapeString(title))
-			b.WriteString("\n")
+			return fill, stroke, title, true
 		}
-	}
-	b.WriteString("</svg>\n")
-
-	writeList := func(title string, lines []string) {
-		if len(lines) == 0 {
-			return
+		g.write(b)
+		var units []string
+		for _, u := range d.Added {
+			units = append(units, "added "+u)
 		}
-		fmt.Fprintf(&b, "<h2>%s</h2>\n<ul>\n", html.EscapeString(title))
-		for _, l := range lines {
-			fmt.Fprintf(&b, "<li>%s</li>\n", html.EscapeString(l))
+		for _, u := range d.Removed {
+			units = append(units, "removed "+u)
 		}
-		b.WriteString("</ul>\n")
-	}
-	var flips []string
-	for _, f := range d.Flips {
-		flips = append(flips, fmt.Sprintf("%s: %s → %s (V %.3f → %.3f)",
-			f.Name, verdict(f.FromLeaky), verdict(f.ToLeaky), f.FromV, f.ToV))
-	}
-	writeList("Verdict flips", flips)
-	var drifts []string
-	for _, v := range d.VDrifts {
-		drifts = append(drifts, fmt.Sprintf("%s: V %.3f → %.3f (Δ %+.3f)", v.Name, v.FromV, v.ToV, v.Delta))
-	}
-	writeList("Cramér's V drift", drifts)
-	var prov []string
-	for _, p := range d.ProvDrifts {
-		prov = append(prov, fmt.Sprintf("%s: top attribution pc %#x (%s) → %#x (%s)",
-			p.Name, p.FromPC, p.FromSymbol, p.ToPC, p.ToSymbol))
-	}
-	writeList("Provenance drift", prov)
-	var units []string
-	for _, u := range d.Added {
-		units = append(units, "added "+u)
-	}
-	for _, u := range d.Removed {
-		units = append(units, "removed "+u)
-	}
-	writeList("Unit changes", units)
-
-	b.WriteString(`<div class="legend">Generated by microsampler; data identical to the report diff JSON artifact.</div>` + "\n")
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
-}
-
-func verdict(leaky bool) string {
-	if leaky {
-		return "LEAKY"
-	}
-	return "clean"
-}
-
-func orNone(units []string) string {
-	if len(units) == 0 {
-		return "none"
-	}
-	return strings.Join(units, "+")
+		writeDetails(b, d.Flips, false, d.VDrifts, d.ProvDrifts, "Unit changes", units, nil)
+	})
 }
 
 func abs(v float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html"
+	"strconv"
 	"strings"
 
 	"microsampler/internal/core"
@@ -153,82 +154,45 @@ func heatColor(v float64, significant bool) string {
 // document with an inline SVG matrix: units as rows (Table IV order),
 // iteration windows as columns, cell colour by windowed Cramér's V,
 // a red ring around cells meeting the leak verdict, and a per-cell
-// <title> tooltip with the exact numbers. No external assets, so the
-// file can be archived next to the run's JSON artifacts and opened
-// anywhere.
+// <title> tooltip with the exact numbers.
 func (h *Heatmap) HTML() string {
-	const (
-		cell    = 26 // px per matrix cell
-		gap     = 2
-		labelW  = 110
-		headerH = 26
-	)
-	rows, cols := len(h.Units), h.Windows
-	svgW := labelW + cols*(cell+gap) + gap
-	svgH := headerH + rows*(cell+gap) + gap
+	meta := fmt.Sprintf(`%d iterations in %d windows; cell colour is the window&#39;s
+Cram&#233;r&#39;s V (grey when not statistically significant), red ring marks
+windows meeting the leak verdict. Row suffix &#9733; marks units flagged by the
+whole-run report.`, h.Iterations, h.Windows)
+	heading := fmt.Sprintf("Leakage heatmap — %s on %s", html.EscapeString(h.Workload), html.EscapeString(h.Config))
+	return page("leakage heatmap — "+html.EscapeString(h.Workload), heatmapCSS, heading, meta, "heatmap", func(b *strings.Builder) {
+		// Column headers: the first iteration index of every 4th window.
+		g := grid{cell: 26, labelW: 110, headerH: 26, step: 4}
+		for w := 0; w < h.Windows; w++ {
+			g.cols = append(g.cols, strconv.Itoa(w*h.Iterations/h.Windows))
+		}
+		for _, u := range h.Units {
+			if u.Leaky {
+				u.Unit += " ★"
+			}
+			g.rows = append(g.rows, u.Unit)
+		}
+		g.at = func(r, w int) (fill, stroke, title string, ok bool) {
+			u := h.Units[r]
+			if w >= len(u.Cells) {
+				return "", "", "", false
+			}
+			c := u.Cells[w]
+			stroke = "none"
+			if c.Leaky {
+				stroke = leakStroke
+			}
+			return heatColor(c.V, c.Significant), stroke, fmt.Sprintf("%s window %d (iterations %d-%d): V=%.3f p=%.2e unique=%d",
+				u.Unit, w, c.Start, c.End-1, c.V, c.P, c.Unique), true
+		}
+		g.write(b)
+	})
+}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>MicroSampler leakage heatmap — %s</title>
-<style>
-body { font: 14px/1.4 system-ui, sans-serif; margin: 24px; color: #222; }
+const heatmapCSS = `body { font: 14px/1.4 system-ui, sans-serif; margin: 24px; color: #222; }
 h1 { font-size: 18px; }
 .meta { color: #555; margin-bottom: 12px; }
 text { font: 11px system-ui, sans-serif; fill: #333; }
 .legend { margin-top: 10px; color: #555; font-size: 12px; }
-</style>
-</head>
-<body>
-<h1>Leakage heatmap — %s on %s</h1>
-<div class="meta">%d iterations in %d windows; cell colour is the window&#39;s
-Cram&#233;r&#39;s V (grey when not statistically significant), red ring marks
-windows meeting the leak verdict. Row suffix &#9733; marks units flagged by the
-whole-run report.</div>
-`,
-		html.EscapeString(h.Workload), html.EscapeString(h.Workload),
-		html.EscapeString(h.Config), h.Iterations, h.Windows)
-
-	fmt.Fprintf(&b, `<svg width="%d" height="%d" viewBox="0 0 %d %d" role="img">`,
-		svgW, svgH, svgW, svgH)
-	b.WriteString("\n")
-
-	// Column headers: first iteration index of every 4th window.
-	for w := 0; w < cols; w++ {
-		if w%4 != 0 {
-			continue
-		}
-		x := labelW + w*(cell+gap) + gap
-		fmt.Fprintf(&b, `<text x="%d" y="%d">%d</text>`, x, headerH-8, w*h.Iterations/cols)
-		b.WriteString("\n")
-	}
-
-	for r, u := range h.Units {
-		y := headerH + r*(cell+gap) + gap
-		label := u.Unit
-		if u.Leaky {
-			label += " ★"
-		}
-		fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="end">%s</text>`,
-			labelW-6, y+cell-8, html.EscapeString(label))
-		b.WriteString("\n")
-		for w, c := range u.Cells {
-			x := labelW + w*(cell+gap) + gap
-			stroke := "none"
-			if c.Leaky {
-				stroke = "#b2182b"
-			}
-			fmt.Fprintf(&b,
-				`<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="%s" stroke-width="2"><title>%s window %d (iterations %d-%d): V=%.3f p=%.2e unique=%d</title></rect>`,
-				x, y, cell, cell, heatColor(c.V, c.Significant), stroke,
-				html.EscapeString(u.Unit), w, c.Start, c.End-1, c.V, c.P, c.Unique)
-			b.WriteString("\n")
-		}
-	}
-	b.WriteString("</svg>\n")
-	b.WriteString(`<div class="legend">Generated by microsampler; data identical to the heatmap JSON artifact.</div>` + "\n")
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
-}
+`

@@ -103,27 +103,14 @@ func (a *MatrixArtifact) JSON() ([]byte, error) {
 // cells render hatched grey with the error in the tooltip. No external
 // assets.
 func (a *MatrixArtifact) HTML() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>MicroSampler verdict matrix — %s</title>
-<style>
-%s</style>
-</head>
-<body>
-<h1>Verdict matrix — %s</h1>
-<div class="meta">%d configuration cells; cell colour is the strongest
+	meta := fmt.Sprintf(`%d configuration cells; cell colour is the strongest
 statistically significant Cram&#233;r&#39;s V, red ring marks leaky cells,
 grey marks failed cells. Hover a cell for the flagged units and top
-attribution.</div>
-`,
-		html.EscapeString(a.Workload), matrixCSS, html.EscapeString(a.Workload), len(a.Cells))
-	b.WriteString(a.svg(nil))
-	b.WriteString(`<div class="legend">Generated by microsampler; data identical to the matrix JSON artifact.</div>` + "\n")
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
+attribution.`, len(a.Cells))
+	w := html.EscapeString(a.Workload)
+	return page("verdict matrix — "+w, matrixCSS, "Verdict matrix — "+w, meta, "matrix", func(b *strings.Builder) {
+		a.svg(b, nil)
+	})
 }
 
 // matrixCSS is the shared style of the matrix heatmap and the matrix
@@ -138,82 +125,44 @@ text { font: 11px system-ui, sans-serif; fill: #333; }
 .flip { color: #b35806; }
 `
 
-// svg renders the artifact's verdict grid as one self-contained <svg>
-// element. Cells named in highlight are ringed thick orange — the diff
-// renderer marks verdict flips this way — with the reason appended to
-// the tooltip.
-func (a *MatrixArtifact) svg(highlight map[string]bool) string {
-	const (
-		cell    = 34 // px per matrix cell
-		gap     = 2
-		headerH = 26
-	)
+// svg writes the artifact's verdict grid. Cells named in highlight are
+// ringed thick orange — the diff renderer marks verdict flips this way
+// — with the reason appended to the tooltip.
+func (a *MatrixArtifact) svg(b *strings.Builder, highlight map[string]bool) {
 	// Columns: the last axis. Rows: the cartesian product of the rest,
 	// which is exactly how VerifyMatrix enumerates cells (last axis
 	// fastest), so cell i lives at (i/cols, i%cols).
-	cols := 1
-	var colAxis core.Axis
+	g := grid{cell: 34, labelW: 120, headerH: 26, cols: []string{""}}
 	if len(a.Grid) > 0 {
-		colAxis = a.Grid[len(a.Grid)-1]
-		cols = len(colAxis.Values)
+		axis := a.Grid[len(a.Grid)-1]
+		g.cols = g.cols[:0]
+		for _, v := range axis.Values {
+			g.cols = append(g.cols, axis.Name+"="+v)
+		}
 	}
-	rows := (len(a.Cells) + cols - 1) / cols
-
-	rowLabel := func(r int) string {
-		i := r * cols
-		if i >= len(a.Cells) {
-			return ""
+	cols := len(g.cols)
+	for i := 0; i < len(a.Cells); i += max(cols, 1) {
+		label := "(defaults)"
+		if c := a.Cells[i]; len(c.Axes) > 1 {
+			parts := make([]string, 0, len(c.Axes)-1)
+			for j := 0; j < len(c.Axes)-1; j++ {
+				parts = append(parts, c.Axes[j]+"="+c.Values[j])
+			}
+			label = strings.Join(parts, ",")
+		}
+		g.rows = append(g.rows, label)
+		g.labelW = max(g.labelW, 10+7*len(label))
+	}
+	g.at = func(r, w int) (fill, stroke, title string, ok bool) {
+		i := r*cols + w
+		if w >= cols || i >= len(a.Cells) {
+			return "", "", "", false
 		}
 		c := a.Cells[i]
-		if len(c.Axes) <= 1 {
-			return "(defaults)"
-		}
-		parts := make([]string, 0, len(c.Axes)-1)
-		for j := 0; j < len(c.Axes)-1; j++ {
-			parts = append(parts, c.Axes[j]+"="+c.Values[j])
-		}
-		return strings.Join(parts, ",")
-	}
-	labelW := 120
-	for r := 0; r < rows; r++ {
-		if w := 10 + 7*len(rowLabel(r)); w > labelW {
-			labelW = w
-		}
-	}
-	svgW := labelW + cols*(cell+gap) + gap
-	svgH := headerH + rows*(cell+gap) + gap
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg width="%d" height="%d" viewBox="0 0 %d %d" role="img">`,
-		svgW, svgH, svgW, svgH)
-	b.WriteString("\n")
-
-	// Column headers: the last axis's values.
-	for w := 0; w < cols; w++ {
-		x := labelW + w*(cell+gap) + gap
-		label := ""
-		if len(colAxis.Values) > 0 {
-			label = colAxis.Name + "=" + colAxis.Values[w]
-		}
-		fmt.Fprintf(&b, `<text x="%d" y="%d">%s</text>`, x, headerH-8, html.EscapeString(label))
-		b.WriteString("\n")
-	}
-
-	for i, c := range a.Cells {
-		r, w := i/cols, i%cols
-		x := labelW + w*(cell+gap) + gap
-		y := headerH + r*(cell+gap) + gap
-		if w == 0 {
-			fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="end">%s</text>`,
-				labelW-6, y+cell-12, html.EscapeString(rowLabel(r)))
-			b.WriteString("\n")
-		}
-		fill := heatColor(c.MaxV, c.MaxVUnit != "")
-		stroke, strokeW := "none", 2
+		fill, stroke, title = heatColor(c.MaxV, c.MaxVUnit != ""), "none", c.Name
 		if c.Leaky {
-			stroke = "#b2182b"
+			stroke = leakStroke
 		}
-		title := c.Name
 		switch {
 		case c.Err != "":
 			fill = "#cccccc"
@@ -233,14 +182,9 @@ func (a *MatrixArtifact) svg(highlight map[string]bool) string {
 			title += fmt.Sprintf(": clean (max significant V=%.3f)", c.MaxV)
 		}
 		if highlight[c.Name] {
-			stroke, strokeW = "#b35806", 4
-			title += " — VERDICT FLIP"
+			stroke, title = flipStroke, title+" — VERDICT FLIP"
 		}
-		fmt.Fprintf(&b,
-			`<rect x="%d" y="%d" width="%d" height="%d" fill="%s" stroke="%s" stroke-width="%d"><title>%s</title></rect>`,
-			x, y, cell, cell, fill, stroke, strokeW, html.EscapeString(title))
-		b.WriteString("\n")
+		return fill, stroke, title, true
 	}
-	b.WriteString("</svg>\n")
-	return b.String()
+	g.write(b)
 }

@@ -263,19 +263,51 @@ func (p *Provenance) JSON() ([]byte, error) {
 }
 
 // HTML renders the provenance as a self-contained single-file HTML
-// document: the ranked attribution table, followed by a disassembly
-// excerpt around each of the strongest instructions. No external
-// assets, so the file can be archived next to the run's JSON artifacts
-// and opened anywhere.
-func (p *Provenance) HTML() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<title>MicroSampler leakage provenance — %s</title>
-<style>
-body { font: 14px/1.4 system-ui, sans-serif; margin: 24px; color: #222; }
+// document: the ranked attribution table and the unattributed
+// evidence.
+func (p *Provenance) HTML() string { return p.HTMLWithDisasm(nil, 0, 0) }
+
+// HTMLWithDisasm is HTML plus disassembly context around the top
+// entries: up to `around` instructions on each side of each of the
+// first `top` ranked PCs, with the attributed instruction highlighted.
+func (p *Provenance) HTMLWithDisasm(prog *asm.Program, top, around int) string {
+	meta := fmt.Sprintf(`%d iterations. Instructions ranked by the Cram&#233;r&#39;s V of
+their per-iteration event streams against the secret class; rows meeting the
+leak verdict are shaded.`, p.Iterations)
+	heading := fmt.Sprintf("Leakage provenance — %s on %s", html.EscapeString(p.Workload), html.EscapeString(p.Config))
+	return page("leakage provenance — "+html.EscapeString(p.Workload), provenanceCSS, heading, meta, "provenance", func(b *strings.Builder) {
+		if len(p.Entries) == 0 {
+			b.WriteString("<p>No statistically significant instruction-level evidence.</p>\n")
+		} else {
+			b.WriteString("<table>\n<tr><th>#</th><th>unit</th><th>pc</th><th>instruction</th><th>label</th><th>via</th><th>V</th><th>p</th><th>events</th><th>values</th></tr>\n")
+			for i, e := range p.Entries {
+				cls := ""
+				if e.Leaky {
+					cls = ` class="leaky"`
+				}
+				fmt.Fprintf(b,
+					"<tr%s><td class=\"num\">%d</td><td>%s</td><td><code>%#x</code></td><td><code>%s</code></td><td><code>%s</code></td><td>%s</td><td class=\"num\">%.3f</td><td class=\"num\">%.2e</td><td class=\"num\">%d</td><td><code>%s</code></td></tr>\n",
+					cls, i+1, html.EscapeString(e.Unit), e.PC,
+					html.EscapeString(e.Disasm), html.EscapeString(e.Symbol),
+					html.EscapeString(e.Via), e.V, e.P, e.Events,
+					html.EscapeString(strings.Join(e.Values, " ")))
+			}
+			b.WriteString("</table>\n")
+		}
+		if len(p.Unattributed) > 0 {
+			b.WriteString("<h2>Unattributed evidence</h2>\n<table>\n<tr><th>unit</th><th>value</th><th>V</th><th>p</th><th>events</th></tr>\n")
+			for _, u := range p.Unattributed {
+				fmt.Fprintf(b,
+					"<tr><td>%s</td><td><code>%#x</code></td><td class=\"num\">%.3f</td><td class=\"num\">%.2e</td><td class=\"num\">%d</td></tr>\n",
+					html.EscapeString(u.Unit), u.Value, u.V, u.P, u.Events)
+			}
+			b.WriteString("</table>\n")
+		}
+		p.writeDisasm(b, prog, top, around)
+	})
+}
+
+const provenanceCSS = `body { font: 14px/1.4 system-ui, sans-serif; margin: 24px; color: #222; }
 h1 { font-size: 18px; }
 h2 { font-size: 15px; margin-top: 24px; }
 .meta { color: #555; margin-bottom: 12px; }
@@ -286,66 +318,20 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 tr.leaky td { background: #fdecea; }
 code, pre { font: 12px/1.5 ui-monospace, monospace; }
 pre { background: #f6f6f6; padding: 8px 12px; }
-pre .hit { background: #fdecea; display: inline-block; width: 100%%; }
+pre .hit { background: #fdecea; display: inline-block; width: 100%; }
 .legend { margin-top: 10px; color: #555; font-size: 12px; }
-</style>
-</head>
-<body>
-<h1>Leakage provenance — %s on %s</h1>
-<div class="meta">%d iterations. Instructions ranked by the Cram&#233;r&#39;s V of
-their per-iteration event streams against the secret class; rows meeting the
-leak verdict are shaded.</div>
-`,
-		html.EscapeString(p.Workload), html.EscapeString(p.Workload),
-		html.EscapeString(p.Config), p.Iterations)
+`
 
-	if len(p.Entries) == 0 {
-		b.WriteString("<p>No statistically significant instruction-level evidence.</p>\n")
-	} else {
-		b.WriteString("<table>\n<tr><th>#</th><th>unit</th><th>pc</th><th>instruction</th><th>label</th><th>via</th><th>V</th><th>p</th><th>events</th><th>values</th></tr>\n")
-		for i, e := range p.Entries {
-			cls := ""
-			if e.Leaky {
-				cls = ` class="leaky"`
-			}
-			fmt.Fprintf(&b,
-				"<tr%s><td class=\"num\">%d</td><td>%s</td><td><code>%#x</code></td><td><code>%s</code></td><td><code>%s</code></td><td>%s</td><td class=\"num\">%.3f</td><td class=\"num\">%.2e</td><td class=\"num\">%d</td><td><code>%s</code></td></tr>\n",
-				cls, i+1, html.EscapeString(e.Unit), e.PC,
-				html.EscapeString(e.Disasm), html.EscapeString(e.Symbol),
-				html.EscapeString(e.Via), e.V, e.P, e.Events,
-				html.EscapeString(strings.Join(e.Values, " ")))
-		}
-		b.WriteString("</table>\n")
-	}
-
-	if len(p.Unattributed) > 0 {
-		b.WriteString("<h2>Unattributed evidence</h2>\n<table>\n<tr><th>unit</th><th>value</th><th>V</th><th>p</th><th>events</th></tr>\n")
-		for _, u := range p.Unattributed {
-			fmt.Fprintf(&b,
-				"<tr><td>%s</td><td><code>%#x</code></td><td class=\"num\">%.3f</td><td class=\"num\">%.2e</td><td class=\"num\">%d</td></tr>\n",
-				html.EscapeString(u.Unit), u.Value, u.V, u.P, u.Events)
-		}
-		b.WriteString("</table>\n")
-	}
-
-	b.WriteString(`<div class="legend">Generated by microsampler; data identical to the provenance JSON artifact.</div>` + "\n")
-	b.WriteString("</body>\n</html>\n")
-	return b.String()
-}
-
-// HTMLWithDisasm is HTML plus disassembly context around the top
-// entries: up to `around` instructions on each side of each of the
-// first `top` ranked PCs, with the attributed instruction highlighted.
-func (p *Provenance) HTMLWithDisasm(prog *asm.Program, top, around int) string {
-	base := p.HTML()
+// writeDisasm writes the disassembly context of HTMLWithDisasm; it
+// writes nothing without a program, entries or a positive top.
+func (p *Provenance) writeDisasm(b *strings.Builder, prog *asm.Program, top, around int) {
 	if prog == nil || len(p.Entries) == 0 || top <= 0 {
-		return base
+		return
 	}
 	lines := asm.Disassemble(prog)
 	if len(lines) == 0 {
-		return base
+		return
 	}
-	var b strings.Builder
 	b.WriteString("<h2>Disassembly context</h2>\n")
 	shown := map[uint64]bool{}
 	count := 0
@@ -362,30 +348,16 @@ func (p *Provenance) HTMLWithDisasm(prog *asm.Program, top, around int) string {
 		}
 		shown[e.PC] = true
 		count++
-		lo, hi := idx-around, idx+around+1
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(lines) {
-			hi = len(lines)
-		}
-		fmt.Fprintf(&b, "<h2>%s &#8656; <code>%#x</code> (%s)</h2>\n<pre>",
+		fmt.Fprintf(b, "<h2>%s &#8656; <code>%#x</code> (%s)</h2>\n<pre>",
 			html.EscapeString(e.Unit), e.PC, html.EscapeString(e.Symbol))
-		for i := lo; i < hi; i++ {
+		for i := max(idx-around, 0); i < min(idx+around+1, len(lines)); i++ {
 			text := html.EscapeString(lines[i].String())
 			if i == idx {
-				fmt.Fprintf(&b, `<span class="hit">%s   &#8592; here</span>`+"\n", text)
+				fmt.Fprintf(b, `<span class="hit">%s   &#8592; here</span>`+"\n", text)
 			} else {
 				b.WriteString(text + "\n")
 			}
 		}
 		b.WriteString("</pre>\n")
 	}
-	ctx := b.String()
-	// Splice the context before the closing legend.
-	const marker = `<div class="legend">`
-	if i := strings.LastIndex(base, marker); i >= 0 {
-		return base[:i] + ctx + base[i:]
-	}
-	return base + ctx
 }
