@@ -156,7 +156,7 @@ func (d *Dispatcher) walk(ctx context.Context, key string, p Point) PointResult 
 		case r := <-results:
 			running--
 			if r.err == nil {
-				r.res.Worker = r.id
+				r.res.Key, r.res.Worker = key, r.id
 				return r.res
 			}
 			d.logf("dispatch leg failed", "key", short(key), "worker", r.id, "err", r.err)

@@ -54,16 +54,36 @@ var localRegs = []string{"s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "
 // lowering strategy. Each function becomes a global label; builtins
 // load8/load64/store8/store64 become memory instructions; calls to
 // undefined names are emitted as external calls to same-named labels.
+// A function may be defined once, and no defined or called name may
+// equal a label another function emits internally ("f_ret",
+// "f_while1"): the output would define a symbol twice or call into the
+// middle of a body.
 func Compile(src string, strategy Strategy) (string, error) {
 	prog, err := Parse(src)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
+	owner := map[string]string{} // label -> the function that emits it
+	var gens []*gen
 	for _, fn := range prog.Funcs {
 		g := &gen{fn: fn, strategy: strategy, out: &b}
 		if err := g.compile(); err != nil {
 			return "", err
+		}
+		for _, l := range g.labels {
+			if prev, dup := owner[l]; dup {
+				return "", g.errf("label %q is also defined by function %s", l, prev)
+			}
+			owner[l] = fn.Name
+		}
+		gens = append(gens, g)
+	}
+	for _, g := range gens {
+		for _, callee := range g.calls {
+			if fn, ok := owner[callee]; ok && fn != callee {
+				return "", g.errf("call to %q, an internal label of function %s", callee, fn)
+			}
 		}
 	}
 	return b.String(), nil
@@ -80,6 +100,9 @@ type gen struct {
 	label     int
 	body      strings.Builder
 	spillBase int // frame offset of temp spill area
+
+	labels []string // every label emitted
+	calls  []string // every non-builtin callee
 }
 
 const spillSlots = 7
@@ -94,7 +117,9 @@ func (g *gen) emit(format string, args ...interface{}) {
 
 func (g *gen) newLabel(hint string) string {
 	g.label++
-	return fmt.Sprintf("%s_%s%d", g.fn.Name, hint, g.label)
+	l := fmt.Sprintf("%s_%s%d", g.fn.Name, hint, g.label)
+	g.labels = append(g.labels, l)
+	return l
 }
 
 func (g *gen) allocTemp() (string, error) {
@@ -143,6 +168,7 @@ func (g *gen) compile() error {
 	frame := (nSaved*8 + spillSlots*8 + 15) &^ 15
 	g.spillBase = nSaved * 8
 
+	g.labels = append(g.labels, g.fn.Name, g.fn.Name+"_ret")
 	fmt.Fprintf(g.out, "%s:\n", g.fn.Name)
 	fmt.Fprintf(g.out, "\taddi sp, sp, -%d\n", frame)
 	fmt.Fprintf(g.out, "\tsd   ra, 0(sp)\n")
@@ -387,6 +413,7 @@ func (g *gen) lowerPreload(st *IfStmt, call, els *CallExpr, diff int) error {
 	g.release(1)
 	fmt.Fprintf(&g.body, "%s:\n", goL)
 	g.emit("call %s", call.Name)
+	g.calls = append(g.calls, call.Name)
 	g.emit("j    %s", end)
 	fmt.Fprintf(&g.body, "%s:\n", fix)
 	reg, ok := g.vars[elseArg.Name]
@@ -537,6 +564,7 @@ func (g *gen) call(x *CallExpr, override map[int]string) (string, error) {
 		g.emit("mv   a%d, %s", i, r)
 	}
 	g.emit("call %s", x.Name)
+	g.calls = append(g.calls, x.Name)
 	// Release the argument temps allocated here.
 	g.depth = base
 	r, err := g.allocTemp()

@@ -313,6 +313,10 @@ func TestCompileErrors(t *testing.T) {
 		"undefined var":  "func f() { return nope; }",
 		"redeclared":     "func f(a) { var a = 1; return a; }",
 		"too many parms": "func f(a,b,c,d,e,f1,g,h,i) { return 0; }",
+		// Found by FuzzCompile: each output defined a symbol twice.
+		"defined twice": "func f(x) { return x; } func f(y) { return y; }",
+		"label clash":   "func f(x) { return x; } func f_ret() { return 0; }",
+		"call to label": "func f(x) { while (x) { x = f_while1(x); } return x; }",
 	}
 	for name, src := range bad {
 		t.Run(name, func(t *testing.T) {

@@ -103,22 +103,37 @@ func (r BatchRequest) points() ([]cluster.Point, error) {
 	return points, nil
 }
 
-// newBatch explodes a request into a running batch: its points, their
-// canonical cache keys and no result yet. The caller sets the ID and
+// newBatch explodes a request into a running batch: its points, no
+// keys (see keyPoints) and no result yet. The caller sets the ID and
 // the submission time.
 func newBatch(req BatchRequest) (*Batch, error) {
 	points, err := req.points()
 	if err != nil {
 		return nil, err
 	}
-	b := &Batch{Req: req, Points: points, Keys: make([]string, len(points)),
-		Results: make([]*cluster.PointResult, len(points)), Status: BatchRunning}
-	for i, p := range points {
+	return &Batch{Req: req, Points: points, Results: make([]*cluster.PointResult, len(points)), Status: BatchRunning}, nil
+}
+
+// keyPoints computes, once, the points' canonical cache keys, which
+// dispatch needs. A key costs ~154 µs, so recovery keys only the
+// batches that resume, and a batch recovered finished keys itself on
+// its first view. A point with a result that this binary no longer
+// keys (its workload is gone, say) takes the key its result carries.
+func (b *Batch) keyPoints() error {
+	if b.Keys != nil {
+		return nil
+	}
+	b.Keys = make([]string, len(b.Points))
+	for i, p := range b.Points {
+		var err error
 		if b.Keys[i], err = p.Key(); err != nil {
-			return nil, fmt.Errorf("point %d: %v", i, err)
+			if b.Results[i] == nil {
+				return fmt.Errorf("point %d: %v", i, err)
+			}
+			b.Keys[i] = b.Results[i].Key
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // Batch statuses.
@@ -192,6 +207,9 @@ func (b *Batch) view(withPoints bool) batchView {
 		return v
 	}
 	v.Results = make([]batchPointView, len(b.Points))
+	// A batch recovered finished is keyed on its first view. Every point
+	// has a result then, so keyPoints cannot fail.
+	b.keyPoints()
 	for i, p := range b.Points {
 		pv := batchPointView{
 			Index: i, Workload: p.WorkloadName(),
@@ -217,6 +235,9 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Label = cmp.Or(req.Label, version.DefaultLabel())
 	b, err := newBatch(req)
+	if err == nil {
+		err = b.keyPoints()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -342,9 +363,10 @@ func (s *Server) applyPointLocked(b *Batch, i int, res cluster.PointResult) {
 // recoverBatches rebuilds the batch table from a previous incarnation's
 // journal: batch-submit re-explodes the request (explosion is
 // deterministic, so indices line up), batch-point fills the results
-// that were terminal before the crash, batch-done seals. Runs before
-// the HTTP surface exists, so plain field access is race-free — except
-// the shared counters, which applyPointLocked touches anyway.
+// that were terminal before the crash, batch-done seals; then a batch
+// that resumes computes its keys (see keyPoints). Runs before the HTTP
+// surface exists, so plain field access is race-free — except the
+// shared counters, which applyPointLocked touches anyway.
 func (s *Server) recoverBatches(recs []journalRecord) {
 	for _, r := range recs {
 		switch r.Event {
@@ -383,6 +405,18 @@ func (s *Server) recoverBatches(recs []journalRecord) {
 			s.batchOrder = slices.DeleteFunc(s.batchOrder, func(id string) bool { return id == r.ID })
 		}
 	}
+	s.batchOrder = slices.DeleteFunc(s.batchOrder, func(id string) bool {
+		b := s.batches[id]
+		if b.Status == BatchDone {
+			return false
+		}
+		err := b.keyPoints()
+		if err != nil {
+			s.log.Warn("journaled batch no longer keys", "batch", id, "err", err)
+			delete(s.batches, id)
+		}
+		return err != nil
+	})
 }
 
 // resumeBatches relaunches dispatch for every recovered batch that was

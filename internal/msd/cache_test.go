@@ -277,6 +277,9 @@ func FuzzCacheKey(f *testing.F) {
 			MeasureStages: req.MeasureStages,
 		}}}
 		b, err := newBatch(batch)
+		if err == nil {
+			err = b.keyPoints()
+		}
 		if err != nil {
 			t.Fatalf("equivalent batch entry rejected: %v", err)
 		}

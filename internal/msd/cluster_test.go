@@ -449,6 +449,69 @@ func TestBatchJournalRecoveryResumes(t *testing.T) {
 	waitBatch(t, tsB.URL, v2.ID)
 }
 
+// TestFinishedBatchRecoversWithoutKeys: a finished batch recovers from
+// its journaled results without keying its points. One of its entries
+// names a workload this binary does not know, so that point no longer
+// keys; the batch must still be listed with its results, the point
+// under the key its result carries.
+func TestFinishedBatchRecoversWithoutKeys(t *testing.T) {
+	dir := t.TempDir()
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	res := func(key string, iter int) *cluster.PointResult {
+		r := fakePointResult(iter)
+		r.Key = key
+		return &r
+	}
+	req := BatchRequest{Label: "old", Entries: []BatchEntry{
+		{Workload: "RETIRED-KERNEL", Runs: 2}, {Workload: "ME-NAIVE", Runs: 2},
+	}}
+	points, err := req.points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	naiveKey, err := points[1].Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for _, rec := range []journalRecord{
+		{Event: "batch-submit", Time: at, ID: "batch-7", BatchReq: &req},
+		{Event: "batch-point", Time: at, ID: "batch-7", PointIdx: 0, PointRes: res("key-retired", 31)},
+		{Event: "batch-point", Time: at, ID: "batch-7", PointIdx: 1, PointRes: res("key-naive", 32)},
+		{Event: "batch-done", Time: at.Add(time.Second), ID: "batch-7", Done: 2},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newPointServer(t, Config{Coordinator: true, JournalDir: dir}, func(cluster.Point, string) cluster.PointResult {
+		t.Error("a finished batch was dispatched again")
+		return fakePointResult(0)
+	})
+	v, code := getBatch(t, ts.URL, "batch-7")
+	if code != http.StatusOK {
+		t.Fatalf("recovered batch: HTTP %d, want 200", code)
+	}
+	if v.Status != BatchDone || v.Done != 2 || v.Label != "old" || len(v.Results) != 2 {
+		t.Fatalf("recovered batch = %+v", v)
+	}
+	for i, want := range []struct {
+		workload, key string
+		iter          int
+	}{{"RETIRED-KERNEL", "key-retired", 31}, {"ME-NAIVE", naiveKey, 32}} {
+		pv := v.Results[i]
+		if pv.Workload != want.workload || pv.Key != want.key || !pv.Done || pv.Result == nil || pv.Result.Iterations != want.iter {
+			t.Errorf("point %d = %+v (result %+v), want %s keyed %s with %d iterations", i, pv, pv.Result, want.workload, want.key, want.iter)
+		}
+	}
+}
+
 // TestFinishedBatchesRetained: finished batches fall under MaxJobs as
 // finished jobs do — the oldest are evicted — and the bound holds again
 // after a restart over the journal, whose evict records recovery

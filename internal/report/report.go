@@ -1,7 +1,12 @@
-// Package report renders MicroSampler verification results as terminal
-// text: Cramér's V bar charts in the style of the paper's figures,
-// iteration-timing histograms (Fig. 6), contingency tables (Table II)
-// and the various summary tables of the evaluation section.
+// Package report renders MicroSampler verification results. As
+// terminal text: Cramér's V bar charts in the style of the paper's
+// figures, iteration-timing histograms (Fig. 6), contingency tables
+// (Table II) and the various summary tables of the evaluation section.
+// As artifacts: the JSON report, the heatmap, provenance and
+// config-grid matrix documents in JSON and HTML, the report digest, and
+// the report and matrix diffs. Artifact bytes are a contract (msd stores
+// them, the CI gate diffs against a committed matrix), pinned by the
+// goldens under testdata/.
 package report
 
 import (

@@ -132,6 +132,7 @@ go test -run='^$' -fuzz='^FuzzHashMatrix$' -fuzztime=5s ./internal/snapshot
 go test -run='^$' -fuzz='^FuzzHashTimed$' -fuzztime=5s ./internal/trace
 go test -run='^$' -fuzz='^FuzzStoreObserve$' -fuzztime=5s ./internal/snapshot
 go test -run='^$' -fuzz='^FuzzPipeline$' -fuzztime=5s ./internal/oracle
+go test -run='^$' -fuzz='^FuzzCompile$' -fuzztime=5s ./internal/ctc
 go test -run='^$' -fuzz='^FuzzMatrixConfig$' -fuzztime=5s ./internal/core
 go test -run='^$' -fuzz='^FuzzCacheKey$' -fuzztime=5s ./internal/msd
 go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/msd
